@@ -54,11 +54,14 @@ int main(int argc, char** argv) {
   // Compatibility matrix with build statistics.
   analysis::CompatibilityBuildStats stats;
   const auto matrix = analysis::build_compatibility(nl, rare, {}, rng, &pool, &stats);
+  // pair_count includes the rare.size() singleton checks; edges do not.
   std::printf("compatibility: %zu/%zu pairs compatible (avg degree %.1f)\n",
-              matrix.edge_count(), stats.pair_count, matrix.average_degree());
+              matrix.edge_count(), stats.pair_count - rare.size(),
+              matrix.average_degree());
   std::printf("  resolved by simulation co-occurrence : %zu\n", stats.sim_resolved);
   std::printf("  resolved by SAT (sat/unsat)          : %zu/%zu\n", stats.sat_sat,
               stats.sat_unsat);
+  std::printf("  sat proven by a harvested model      : %zu\n", stats.harvested);
   std::printf("  unsatisfiable singletons             : %zu\n", stats.unsat_singletons);
   std::printf("  build time                           : %.2fs\n\n", stats.build_seconds);
 

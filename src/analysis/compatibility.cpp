@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <span>
 
 #include "sat/encoder.hpp"
 #include "sat/portfolio.hpp"
@@ -125,6 +126,117 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
   return ranges;
 }
 
+namespace {
+
+using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Phase-2 witness table of one worker: counterexample-guided simulation,
+/// the SAT-sweeping idiom. Every Sat model is re-simulated, and row r keeps
+/// one bit per model, set when that model drives rare net r to its rare
+/// value. Models fill 64-lane batches, one word per row each. A new model
+/// re-sweeps its partial batch at once with W=1 (the sweep costs the same
+/// for one lane as for 64), so it can already skip the next pair.
+class WitnessHarvest {
+ public:
+  WitnessHarvest(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets)
+      : engine_(netlist),
+        rare_nets_(rare_nets),
+        rows_(rare_nets.size()),
+        batch_(netlist.inputs().size(), 0) {}
+
+  /// True when a simulated model drives rare nets i and j to their rare
+  /// values together (i == j: the singleton alone).
+  bool covers(std::uint32_t i, std::uint32_t j) const {
+    const auto& a = rows_[i];
+    const auto& b = rows_[j];
+    for (std::size_t w = 0; w < a.size(); ++w)
+      if ((a[w] & b[w]) != 0) return true;
+    return false;
+  }
+
+  /// Adds one model (one bit per primary input) as the next column.
+  void add(const sim::Pattern& model) {
+    if (lane_ == 0) {
+      std::fill(batch_.begin(), batch_.end(), 0);
+      for (auto& row : rows_) row.push_back(0);
+    }
+    for (std::size_t in = 0; in < batch_.size(); ++in)
+      if (model.test(in)) batch_[in] |= std::uint64_t{1} << lane_;
+    engine_.evaluate(buf_, batch_, 1);
+    // Lanes past this model hold the all-zero pattern, which is no model.
+    const std::uint64_t filled = ~std::uint64_t{0} >> (63 - lane_);
+    for (std::size_t r = 0; r < rare_nets_.size(); ++r) {
+      const std::uint64_t values = buf_.word(rare_nets_[r].net, 0);
+      rows_[r].back() = (rare_nets_[r].rare_value ? values : ~values) & filled;
+    }
+    lane_ = (lane_ + 1) % 64;
+  }
+
+ private:
+  sim::Engine engine_;
+  std::span<const RareNet> rare_nets_;
+  std::vector<std::vector<std::uint64_t>> rows_;
+  std::vector<std::uint64_t> batch_;  // current batch, input-major (W = 1)
+  std::size_t lane_ = 0;              // next free lane of the current batch
+  sim::EvalBuffer buf_;
+};
+
+/// Phase 2 of one worker (a parallel_chunks chunk or a shard): decides
+/// `pairs` in order with one private oracle, whose learnt clauses amortize
+/// across the list, and one harvest table. A pair the table already covers
+/// is compatible without a query: a concrete, simulated pattern proves it,
+/// so it counts into sat_sat (and harvested). A solver bug can therefore
+/// only cost a skip, never flip a verdict. Compatible pairs are appended to
+/// `compatible`; the phase-2 counters are added to `stats`.
+void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
+                  const CompatibilityBuildConfig& config,
+                  std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+                  PairList& compatible, CompatibilityBuildStats& stats) {
+  if (pairs.empty()) return;
+  sat::OracleConfig ocfg;
+  ocfg.inprocess = config.inprocess;
+  std::vector<netlist::NetId> query_nets;
+  query_nets.reserve(rare_nets.size());
+  for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
+  sat::NetlistOracle oracle(netlist, ocfg);
+  oracle.declare_query_nets(query_nets);
+  WitnessHarvest harvest(netlist, rare_nets);
+  for (const auto& [i, j] : pairs) {
+    if (harvest.covers(i, j)) {
+      ++stats.sat_sat;
+      ++stats.harvested;
+      compatible.emplace_back(i, j);
+      continue;
+    }
+    sat::Constraint constraints[2] = {
+        {rare_nets[i].net, rare_nets[i].rare_value},
+        {rare_nets[j].net, rare_nets[j].rare_value},
+    };
+    const std::size_t arity = (i == j) ? 1 : 2;
+    const auto result =
+        oracle.try_satisfiable({constraints, arity}, config.sat_conflict_budget);
+    if (!result.has_value()) {
+      ++stats.timeout_pairs;
+    } else if (*result) {
+      ++stats.sat_sat;
+      compatible.emplace_back(i, j);
+      harvest.add(oracle.input_model());
+    } else {
+      ++stats.sat_unsat;
+    }
+  }
+}
+
+}  // namespace
+
+void CompatibilityBuildStats::add_pair_counts(const CompatibilityBuildStats& other) {
+  sim_resolved += other.sim_resolved;
+  sat_sat += other.sat_sat;
+  sat_unsat += other.sat_unsat;
+  timeout_pairs += other.timeout_pairs;
+  harvested += other.harvested;
+}
+
 CompatibilityMatrix build_compatibility_shard(
     const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
     const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,
@@ -136,7 +248,7 @@ CompatibilityMatrix build_compatibility_shard(
   CompatibilityBuildStats local;
 
   // Phase 1 over the owned triangle slice.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> unresolved;
+  PairList unresolved;
   for (std::uint32_t i = row_begin; i < row_end; ++i) {
     for (std::uint32_t j = i; j < n; ++j) {
       ++local.pair_count;
@@ -149,34 +261,11 @@ CompatibilityMatrix build_compatibility_shard(
     }
   }
 
-  // Phase 2: one private oracle per shard; learnt clauses amortize across the
-  // shard's pair list. Sat/Unsat verdicts match the monolithic build's.
-  if (!unresolved.empty()) {
-    sat::OracleConfig ocfg;
-    ocfg.inprocess = config.inprocess;
-    std::vector<netlist::NetId> query_nets;
-    query_nets.reserve(rare_nets.size());
-    for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-    sat::NetlistOracle oracle(netlist, ocfg);
-    oracle.declare_query_nets(query_nets);
-    for (const auto& [i, j] : unresolved) {
-      sat::Constraint constraints[2] = {
-          {rare_nets[i].net, rare_nets[i].rare_value},
-          {rare_nets[j].net, rare_nets[j].rare_value},
-      };
-      const std::size_t arity = (i == j) ? 1 : 2;
-      const auto result =
-          oracle.try_satisfiable({constraints, arity}, config.sat_conflict_budget);
-      if (!result.has_value()) {
-        ++local.timeout_pairs;
-      } else if (*result) {
-        ++local.sat_sat;
-        matrix.set(i, j);
-      } else {
-        ++local.sat_unsat;
-      }
-    }
-  }
+  // Phase 2 with the shard's own oracle and harvest table. Sat/Unsat
+  // verdicts match the monolithic build's.
+  PairList compatible;
+  decide_pairs(netlist, rare_nets, config, unresolved, compatible, local);
+  for (const auto& [i, j] : compatible) matrix.set(i, j);
   if (stats != nullptr) *stats = local;
   return matrix;
 }
@@ -271,10 +360,7 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
     }
     for (std::size_t s = 0; s < ranges.size(); ++s) {
       matrix.merge_or(partials[s]);
-      local_stats.sim_resolved += shard_stats[s].sim_resolved;
-      local_stats.sat_sat += shard_stats[s].sat_sat;
-      local_stats.sat_unsat += shard_stats[s].sat_unsat;
-      local_stats.timeout_pairs += shard_stats[s].timeout_pairs;
+      local_stats.add_pair_counts(shard_stats[s]);
     }
     if (signatures_out != nullptr) *signatures_out = std::move(signatures);
     local_stats.unsat_singletons = finalize_compatibility(matrix);
@@ -283,7 +369,7 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
     return matrix;
   }
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> unresolved;
+  PairList unresolved;
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i; j < n; ++j) {
       if (i == j ? signatures[i].any() : signatures[i].intersects(signatures[j])) {
@@ -297,15 +383,11 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
 
   // Phase 2 — SAT decides the pairs simulation never witnessed.
-  std::atomic<std::size_t> sat_sat{0};
-  std::atomic<std::size_t> sat_unsat{0};
-  std::atomic<std::size_t> timeouts{0};
-  std::mutex matrix_mutex;
-
   if (config.portfolio_threads >= 2) {
     // Clause-sharing portfolio: all clones hold the same encoding and race
     // down the shared pair list; learnt clauses flow between them at query
     // boundaries. Sat/Unsat answers are identical to the single-solver path.
+    // The batch is submitted up front, so this path does not harvest.
     sat::PortfolioConfig pcfg;
     pcfg.solvers = config.portfolio_threads;
     pcfg.share_lbd_cap = config.share_lbd_cap;
@@ -332,48 +414,27 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
       const auto [i, j] = unresolved[k];
       switch (results[k]) {
         case sat::Solver::Result::Sat:
-          ++sat_sat;
+          ++local_stats.sat_sat;
           matrix.set(i, j);
           break;
-        case sat::Solver::Result::Unsat: ++sat_unsat; break;
-        case sat::Solver::Result::Unknown: ++timeouts; break;
+        case sat::Solver::Result::Unsat: ++local_stats.sat_unsat; break;
+        case sat::Solver::Result::Unknown: ++local_stats.timeout_pairs; break;
       }
     }
   } else {
-    // One oracle per worker; learnt clauses amortize across that worker's
-    // share. Bit-reproducible for a fixed seed regardless of thread count.
-    sat::OracleConfig ocfg;
-    ocfg.inprocess = config.inprocess;
-    std::vector<netlist::NetId> query_nets;
-    query_nets.reserve(rare_nets.size());
-    for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-
+    // One oracle and one harvest table per chunk. Verdicts are
+    // bit-reproducible for a fixed seed regardless of thread count; only
+    // `harvested` depends on the chunk plan.
+    std::mutex merge_mutex;
     auto solve_range = [&](std::size_t begin, std::size_t end) {
-      sat::NetlistOracle oracle(netlist, ocfg);
-      oracle.declare_query_nets(query_nets);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> found;
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto [i, j] = unresolved[k];
-        sat::Constraint constraints[2] = {
-            {rare_nets[i].net, rare_nets[i].rare_value},
-            {rare_nets[j].net, rare_nets[j].rare_value},
-        };
-        const std::size_t arity = (i == j) ? 1 : 2;
-        const auto result = oracle.try_satisfiable({constraints, arity},
-                                                   config.sat_conflict_budget);
-        if (!result.has_value()) {
-          ++timeouts;
-        } else if (*result) {
-          ++sat_sat;
-          found.emplace_back(i, j);
-        } else {
-          ++sat_unsat;
-        }
-      }
-      if (!found.empty()) {
-        std::lock_guard lock(matrix_mutex);
-        for (const auto& [i, j] : found) matrix.set(i, j);
-      }
+      PairList compatible;
+      CompatibilityBuildStats chunk_stats;
+      decide_pairs(netlist, rare_nets, config,
+                   std::span(unresolved).subspan(begin, end - begin), compatible,
+                   chunk_stats);
+      std::lock_guard lock(merge_mutex);
+      for (const auto& [i, j] : compatible) matrix.set(i, j);
+      local_stats.add_pair_counts(chunk_stats);
     };
 
     if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
@@ -384,9 +445,6 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
       solve_range(0, unresolved.size());
     }
   }
-  local_stats.sat_sat = sat_sat.load();
-  local_stats.sat_unsat = sat_unsat.load();
-  local_stats.timeout_pairs = timeouts.load();
 
   // A rare net whose singleton is unsatisfiable can never participate in a
   // trigger: clear its whole row so masks and cliques ignore it.

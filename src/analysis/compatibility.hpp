@@ -96,19 +96,39 @@ struct CompatibilityBuildConfig {
   std::size_t shard_count = 0;
 };
 
+/// Counters of one build. They include the diagonal: the n(n+1)/2 examined
+/// pairs (i, j) with i <= j count the n singleton checks (i == i), and every
+/// pair lands in exactly one of sim_resolved, sat_sat, sat_unsat and
+/// timeout_pairs. CompatibilityMatrix::edge_count() excludes the diagonal,
+/// so off-diagonal figures subtract the singletons, which are n -
+/// unsat_singletons compatible ones.
 struct CompatibilityBuildStats {
-  std::size_t pair_count = 0;          ///< unordered pairs examined
+  std::size_t pair_count = 0;          ///< unordered pairs examined, i <= j
   std::size_t sim_resolved = 0;        ///< proven compatible by co-occurrence
-  std::size_t sat_sat = 0;             ///< proven compatible by SAT
+  std::size_t sat_sat = 0;             ///< proven compatible by SAT (incl. harvested)
   std::size_t sat_unsat = 0;           ///< proven incompatible by SAT
   std::size_t timeout_pairs = 0;       ///< budget exhausted (treated incompatible)
   std::size_t unsat_singletons = 0;    ///< rare nets with no satisfying pattern
   double build_seconds = 0.0;
+  /// The part of sat_sat proven by a re-simulated model of an earlier Sat
+  /// answer instead of a query of its own. It depends on the chunk or shard
+  /// plan, so it is runtime-only: artifacts do not serialize it, and a
+  /// sharded build counts only the shards this run built.
+  std::size_t harvested = 0;
+
+  /// Adds another chunk's or shard's per-pair counters (sim_resolved,
+  /// sat_sat, sat_unsat, timeout_pairs, harvested).
+  void add_pair_counts(const CompatibilityBuildStats& other);
 };
 
 /// Builds the pairwise matrix. Parallelized across `pool` with one SAT oracle
 /// per worker, mirroring the paper's 64-process offline computation (§3.3).
 /// Deterministic for fixed rng seed regardless of thread count.
+///
+/// Phase 2 harvests witnesses: each worker re-simulates the input model of
+/// every Sat answer and skips the later pairs such a model already drives to
+/// their rare values together. The matrix and every serialized counter are
+/// unchanged by this; only stats.harvested depends on the chunk plan.
 ///
 /// `signatures_out`, when non-null, receives the phase-1 activation
 /// signatures (one per rare net, pattern-indexed) so downstream consumers —
@@ -134,11 +154,12 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
 
 /// Builds one shard's partial matrix: phase-1 signature intersection and
 /// phase-2 SAT for every owned pair (row_begin <= i < row_end, j >= i),
-/// single-threaded with one private SAT oracle. The partial is full-width
-/// (n × n) and symmetric; ORing all shards' partials reproduces the
-/// monolithic build's matrix bit-for-bit. `stats` receives this shard's
-/// counters only (pair_count = owned pairs; no singleton finalize — that is
-/// a whole-matrix pass, see finalize_compatibility).
+/// single-threaded with one private SAT oracle and witness-harvest table.
+/// The partial is full-width (n × n) and symmetric; ORing all shards'
+/// partials reproduces the monolithic build's matrix bit-for-bit. `stats`
+/// receives this shard's counters only (pair_count = owned pairs; no
+/// singleton finalize — that is a whole-matrix pass, see
+/// finalize_compatibility).
 CompatibilityMatrix build_compatibility_shard(
     const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
     const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,

@@ -239,10 +239,7 @@ analysis::CompatibilityMatrix build_sharded_compatibility(
   analysis::CompatibilityMatrix matrix(n);
   for (const auto& partial : partials) {
     matrix.merge_or(partial->matrix);
-    local_stats.sim_resolved += partial->stats.sim_resolved;
-    local_stats.sat_sat += partial->stats.sat_sat;
-    local_stats.sat_unsat += partial->stats.sat_unsat;
-    local_stats.timeout_pairs += partial->stats.timeout_pairs;
+    local_stats.add_pair_counts(partial->stats);
   }
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
   local_stats.unsat_singletons = analysis::finalize_compatibility(matrix);

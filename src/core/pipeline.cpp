@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "analysis/lint.hpp"
@@ -177,10 +178,19 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
                                           &workers, &compat_stats_,
                                           &witness_signatures_, compat_scratch_dir_,
                                           fingerprint_, rare_hash());
+    // The stats count the diagonal; the edge count does not. Every
+    // compatible singleton was witnessed in simulation or proven by SAT, so
+    // subtracting both shares leaves sim + sat == the compatible pairs.
+    const std::size_t singletons = rare_nets_.size() - compat_stats_.unsat_singletons;
+    const auto sim_singletons = static_cast<std::size_t>(
+        std::count_if(witness_signatures_.begin(), witness_signatures_.end(),
+                      [](const util::BitVec& sig) { return sig.any(); }));
     util::Log::info("pipeline: prepared ", rare_nets_.size(), " rare nets, ",
                     matrix_->edge_count(), " compatible pairs (",
-                    compat_stats_.sim_resolved, " sim, ", compat_stats_.sat_sat,
-                    " sat) in ", compat_stats_.build_seconds, "s");
+                    compat_stats_.sim_resolved - sim_singletons, " sim, ",
+                    compat_stats_.sat_sat - (singletons - sim_singletons), " sat; ",
+                    compat_stats_.harvested, " harvested) in ",
+                    compat_stats_.build_seconds, "s");
 
     checkpoint(control, {Stage::Compatibility, 1, 1,
                          std::to_string(matrix_->edge_count()) + " compatible pairs",

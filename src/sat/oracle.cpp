@@ -75,6 +75,10 @@ std::optional<sim::Pattern> NetlistOracle::find_pattern(
   maybe_inprocess();
   const auto assumptions = to_assumptions(constraints);
   if (solver_.solve(assumptions) != Solver::Result::Sat) return std::nullopt;
+  return input_model();
+}
+
+sim::Pattern NetlistOracle::input_model() const {
   const auto inputs = netlist_->inputs();
   sim::Pattern pattern(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i)

@@ -78,6 +78,12 @@ class NetlistOracle {
   /// randomize_completion() between queries to diversify them.
   std::optional<sim::Pattern> find_pattern(std::span<const Constraint> constraints);
 
+  /// Primary-input assignment of the last Sat answer, ordered as
+  /// Netlist::inputs(). Inputs are always frozen, so this is the exact model
+  /// the solver found (the read find_pattern returns); only meaningful
+  /// directly after a query that answered Sat.
+  sim::Pattern input_model() const;
+
   /// Randomizes the solver's phase choices so subsequent find_pattern calls
   /// fill unconstrained inputs differently.
   void randomize_completion(util::Rng& rng) { solver_.randomize_phases(rng); }

@@ -94,8 +94,9 @@ void ThreadPool::parallel_chunks(
   std::atomic<std::size_t> next_chunk{0};
   for (std::size_t t = 0; t < n_chunks; ++t) {
     submit([&, t] {
-      // Dynamic chunk claiming: threads that finish early steal later chunks,
-      // which matters because SAT query latency is highly non-uniform.
+      // Claims whole chunks. There are never more chunks than tasks, so
+      // nothing is stolen: a task that finishes early idles, and the chunk
+      // boundaries depend only on (n, thread_count()).
       while (true) {
         std::size_t c = next_chunk.fetch_add(1);
         std::size_t begin = c * chunk;

@@ -47,7 +47,11 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Runs fn(thread_index, begin, end) over chunked ranges — for workloads
-  /// that want per-thread scratch state (e.g. one SAT solver per thread).
+  /// that want per-chunk scratch state (e.g. one SAT solver per chunk).
+  /// [0, n) is split into min(n, thread_count()) contiguous chunks of equal
+  /// size (the last may be shorter), one call each. The plan depends only on
+  /// (n, thread_count()) and there is no work stealing, so a chunk whose
+  /// work runs long leaves the other threads idle at the end.
   void parallel_chunks(std::size_t n,
                        const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 

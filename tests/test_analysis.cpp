@@ -9,6 +9,7 @@
 #include "netlist/bench_io.hpp"
 #include "sat/oracle.hpp"
 #include "sim/probability.hpp"
+#include "util/faults.hpp"
 #include "util/thread_pool.hpp"
 
 namespace deterrent::analysis {
@@ -380,6 +381,72 @@ TEST(Compatibility, StatsAddUp) {
   EXPECT_EQ(stats.sim_resolved + stats.sat_sat + stats.sat_unsat + stats.timeout_pairs,
             stats.pair_count);
   EXPECT_GT(stats.build_seconds, 0.0);
+}
+
+/// Witness harvesting skips the SAT query of every pair an earlier Sat
+/// model already drives to its rare values. The matrix must still equal a
+/// reference that asks an oracle about every pair, the skips must be real
+/// queries saved (counted at the sat.query fault site), and neither the
+/// matrix nor the serialized counters may depend on the pool size.
+TEST(Compatibility, HarvestMatchesPerPairOracle) {
+  struct Profile {
+    std::uint64_t seed;
+    std::size_t gates;
+    std::size_t inputs;
+  };
+  for (const Profile& profile : {Profile{71, 300, 16}, Profile{72, 500, 24},
+                                 Profile{73, 800, 32}}) {
+    SCOPED_TRACE(profile.seed);
+    const Netlist nl = small_random(profile.seed, profile.gates, profile.inputs);
+    util::Rng rng(profile.seed + 1);
+    auto rare = find_rare_nets(nl, RareNetConfig{}, rng);
+    if (rare.size() > 60) rare.resize(60);
+    ASSERT_GE(rare.size(), 20u);
+
+    // Reference: one query per pair, then the same singleton clearing.
+    CompatibilityMatrix reference(rare.size());
+    sat::NetlistOracle oracle(nl);
+    for (std::uint32_t i = 0; i < rare.size(); ++i) {
+      for (std::uint32_t j = i; j < rare.size(); ++j) {
+        const sat::Constraint cs[2] = {{rare[i].net, rare[i].rare_value},
+                                       {rare[j].net, rare[j].rare_value}};
+        if (oracle.satisfiable({cs, i == j ? 1u : 2u})) reference.set(i, j);
+      }
+    }
+    finalize_compatibility(reference);
+
+    CompatibilityBuildConfig ccfg;
+    ccfg.sim_patterns = 1 << 8;  // weak prefilter: most pairs reach phase 2
+    CompatibilityBuildStats first;
+    for (const std::size_t threads : {1, 2, 3}) {
+      SCOPED_TRACE(threads);
+      util::ThreadPool pool(threads);
+      // A spec that never fires still counts every query at the site.
+      util::faults::arm("sat.query", {util::faults::Action::Throw, 0, 0.0});
+      util::Rng build_rng(profile.seed + 2);
+      CompatibilityBuildStats stats;
+      const auto matrix = build_compatibility(nl, rare, ccfg, build_rng, &pool, &stats);
+      const std::uint64_t queries = util::faults::hit_count("sat.query");
+      util::faults::disarm_all();
+
+      for (std::uint32_t i = 0; i < rare.size(); ++i)
+        ASSERT_EQ(matrix.row(i), reference.row(i)) << "row " << i;
+      EXPECT_GT(stats.harvested, 0u);
+      EXPECT_LE(stats.harvested, stats.sat_sat);
+      EXPECT_EQ(queries, stats.sat_sat - stats.harvested + stats.sat_unsat +
+                             stats.timeout_pairs);
+      if (threads == 1) {
+        first = stats;
+        continue;
+      }
+      EXPECT_EQ(stats.pair_count, first.pair_count);
+      EXPECT_EQ(stats.sim_resolved, first.sim_resolved);
+      EXPECT_EQ(stats.sat_sat, first.sat_sat);
+      EXPECT_EQ(stats.sat_unsat, first.sat_unsat);
+      EXPECT_EQ(stats.timeout_pairs, first.timeout_pairs);
+      EXPECT_EQ(stats.unsat_singletons, first.unsat_singletons);
+    }
+  }
 }
 
 }  // namespace
