@@ -106,7 +106,7 @@ inline PreparedBenchmark prepare_benchmark(const std::string& name, const Scale&
   // ~10-50× fewer SAT calls per episode buys far more exploration per second.
   cfg.env.reward_mode = core::RewardMode::EndOfEpisode;
   // Vectorized environments, as the paper does for MIPS (§4.1).
-  cfg.ppo.n_workers = 8;
+  cfg.ppo.rollout_lanes = 8;
   cfg.seed = seed;
   prep.det = std::make_unique<core::Deterrent>(prep.bench.scan.comb, cfg);
   prep.det->prepare();

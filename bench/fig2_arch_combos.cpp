@@ -30,12 +30,13 @@ ComboResult run_combo(const netlist::Netlist& comb,
   env_cfg.max_steps = 96;
 
   core::DistinctSetPool pool;
-  auto factory = [&](std::size_t) -> std::unique_ptr<rl::Env> {
-    return std::make_unique<core::CompatibleSetEnv>(comb, rare, matrix, env_cfg, &pool);
+  auto factory = [&](std::size_t lanes) -> std::unique_ptr<rl::VectorEnv> {
+    return std::make_unique<core::CompatibleSetVectorEnv>(comb, rare, matrix, env_cfg,
+                                                          &pool, lanes);
   };
   rl::PpoConfig ppo = core::DeterrentConfig::boosted_ppo_defaults();
   ppo.episodes_per_update = episodes_per_update;
-  rl::PpoTrainer trainer(factory, ppo, /*seed=*/5);
+  rl::PpoTrainer trainer(nullptr, ppo, /*seed=*/5, factory);
 
   util::Stopwatch watch;
   while (watch.elapsed_seconds() < budget_seconds) trainer.update();

@@ -1,15 +1,14 @@
-// Micro-benchmark: PPO training throughput, scalar collector vs vectorized
-// rollout lanes — the updates/sec currency behind Table 1's steps/min.
+// Micro-benchmark: PPO training throughput at one rollout lane vs wider
+// lane counts — the updates/sec currency behind Table 1's steps/min.
 //
 // Runs the same training workload (compatible-set MDP on a full-scan
-// benchmark cone) through a single-env baseline (rollout_lanes = 1, the
-// legacy per-sample trainer) and the batched collector at each requested
-// lane count, timing update() throughput. The vectorized trainer is
-// contractually bit-identical to the baseline, so the bench doubles as a
-// differential check: every configuration folds its per-update statistics
-// and final network parameters into an episode checksum, and any
-// lane-count-dependent divergence fails the run ("checksums_identical" in
-// the JSON, exit code 1).
+// benchmark cone) at rollout_lanes = 1 (the baseline: the same one-path
+// trainer, one episode at a time) and at each requested lane count, timing
+// update() throughput. Training is contractually bit-identical at every
+// lane count, so the bench doubles as a differential check: every
+// configuration folds its per-update statistics and final network
+// parameters into an episode checksum, and any lane-count-dependent
+// divergence fails the run ("checksums_identical" in the JSON, exit code 1).
 //
 //   ./micro_ppo [output.json] [lanes]      (default: BENCH_sim.json 1,8,64)
 //
@@ -100,15 +99,11 @@ LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
   ppo.rollout_lanes = lanes;
 
   core::DistinctSetPool pool;
-  const auto factory = [&](std::size_t) -> std::unique_ptr<rl::Env> {
-    return std::make_unique<core::CompatibleSetEnv>(fx.bench.scan.comb, fx.rare,
-                                                    fx.matrix, env_cfg, &pool);
-  };
   const auto vector_factory = [&](std::size_t n) -> std::unique_ptr<rl::VectorEnv> {
     return std::make_unique<core::CompatibleSetVectorEnv>(
         fx.bench.scan.comb, fx.rare, fx.matrix, env_cfg, &pool, n);
   };
-  rl::PpoTrainer trainer(factory, ppo, 7, vector_factory);
+  rl::PpoTrainer trainer(nullptr, ppo, 7, vector_factory);
 
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto digest_update = [&](const rl::PpoUpdateStats& stats) {

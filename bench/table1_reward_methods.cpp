@@ -31,12 +31,13 @@ RateResult train_with_mode(const netlist::Netlist& comb,
   env_cfg.eoe_repair_budget = repair_budget;
 
   core::DistinctSetPool pool;
-  auto factory = [&](std::size_t) -> std::unique_ptr<rl::Env> {
-    return std::make_unique<core::CompatibleSetEnv>(comb, rare, matrix, env_cfg, &pool);
+  auto factory = [&](std::size_t lanes) -> std::unique_ptr<rl::VectorEnv> {
+    return std::make_unique<core::CompatibleSetVectorEnv>(comb, rare, matrix, env_cfg,
+                                                          &pool, lanes);
   };
   rl::PpoConfig ppo = core::DeterrentConfig::boosted_ppo_defaults();
   ppo.episodes_per_update = episodes_per_update;
-  rl::PpoTrainer trainer(factory, ppo, /*seed=*/3);
+  rl::PpoTrainer trainer(nullptr, ppo, /*seed=*/3, factory);
 
   util::Stopwatch watch;
   while (watch.elapsed_seconds() < budget_seconds) trainer.update();
@@ -46,9 +47,9 @@ RateResult train_with_mode(const netlist::Netlist& comb,
   result.max_compatible = pool.max_set_size();
   result.steps_per_min = static_cast<double>(trainer.total_steps()) / minutes;
   result.episodes_per_min = static_cast<double>(trainer.total_episodes()) / minutes;
-  for (const auto& env : trainer.envs())
-    result.sat_queries +=
-        static_cast<const core::CompatibleSetEnv&>(*env).sat_queries();
+  result.sat_queries =
+      static_cast<const core::CompatibleSetVectorEnv&>(trainer.vector_env())
+          .sat_queries();
   return result;
 }
 

@@ -42,8 +42,7 @@
 //                          commands hydrate from and publish to it
 //   --no-cache             ignore --cache-dir for this invocation
 //   --rollout-lanes <n>    lock-step PPO rollout lanes on one batched env
-//                          (default 1 = legacy scalar collector with 8
-//                          threaded workers; >1 forces n_workers = 1)
+//                          (default 8; results identical at any count)
 //   --retries <n>          campaign per-circuit retries (default 2)
 //   --retry-backoff-ms <m> first retry backoff, doubles (default 50)
 //   --retry-backoff-cap-ms <m>  backoff ceiling per sleep (default 10000)
@@ -111,7 +110,7 @@ struct Args {
   std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
-  std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 1); }
+  std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 8); }
   std::uint32_t sat_share_lbd() const {
     return static_cast<std::uint32_t>(flag_size("--sat-share-lbd", 6));
   }
@@ -198,11 +197,7 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   cfg.k_patterns = args.k();
   cfg.seed = args.seed();
   cfg.env.reward_mode = core::RewardMode::EndOfEpisode;
-  cfg.ppo.n_workers = 8;
-  // Vectorized rollouts collect on one batched env; the two collectors own
-  // the same RNG streams, so lanes > 1 replaces the threaded workers.
   cfg.ppo.rollout_lanes = std::max<std::size_t>(1, args.rollout_lanes());
-  if (cfg.ppo.rollout_lanes > 1) cfg.ppo.n_workers = 1;
   return cfg;
 }
 
@@ -540,7 +535,6 @@ int cmd_campaign(const Args& args) {
   // Campaigns parallelize across circuits; keep the per-circuit phases
   // single-threaded so the box is not oversubscribed.
   cfg.base.offline_threads = 1;
-  cfg.base.ppo.n_workers = 1;
   cfg.threads = args.threads();
   cfg.session_root = args.session();
   cfg.cache_dir = args.no_cache() ? "" : args.cache_dir();

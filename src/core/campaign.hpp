@@ -28,10 +28,11 @@ struct CampaignConfig {
   /// reproducible yet decorrelated across circuits.
   DeterrentConfig base;
   /// Circuit-level workers; 0 = hardware concurrency (capped at the circuit
-  /// count). Within a circuit the offline phase and PPO rollouts run with the
-  /// base config's own thread settings — set base.offline_threads = 1 and
-  /// base.ppo.n_workers = 1 to keep a fully circuit-parallel campaign from
-  /// oversubscribing.
+  /// count). Within a circuit the offline phase runs with the base config's
+  /// own thread settings — set base.offline_threads = 1 (and leave
+  /// base.env.sat_dispatch_threads at 0) to keep a fully circuit-parallel
+  /// campaign from oversubscribing. PPO rollout lanes run on the circuit's
+  /// own thread at any lane count.
   std::size_t threads = 0;
   /// When non-empty, each circuit gets a Session under
   /// `<session_root>/<circuit name>`: completed stages are saved as artifact

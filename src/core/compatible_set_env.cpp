@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sat/encoder.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::core {
@@ -259,13 +258,12 @@ rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
 CompatibleSetVectorEnv::CompatibleSetVectorEnv(
     const netlist::Netlist& netlist, std::span<const analysis::RareNet> rare_nets,
     const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
-    DistinctSetPool* pool, std::size_t lanes, SatBackend backend)
+    DistinctSetPool* pool, std::size_t lanes)
     : netlist_(&netlist),
       rare_nets_(rare_nets.begin(), rare_nets.end()),
       matrix_(&matrix),
       config_(config),
-      pool_(pool),
-      backend_(backend) {
+      pool_(pool) {
   DETERRENT_ASSERT(lanes >= 1, "CompatibleSetVectorEnv needs at least one lane");
   DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
                    "compatibility matrix / rare net size mismatch");
@@ -373,37 +371,11 @@ util::ThreadPool* CompatibleSetVectorEnv::dispatch_pool() {
   return dispatch_pool_.get();
 }
 
-sat::Portfolio& CompatibleSetVectorEnv::shared_portfolio() {
-  if (!portfolio_) {
-    sat::PortfolioConfig pc;
-    pc.solvers = std::min<std::size_t>(lanes_.size(), 4);
-    portfolio_ = std::make_unique<sat::Portfolio>(
-        pc, [this](sat::Solver& solver, std::size_t) {
-          sat::encode_netlist(*netlist_, solver);
-          for (const netlist::NetId n : netlist_->inputs()) solver.set_frozen(n);
-          for (const auto& rn : rare_nets_) solver.set_frozen(rn.net);
-        });
-  }
-  return *portfolio_;
-}
-
 bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
                                          std::span<const sat::Constraint> constraints) {
-  if (backend_ == SatBackend::PerLane)
-    return lane_oracle(lane)
-        .try_satisfiable(constraints, config_.sat_conflict_budget)
-        .value_or(false);
-  // Single-query portfolio path: the race mode, so with a dispatch pool every
-  // clone attacks the one lane's query and the first finisher cancels the
-  // rest (lane-level early exit). Pool-less this is exactly clone 0.
-  std::vector<sat::Lit> assumptions;
-  assumptions.reserve(constraints.size());
-  for (const auto& c : constraints)
-    assumptions.push_back(sat::mk_lit(c.net, /*negated=*/!c.value));
-  ++portfolio_queries_;
-  return shared_portfolio().solve_one(assumptions, dispatch_pool(),
-                                      config_.sat_conflict_budget) ==
-         sat::Solver::Result::Sat;
+  return lane_oracle(lane)
+      .try_satisfiable(constraints, config_.sat_conflict_budget)
+      .value_or(false);
 }
 
 std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
@@ -534,32 +506,12 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
     }
   }
 
-  // Phase 2 — batched SAT dispatch for the witness misses.
-  if (pending.size() > 1) ++batched_dispatches_;
-  if (backend_ == SatBackend::SharedPortfolio && !pending.empty()) {
-    // One portfolio batch answers the whole step; with a dispatch pool the
-    // clones work-steal down the lane queries instead of round-robining.
-    std::vector<sat::Portfolio::Query> queries;
-    queries.reserve(pending.size());
-    for (const std::size_t l : pending) {
-      build_constraints(lanes_[l], actions[l]);
-      sat::Portfolio::Query q;
-      q.conflict_budget = config_.sat_conflict_budget;
-      for (const auto& c : scratch_constraints_)
-        q.assumptions.push_back(sat::mk_lit(c.net, /*negated=*/!c.value));
-      queries.push_back(std::move(q));
-    }
-    portfolio_queries_ += queries.size();
-    const auto results = shared_portfolio().solve_batch(queries, dispatch_pool());
-    for (std::size_t q = 0; q < pending.size(); ++q)
-      verdicts[pending[q]] = results[q] == sat::Solver::Result::Sat
-                                 ? Verdict::Accept
-                                 : Verdict::Reject;
-  } else if (!pending.empty()) {
-    // PerLane: constraints are staged sequentially (scratch_constraints_ is
-    // shared), then each pending lane solves on its private oracle — the
-    // exact query stream its scalar twin would see, so the verdicts are
-    // bit-identical whether the lanes run sequentially or across the pool.
+  // Phase 2 — batched SAT dispatch for the witness misses. Constraints are
+  // staged sequentially (scratch_constraints_ is shared), then each pending
+  // lane solves on its private oracle — the exact query stream its scalar
+  // twin would see, so the verdicts are bit-identical whether the lanes run
+  // sequentially or across the pool.
+  if (!pending.empty()) {
     std::vector<std::vector<sat::Constraint>> staged(pending.size());
     for (std::size_t k = 0; k < pending.size(); ++k) {
       build_constraints(lanes_[pending[k]], actions[pending[k]]);
@@ -567,11 +519,7 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
     }
     const auto solve_pending = [&](std::size_t k) {
       const std::size_t l = pending[k];
-      verdicts[l] = lane_oracle(l)
-                            .try_satisfiable(staged[k], config_.sat_conflict_budget)
-                            .value_or(false)
-                        ? Verdict::Accept
-                        : Verdict::Reject;
+      verdicts[l] = solve_joint(l, staged[k]) ? Verdict::Accept : Verdict::Reject;
     };
     util::ThreadPool* pool = dispatch_pool();
     if (pool != nullptr && pending.size() > 1) {
@@ -633,7 +581,7 @@ std::span<const std::uint32_t> CompatibleSetVectorEnv::members(
 }
 
 std::uint64_t CompatibleSetVectorEnv::sat_queries() const {
-  std::uint64_t total = portfolio_queries_;
+  std::uint64_t total = 0;
   for (const auto& oracle : oracles_)
     if (oracle) total += oracle->query_count();
   return total;

@@ -9,7 +9,7 @@
 #include "core/set_pool.hpp"
 #include "rl/env.hpp"
 #include "sat/oracle.hpp"
-#include "sat/portfolio.hpp"
+#include "util/thread_pool.hpp"
 
 namespace deterrent::core {
 
@@ -76,15 +76,11 @@ struct EnvConfig {
   /// measure before enabling.
   sat::OracleConfig oracle;
   /// Worker threads for the vectorized env's lane SAT dispatch; 0/1 =
-  /// sequential (the bit-reproducible reference), >= 2 creates a private
-  /// pool. PerLane solves the step's pending lanes on their private oracles
-  /// concurrently — each oracle still sees exactly its scalar twin's query
-  /// stream, so results stay bit-identical at any thread count. With
-  /// SharedPortfolio the pool reaches sat::Portfolio::solve_batch
-  /// (work-stealing across clones) and solve_one (first-finisher race =
-  /// lane-level early exit on single queries); Sat/Unsat answers are
-  /// unchanged, only budget-exhausted Unknowns can vary with scheduling, as
-  /// the portfolio already documents. Ignored by the scalar env.
+  /// sequential, >= 2 creates a private pool that solves a step's pending
+  /// lanes on their private oracles concurrently. Each oracle still sees
+  /// exactly its scalar twin's query stream, so results stay bit-identical
+  /// at any thread count. Only AllSteps steps dispatch a batch; EndOfEpisode
+  /// verification runs per lane. Ignored by the scalar env.
   std::size_t sat_dispatch_threads = 0;
 };
 
@@ -93,10 +89,10 @@ struct EnvConfig {
 ///   action  — index of a rare net to add
 ///   reward  — |s_{t+1}|² when the addition keeps the set compatible, else 0
 ///
-/// Each instance owns a private SAT oracle, so one env per rollout worker
-/// runs lock-free. Episode-final sets are reported to the shared
-/// DistinctSetPool (satisfiable prefix only, so every pooled set is realizable
-/// by a single test pattern).
+/// Each instance owns a private SAT oracle; it is the scalar reference that
+/// CompatibleSetVectorEnv lanes match step for step. Episode-final sets are
+/// reported to the shared DistinctSetPool (satisfiable prefix only, so every
+/// pooled set is realizable by a single test pattern).
 class CompatibleSetEnv final : public rl::Env {
  public:
   CompatibleSetEnv(const netlist::Netlist& netlist,
@@ -164,34 +160,19 @@ class CompatibleSetEnv final : public rl::Env {
 /// answer. Episode-final sets funnel into the shared pool exactly as the
 /// scalar env's do.
 ///
-/// Determinism contract: with SatBackend::PerLane (the default), lane l's
-/// trajectory is bit-identical to a standalone CompatibleSetEnv fed the same
-/// RNG stream and actions — each lane owns a private, lazily-built oracle
-/// whose learnt-clause state evolves exactly as its scalar twin's, so even
-/// conflict-budget-exhausted Unknowns classify identically. The pool is a
-/// content-keyed set, so interleaved lane completion order cannot leak into
-/// artifacts.
+/// Determinism contract: lane l's trajectory is bit-identical to a
+/// standalone CompatibleSetEnv fed the same RNG stream and actions — each
+/// lane owns a private, lazily-built oracle whose learnt-clause state evolves
+/// exactly as its scalar twin's, so even conflict-budget-exhausted Unknowns
+/// classify identically. The pool is a content-keyed set, so interleaved
+/// lane completion order cannot leak into artifacts.
 class CompatibleSetVectorEnv final : public rl::VectorEnv {
  public:
-  /// How joint-satisfiability checks that miss the witness reach a solver.
-  enum class SatBackend {
-    /// One lazily-constructed NetlistOracle per lane; the step's pending
-    /// queries are dispatched as a batch over the lane oracles. Bit-identical
-    /// to N scalar envs under any conflict budget.
-    PerLane,
-    /// One shared clause-sharing sat::Portfolio answers each step's query
-    /// batch via solve_batch(). Sat/Unsat answers match PerLane; only
-    /// budget-exhausted Unknown classifications may differ (learnt clauses
-    /// accumulate across lanes). Cheaper on memory at high lane counts.
-    SharedPortfolio,
-  };
-
   CompatibleSetVectorEnv(const netlist::Netlist& netlist,
                          std::span<const analysis::RareNet> rare_nets,
                          const analysis::CompatibilityMatrix& matrix,
                          const EnvConfig& config, DistinctSetPool* pool,
-                         std::size_t lanes,
-                         SatBackend backend = SatBackend::PerLane);
+                         std::size_t lanes);
 
   std::size_t lanes() const override { return lanes_.size(); }
   std::size_t observation_size() const override { return rare_nets_.size(); }
@@ -213,9 +194,6 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Joint checks answered by the witness sweep instead of a SAT call.
   std::uint64_t witness_hits() const { return witness_hits_; }
 
-  /// step() calls that dispatched more than one SAT query at once.
-  std::uint64_t batched_sat_dispatches() const { return batched_dispatches_; }
-
  private:
   struct Lane {
     util::BitVec state;                 // membership bitset
@@ -232,12 +210,11 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   float size_reward(std::size_t set_size) const;
   bool pairwise_ok(const Lane& lane, std::uint32_t action) const;
   sat::NetlistOracle& lane_oracle(std::size_t lane);
-  sat::Portfolio& shared_portfolio();
   /// Lazy dispatch pool; nullptr when config.sat_dispatch_threads < 2.
   util::ThreadPool* dispatch_pool();
   void build_constraints(const Lane& lane, std::uint32_t extra_action);
-  /// Answers "are these constraints jointly satisfiable" through the
-  /// configured backend; exhausted budgets report false (conservative).
+  /// Answers "are these constraints jointly satisfiable" on the lane's
+  /// oracle; exhausted budgets report false (conservative).
   bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
   std::size_t longest_satisfiable_prefix(std::size_t lane);
   void finish_lane(std::size_t lane);
@@ -248,17 +225,13 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   const analysis::CompatibilityMatrix* matrix_;
   EnvConfig config_;
   DistinctSetPool* pool_;
-  SatBackend backend_;
   std::size_t max_steps_ = 0;
 
   std::vector<Lane> lanes_;
-  std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // PerLane, lazy
-  std::unique_ptr<sat::Portfolio> portfolio_;                 // SharedPortfolio, lazy
-  std::unique_ptr<util::ThreadPool> dispatch_pool_;           // lazy, see dispatch_pool()
+  std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // one per lane, lazy
+  std::unique_ptr<util::ThreadPool> dispatch_pool_;  // lazy, see dispatch_pool()
   std::vector<sat::Constraint> scratch_constraints_;
-  std::uint64_t portfolio_queries_ = 0;
   std::uint64_t witness_hits_ = 0;
-  std::uint64_t batched_dispatches_ = 0;
 };
 
 }  // namespace deterrent::core

@@ -74,8 +74,7 @@ class Deterrent {
     return pipeline_->extracted_sets();
   }
 
-  /// Cumulative SAT queries issued by the training environments — works for
-  /// both the scalar per-worker envs and the vectorized lane batch.
+  /// Cumulative SAT queries issued by the training environment's lanes.
   std::uint64_t train_sat_queries() const;
 
   /// The staged pipeline behind this facade — for artifact export, session

@@ -203,25 +203,18 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
 
 void Pipeline::ensure_trainer() {
   if (trainer_) return;
-  const auto env_config = [this] {
-    EnvConfig env_config = config_.env;
-    if (env_config.witness_signatures == nullptr && !witness_signatures_.empty())
-      env_config.witness_signatures = &witness_signatures_;
-    return env_config;
-  };
-  auto factory = [this, env_config](std::size_t /*worker*/) -> std::unique_ptr<rl::Env> {
-    return std::make_unique<CompatibleSetEnv>(*netlist_, rare_nets_, *matrix_,
-                                              env_config(), &pool_);
-  };
-  // rollout_lanes > 1 swaps the scalar per-worker envs for one batched
-  // CompatibleSetVectorEnv; lane l draws the RNG stream worker l would have,
-  // so artifacts and resume points stay bit-identical across the two layouts.
+  EnvConfig env_config = config_.env;
+  if (env_config.witness_signatures == nullptr && !witness_signatures_.empty())
+    env_config.witness_signatures = &witness_signatures_;
+  // Training collects on one CompatibleSetVectorEnv. Episode RNG streams are
+  // keyed by global episode index, never by lane, so artifacts and resume
+  // points are bit-identical at any lane count.
   auto vector_factory =
       [this, env_config](std::size_t lanes) -> std::unique_ptr<rl::VectorEnv> {
     return std::make_unique<CompatibleSetVectorEnv>(*netlist_, rare_nets_, *matrix_,
-                                                    env_config(), &pool_, lanes);
+                                                    env_config, &pool_, lanes);
   };
-  trainer_ = std::make_unique<rl::PpoTrainer>(factory, config_.ppo, config_.seed,
+  trainer_ = std::make_unique<rl::PpoTrainer>(nullptr, config_.ppo, config_.seed,
                                               vector_factory);
   if (pending_trainer_state_.has_value()) {
     trainer_->restore(*pending_trainer_state_);
@@ -231,14 +224,9 @@ void Pipeline::ensure_trainer() {
 
 std::uint64_t Pipeline::train_sat_queries() const {
   std::uint64_t total = sat_queries_base_;
-  if (trainer_) {
-    for (const auto& env : trainer_->envs())
-      if (const auto* cse = dynamic_cast<const CompatibleSetEnv*>(env.get()))
-        total += cse->sat_queries();
-    if (const auto* vec =
-            dynamic_cast<const CompatibleSetVectorEnv*>(trainer_->vector_env()))
-      total += vec->sat_queries();
-  }
+  if (trainer_)
+    total += dynamic_cast<const CompatibleSetVectorEnv&>(trainer_->vector_env())
+                 .sat_queries();
   return total;
 }
 

@@ -17,9 +17,9 @@ struct StepResult {
 };
 
 /// Episodic environment with a discrete, maskable action space — the
-/// interface the PPO trainer drives. Implementations must be independent per
-/// instance: the trainer creates one per rollout worker (vectorized
-/// environments, §4.1).
+/// interface rl::EnvVector batches into lanes for the PPO trainer.
+/// Implementations must be independent per instance: EnvVector creates one
+/// per rollout lane (vectorized environments, §4.1).
 class Env {
  public:
   virtual ~Env() = default;

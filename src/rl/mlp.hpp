@@ -107,8 +107,7 @@ class Mlp {
   /// Flat parameter/gradient views for the optimizer.
   std::vector<ParamRef> params();
 
-  /// Copies parameter values from another identically shaped network
-  /// (used to snapshot the policy for rollout workers).
+  /// Copies parameter values from another identically shaped network.
   void copy_params_from(const Mlp& other);
 
   std::size_t param_count() const;

@@ -28,54 +28,45 @@ util::Rng seeded_rng(std::uint64_t seed, std::uint64_t stream) {
 /// 1 = value init, 2 = shuffle), so no training run can collide them.
 constexpr std::uint64_t kEpisodeStreamBase = std::uint64_t{1} << 32;
 
+std::unique_ptr<VectorEnv> make_rollout_env(
+    const PpoTrainer::EnvFactory& factory, const PpoConfig& config,
+    const PpoTrainer::VectorEnvFactory& vector_factory) {
+  // n_workers is the legacy spelling of the lane count (see PpoConfig).
+  const std::size_t lanes = std::max(config.rollout_lanes, config.n_workers);
+  DETERRENT_ASSERT(lanes >= 1, "PPO requires at least one lane");
+  DETERRENT_ASSERT(factory || vector_factory, "PpoTrainer needs an env factory");
+  auto env = vector_factory ? vector_factory(lanes)
+                            : std::make_unique<EnvVector>(lanes, factory);
+  DETERRENT_ASSERT(env->lanes() == lanes, "PpoTrainer: vector env lane mismatch");
+  return env;
+}
+
 }  // namespace
 
 PpoTrainer::PpoTrainer(const EnvFactory& factory, const PpoConfig& config,
                        std::uint64_t seed, const VectorEnvFactory& vector_factory)
     : config_(config),
       seed_(seed),
+      vector_env_(make_rollout_env(factory, config, vector_factory)),
       policy_([&] {
         auto rng = seeded_rng(seed, 0);
-        auto probe = factory(0);
-        return Mlp(mlp_shape(probe->observation_size(), config.hidden_size,
-                             config.hidden_layers, probe->action_count()),
+        return Mlp(mlp_shape(vector_env_->observation_size(), config.hidden_size,
+                             config.hidden_layers, vector_env_->action_count()),
                    rng);
       }()),
       value_([&] {
         auto rng = seeded_rng(seed, 1);
-        auto probe = factory(0);
-        return Mlp(mlp_shape(probe->observation_size(), config.hidden_size,
+        return Mlp(mlp_shape(vector_env_->observation_size(), config.hidden_size,
                              config.hidden_layers, 1),
                    rng);
       }()),
       policy_opt_(policy_.params(), {config.learning_rate}),
-      value_opt_(value_.params(), {config.learning_rate}) {
-  DETERRENT_ASSERT(config_.n_workers >= 1, "PPO requires at least one worker");
-  DETERRENT_ASSERT(config_.rollout_lanes >= 1, "PPO requires at least one lane");
-  if (config_.n_workers > 1 && config_.rollout_lanes > 1)
-    throw Error(
-        "PpoTrainer: n_workers > 1 and rollout_lanes > 1 are mutually "
-        "exclusive — pick the threaded or the vectorized collector, not both");
-  if (config_.rollout_lanes > 1) {
-    vector_env_ = vector_factory ? vector_factory(config_.rollout_lanes)
-                                 : std::make_unique<EnvVector>(
-                                       config_.rollout_lanes, factory);
-    DETERRENT_ASSERT(vector_env_->lanes() == config_.rollout_lanes &&
-                         vector_env_->observation_size() == policy_.input_size() &&
-                         vector_env_->action_count() == policy_.output_size(),
-                     "PpoTrainer: vector env shape mismatch");
-  } else {
-    envs_.reserve(config_.n_workers);
-    for (std::size_t w = 0; w < config_.n_workers; ++w) envs_.push_back(factory(w));
-  }
-  // Stream 2 is the trainer's minibatch-shuffle rng — the only persistent
-  // collection-side stream. Episodes draw from streams keyed by their global
-  // episode index (episode_rng), which makes every collector — serial,
-  // threaded, vectorized, at any width — interchangeable bit-for-bit.
-  worker_rngs_.push_back(seeded_rng(seed, 2));
-  if (config_.n_workers > 1)
-    pool_ = std::make_unique<util::ThreadPool>(config_.n_workers);
-}
+      value_opt_(value_.params(), {config.learning_rate}),
+      // Stream 2 is the minibatch-shuffle rng — the only persistent stream.
+      // Episodes draw from streams keyed by their global episode index
+      // (episode_rng), which makes every lane count interchangeable
+      // bit-for-bit.
+      shuffle_rng_(seeded_rng(seed, 2)) {}
 
 PpoTrainer::~PpoTrainer() = default;
 
@@ -85,8 +76,7 @@ TrainerState PpoTrainer::state() const {
   s.value_params = value_.flat_params();
   s.policy_opt = policy_opt_.state();
   s.value_opt = value_opt_.state();
-  s.rng_states.reserve(worker_rngs_.size());
-  for (const auto& rng : worker_rngs_) s.rng_states.push_back(rng.state());
+  s.rng_states.push_back(shuffle_rng_.state());
   s.seed = seed_;
   s.total_steps = total_steps_;
   s.total_episodes = total_episodes_;
@@ -94,17 +84,16 @@ TrainerState PpoTrainer::state() const {
 }
 
 void PpoTrainer::restore(const TrainerState& state) {
-  if (state.rng_states.size() != worker_rngs_.size())
+  if (state.rng_states.size() != 1)
     throw Error("PpoTrainer::restore: snapshot has " +
-                std::to_string(state.rng_states.size()) + " RNG streams, trainer has " +
-                std::to_string(worker_rngs_.size()) +
+                std::to_string(state.rng_states.size()) +
+                " RNG streams, trainer has 1"
                 " (was it saved by an older trainer with per-worker streams?)");
   policy_.set_flat_params(state.policy_params);
   value_.set_flat_params(state.value_params);
   policy_opt_.restore(state.policy_opt);
   value_opt_.restore(state.value_opt);
-  for (std::size_t i = 0; i < worker_rngs_.size(); ++i)
-    worker_rngs_[i].set_state(state.rng_states[i]);
+  shuffle_rng_.set_state(state.rng_states[0]);
   seed_ = state.seed;
   total_steps_ = state.total_steps;
   total_episodes_ = state.total_episodes;
@@ -114,41 +103,9 @@ util::Rng PpoTrainer::episode_rng(std::uint64_t index) const {
   return seeded_rng(seed_, kEpisodeStreamBase + index);
 }
 
-PpoTrainer::EpisodeBuffer PpoTrainer::collect_episode(Env& env, util::Rng& rng) const {
-  EpisodeBuffer buffer;
-  std::vector<float> obs = env.reset(rng);
-  Mlp::Workspace policy_ws;
-  Mlp::Workspace value_ws;
-
-  bool done = false;
-  while (!done) {
-    util::BitVec mask = env.action_mask();  // copy: env mutates it on step
-    if (mask.none()) break;  // no legal action ⇒ episode over (mask exhausted)
-
-    const auto logits = policy_.forward(obs, policy_ws);
-    const MaskedCategorical dist(logits, mask);
-    const std::uint32_t action = dist.sample(rng);
-    const float log_prob = dist.log_prob(action);
-    const float value = value_.forward(obs, value_ws)[0];
-
-    StepResult step = env.step(action);
-
-    buffer.observations.push_back(std::move(obs));
-    buffer.masks.push_back(std::move(mask));
-    buffer.actions.push_back(action);
-    buffer.log_probs.push_back(log_prob);
-    buffer.rewards.push_back(step.reward);
-    buffer.values.push_back(value);
-
-    obs = std::move(step.observation);
-    done = step.done;
-  }
-  return buffer;
-}
-
-void PpoTrainer::collect_vectorized(std::vector<EpisodeBuffer>& episodes) {
+void PpoTrainer::collect(std::vector<EpisodeBuffer>& episodes) {
   VectorEnv& venv = *vector_env_;
-  const std::size_t n_lanes = config_.rollout_lanes;
+  const std::size_t n_lanes = venv.lanes();
   const std::size_t n_episodes = episodes.size();
   const std::size_t act_dim = policy_.output_size();
 
@@ -168,8 +125,8 @@ void PpoTrainer::collect_vectorized(std::vector<EpisodeBuffer>& episodes) {
       next[l] += n_lanes;
       lane_rng[l] = episode_rng(total_episodes_ + e);
       venv.reset_lane(l, lane_rng[l]);
-      // Mirrors collect_episode: resetting into an exhausted mask yields an
-      // empty episode and moves straight on to the lane's next one.
+      // Resetting into an exhausted mask yields an empty episode and moves
+      // straight on to the lane's next one.
       if (venv.action_mask(l).none()) continue;
       current[l] = e;
       return;
@@ -238,47 +195,10 @@ void PpoTrainer::collect_vectorized(std::vector<EpisodeBuffer>& episodes) {
   }
 }
 
-double PpoTrainer::run_episode(Env& env, util::Rng& rng, bool greedy) const {
-  std::vector<float> obs = env.reset(rng);
-  Mlp::Workspace ws;
-  double total = 0.0;
-  bool done = false;
-  while (!done) {
-    const util::BitVec mask = env.action_mask();
-    if (mask.none()) break;
-    const auto logits = policy_.forward(obs, ws);
-    const MaskedCategorical dist(logits, mask);
-    const std::uint32_t action = greedy ? dist.argmax() : dist.sample(rng);
-    StepResult step = env.step(action);
-    total += step.reward;
-    obs = std::move(step.observation);
-    done = step.done;
-  }
-  return total;
-}
-
 PpoUpdateStats PpoTrainer::update() {
-  // ---- rollout collection (possibly across worker threads) ----------------
-  const std::size_t n_episodes = config_.episodes_per_update;
-  std::vector<EpisodeBuffer> episodes(n_episodes);
-
-  if (vector_env_) {
-    collect_vectorized(episodes);
-  } else {
-    auto run_worker = [&](std::size_t w) {
-      for (std::size_t e = w; e < n_episodes; e += config_.n_workers) {
-        util::Rng rng = episode_rng(total_episodes_ + e);
-        episodes[e] = collect_episode(*envs_[w], rng);
-      }
-    };
-    if (pool_) {
-      for (std::size_t w = 0; w < config_.n_workers; ++w)
-        pool_->submit([&run_worker, w] { run_worker(w); });
-      pool_->wait_idle();
-    } else {
-      run_worker(0);
-    }
-  }
+  // ---- rollout collection ---------------------------------------------------
+  std::vector<EpisodeBuffer> episodes(config_.episodes_per_update);
+  collect(episodes);
 
   // ---- advantage estimation ------------------------------------------------
   PpoUpdateStats stats;
@@ -323,118 +243,72 @@ PpoUpdateStats PpoTrainer::update() {
   std::vector<std::uint32_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
 
-  Mlp::Workspace policy_ws;
-  Mlp::Workspace value_ws;
-  Mlp::BatchWorkspace policy_bws;
-  Mlp::BatchWorkspace value_bws;
-  std::vector<float> logits_grad;
+  // One matrix–matrix forward/backward per minibatch. The batched passes
+  // preserve every per-element accumulation order of per-sample passes, so
+  // the parameters match a per-sample loop bit for bit (MlpBatch tests).
+  Mlp::BatchWorkspace policy_ws;
+  Mlp::BatchWorkspace value_ws;
   std::vector<const float*> row_ptrs;  // minibatch rows, shuffled order
-  std::vector<float> batch_pol_grad;
-  std::vector<float> batch_val_grad;
+  std::vector<float> policy_grad;
+  std::vector<float> value_grad;
   const std::size_t act_dim = policy_.output_size();
-  // The vectorized trainer also batches the optimization passes — one
-  // matrix–matrix forward/backward per minibatch instead of per sample. The
-  // scalar trainer keeps the historic per-sample loop untouched; both produce
-  // bit-identical parameters (pinned by test_rl_vector.cpp), since the
-  // batched passes preserve every per-element accumulation order.
-  const bool batched = vector_env_ != nullptr;
   double sum_policy_loss = 0.0;
   double sum_value_loss = 0.0;
   double sum_entropy = 0.0;
   std::size_t loss_samples = 0;
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    worker_rngs_[0].shuffle(order);
+    shuffle_rng_.shuffle(order);
     for (std::size_t start = 0; start < n; start += config_.minibatch_size) {
       const std::size_t end = std::min(n, start + config_.minibatch_size);
-      const float inv_batch = 1.0f / static_cast<float>(end - start);
+      const std::size_t rows = end - start;
+      const float inv_batch = 1.0f / static_cast<float>(rows);
       policy_.zero_grad();
       value_.zero_grad();
 
-      if (batched) {
-        const std::size_t rows = end - start;
-        // The shuffled minibatch rows stay in their episode buffers; the
-        // row-pointer overloads read them in place (no gather copy).
-        row_ptrs.resize(rows);
-        for (std::size_t k = start; k < end; ++k)
-          row_ptrs[k - start] = all_obs[order[k]]->data();
-        const auto logits_all =
-            policy_.forward_batch(row_ptrs.data(), rows, policy_bws);
-        const auto values_all =
-            value_.forward_batch(row_ptrs.data(), rows, value_bws);
-        batch_pol_grad.assign(rows * act_dim, 0.0f);
-        batch_val_grad.assign(rows, 0.0f);
+      // The shuffled minibatch rows stay in their episode buffers; the
+      // row-pointer overloads read them in place (no gather copy).
+      row_ptrs.resize(rows);
+      for (std::size_t k = start; k < end; ++k)
+        row_ptrs[k - start] = all_obs[order[k]]->data();
+      const auto logits_all = policy_.forward_batch(row_ptrs.data(), rows, policy_ws);
+      const auto values_all = value_.forward_batch(row_ptrs.data(), rows, value_ws);
+      policy_grad.assign(rows * act_dim, 0.0f);
+      value_grad.assign(rows, 0.0f);
 
-        for (std::size_t k = start; k < end; ++k) {
-          const std::size_t row = k - start;
-          const std::uint32_t i = order[k];
-          const MaskedCategorical dist(logits_all.subspan(row * act_dim, act_dim),
-                                       *all_masks[i]);
-          const float new_logp = dist.log_prob(all_actions[i]);
-          const float ratio = std::exp(new_logp - all_old_logp[i]);
-          const float adv = all_adv[i];
+      for (std::size_t k = start; k < end; ++k) {
+        const std::size_t row = k - start;
+        const std::uint32_t i = order[k];
+        const MaskedCategorical dist(logits_all.subspan(row * act_dim, act_dim),
+                                     *all_masks[i]);
+        const float new_logp = dist.log_prob(all_actions[i]);
+        const float ratio = std::exp(new_logp - all_old_logp[i]);
+        const float adv = all_adv[i];
 
-          const float unclipped = ratio * adv;
-          const float clipped =
-              std::clamp(ratio, 1.0f - config_.clip_ratio,
-                         1.0f + config_.clip_ratio) *
-              adv;
-          sum_policy_loss += -std::min(unclipped, clipped);
-          sum_entropy += dist.entropy();
+        const float unclipped = ratio * adv;
+        const float clipped =
+            std::clamp(ratio, 1.0f - config_.clip_ratio, 1.0f + config_.clip_ratio) *
+            adv;
+        sum_policy_loss += -std::min(unclipped, clipped);
+        sum_entropy += dist.entropy();
 
-          const bool clip_active = clipped < unclipped;
-          const float g = clip_active ? 0.0f : -adv * ratio * inv_batch;
-          const float h = -config_.entropy_coef * inv_batch;
-          dist.add_grad(all_actions[i], g, h,
-                        std::span<float>(batch_pol_grad)
-                            .subspan(row * act_dim, act_dim));
+        // Gradient of the clipped surrogate w.r.t. new_logp: zero when the
+        // clipped branch is active (it is constant in θ), −A·ratio otherwise.
+        const bool clip_active = clipped < unclipped;
+        const float g = clip_active ? 0.0f : -adv * ratio * inv_batch;
+        // Entropy bonus: loss term −c_eps·H ⇒ h = −c_eps (see add_grad docs).
+        const float h = -config_.entropy_coef * inv_batch;
+        dist.add_grad(all_actions[i], g, h,
+                      std::span<float>(policy_grad).subspan(row * act_dim, act_dim));
 
-          const float v = values_all[row];
-          const float v_err = v - all_ret[i];
-          sum_value_loss += 0.5 * static_cast<double>(v_err) * v_err;
-          batch_val_grad[row] = config_.value_coef * v_err * inv_batch;
+        const float v_err = values_all[row] - all_ret[i];
+        sum_value_loss += 0.5 * static_cast<double>(v_err) * v_err;
+        value_grad[row] = config_.value_coef * v_err * inv_batch;
 
-          ++loss_samples;
-        }
-        policy_.backward_batch(row_ptrs.data(), policy_bws, batch_pol_grad);
-        value_.backward_batch(row_ptrs.data(), value_bws, batch_val_grad);
-      } else {
-        for (std::size_t k = start; k < end; ++k) {
-          const std::uint32_t i = order[k];
-          const auto& obs = *all_obs[i];
-          const auto logits = policy_.forward(obs, policy_ws);
-          const MaskedCategorical dist(logits, *all_masks[i]);
-          const float new_logp = dist.log_prob(all_actions[i]);
-          const float ratio = std::exp(new_logp - all_old_logp[i]);
-          const float adv = all_adv[i];
-
-          const float unclipped = ratio * adv;
-          const float clipped =
-              std::clamp(ratio, 1.0f - config_.clip_ratio,
-                         1.0f + config_.clip_ratio) *
-              adv;
-          sum_policy_loss += -std::min(unclipped, clipped);
-          sum_entropy += dist.entropy();
-
-          // Gradient of the clipped surrogate w.r.t. new_logp: zero when the
-          // clipped branch is active (it is constant in θ), −A·ratio otherwise.
-          const bool clip_active = clipped < unclipped;
-          const float g = clip_active ? 0.0f : -adv * ratio * inv_batch;
-          // Entropy bonus: loss term −c_eps·H ⇒ h = −c_eps (see add_grad docs).
-          const float h = -config_.entropy_coef * inv_batch;
-          logits_grad.assign(logits.size(), 0.0f);
-          dist.add_grad(all_actions[i], g, h, logits_grad);
-          policy_.backward(obs, policy_ws, logits_grad);
-
-          const float v = value_.forward(obs, value_ws)[0];
-          const float v_err = v - all_ret[i];
-          sum_value_loss += 0.5 * static_cast<double>(v_err) * v_err;
-          const float value_grad[1] = {config_.value_coef * v_err * inv_batch};
-          value_.backward(obs, value_ws, value_grad);
-
-          ++loss_samples;
-        }
+        ++loss_samples;
       }
+      policy_.backward_batch(row_ptrs.data(), policy_ws, policy_grad);
+      value_.backward_batch(row_ptrs.data(), value_ws, value_grad);
       policy_opt_.step(config_.max_grad_norm);
       value_opt_.step(config_.max_grad_norm);
     }

@@ -2,12 +2,10 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 
 #include "rl/adam.hpp"
 #include "rl/env.hpp"
 #include "rl/mlp.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deterrent::rl {
 
@@ -27,17 +25,16 @@ struct PpoConfig {
   std::size_t episodes_per_update = 16;
   std::size_t hidden_size = 64;
   std::size_t hidden_layers = 2;
-  /// Parallel rollout workers (one scalar env per thread). 1 = synchronous.
-  /// Mutually exclusive with rollout_lanes > 1.
+  /// Legacy alias for rollout_lanes, kept only because the v5 config block
+  /// serializes it: the trainer collects on max(rollout_lanes, n_workers)
+  /// lanes, so sessions saved with n_workers = N resume on N lanes.
   std::size_t n_workers = 1;
-  /// Lock-step rollout lanes on one VectorEnv (single-threaded, batched
-  /// network passes). 1 = the scalar collector. Every episode draws from an
-  /// RNG stream keyed by its global episode index, so n_workers and
-  /// rollout_lanes are pure throughput knobs: any worker or lane count
-  /// collects bit-identical episodes and trains to bit-identical parameters
-  /// (assuming the envs themselves are schedule-independent — see
-  /// core::CompatibleSetVectorEnv's note on SAT conflict budgets). Mutually
-  /// exclusive with n_workers > 1.
+  /// Lock-step rollout lanes on the trainer's one VectorEnv (single-threaded,
+  /// batched network passes). Every episode draws from an RNG stream keyed by
+  /// its global episode index, so the lane count is a pure throughput knob:
+  /// any width collects bit-identical episodes and trains to bit-identical
+  /// parameters (assuming the env itself is schedule-independent — see
+  /// core::CompatibleSetVectorEnv's note on SAT conflict budgets).
   std::size_t rollout_lanes = 1;
   bool normalize_advantages = true;
 };
@@ -68,9 +65,9 @@ struct TrainerState {
   AdamState policy_opt;
   AdamState value_opt;
   /// The minibatch-shuffle stream. Rollout episodes draw from streams keyed
-  /// by (seed, global episode index) instead of persistent per-worker
+  /// by (seed, global episode index) instead of persistent per-lane
   /// streams, so a checkpoint restores bit-identically into a trainer with a
-  /// different n_workers or rollout_lanes.
+  /// different lane count.
   std::vector<std::array<std::uint64_t, 4>> rng_states;
   /// The trainer seed — the key from which episode RNG streams are derived.
   /// Restored alongside the streams so a snapshot resumes the same episode
@@ -81,19 +78,18 @@ struct TrainerState {
 };
 
 /// Proximal Policy Optimization with clipped surrogate objective, separate
-/// policy/value networks, GAE, masked categorical actions, and multi-threaded
-/// rollout collection.
+/// policy/value networks, GAE, masked categorical actions, rollouts collected
+/// on one lock-step VectorEnv, and minibatches optimized in batched passes.
 class PpoTrainer {
  public:
-  using EnvFactory = std::function<std::unique_ptr<Env>(std::size_t worker_index)>;
+  using EnvFactory = std::function<std::unique_ptr<Env>(std::size_t lane)>;
   using VectorEnvFactory =
       std::function<std::unique_ptr<VectorEnv>(std::size_t lanes)>;
 
-  /// `factory` builds the scalar rollout envs (and shape probes). With
-  /// config.rollout_lanes > 1 the trainer collects on a VectorEnv instead:
-  /// `vector_factory(lanes)` when provided, else a generic EnvVector over
-  /// `factory`-built lanes. Throws deterrent::Error when both n_workers and
-  /// rollout_lanes exceed 1 — the two collectors own the same RNG streams.
+  /// Builds the one rollout env with max(rollout_lanes, n_workers) lanes:
+  /// `vector_factory(lanes)` when provided (then `factory` is never called
+  /// and may be null), else a generic EnvVector over `factory`-built lanes.
+  /// The networks take their shapes from that env.
   PpoTrainer(const EnvFactory& factory, const PpoConfig& config, std::uint64_t seed,
              const VectorEnvFactory& vector_factory = nullptr);
   ~PpoTrainer();
@@ -102,32 +98,23 @@ class PpoTrainer {
 
   /// Restores a state() snapshot. Throws deterrent::Error when the snapshot
   /// shape disagrees with this trainer (different network sizes) — resuming
-  /// under a changed architecture must fail loudly, not drift. Worker and
-  /// lane counts are NOT part of the shape: episode RNG streams are keyed by
-  /// global episode index, so a snapshot resumes bit-identically under any
-  /// n_workers or rollout_lanes.
+  /// under a changed architecture must fail loudly, not drift. The lane
+  /// count is NOT part of the shape: episode RNG streams are keyed by global
+  /// episode index, so a snapshot resumes bit-identically at any width.
   void restore(const TrainerState& state);
 
-  /// Collects config.episodes_per_update episodes (split across workers) and
+  /// Collects config.episodes_per_update episodes (split across lanes) and
   /// performs one PPO optimization phase.
   PpoUpdateStats update();
-
-  /// Runs one episode with the current policy without learning;
-  /// `greedy` picks argmax actions instead of sampling. Returns total reward.
-  double run_episode(Env& env, util::Rng& rng, bool greedy = false) const;
 
   const Mlp& policy() const { return policy_; }
   const Mlp& value() const { return value_; }
   std::uint64_t total_steps() const { return total_steps_; }
   std::uint64_t total_episodes() const { return total_episodes_; }
 
-  /// The live rollout environments (one per worker) — lets callers read
-  /// implementation-specific statistics (e.g. SAT query counts) after training.
-  /// Empty when the trainer collects on a VectorEnv (see vector_env()).
-  std::span<const std::unique_ptr<Env>> envs() const { return envs_; }
-
-  /// The batched rollout environment, or nullptr when rollout_lanes == 1.
-  const VectorEnv* vector_env() const { return vector_env_.get(); }
+  /// The rollout environment — lets callers read implementation-specific
+  /// statistics (e.g. SAT query counts) after training.
+  const VectorEnv& vector_env() const { return *vector_env_; }
 
  private:
   struct EpisodeBuffer {
@@ -139,24 +126,21 @@ class PpoTrainer {
     std::vector<float> values;
   };
 
-  EpisodeBuffer collect_episode(Env& env, util::Rng& rng) const;
-  void collect_vectorized(std::vector<EpisodeBuffer>& episodes);
+  void collect(std::vector<EpisodeBuffer>& episodes);
   /// The RNG stream for the episode with global index `index` — the key to
-  /// the collector-independence contract: the stream depends only on the
+  /// the lane-count-independence contract: the stream depends only on the
   /// trainer seed and the episode's position in training, never on which
-  /// worker thread or rollout lane runs it.
+  /// rollout lane runs it.
   util::Rng episode_rng(std::uint64_t index) const;
 
   PpoConfig config_;
   std::uint64_t seed_ = 0;
-  std::vector<std::unique_ptr<Env>> envs_;  // one per worker (scalar collector)
-  std::unique_ptr<VectorEnv> vector_env_;   // batched collector (lanes > 1)
+  std::unique_ptr<VectorEnv> vector_env_;  // built first: sizes the networks
   Mlp policy_;
   Mlp value_;
   Adam policy_opt_;
   Adam value_opt_;
-  std::vector<util::Rng> worker_rngs_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  util::Rng shuffle_rng_;
   std::uint64_t total_steps_ = 0;
   std::uint64_t total_episodes_ = 0;
 };

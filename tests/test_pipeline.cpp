@@ -312,26 +312,24 @@ TEST(Pipeline, MidTrainingCheckpointResumesBitIdentically) {
 }
 
 TEST(Pipeline, MidTrainingCheckpointWithRolloutLanesResumesBitIdentically) {
-  // Same kill-and-resume drill as above, but with the vectorized collector
-  // (rollout_lanes > 1): the checkpoint is taken between batched updates and
-  // must restore every lane RNG stream. Also pins the pipeline-level half of
-  // the determinism contract — rollout_lanes = N and n_workers = N runs must
-  // emit identical patterns end to end.
+  // Same kill-and-resume drill as above, but with several rollout lanes:
+  // the checkpoint is taken between batched updates and must restore the
+  // whole trajectory. Also pins the pipeline-level half of the determinism
+  // contract — 4-lane and 1-lane runs must emit identical patterns end to end.
   const Netlist nl = make_circuit(44);
   DeterrentConfig lanes_cfg = quick_config(8);
   lanes_cfg.updates = 5;
   lanes_cfg.ppo.rollout_lanes = 4;
 
-  DeterrentConfig workers_cfg = lanes_cfg;
-  workers_cfg.ppo.rollout_lanes = 1;
-  workers_cfg.ppo.n_workers = 4;
+  DeterrentConfig single_cfg = lanes_cfg;
+  single_cfg.ppo.rollout_lanes = 1;
 
   Deterrent straight_lanes(nl, lanes_cfg);
   const auto lanes_patterns = straight_lanes.run();
-  Deterrent straight_workers(nl, workers_cfg);
-  const auto workers_patterns = straight_workers.run();
-  EXPECT_EQ(patterns_text(lanes_patterns), patterns_text(workers_patterns))
-      << "vectorized lanes and threaded workers diverged end to end";
+  Deterrent straight_single(nl, single_cfg);
+  const auto single_patterns = straight_single.run();
+  EXPECT_EQ(patterns_text(lanes_patterns), patterns_text(single_patterns))
+      << "4 rollout lanes and 1 lane diverged end to end";
 
   TempDir dir("midtrain_lanes");
   {
@@ -356,6 +354,24 @@ TEST(Pipeline, MidTrainingCheckpointWithRolloutLanesResumesBitIdentically) {
     EXPECT_EQ(h_resumed[i].pool_size, h_straight[i].pool_size) << i;
     EXPECT_DOUBLE_EQ(h_resumed[i].ppo.total_loss, h_straight[i].ppo.total_loss) << i;
   }
+}
+
+TEST(Pipeline, LegacyWorkerCountTrainsAsRolloutLanes) {
+  // n_workers survives only as an alias of the lane count (the v5 config
+  // block still serializes it), so a config saved with n_workers = 4 must
+  // emit exactly the patterns of rollout_lanes = 4.
+  const Netlist nl = make_circuit(45);
+  DeterrentConfig lanes_cfg = quick_config(9);
+  lanes_cfg.ppo.rollout_lanes = 4;
+  DeterrentConfig legacy_cfg = quick_config(9);
+  legacy_cfg.ppo.n_workers = 4;
+  legacy_cfg.ppo.rollout_lanes = 1;
+
+  Deterrent lanes(nl, lanes_cfg);
+  Deterrent legacy(nl, legacy_cfg);
+  const std::string lanes_text = patterns_text(lanes.run());
+  EXPECT_FALSE(lanes_text.empty());
+  EXPECT_EQ(patterns_text(legacy.run()), lanes_text);
 }
 
 // -------------------------------------------------------- stage control ----

@@ -434,13 +434,13 @@ TEST(Ppo, MaskedActionsNeverTakenAndBestAllowedFound) {
 }
 
 TEST(Ppo, VectorizedWorkersMatchProgress) {
-  // 4 workers must also learn the bandit (exercises the thread path).
+  // 4 rollout lanes must also learn the bandit.
   PpoConfig cfg;
   cfg.episodes_per_update = 32;
   cfg.hidden_size = 16;
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 1e-2f;
-  cfg.n_workers = 4;
+  cfg.rollout_lanes = 4;
   PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 7);
   double reward = 0.0;
   for (int u = 0; u < 40; ++u) reward = trainer.update().mean_episode_reward;
@@ -484,19 +484,6 @@ TEST(Ppo, UpdateStatsConsistent) {
               stats.policy_loss + cfg.entropy_coef * stats.entropy_loss +
                   cfg.value_coef * stats.value_loss,
               1e-9);
-}
-
-TEST(Ppo, RunEpisodeGreedyWorks) {
-  PpoConfig cfg;
-  cfg.episodes_per_update = 32;
-  cfg.hidden_size = 16;
-  cfg.learning_rate = 1e-2f;
-  cfg.entropy_coef = 0.01f;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 3);
-  for (int u = 0; u < 40; ++u) trainer.update();
-  BanditEnv env;
-  util::Rng rng(1);
-  EXPECT_EQ(trainer.run_episode(env, rng, /*greedy=*/true), 1.0);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Differential training-determinism suite for the vectorized PPO rollout
-// path: batched Mlp passes, the VectorEnv collector, and the batched
-// CompatibleSetVectorEnv must all be bit-identical to their scalar twins.
+// Differential training-determinism suite for the PPO rollout path: batched
+// Mlp passes must match per-row passes, training must be invariant to the
+// lane count, and the batched CompatibleSetVectorEnv must be bit-identical to
+// its scalar CompatibleSetEnv twins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +23,6 @@
 #include "rl/mlp_kernels.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vector_env.hpp"
-#include "util/assert.hpp"
 
 namespace deterrent {
 namespace {
@@ -303,20 +304,20 @@ void expect_stats_equal(const rl::PpoUpdateStats& a, const rl::PpoUpdateStats& b
 
 // -------------------------------------------- trainer-level differential ---
 
-/// The tentpole determinism contract: episodes are keyed by global episode
-/// index, so EVERY collector configuration — the scalar baseline, threaded
-/// workers, and vectorized lanes at any width — trains to bit-identical
-/// parameters. Lane counts cover the degenerate single lane, uneven episode
-/// splits (7), and more lanes than episodes (64).
+/// The determinism contract: episodes are keyed by global episode index, so
+/// every lane count trains to bit-identical parameters. Lane counts cover the
+/// degenerate single lane, uneven episode splits (7), and more lanes than
+/// episodes (64); the legacy n_workers alias must widen the env the same way.
 TEST(PpoVector, TrainingIsInvariantAcrossLaneAndWorkerCounts) {
   const auto factory = [](std::size_t) { return std::make_unique<WalkEnv>(); };
 
-  PpoTrainer baseline(factory, toy_config(), 17);  // scalar single-env trainer
+  PpoTrainer baseline(factory, toy_config(), 17);  // default: one lane
   std::vector<rl::PpoUpdateStats> baseline_stats;
   for (int u = 0; u < 3; ++u) baseline_stats.push_back(baseline.update());
 
-  auto check = [&](const PpoConfig& cfg, const std::string& label) {
+  auto check = [&](const PpoConfig& cfg, std::size_t lanes, const std::string& label) {
     PpoTrainer trainer(factory, cfg, 17);
+    EXPECT_EQ(trainer.vector_env().lanes(), lanes) << label;
     for (int u = 0; u < 3; ++u)
       expect_stats_equal(baseline_stats[static_cast<std::size_t>(u)],
                          trainer.update());
@@ -330,13 +331,34 @@ TEST(PpoVector, TrainingIsInvariantAcrossLaneAndWorkerCounts) {
   for (const std::size_t n : {1u, 2u, 7u, 64u}) {
     PpoConfig lanes_cfg = toy_config();
     lanes_cfg.rollout_lanes = n;
-    check(lanes_cfg, "rollout_lanes=" + std::to_string(n));
+    check(lanes_cfg, n, "rollout_lanes=" + std::to_string(n));
   }
-  for (const std::size_t n : {2u, 4u}) {
-    PpoConfig workers_cfg = toy_config();
-    workers_cfg.n_workers = n;
-    check(workers_cfg, "n_workers=" + std::to_string(n));
+  PpoConfig legacy_cfg = toy_config();
+  legacy_cfg.n_workers = 4;
+  check(legacy_cfg, 4, "n_workers=4");
+}
+
+std::uint64_t param_digest(const std::vector<float>& params) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the float bit patterns
+  for (const float p : params) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &p, sizeof(u));
+    h ^= u;
+    h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+/// Golden digests recorded from a scalar reference trainer — one Env, one
+/// episode at a time, one forward/backward per sample — on this toy: seed 17,
+/// three updates of toy_config(). The batched trainer must reproduce them bit
+/// for bit; the MlpBatch tests above pin the same equivalence per layer.
+TEST(PpoVector, MatchesPinnedScalarTrainerDigests) {
+  PpoTrainer trainer([](std::size_t) { return std::make_unique<WalkEnv>(); },
+                     toy_config(), 17);
+  for (int u = 0; u < 3; ++u) trainer.update();
+  EXPECT_EQ(param_digest(trainer.policy().flat_params()), 0x04a8b2e8ef6e7855ULL);
+  EXPECT_EQ(param_digest(trainer.value().flat_params()), 0x0f4e25eaf613d16dULL);
 }
 
 /// Records every reset / action / reward an env sees, so the suite can pin
@@ -365,41 +387,54 @@ class RecordingWalkEnv final : public Env {
   std::vector<float>* log_;
 };
 
+/// Splits a RecordingWalkEnv log into its episodes (each opens with the -1
+/// boundary marker; observations, actions and rewards are never negative).
+std::vector<std::vector<float>> split_episodes(const std::vector<float>& log) {
+  std::vector<std::vector<float>> episodes;
+  for (const float x : log) {
+    if (x == -1.0f) episodes.emplace_back();
+    episodes.back().push_back(x);
+  }
+  return episodes;
+}
+
+/// Lane l runs the update's episodes l, l+N, l+2N, … in that order, so
+/// re-interleaving the 3-lane logs must reproduce the 1-lane log episode by
+/// episode: same reset, same actions, same rewards.
 TEST(PpoVector, CollectedEpisodesAndRewardsIdenticalToScalarRollouts) {
   constexpr std::size_t kLanes = 3;
-  std::vector<std::vector<float>> worker_logs(kLanes);
+  constexpr int kUpdates = 2;
+  std::vector<float> single_log;
   std::vector<std::vector<float>> lane_logs(kLanes);
 
-  PpoConfig workers_cfg = toy_config();
-  workers_cfg.n_workers = kLanes;
-  PpoTrainer threaded(
-      [&](std::size_t w) { return std::make_unique<RecordingWalkEnv>(&worker_logs[w]); },
-      workers_cfg, 23);
-
+  PpoTrainer single(
+      [&](std::size_t) { return std::make_unique<RecordingWalkEnv>(&single_log); },
+      toy_config(), 23);
   PpoConfig lanes_cfg = toy_config();
   lanes_cfg.rollout_lanes = kLanes;
   PpoTrainer vectorized(
-      [&](std::size_t w) { return std::make_unique<RecordingWalkEnv>(&lane_logs[w]); },
+      [&](std::size_t l) { return std::make_unique<RecordingWalkEnv>(&lane_logs[l]); },
       lanes_cfg, 23);
 
-  for (int u = 0; u < 2; ++u) {
-    threaded.update();
+  for (int u = 0; u < kUpdates; ++u) {
+    single.update();
     vectorized.update();
   }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    EXPECT_FALSE(worker_logs[l].empty());
-    EXPECT_EQ(worker_logs[l], lane_logs[l])
-        << "lane " << l << " saw a different episode stream than worker " << l;
-  }
-}
 
-TEST(PpoVector, WorkersAndLanesAreMutuallyExclusive) {
-  PpoConfig cfg = toy_config();
-  cfg.n_workers = 2;
-  cfg.rollout_lanes = 2;
-  EXPECT_THROW(
-      PpoTrainer([](std::size_t) { return std::make_unique<WalkEnv>(); }, cfg, 1),
-      Error);
+  const auto reference = split_episodes(single_log);
+  const std::size_t per_update = toy_config().episodes_per_update;
+  ASSERT_EQ(reference.size(), kUpdates * per_update);
+  std::vector<std::vector<std::vector<float>>> lane_episodes;
+  for (const auto& log : lane_logs) lane_episodes.push_back(split_episodes(log));
+  std::vector<std::size_t> next(kLanes, 0);
+  for (std::size_t g = 0; g < reference.size(); ++g) {
+    const std::size_t l = (g % per_update) % kLanes;
+    ASSERT_LT(next[l], lane_episodes[l].size()) << "lane " << l << " ran short";
+    EXPECT_EQ(lane_episodes[l][next[l]++], reference[g])
+        << "episode " << g << " differs on lane " << l;
+  }
+  for (std::size_t l = 0; l < kLanes; ++l)
+    EXPECT_EQ(next[l], lane_episodes[l].size()) << "lane " << l << " ran extra episodes";
 }
 
 // -------------------------------------------------- checkpoint / restore ---
@@ -490,13 +525,10 @@ std::uint32_t pick_masked_action(const util::BitVec& mask, util::Rng& rng) {
 /// asserts every observable matches at every step: observations, masks,
 /// rewards, done flags, members, SAT query counts, and the pooled sets.
 void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
-                               std::size_t n_lanes, std::size_t episodes_per_lane,
-                               CompatibleSetVectorEnv::SatBackend backend,
-                               bool expect_exact_sat_count) {
+                               std::size_t n_lanes, std::size_t episodes_per_lane) {
   DistinctSetPool vec_pool;
   DistinctSetPool scalar_pool;
-  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes,
-                              backend);
+  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes);
   std::vector<std::unique_ptr<CompatibleSetEnv>> twins;
   std::vector<util::Rng> reset_rng_v;
   std::vector<util::Rng> reset_rng_s;
@@ -567,11 +599,9 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
     }
   }
 
-  if (expect_exact_sat_count) {
-    std::uint64_t scalar_queries = 0;
-    for (const auto& twin : twins) scalar_queries += twin->sat_queries();
-    EXPECT_EQ(venv.sat_queries(), scalar_queries);
-  }
+  std::uint64_t scalar_queries = 0;
+  for (const auto& twin : twins) scalar_queries += twin->sat_queries();
+  EXPECT_EQ(venv.sat_queries(), scalar_queries);
   EXPECT_EQ(vec_pool.size(), scalar_pool.size());
   EXPECT_EQ(vec_pool.k_largest(vec_pool.size()),
             scalar_pool.k_largest(scalar_pool.size()));
@@ -590,9 +620,7 @@ TEST(VectorEnvDifferential, LanesMatchScalarEnvsAcrossAllModeCombos) {
       if (mask == MaskMode::Pairwise) cfg.witness_signatures = &f.signatures;
       SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
                                       << " mask=" << static_cast<int>(mask));
-      run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3,
-                                CompatibleSetVectorEnv::SatBackend::PerLane,
-                                /*expect_exact_sat_count=*/true);
+      run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
     }
   }
 }
@@ -623,28 +651,13 @@ TEST(VectorEnvDifferential, WitnessSweepFiresAndPreservesTrajectories) {
       << "whole-word witness sweep never answered a joint check";
 }
 
-TEST(VectorEnvDifferential, SharedPortfolioBackendMatchesPerLane) {
-  // With an ample conflict budget the clause-sharing portfolio backend must
-  // produce the same trajectories as per-lane oracles (only budget-exhausted
-  // Unknowns may legally differ, and this fixture never exhausts).
-  const Fixture f = make_fixture(53);
-  if (f.rare.size() < 6) GTEST_SKIP();
-  EnvConfig cfg;
-  run_lockstep_differential(f, cfg, /*n_lanes=*/4, /*episodes_per_lane=*/2,
-                            CompatibleSetVectorEnv::SatBackend::SharedPortfolio,
-                            /*expect_exact_sat_count=*/false);
-}
-
 TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
   // sat_dispatch_threads >= 2 routes lane SAT queries through a private
-  // thread pool. For the PerLane backend this must be bit-identical to the
-  // sequential reference at every lane count (each lane's private oracle
-  // sees its scalar twin's exact query stream, whatever thread executes it),
-  // so the full lock-step differential — observations, masks, rewards,
-  // members, SAT query counts — runs with exact matching. The clause-sharing
-  // SharedPortfolio backend gets the same sweep under its existing contract
-  // (trajectory equality; only budget-exhausted Unknowns may legally differ,
-  // and this fixture never exhausts).
+  // thread pool. This must be bit-identical to the sequential reference at
+  // every lane count (each lane's private oracle sees its scalar twin's
+  // exact query stream, whatever thread executes it), so the full lock-step
+  // differential — observations, masks, rewards, members, SAT query counts —
+  // runs with exact matching.
   const Fixture f = make_fixture(55);
   if (f.rare.size() < 6) GTEST_SKIP();
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
@@ -653,12 +666,7 @@ TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
       cfg.sat_dispatch_threads = threads;
       SCOPED_TRACE(testing::Message()
                    << "lanes=" << lanes << " dispatch_threads=" << threads);
-      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2,
-                                CompatibleSetVectorEnv::SatBackend::PerLane,
-                                /*expect_exact_sat_count=*/true);
-      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2,
-                                CompatibleSetVectorEnv::SatBackend::SharedPortfolio,
-                                /*expect_exact_sat_count=*/false);
+      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2);
     }
   }
 }
@@ -795,51 +803,57 @@ TEST(VectorEnvProperty, DeadLanesStayFrozenAndSurvivorsAreUnaffected) {
 
 // --------------------------------------- trainer on the real environment ---
 
+/// Trainer-level reference through the scalar env: the specialized
+/// CompatibleSetVectorEnv must train exactly like the generic EnvVector over
+/// standalone CompatibleSetEnv lanes, at one lane and at three.
 TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
   const Fixture f = make_fixture(55);
   if (f.rare.size() < 6) GTEST_SKIP();
   for (const RewardMode reward : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
     for (const MaskMode mask : {MaskMode::Pairwise, MaskMode::None}) {
-      EnvConfig env_cfg;
-      env_cfg.reward_mode = reward;
-      env_cfg.mask_mode = mask;
-      env_cfg.witness_signatures = &f.signatures;
-      SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
-                                      << " mask=" << static_cast<int>(mask));
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+        EnvConfig env_cfg;
+        env_cfg.reward_mode = reward;
+        env_cfg.mask_mode = mask;
+        env_cfg.witness_signatures = &f.signatures;
+        SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
+                                        << " mask=" << static_cast<int>(mask)
+                                        << " lanes=" << lanes);
+        PpoConfig cfg = toy_config();
+        cfg.episodes_per_update = 8;
+        cfg.rollout_lanes = lanes;
 
-      DistinctSetPool worker_pool;
-      PpoConfig workers_cfg = toy_config();
-      workers_cfg.episodes_per_update = 8;
-      workers_cfg.n_workers = 3;
-      PpoTrainer threaded(
-          [&](std::size_t) {
-            return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                      env_cfg, &worker_pool);
-          },
-          workers_cfg, 61);
+        DistinctSetPool scalar_pool;
+        PpoTrainer generic(
+            [&](std::size_t) {
+              return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
+                                                        env_cfg, &scalar_pool);
+            },
+            cfg, 61);
 
-      DistinctSetPool lane_pool;
-      PpoConfig lanes_cfg = workers_cfg;
-      lanes_cfg.n_workers = 1;
-      lanes_cfg.rollout_lanes = 3;
-      PpoTrainer vectorized(
-          [&](std::size_t) {
-            return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                      env_cfg, &lane_pool);
-          },
-          lanes_cfg, 61,
-          [&](std::size_t lanes) {
-            return std::make_unique<CompatibleSetVectorEnv>(
-                f.netlist, f.rare, f.matrix, env_cfg, &lane_pool, lanes);
-          });
+        DistinctSetPool lane_pool;
+        PpoTrainer specialized(
+            nullptr, cfg, 61, [&](std::size_t n) {
+              return std::make_unique<CompatibleSetVectorEnv>(f.netlist, f.rare, f.matrix,
+                                                              env_cfg, &lane_pool, n);
+            });
 
-      for (int u = 0; u < 2; ++u)
-        expect_stats_equal(threaded.update(), vectorized.update());
-      EXPECT_EQ(threaded.policy().flat_params(), vectorized.policy().flat_params());
-      EXPECT_EQ(threaded.value().flat_params(), vectorized.value().flat_params());
-      EXPECT_EQ(worker_pool.size(), lane_pool.size());
-      EXPECT_EQ(worker_pool.k_largest(worker_pool.size()),
-                lane_pool.k_largest(lane_pool.size()));
+        for (int u = 0; u < 2; ++u)
+          expect_stats_equal(generic.update(), specialized.update());
+        EXPECT_EQ(generic.policy().flat_params(), specialized.policy().flat_params());
+        EXPECT_EQ(generic.value().flat_params(), specialized.value().flat_params());
+        EXPECT_EQ(scalar_pool.size(), lane_pool.size());
+        EXPECT_EQ(scalar_pool.k_largest(scalar_pool.size()),
+                  lane_pool.k_largest(lane_pool.size()));
+        const auto& generic_env = static_cast<const EnvVector&>(generic.vector_env());
+        std::uint64_t scalar_queries = 0;
+        for (std::size_t l = 0; l < lanes; ++l)
+          scalar_queries +=
+              static_cast<const CompatibleSetEnv&>(generic_env.lane_env(l)).sat_queries();
+        const auto& lane_env =
+            static_cast<const CompatibleSetVectorEnv&>(specialized.vector_env());
+        EXPECT_EQ(lane_env.sat_queries(), scalar_queries);
+      }
     }
   }
 }

@@ -181,7 +181,6 @@ TEST(Robustness, CampaignRetriesTransientFaultAndSucceeds) {
   CampaignConfig cfg;
   cfg.base = quick_config(7);
   cfg.base.offline_threads = 1;
-  cfg.base.ppo.n_workers = 1;
   cfg.threads = 1;
   cfg.session_root = dir.str();
   cfg.max_retries = 2;
@@ -354,10 +353,13 @@ TEST(Robustness, FaultInjectionSoakNeverCrashesAndHealsBitIdentically) {
   CampaignConfig cfg;
   cfg.base = quick_config(21);
   cfg.base.offline_threads = 1;
-  // Two PPO workers so training actually fans out through util::ThreadPool —
-  // with every thread count at 1 the pool paths run inline and the
-  // threadpool.task site would never be reached.
-  cfg.base.ppo.n_workers = 2;
+  // Per-step SAT rewards on four lanes with a two-thread lane SAT dispatch
+  // pool, so training fans out through util::ThreadPool — with every thread
+  // count at 1 the pool paths run inline and the threadpool.task site would
+  // never be reached.
+  cfg.base.env.reward_mode = RewardMode::AllSteps;
+  cfg.base.ppo.rollout_lanes = 4;
+  cfg.base.env.sat_dispatch_threads = 2;
   // Two portfolio clones so the offline phase routes through sat::Portfolio
   // and its clause-sharing channel — otherwise the sat.portfolio.share site
   // would never be reached.
