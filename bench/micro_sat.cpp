@@ -3,12 +3,11 @@
 // Backs §3.3/§5 — the offline pairwise phase and the per-step compatibility
 // checks issue tens of thousands of assumption-based rare-net queries against
 // one solver instance; queries/sec is the figure of merit. Measures one fixed
-// pair-query stream over a full-scan benchmark cone through four
-// configurations: the plain single solver (baseline), the single solver with
-// inprocessing, and the clause-sharing portfolio at 2 and 4 threads. Every
-// configuration must return the identical Sat/Unsat verdict per query
-// ("identical_results" in the JSON — the bench doubles as a cross-config
-// differential check).
+// pair-query stream over a full-scan benchmark cone through one plain
+// sat::NetlistOracle, the shape every SAT worker in the pipeline has. Every
+// Sat answer's input model is re-simulated through sim::Engine and must
+// drive both constrained nets to their required values ("models_verified" in
+// the JSON — the bench doubles as an end-to-end solver/encoder check).
 //
 //   ./micro_sat [output.json]           (default output: BENCH_sim.json)
 //
@@ -16,7 +15,6 @@
 // writes the rest of the file); otherwise writes a fresh root object. Re-runs
 // replace a previous "sat" block instead of duplicating it.
 // DETERRENT_BENCH_MODE=quick shrinks the workload for CI smoke runs.
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -27,22 +25,17 @@
 
 #include "analysis/rare_nets.hpp"
 #include "bench_gen/library.hpp"
-#include "sat/encoder.hpp"
 #include "sat/oracle.hpp"
-#include "sat/portfolio.hpp"
+#include "sim/engine.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace deterrent;
 
 namespace {
 
-struct QueryStream {
-  std::vector<std::array<sat::Constraint, 2>> pairs;
-  std::vector<netlist::NetId> query_nets;  // sorted, deduped constraint targets
-};
+using QueryStream = std::vector<std::array<sat::Constraint, 2>>;
 
 /// A fixed, seed-reproducible stream of rare-net pair queries — the workload
 /// shape of the offline compatibility phase (is rare net i at its rare value
@@ -55,91 +48,47 @@ QueryStream make_queries(const std::vector<analysis::RareNet>& rare,
     const auto i = rng.below(rare.size());
     auto j = rng.below(rare.size());
     if (j == i) j = (j + 1) % rare.size();
-    stream.pairs.push_back(
+    stream.push_back(
         std::array<sat::Constraint, 2>{sat::Constraint{rare[i].net, rare[i].rare_value},
                                        sat::Constraint{rare[j].net, rare[j].rare_value}});
   }
-  for (const auto& pair : stream.pairs)
-    for (const auto& c : pair) stream.query_nets.push_back(c.net);
-  std::sort(stream.query_nets.begin(), stream.query_nets.end());
-  stream.query_nets.erase(
-      std::unique(stream.query_nets.begin(), stream.query_nets.end()),
-      stream.query_nets.end());
   return stream;
 }
 
-struct ConfigResult {
-  std::string config;
-  std::size_t threads = 1;
-  bool inprocess = false;
+struct StreamResult {
   double queries_per_sec = 0.0;
-  double speedup_vs_plain = 0.0;
-  std::vector<bool> answers;  // per-query Sat verdicts, order of the stream
+  std::vector<sim::Pattern> models;      // input model of every Sat answer
+  std::vector<std::size_t> model_query;  // stream index of each model
 };
 
-/// Runs the full query stream through a fresh single-solver oracle and
-/// returns queries/sec (oracle construction and inprocessing warm-up are
-/// setup, not counted — the paper's workload amortizes one encoding over the
-/// whole pairwise phase).
-ConfigResult run_single(const netlist::Netlist& nl, const QueryStream& stream,
-                        bool inprocess, const std::string& label) {
-  ConfigResult r;
-  r.config = label;
-  r.inprocess = inprocess;
-  sat::OracleConfig config;
-  config.inprocess = inprocess;
-  sat::NetlistOracle oracle(nl, config);
-  if (inprocess) {
-    oracle.declare_query_nets(stream.query_nets);
-    oracle.inprocess_now();
-  }
-  r.answers.reserve(stream.pairs.size());
+/// Runs the full query stream through a fresh oracle and returns
+/// queries/sec (oracle construction is setup, not counted — the paper's
+/// workload amortizes one encoding over the whole pairwise phase).
+StreamResult run_stream(const netlist::Netlist& nl, const QueryStream& stream) {
+  StreamResult r;
+  sat::NetlistOracle oracle(nl);
   util::Stopwatch watch;
-  for (const auto& pair : stream.pairs)
-    r.answers.push_back(oracle.satisfiable(pair));
-  r.queries_per_sec =
-      static_cast<double>(stream.pairs.size()) / watch.elapsed_seconds();
+  for (std::size_t q = 0; q < stream.size(); ++q) {
+    if (!oracle.satisfiable(stream[q])) continue;
+    r.models.push_back(oracle.input_model());
+    r.model_query.push_back(q);
+  }
+  r.queries_per_sec = static_cast<double>(stream.size()) / watch.elapsed_seconds();
   return r;
 }
 
-ConfigResult run_portfolio(const netlist::Netlist& nl, const QueryStream& stream,
-                           std::size_t threads, bool inprocess,
-                           sat::Portfolio::ShareStats* share_out) {
-  ConfigResult r;
-  r.config = "portfolio_t" + std::to_string(threads);
-  r.threads = threads;
-  r.inprocess = inprocess;
-
-  sat::PortfolioConfig config;
-  config.solvers = threads;
-  config.inprocess = inprocess;
-  sat::Portfolio portfolio(config, [&](sat::Solver& solver, std::size_t) {
-    sat::encode_netlist(nl, solver);
-    // Freeze exactly what the queries assume on, mirroring
-    // NetlistOracle::declare_query_nets.
-    for (const netlist::NetId n : nl.inputs()) solver.set_frozen(n);
-    for (const netlist::NetId n : stream.query_nets) solver.set_frozen(n);
-  });
-
-  std::vector<sat::Portfolio::Query> queries;
-  queries.reserve(stream.pairs.size());
-  for (const auto& pair : stream.pairs) {
-    sat::Portfolio::Query q;
-    for (const auto& c : pair)
-      q.assumptions.push_back(sat::mk_lit(c.net, /*negated=*/!c.value));
-    queries.push_back(std::move(q));
+/// Re-simulates every Sat model: each must drive both constrained nets of
+/// its query to the required values.
+bool verify_models(const netlist::Netlist& nl, const QueryStream& stream,
+                   const StreamResult& r) {
+  const sim::Engine engine(nl);
+  sim::EvalBuffer buf;
+  for (std::size_t m = 0; m < r.models.size(); ++m) {
+    const std::vector<bool> values = engine.evaluate_pattern(buf, r.models[m]);
+    for (const auto& c : stream[r.model_query[m]])
+      if (values[c.net] != c.value) return false;
   }
-
-  util::ThreadPool pool(threads);
-  util::Stopwatch watch;
-  const auto results = portfolio.solve_batch(queries, &pool);
-  r.queries_per_sec =
-      static_cast<double>(stream.pairs.size()) / watch.elapsed_seconds();
-  r.answers.reserve(results.size());
-  for (const auto res : results)
-    r.answers.push_back(res == sat::Solver::Result::Sat);
-  if (share_out != nullptr) *share_out = portfolio.share_stats();
-  return r;
+  return true;
 }
 
 /// Reads `path` if present and returns everything before a previous "sat"
@@ -190,41 +139,18 @@ int run_micro_sat(int argc, char** argv) {
   const QueryStream stream = make_queries(rare, n_queries);
 
   std::printf("micro_sat: %s, %zu gates, %zu rare nets, %zu pair queries (%s mode)\n",
-              bench_name.c_str(), nl.gate_count(), rare.size(), stream.pairs.size(),
+              bench_name.c_str(), nl.gate_count(), rare.size(), stream.size(),
               util::to_string(mode));
 
-  std::vector<ConfigResult> results;
-  results.push_back(run_single(nl, stream, /*inprocess=*/false, "single_plain"));
-  const double plain_rate = results[0].queries_per_sec;
-  results.push_back(run_single(nl, stream, /*inprocess=*/true, "single_inprocess"));
-  sat::Portfolio::ShareStats share;
-  results.push_back(
-      run_portfolio(nl, stream, /*threads=*/2, /*inprocess=*/true, nullptr));
-  results.push_back(
-      run_portfolio(nl, stream, /*threads=*/4, /*inprocess=*/true, &share));
+  const StreamResult result = run_stream(nl, stream);
+  const bool models_verified = verify_models(nl, stream, result);
+  const double sat_fraction =
+      static_cast<double>(result.models.size()) / static_cast<double>(stream.size());
 
-  bool identical_results = true;
-  std::size_t n_sat = 0;
-  for (const bool sat : results[0].answers) n_sat += sat ? 1 : 0;
-  for (auto& r : results) {
-    r.speedup_vs_plain = r.queries_per_sec / plain_rate;
-    identical_results = identical_results && r.answers == results[0].answers;
-  }
-
-  std::printf("\n%-18s %8s %10s %14s %10s\n", "config", "threads", "inprocess",
-              "queries/s", "speedup");
-  for (const auto& r : results)
-    std::printf("%-18s %8zu %10s %14.1f %9.2fx\n", r.config.c_str(), r.threads,
-                r.inprocess ? "on" : "off", r.queries_per_sec, r.speedup_vs_plain);
-  std::printf("sat fraction: %.3f  clause exchange (t4): exported=%llu "
-              "imported=%llu published=%llu dropped=%llu\n",
-              static_cast<double>(n_sat) / static_cast<double>(n_queries),
-              static_cast<unsigned long long>(share.exported),
-              static_cast<unsigned long long>(share.imported),
-              static_cast<unsigned long long>(share.published),
-              static_cast<unsigned long long>(share.dropped));
-  std::printf("results identical across configs: %s\n",
-              identical_results ? "yes" : "NO — DIFFERENTIAL MISMATCH");
+  std::printf("\nplain oracle: %.1f queries/s, sat fraction %.3f\n",
+              result.queries_per_sec, sat_fraction);
+  std::printf("Sat models re-simulated: %zu, all verified: %s\n", result.models.size(),
+              models_verified ? "yes" : "NO — MODEL MISMATCH");
 
   const std::string prefix = json_prefix(out_path);
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -242,33 +168,15 @@ int run_micro_sat(int argc, char** argv) {
   std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));
   std::fprintf(f, "    \"gates\": %zu,\n", nl.gate_count());
   std::fprintf(f, "    \"rare_nets\": %zu,\n", rare.size());
-  std::fprintf(f, "    \"queries\": %zu,\n", stream.pairs.size());
-  std::fprintf(f, "    \"sat_fraction\": %.4f,\n",
-               static_cast<double>(n_sat) / static_cast<double>(n_queries));
-  std::fprintf(f, "    \"identical_results\": %s,\n",
-               identical_results ? "true" : "false");
-  std::fprintf(f, "    \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "      {\"config\": \"%s\", \"threads\": %zu, \"inprocess\": %s, "
-                 "\"queries_per_sec\": %.6e, \"speedup_vs_plain\": %.4f}%s\n",
-                 r.config.c_str(), r.threads, r.inprocess ? "true" : "false",
-                 r.queries_per_sec, r.speedup_vs_plain,
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f,
-               "    \"share\": {\"exported\": %llu, \"imported\": %llu, "
-               "\"published\": %llu, \"dropped\": %llu}\n",
-               static_cast<unsigned long long>(share.exported),
-               static_cast<unsigned long long>(share.imported),
-               static_cast<unsigned long long>(share.published),
-               static_cast<unsigned long long>(share.dropped));
+  std::fprintf(f, "    \"queries\": %zu,\n", stream.size());
+  std::fprintf(f, "    \"sat_fraction\": %.4f,\n", sat_fraction);
+  std::fprintf(f, "    \"queries_per_sec\": %.6e,\n", result.queries_per_sec);
+  std::fprintf(f, "    \"sat_models\": %zu,\n", result.models.size());
+  std::fprintf(f, "    \"models_verified\": %s\n", models_verified ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return identical_results ? 0 : 1;
+  return models_verified ? 0 : 1;
 }
 
 }  // namespace

@@ -31,9 +31,6 @@
 //   --budget-seconds <s>   per-stage wall-clock budget  (default unlimited)
 //   --sat-budget <n>       training SAT-query budget    (default unlimited)
 //   --threads <n>          campaign circuit workers     (default hardware)
-//   --sat-inprocess <0|1>  solver inprocessing in the compatibility phase (default 1)
-//   --sat-portfolio <n>    clause-sharing solver clones for pair queries (default 0 = off)
-//   --sat-share-lbd <n>    max LBD of clauses exchanged between clones (default 6)
 //   --sat-dispatch <n>     threads for batched lane SAT dispatch in vectorized
 //                          rollouts (default 0 = sequential; results identical)
 //   --compat-shards <n>    split the compatibility build into n deterministic
@@ -104,16 +101,11 @@ struct Args {
   double budget_seconds() const { return flag_double("--budget-seconds", 0.0); }
   std::uint64_t sat_budget() const { return flag_size("--sat-budget", 0); }
   std::size_t threads() const { return flag_size("--threads", 0); }
-  bool sat_inprocess() const { return flag_size("--sat-inprocess", 1) != 0; }
-  std::size_t sat_portfolio() const { return flag_size("--sat-portfolio", 0); }
   std::size_t sat_dispatch() const { return flag_size("--sat-dispatch", 0); }
   std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
   std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 8); }
-  std::uint32_t sat_share_lbd() const {
-    return static_cast<std::uint32_t>(flag_size("--sat-share-lbd", 6));
-  }
   std::size_t retries() const { return flag_size("--retries", 2); }
   double retry_backoff_ms() const { return flag_double("--retry-backoff-ms", 50.0); }
   double retry_backoff_cap_ms() const {
@@ -188,9 +180,6 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   core::DeterrentConfig cfg;
   cfg.lint = lint_config(args);
   cfg.rare.threshold = args.threshold();
-  cfg.compat.inprocess = args.sat_inprocess();
-  cfg.compat.portfolio_threads = args.sat_portfolio();
-  cfg.compat.share_lbd_cap = args.sat_share_lbd();
   cfg.compat.shard_count = args.compat_shards();
   cfg.env.sat_dispatch_threads = args.sat_dispatch();
   cfg.updates = args.updates();

@@ -4,9 +4,8 @@
 #include <atomic>
 #include <mutex>
 #include <span>
+#include <string>
 
-#include "sat/encoder.hpp"
-#include "sat/portfolio.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -193,13 +192,7 @@ void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare
                   std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
                   PairList& compatible, CompatibilityBuildStats& stats) {
   if (pairs.empty()) return;
-  sat::OracleConfig ocfg;
-  ocfg.inprocess = config.inprocess;
-  std::vector<netlist::NetId> query_nets;
-  query_nets.reserve(rare_nets.size());
-  for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-  sat::NetlistOracle oracle(netlist, ocfg);
-  oracle.declare_query_nets(query_nets);
+  sat::NetlistOracle oracle(netlist);
   WitnessHarvest harvest(netlist, rare_nets);
   for (const auto& [i, j] : pairs) {
     if (harvest.covers(i, j)) {
@@ -330,6 +323,11 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
                                         util::Rng& rng, util::ThreadPool* pool,
                                         CompatibilityBuildStats* stats,
                                         std::vector<util::BitVec>* signatures_out) {
+  if (config.portfolio_threads >= 2)
+    throw Error("build_compatibility: portfolio_threads = " +
+                std::to_string(config.portfolio_threads) +
+                " is no longer supported (the clause-sharing portfolio was "
+                "removed); leave it at 0");
   util::Stopwatch watch;
   const std::size_t n = rare_nets.size();
   CompatibilityMatrix matrix(n);
@@ -382,68 +380,27 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
   }
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
 
-  // Phase 2 — SAT decides the pairs simulation never witnessed.
-  if (config.portfolio_threads >= 2) {
-    // Clause-sharing portfolio: all clones hold the same encoding and race
-    // down the shared pair list; learnt clauses flow between them at query
-    // boundaries. Sat/Unsat answers are identical to the single-solver path.
-    // The batch is submitted up front, so this path does not harvest.
-    sat::PortfolioConfig pcfg;
-    pcfg.solvers = config.portfolio_threads;
-    pcfg.share_lbd_cap = config.share_lbd_cap;
-    pcfg.inprocess = config.inprocess;
-    sat::Portfolio portfolio(
-        pcfg, [&](sat::Solver& solver, std::size_t /*clone*/) {
-          sat::encode_netlist(netlist, solver);
-          for (const netlist::NetId in : netlist.inputs()) solver.set_frozen(in);
-          for (const auto& rn : rare_nets) solver.set_frozen(rn.net);
-        });
-    std::vector<sat::Portfolio::Query> queries(unresolved.size());
-    for (std::size_t k = 0; k < unresolved.size(); ++k) {
-      const auto [i, j] = unresolved[k];
-      auto& q = queries[k];
-      q.conflict_budget = config.sat_conflict_budget;
-      q.assumptions.push_back(
-          sat::mk_lit(rare_nets[i].net, !rare_nets[i].rare_value));
-      if (j != i)
-        q.assumptions.push_back(
-            sat::mk_lit(rare_nets[j].net, !rare_nets[j].rare_value));
-    }
-    const auto results = portfolio.solve_batch(queries, pool);
-    for (std::size_t k = 0; k < unresolved.size(); ++k) {
-      const auto [i, j] = unresolved[k];
-      switch (results[k]) {
-        case sat::Solver::Result::Sat:
-          ++local_stats.sat_sat;
-          matrix.set(i, j);
-          break;
-        case sat::Solver::Result::Unsat: ++local_stats.sat_unsat; break;
-        case sat::Solver::Result::Unknown: ++local_stats.timeout_pairs; break;
-      }
-    }
+  // Phase 2 — SAT decides the pairs simulation never witnessed, with one
+  // oracle and one harvest table per chunk. Verdicts are bit-reproducible for
+  // a fixed seed regardless of thread count; only `harvested` depends on the
+  // chunk plan.
+  std::mutex merge_mutex;
+  auto solve_range = [&](std::size_t begin, std::size_t end) {
+    PairList compatible;
+    CompatibilityBuildStats chunk_stats;
+    decide_pairs(netlist, rare_nets, config,
+                 std::span(unresolved).subspan(begin, end - begin), compatible,
+                 chunk_stats);
+    std::lock_guard lock(merge_mutex);
+    for (const auto& [i, j] : compatible) matrix.set(i, j);
+    local_stats.add_pair_counts(chunk_stats);
+  };
+  if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
+    pool->parallel_chunks(unresolved.size(),
+                          [&](std::size_t /*thread*/, std::size_t begin,
+                              std::size_t end) { solve_range(begin, end); });
   } else {
-    // One oracle and one harvest table per chunk. Verdicts are
-    // bit-reproducible for a fixed seed regardless of thread count; only
-    // `harvested` depends on the chunk plan.
-    std::mutex merge_mutex;
-    auto solve_range = [&](std::size_t begin, std::size_t end) {
-      PairList compatible;
-      CompatibilityBuildStats chunk_stats;
-      decide_pairs(netlist, rare_nets, config,
-                   std::span(unresolved).subspan(begin, end - begin), compatible,
-                   chunk_stats);
-      std::lock_guard lock(merge_mutex);
-      for (const auto& [i, j] : compatible) matrix.set(i, j);
-      local_stats.add_pair_counts(chunk_stats);
-    };
-
-    if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
-      pool->parallel_chunks(unresolved.size(),
-                            [&](std::size_t /*thread*/, std::size_t begin,
-                                std::size_t end) { solve_range(begin, end); });
-    } else {
-      solve_range(0, unresolved.size());
-    }
+    solve_range(0, unresolved.size());
   }
 
   // A rare net whose singleton is unsatisfiable can never participate in a

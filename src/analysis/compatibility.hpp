@@ -77,16 +77,11 @@ struct CompatibilityBuildConfig {
   /// Conflict budget per SAT pair query; exhausted budget conservatively
   /// reports "incompatible" (counted in timeout_pairs).
   std::int64_t sat_conflict_budget = 50000;
-  /// Run solver inprocessing (probing / SCC substitution / subsumption /
-  /// bounded variable elimination) on the phase-2 solvers. The frozen set is
-  /// the rare nets plus primary inputs, so answers are unchanged.
-  bool inprocess = true;
-  /// Phase-2 portfolio width: >= 2 routes pair queries through a
-  /// clause-sharing sat::Portfolio of that many clones; 0/1 keeps the
-  /// original one-oracle-per-worker path, which is bit-reproducible.
+  /// Removed: the clause-sharing SAT portfolio is gone, and every phase-2
+  /// worker runs one plain sat::NetlistOracle. The field survives only so
+  /// existing callers that pin it to 0 keep compiling; build_compatibility
+  /// throws deterrent::Error for values >= 2.
   std::size_t portfolio_threads = 0;
-  /// Max LBD of learnt clauses exchanged between portfolio clones.
-  std::uint32_t share_lbd_cap = 6;
   /// >= 2 splits the pairwise build into that many deterministic row-range
   /// shards, each producing a full-width partial matrix merged by ORing rows
   /// (see compatibility_shard_ranges / build_compatibility_shard). The merged

@@ -332,9 +332,12 @@ void write_config(util::BinaryWriter& w, const DeterrentConfig& config) {
   w.boolean(config.rare.exclude_inputs);
   w.u64(config.compat.sim_patterns);
   w.i64(config.compat.sat_conflict_budget);
-  w.boolean(config.compat.inprocess);
-  w.u64(config.compat.portfolio_threads);
-  w.u32(config.compat.share_lbd_cap);
+  // Legacy slots of the removed SAT inprocessing and portfolio knobs, kept
+  // at their old defaults (inprocess, portfolio_threads, share_lbd_cap) so
+  // the v5 layout, config_hash and cached artifacts stay unchanged.
+  w.boolean(true);
+  w.u64(0);
+  w.u32(6);
   w.u64(config.compat.shard_count);
   w.u8(static_cast<std::uint8_t>(config.env.reward_mode));
   w.u8(static_cast<std::uint8_t>(config.env.mask_mode));
@@ -384,9 +387,11 @@ DeterrentConfig read_config(util::BinaryReader& r) {
   config.rare.exclude_inputs = r.boolean();
   config.compat.sim_patterns = r.u64();
   config.compat.sat_conflict_budget = r.i64();
-  config.compat.inprocess = r.boolean();
-  config.compat.portfolio_threads = r.u64();
-  config.compat.share_lbd_cap = r.u32();
+  // The three legacy SAT-knob slots (see write_config) are read and ignored,
+  // so sessions written with non-default values still load.
+  (void)r.boolean();
+  (void)r.u64();
+  (void)r.u32();
   config.compat.shard_count = r.u64();
   config.env.reward_mode = static_cast<RewardMode>(r.u8());
   config.env.mask_mode = static_cast<MaskMode>(r.u8());

@@ -114,9 +114,6 @@ std::uint64_t compat_build_hash(const analysis::CompatibilityBuildConfig& config
   util::Fnv1a hash;
   hash.mix(config.sim_patterns);
   hash.mix(static_cast<std::uint64_t>(config.sat_conflict_budget));
-  hash.mix(config.inprocess ? 1 : 0);
-  hash.mix(config.portfolio_threads);
-  hash.mix(config.share_lbd_cap);
   hash.mix(config.shard_count);
   hash.mix(signatures.size());
   for (const auto& sig : signatures) {

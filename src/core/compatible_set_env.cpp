@@ -16,7 +16,7 @@ CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
       matrix_(&matrix),
       config_(config),
       pool_(pool),
-      oracle_(netlist, config.oracle),
+      oracle_(netlist),
       state_(rare_nets.size()),
       mask_(rare_nets.size()) {
   DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
@@ -24,12 +24,6 @@ CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
   DETERRENT_ASSERT(config_.witness_signatures == nullptr ||
                        config_.witness_signatures->size() == rare_nets_.size(),
                    "witness signature count / rare net count mismatch");
-  if (config_.oracle.inprocess) {
-    std::vector<netlist::NetId> query_nets;
-    query_nets.reserve(rare_nets_.size());
-    for (const auto& rn : rare_nets_) query_nets.push_back(rn.net);
-    oracle_.declare_query_nets(query_nets);
-  }
   max_steps_ = config_.max_steps != 0
                    ? config_.max_steps
                    : std::min<std::size_t>(rare_nets_.size(), 128);
@@ -293,15 +287,7 @@ float CompatibleSetVectorEnv::size_reward(std::size_t set_size) const {
 
 sat::NetlistOracle& CompatibleSetVectorEnv::lane_oracle(std::size_t lane) {
   auto& oracle = oracles_[lane];
-  if (!oracle) {
-    oracle = std::make_unique<sat::NetlistOracle>(*netlist_, config_.oracle);
-    if (config_.oracle.inprocess) {
-      std::vector<netlist::NetId> query_nets;
-      query_nets.reserve(rare_nets_.size());
-      for (const auto& rn : rare_nets_) query_nets.push_back(rn.net);
-      oracle->declare_query_nets(query_nets);
-    }
-  }
+  if (!oracle) oracle = std::make_unique<sat::NetlistOracle>(*netlist_);
   return *oracle;
 }
 

@@ -65,16 +65,6 @@ struct EnvConfig {
   /// the witness-free env. Must outlive the env; one signature per rare net,
   /// all of equal pattern length.
   const std::vector<util::BitVec>* witness_signatures = nullptr;
-  /// Inprocessing policy for the env's SAT oracle(s). Off by default — the
-  /// untouched solver is the bit-reproducible reference. Opting in keeps
-  /// every Sat/Unsat verdict (the env declares the rare nets as the only
-  /// query nets, so elimination never removes a constrainable variable);
-  /// only budget-exhausted Unknown classifications can differ from the
-  /// default. Whether it pays is workload-dependent: the oracle amortizes
-  /// simplification over its query stream, so short-lived or many-oracle
-  /// setups (high lane counts) can spend more on the passes than they save —
-  /// measure before enabling.
-  sat::OracleConfig oracle;
   /// Worker threads for the vectorized env's lane SAT dispatch; 0/1 =
   /// sequential, >= 2 creates a private pool that solves a step's pending
   /// lanes on their private oracles concurrently. Each oracle still sees

@@ -189,8 +189,16 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
                     matrix_->edge_count(), " compatible pairs (",
                     compat_stats_.sim_resolved - sim_singletons, " sim, ",
                     compat_stats_.sat_sat - (singletons - sim_singletons), " sat; ",
-                    compat_stats_.harvested, " harvested) in ",
+                    compat_stats_.harvested, " harvested; ",
+                    compat_stats_.timeout_pairs, " timed out) in ",
                     compat_stats_.build_seconds, "s");
+    // An exhausted conflict budget silently counts as incompatible, so a
+    // timeout can drop a real edge; say so instead of hiding it.
+    if (compat_stats_.timeout_pairs != 0)
+      util::Log::warn("pipeline: ", compat_stats_.timeout_pairs,
+                      " compatibility queries exhausted the SAT conflict budget (",
+                      config_.compat.sat_conflict_budget,
+                      " conflicts) and count as incompatible");
 
     checkpoint(control, {Stage::Compatibility, 1, 1,
                          std::to_string(matrix_->edge_count()) + " compatible pairs",

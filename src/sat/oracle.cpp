@@ -7,32 +7,8 @@
 
 namespace deterrent::sat {
 
-NetlistOracle::NetlistOracle(const netlist::Netlist& netlist, OracleConfig config)
-    : netlist_(&netlist), config_(config) {
+NetlistOracle::NetlistOracle(const netlist::Netlist& netlist) : netlist_(&netlist) {
   encode_netlist(netlist, solver_);
-  // Every net is a potential constraint target until declare_query_nets()
-  // narrows the set; the Tseitin auxiliaries above net_count stay fair game.
-  for (netlist::NetId n = 0; n < netlist.net_count(); ++n) solver_.set_frozen(n);
-}
-
-void NetlistOracle::declare_query_nets(std::span<const netlist::NetId> nets) {
-  for (netlist::NetId n = 0; n < netlist_->net_count(); ++n)
-    solver_.set_frozen(n, false);
-  for (const netlist::NetId n : netlist_->inputs()) solver_.set_frozen(n);
-  for (const netlist::NetId n : nets) {
-    DETERRENT_ASSERT(n < netlist_->net_count(), "query net out of range");
-    solver_.set_frozen(n);
-  }
-}
-
-bool NetlistOracle::inprocess_now() {
-  next_inprocess_ = solver_.stats().solves + config_.inprocess_interval;
-  return solver_.inprocess(config_.passes);
-}
-
-void NetlistOracle::maybe_inprocess() {
-  if (!config_.inprocess) return;
-  if (solver_.stats().solves >= next_inprocess_) inprocess_now();
 }
 
 std::vector<Lit> NetlistOracle::to_assumptions(
@@ -58,7 +34,6 @@ std::optional<bool> NetlistOracle::try_satisfiable(
   // and hangs.
   DETERRENT_FAULT_POINT("sat.query");
   util::WatchdogScope::poll("sat.query");
-  maybe_inprocess();
   const auto assumptions = to_assumptions(constraints);
   switch (solver_.solve(assumptions, conflict_budget)) {
     case Solver::Result::Sat: return true;
@@ -72,7 +47,6 @@ std::optional<sim::Pattern> NetlistOracle::find_pattern(
     std::span<const Constraint> constraints) {
   DETERRENT_FAULT_POINT("sat.query");
   util::WatchdogScope::poll("sat.query");
-  maybe_inprocess();
   const auto assumptions = to_assumptions(constraints);
   if (solver_.solve(assumptions) != Solver::Result::Sat) return std::nullopt;
   return input_model();

@@ -20,19 +20,6 @@ struct Constraint {
   bool operator==(const Constraint&) const = default;
 };
 
-/// Inprocessing policy for a NetlistOracle.
-struct OracleConfig {
-  /// Run Solver::inprocess between query batches. Off by default: the
-  /// single-query users (environment step checks) prefer the untouched,
-  /// bit-reproducible solver; batch users (compatibility builder, bench)
-  /// opt in.
-  bool inprocess = false;
-  /// Queries between inprocessing passes. The first pass runs before the
-  /// first query, so a freshly-encoded netlist is simplified up front.
-  std::uint64_t inprocess_interval = 256;
-  Solver::InprocessConfig passes;
-};
-
 /// Incremental SAT front-end over one netlist.
 ///
 /// Encodes the netlist once and answers many conjunction queries via
@@ -40,28 +27,13 @@ struct OracleConfig {
 /// makes the paper's offline pairwise phase and per-step compatibility checks
 /// affordable (§3.3, §5 "Feasibility of using a SAT solver").
 ///
-/// With config.inprocess on, the solver periodically simplifies its clause
-/// database. All net variables start frozen (any net may be constrained);
-/// declare_query_nets() narrows the frozen set to the nets that will actually
-/// be queried plus the primary inputs, giving the simplifier real room.
-///
 /// Thread-compatibility: an oracle is NOT thread-safe; create one per thread
 /// (the compatibility-matrix builder does exactly that).
 class NetlistOracle {
  public:
-  explicit NetlistOracle(const netlist::Netlist& netlist, OracleConfig config = {});
+  explicit NetlistOracle(const netlist::Netlist& netlist);
 
   const netlist::Netlist& target() const { return *netlist_; }
-
-  /// Restricts future constraints to `nets` (plus the primary inputs): every
-  /// other net variable is unfrozen and becomes fair game for elimination.
-  /// Constraining an undeclared net afterwards throws deterrent::Error once
-  /// inprocessing has removed it.
-  void declare_query_nets(std::span<const netlist::NetId> nets);
-
-  /// Forces an inprocessing pass now (normally they run on the
-  /// config-declared cadence). Returns false when the formula is UNSAT.
-  bool inprocess_now();
 
   /// Can all constraints hold simultaneously? `conflict_budget` bounds solver
   /// effort (<0 = unlimited); an exhausted budget reports as incompatible via
@@ -79,8 +51,7 @@ class NetlistOracle {
   std::optional<sim::Pattern> find_pattern(std::span<const Constraint> constraints);
 
   /// Primary-input assignment of the last Sat answer, ordered as
-  /// Netlist::inputs(). Inputs are always frozen, so this is the exact model
-  /// the solver found (the read find_pattern returns); only meaningful
+  /// Netlist::inputs() (the read find_pattern returns); only meaningful
   /// directly after a query that answered Sat.
   sim::Pattern input_model() const;
 
@@ -91,16 +62,10 @@ class NetlistOracle {
   std::uint64_t query_count() const { return solver_.stats().solves; }
   const Solver::Stats& solver_stats() const { return solver_.stats(); }
 
-  /// Direct solver access for tests and the portfolio bench.
-  Solver& solver() { return solver_; }
-
  private:
   std::vector<Lit> to_assumptions(std::span<const Constraint> constraints) const;
-  void maybe_inprocess();
 
   const netlist::Netlist* netlist_;
-  OracleConfig config_;
-  std::uint64_t next_inprocess_ = 0;
   Solver solver_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -33,9 +32,6 @@ Var Solver::new_var() {
   seen_.push_back(0);
   lbd_seen_.push_back(0);
   heap_pos_.push_back(kNotInHeap);
-  frozen_.push_back(0);
-  eliminated_.push_back(0);
-  subst_.push_back(kUndefLit);
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
@@ -113,62 +109,6 @@ bool Solver::add_clause(std::span<const Lit> lits_in) {
   clauses_.push_back(c);
   attach_clause(c);
   return true;
-}
-
-Lit Solver::resolve_subst(Lit p) const {
-  while (subst_[var_of(p)] != kUndefLit) {
-    const Lit s = subst_[var_of(p)];
-    p = sign_of(p) ? ~s : s;
-  }
-  return p;
-}
-
-bool Solver::import_clause(std::span<const Lit> lits_in, std::uint32_t lbd) {
-  DETERRENT_ASSERT(decision_level() == 0, "import_clause requires root level");
-  if (!ok_) return false;
-
-  std::vector<Lit> lits;
-  lits.reserve(lits_in.size());
-  for (const Lit l : lits_in) {
-    DETERRENT_ASSERT(var_of(l) < var_count(), "imported literal references unknown variable");
-    const Lit m = resolve_subst(l);
-    // A clause naming a variable this solver resolved away would need the
-    // eliminated definition re-introduced to stay sound; not worth it.
-    if (eliminated_[var_of(m)]) return true;
-    lits.push_back(m);
-  }
-  if (!root_simplify(lits)) return true;
-
-  if (lits.empty()) {
-    ok_ = false;
-    return false;
-  }
-  stats_.shared_imported++;
-  if (lits.size() == 1) {
-    unchecked_enqueue(lits[0], kCRefUndef);
-    if (propagate() != kCRefUndef) ok_ = false;
-    return ok_;
-  }
-  const CRef c = alloc_clause(lits, true);
-  learnts_.push_back(c);
-  set_clause_lbd(c, std::max(lbd, 2u));
-  attach_clause(c);
-  return true;
-}
-
-void Solver::set_random_branch(double probability, std::uint64_t seed) {
-  random_branch_prob_ = probability;
-  // splitmix64 step so seed 0 still yields a usable stream
-  branch_rng_ = seed + 0x9e3779b97f4a7c15ull;
-}
-
-void Solver::set_share_export(std::uint32_t max_lbd, std::size_t max_clauses) {
-  share_max_lbd_ = max_lbd;
-  share_max_clauses_ = max_clauses;
-}
-
-std::vector<Clause> Solver::take_exported() {
-  return std::exchange(export_buffer_, {});
 }
 
 void Solver::unchecked_enqueue(Lit p, CRef from) {
@@ -358,24 +298,9 @@ void Solver::analyze_final(Lit p) {
 }
 
 Lit Solver::pick_branch_lit() {
-  if (random_branch_prob_ > 0.0 && !heap_.empty()) {
-    // splitmix64: cheap, deterministic, and private to this solver so clones
-    // with different seeds diverge without touching the shared util::Rng.
-    branch_rng_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = branch_rng_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    if (u < random_branch_prob_) {
-      const Var v = heap_[z % heap_.size()];
-      if (value(v) == LBool::Undef && branchable(v))
-        return mk_lit(v, polarity_[v] != 0);
-    }
-  }
   while (!heap_empty()) {
     const Var v = heap_pop();
-    if (value(v) == LBool::Undef && branchable(v)) return mk_lit(v, polarity_[v] != 0);
+    if (value(v) == LBool::Undef) return mk_lit(v, polarity_[v] != 0);
   }
   return kUndefLit;
 }
@@ -398,14 +323,6 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
       std::uint32_t lbd = 0;
       analyze(confl, learnt, btlevel, lbd);
       cancel_until(btlevel);
-      // Export fresh high-quality learnts for portfolio peers. Appending to a
-      // local buffer keeps the search loop lock-free; the portfolio drains it
-      // at query boundaries.
-      if (share_max_lbd_ > 0 && export_buffer_.size() < share_max_clauses_ &&
-          (learnt.size() == 1 || lbd <= share_max_lbd_)) {
-        export_buffer_.emplace_back(learnt.begin(), learnt.end());
-        stats_.shared_exported++;
-      }
       if (learnt.size() == 1) {
         unchecked_enqueue(learnt[0], kCRefUndef);
       } else {
@@ -418,10 +335,6 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
       }
       var_decay();
       clause_decay();
-      if ((conflict_count & 63) == 0 && interrupted()) {
-        cancel_until(0);
-        return Result::Unknown;
-      }
     } else {
       if (max_conflicts >= 0 && conflict_count >= max_conflicts) {
         cancel_until(0);
@@ -449,10 +362,6 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
         next = pick_branch_lit();
         if (next == kUndefLit) return Result::Sat;  // all variables assigned
         stats_.decisions++;
-        if ((stats_.decisions & 1023) == 0 && interrupted()) {
-          cancel_until(0);
-          return Result::Unknown;
-        }
       }
       new_decision_level();
       unchecked_enqueue(next, kCRefUndef);
@@ -465,15 +374,8 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   const Stats before = stats_;
   stats_.solves++;
   conflict_core_.clear();
-  for (const Lit a : assumptions) {
+  for (const Lit a : assumptions)
     DETERRENT_ASSERT(var_of(a) < var_count(), "assumption references unknown variable");
-    const Var v = var_of(a);
-    if (eliminated_[v] != 0 || subst_[v] != kUndefLit)
-      throw Error(
-          "Solver::solve: assumption on variable " + std::to_string(v) +
-          ", which inprocessing removed; freeze assumption variables before "
-          "calling inprocess()");
-  }
   if (!ok_) {
     last_ = Stats{};
     last_.solves = 1;
@@ -486,9 +388,8 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   const std::uint64_t conflicts_start = stats_.conflicts;
   Result status = Result::Unknown;
   for (std::uint64_t restart = 0; status == Result::Unknown; ++restart) {
-    if (interrupted()) break;
     std::int64_t limit =
-        static_cast<std::int64_t>(luby(2.0, restart) * restart_first_);
+        static_cast<std::int64_t>(luby(2.0, restart) * kRestartFirst);
     if (conflict_budget >= 0) {
       const auto spent =
           static_cast<std::int64_t>(stats_.conflicts - conflicts_start);
@@ -496,15 +397,12 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
       limit = std::min(limit, conflict_budget - spent);
     }
     // Every re-entry that actually searches again is a restart (budget
-    // give-ups and interrupts exit above and are not counted).
+    // give-ups exit above and are not counted).
     if (restart > 0) stats_.restarts++;
     status = search(limit, assumptions);
   }
 
-  if (status == Result::Sat) {
-    model_.assign(assigns_.begin(), assigns_.end());
-    if (!reconstruct_.empty()) extend_model();
-  }
+  if (status == Result::Sat) model_.assign(assigns_.begin(), assigns_.end());
   cancel_until(0);
 
   // Per-solve deltas of the cumulative counters.
@@ -514,16 +412,6 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   last_.restarts = stats_.restarts - before.restarts;
   last_.learnt_clauses = stats_.learnt_clauses - before.learnt_clauses;
   last_.solves = 1;
-  last_.inprocess_runs = stats_.inprocess_runs - before.inprocess_runs;
-  last_.failed_literals = stats_.failed_literals - before.failed_literals;
-  last_.equivalent_literals = stats_.equivalent_literals - before.equivalent_literals;
-  last_.eliminated_variables =
-      stats_.eliminated_variables - before.eliminated_variables;
-  last_.subsumed_clauses = stats_.subsumed_clauses - before.subsumed_clauses;
-  last_.strengthened_clauses =
-      stats_.strengthened_clauses - before.strengthened_clauses;
-  last_.shared_exported = stats_.shared_exported - before.shared_exported;
-  last_.shared_imported = stats_.shared_imported - before.shared_imported;
   return status;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,12 +18,6 @@ namespace deterrent::sat {
 /// assumptions interface for incremental queries. The compatibility oracle
 /// keeps one Solver per netlist and issues thousands of assumption-based
 /// solves against it, accumulating learnt clauses across queries.
-///
-/// Between query batches the solver can run an inprocessing pass (failed-
-/// literal probing, binary-implication-graph SCC substitution, subsumption,
-/// bounded variable elimination) that shrinks the clause database while
-/// preserving satisfiability and models. Variables that may appear in future
-/// assumptions must be frozen first — see docs/sat.md for the contract.
 class Solver {
  public:
   enum class Result { Sat, Unsat, Unknown };
@@ -36,34 +29,6 @@ class Solver {
     std::uint64_t restarts = 0;
     std::uint64_t learnt_clauses = 0;
     std::uint64_t solves = 0;
-    // Inprocessing counters.
-    std::uint64_t inprocess_runs = 0;
-    std::uint64_t failed_literals = 0;
-    std::uint64_t equivalent_literals = 0;
-    std::uint64_t eliminated_variables = 0;
-    std::uint64_t subsumed_clauses = 0;
-    std::uint64_t strengthened_clauses = 0;
-    // Portfolio clause-sharing counters.
-    std::uint64_t shared_exported = 0;
-    std::uint64_t shared_imported = 0;
-  };
-
-  /// Pass selection and budgets for inprocess(). Defaults enable everything
-  /// with budgets sized for between-query-batch use.
-  struct InprocessConfig {
-    bool probing = true;       ///< failed-literal probing at root level
-    bool scc = true;           ///< binary-implication-graph SCC substitution
-    bool subsumption = true;   ///< forward/backward subsumption + strengthening
-    bool elimination = true;   ///< bounded variable elimination
-    /// Propagation budget for the probing sweep (it is the only pass whose
-    /// cost is not bounded by the database size).
-    std::uint64_t probe_budget = 1u << 21;
-    /// Variables occurring more often than this (per polarity) are not
-    /// elimination candidates.
-    std::uint32_t elim_occurrence_limit = 10;
-    /// Elimination is skipped when it would produce a resolvent longer than
-    /// this.
-    std::uint32_t elim_clause_limit = 24;
   };
 
   Solver();
@@ -86,14 +51,9 @@ class Solver {
   /// Solves under the given assumptions. `conflict_budget < 0` means no limit;
   /// otherwise the solver gives up with Result::Unknown after that many
   /// conflicts (used to bound pathological compatibility queries).
-  ///
-  /// Throws deterrent::Error when an assumption references a variable that
-  /// inprocessing eliminated or substituted — freeze assumption variables.
   Result solve(std::span<const Lit> assumptions = {}, std::int64_t conflict_budget = -1);
 
-  /// Model access, valid after the last solve() returned Sat. Variables
-  /// removed by inprocessing are reconstructed to values satisfying the
-  /// original formula.
+  /// Model access, valid after the last solve() returned Sat.
   bool model_value(Var v) const { return model_[v] == LBool::True; }
   LBool model_lbool(Var v) const { return model_[v]; }
 
@@ -113,54 +73,6 @@ class Solver {
 
   /// Counters for the most recent solve() only (deltas; `solves` is 1).
   const Stats& last_solve_stats() const { return last_; }
-
-  // --- inprocessing -------------------------------------------------------
-
-  /// Marks a variable as off-limits for elimination and substitution. Any
-  /// variable that may later appear in an assumption (or whose model value is
-  /// read through means other than model_value) must be frozen before the
-  /// first inprocess() call.
-  void set_frozen(Var v, bool frozen = true) { frozen_[v] = frozen ? 1 : 0; }
-  bool is_frozen(Var v) const { return frozen_[v] != 0; }
-  bool is_eliminated(Var v) const { return eliminated_[v] != 0; }
-  bool is_substituted(Var v) const { return subst_[v] != kUndefLit; }
-
-  /// Runs the enabled simplification passes at root level. Returns false when
-  /// the formula was proven unsatisfiable. Requires no partial assignment
-  /// (every solve() returns at root level, so calling between queries is
-  /// always legal).
-  bool inprocess(const InprocessConfig& config);
-  bool inprocess() { return inprocess(InprocessConfig()); }
-
-  // --- portfolio hooks ----------------------------------------------------
-
-  /// Cooperative cancellation: search polls `flag` and gives up with
-  /// Result::Unknown once it is set. Pass nullptr to detach.
-  void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
-
-  /// With probability `probability` a decision picks a uniformly random
-  /// unassigned variable instead of the top-activity one. Deterministic per
-  /// (seed, query sequence); used for portfolio diversification.
-  void set_random_branch(double probability, std::uint64_t seed);
-
-  /// First Luby restart interval in conflicts (default 100); portfolio clones
-  /// diversify restart cadence through this.
-  void set_restart_base(std::uint32_t conflicts) { restart_first_ = conflicts; }
-
-  /// Enables learnt-clause export: fresh learnts with LBD <= `max_lbd` (and
-  /// all unit learnts) are copied into an internal buffer, at most
-  /// `max_clauses` between take_exported() calls. `max_lbd` 0 disables.
-  void set_share_export(std::uint32_t max_lbd, std::size_t max_clauses = 64);
-
-  /// Drains the export buffer (cheap move; never touches search structures).
-  std::vector<Clause> take_exported();
-
-  /// Imports a clause learnt by a peer solver over the same encoding; must be
-  /// called at root level (between queries). Literals are remapped through
-  /// this solver's substitutions; clauses touching a variable this solver
-  /// eliminated are dropped. Returns false when the import exposed root
-  /// unsatisfiability.
-  bool import_clause(std::span<const Lit> lits, std::uint32_t lbd);
 
  private:
   // --- clause arena ------------------------------------------------------
@@ -210,24 +122,11 @@ class Solver {
   Lit pick_branch_lit();
   Result search(std::int64_t max_conflicts, std::span<const Lit> assumptions);
   void reduce_learnts();
-  bool interrupted() const {
-    return interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed);
-  }
 
   /// Sort + dedup + root-simplify `lits` in place. Returns false when the
   /// clause needs no adding (tautology or satisfied at root); an empty result
   /// with true means root conflict.
   bool root_simplify(std::vector<Lit>& lits);
-
-  // --- inprocessing (inprocess.cpp) ---------------------------------------
-  bool branchable(Var v) const {
-    return eliminated_[v] == 0 && subst_[v] == kUndefLit;
-  }
-  /// Follows substitution chains to the live representative literal.
-  Lit resolve_subst(Lit p) const;
-  bool probe_failed_literals(const InprocessConfig& config);
-  bool run_clause_passes(const InprocessConfig& config);
-  void extend_model();
 
   // --- VSIDS ---------------------------------------------------------------
   void var_bump(Var v);
@@ -251,16 +150,6 @@ class Solver {
   struct Watcher {
     CRef cref;
     Lit blocker;
-  };
-
-  /// One removed variable, in removal order. Substitution entries carry the
-  /// representative literal; elimination entries carry the clauses resolved
-  /// away. Model reconstruction replays the stack newest-first, so an entry
-  /// may reference variables removed later (already reconstructed by then).
-  struct ReconstructEntry {
-    Var var = kNoVar;
-    Lit equiv = kUndefLit;            // substitution: var ≡ equiv
-    std::vector<Clause> clauses;      // elimination: clauses containing var
   };
 
   std::vector<std::uint32_t> arena_;
@@ -289,21 +178,6 @@ class Solver {
 
   std::vector<LBool> model_;
   std::vector<Lit> conflict_core_;
-
-  // Inprocessing state.
-  std::vector<std::uint8_t> frozen_;
-  std::vector<std::uint8_t> eliminated_;
-  std::vector<Lit> subst_;  // kUndefLit ⇒ not substituted
-  std::vector<ReconstructEntry> reconstruct_;
-
-  // Portfolio state.
-  const std::atomic<bool>* interrupt_ = nullptr;
-  double random_branch_prob_ = 0.0;
-  std::uint64_t branch_rng_ = 0;
-  std::uint32_t restart_first_ = kRestartFirst;
-  std::uint32_t share_max_lbd_ = 0;  // 0 ⇒ export disabled
-  std::size_t share_max_clauses_ = 64;
-  std::vector<Clause> export_buffer_;
 
   double var_inc_ = 1.0;
   double cla_inc_ = 1.0;

@@ -207,10 +207,13 @@ WriteFault on_write(const char* name) {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
-      "cache.fetch",             "cache.store",
-      "pipeline.stage_boundary", "sat.portfolio.share",
-      "sat.query",               "serialize.write_artifact",
-      "session.load_artifact",   "threadpool.task",
+      "cache.fetch",
+      "cache.store",
+      "pipeline.stage_boundary",
+      "sat.query",
+      "serialize.write_artifact",
+      "session.load_artifact",
+      "threadpool.task",
   };
   return sites;
 }

@@ -199,7 +199,6 @@ TEST(ArtifactCacheUnit, ConfigHashIsSensitiveToEverySerializedBlock) {
   mut().rare.sim_patterns = base.rare.sim_patterns + 1;
   mut().compat.sim_patterns = base.compat.sim_patterns + 1;
   mut().compat.sat_conflict_budget = base.compat.sat_conflict_budget + 1;
-  mut().compat.portfolio_threads = base.compat.portfolio_threads + 2;
   mut().compat.shard_count = base.compat.shard_count + 3;
   mut().env.reward_mode = RewardMode::AllSteps;
   mut().env.max_steps = base.env.max_steps + 1;
@@ -214,6 +213,32 @@ TEST(ArtifactCacheUnit, ConfigHashIsSensitiveToEverySerializedBlock) {
 
   for (std::size_t i = 0; i < mutants.size(); ++i)
     EXPECT_NE(config_hash(mutants[i]), base_hash) << "mutant " << i;
+}
+
+// The config block layout is frozen at format v5: the removed SAT knobs
+// (solver inprocessing and the clause-sharing portfolio) still occupy their
+// slots at the old defaults, so a default config keys and serializes exactly
+// as before and no cache entry or session is invalidated. The constant is
+// the default config's hash from before those knobs were removed.
+TEST(ArtifactCacheUnit, DefaultConfigHashIsStableAcrossTheSatKnobRemoval) {
+  EXPECT_EQ(config_hash(DeterrentConfig{}), 0x90aa682ff908716aull);
+}
+
+TEST(ArtifactCacheUnit, CompatibilityBuildRejectsThePortfolio) {
+  const Netlist nl = make_circuit(305);
+  analysis::RareNetConfig rcfg;
+  rcfg.threshold = 0.15;
+  rcfg.sim_patterns = 1 << 10;
+  util::Rng rare_rng(5);
+  const auto rare = analysis::find_rare_nets(nl, rcfg, rare_rng);
+  analysis::CompatibilityBuildConfig ccfg;
+  ccfg.sim_patterns = 1 << 8;
+  ccfg.portfolio_threads = 2;
+  util::Rng rng(6);
+  EXPECT_THROW(analysis::build_compatibility(nl, rare, ccfg, rng), Error);
+  ccfg.portfolio_threads = 0;
+  util::Rng rng2(6);
+  EXPECT_NO_THROW(analysis::build_compatibility(nl, rare, ccfg, rng2));
 }
 
 TEST(ArtifactCacheIntegration, ChangedConfigNeverHydrates) {

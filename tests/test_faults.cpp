@@ -122,10 +122,10 @@ TEST(Faults, TornActionsAreInertAtPlainSites) {
 
 TEST(Faults, KnownSitesCoverTheCompiledRegistry) {
   const auto& sites = faults::known_sites();
-  EXPECT_EQ(sites.size(), 8u);
+  EXPECT_EQ(sites.size(), 7u);
   for (const char* expected :
        {"serialize.write_artifact", "session.load_artifact", "sat.query",
-        "sat.portfolio.share", "pipeline.stage_boundary", "threadpool.task",
+        "pipeline.stage_boundary", "threadpool.task",
         "cache.fetch", "cache.store"}) {
     bool found = false;
     for (const auto& s : sites) found = found || s == expected;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
@@ -19,6 +20,7 @@
 #include "core/session.hpp"
 #include "netlist/stats.hpp"
 #include "sim/pattern_io.hpp"
+#include "util/logging.hpp"
 
 namespace deterrent::core {
 namespace {
@@ -452,6 +454,30 @@ TEST(Pipeline, StageOrderIsEnforced) {
   ASSERT_EQ(pipeline.run_rare_nets(), StageStatus::Complete);
   ASSERT_EQ(pipeline.run_compatibility(), StageStatus::Complete);
   EXPECT_THROW(pipeline.run_extract(), Error);
+}
+
+// An exhausted SAT conflict budget counts a pair as incompatible, which can
+// drop a real edge, so the compatibility stage must say so on stderr.
+TEST(Pipeline, CompatTimeoutsAreReportedAsAWarning) {
+  const Netlist nl = make_circuit(47);
+  DeterrentConfig cfg = quick_config(12);
+  cfg.compat.sim_patterns = 1 << 6;     // leave pairs for the solver
+  cfg.compat.sat_conflict_budget = 0;   // every SAT query gives up at once
+  Pipeline pipeline(nl, cfg);
+  ASSERT_EQ(pipeline.run_rare_nets(), StageStatus::Complete);
+
+  const util::LogLevel saved = util::Log::level();
+  util::Log::set_level(util::LogLevel::Info);
+  ::testing::internal::CaptureStderr();
+  const StageStatus status = pipeline.run_compatibility();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  util::Log::set_level(saved);
+
+  ASSERT_EQ(status, StageStatus::Complete);
+  const std::size_t timeouts = pipeline.compat_stats().timeout_pairs;
+  ASSERT_GT(timeouts, 0u);
+  EXPECT_NE(log.find(std::to_string(timeouts) + " timed out"), std::string::npos) << log;
+  EXPECT_NE(log.find("exhausted the SAT conflict budget"), std::string::npos) << log;
 }
 
 TEST(Pipeline, TrainingAfterExtractionInvalidatesPatterns) {

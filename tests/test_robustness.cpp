@@ -360,10 +360,6 @@ TEST(Robustness, FaultInjectionSoakNeverCrashesAndHealsBitIdentically) {
   cfg.base.env.reward_mode = RewardMode::AllSteps;
   cfg.base.ppo.rollout_lanes = 4;
   cfg.base.env.sat_dispatch_threads = 2;
-  // Two portfolio clones so the offline phase routes through sat::Portfolio
-  // and its clause-sharing channel — otherwise the sat.portfolio.share site
-  // would never be reached.
-  cfg.base.compat.portfolio_threads = 2;
   cfg.threads = 1;  // deterministic hit ordering across the whole campaign
   cfg.max_retries = 6;
   cfg.retry_backoff_ms = 1.0;
@@ -399,7 +395,6 @@ TEST(Robustness, FaultInjectionSoakNeverCrashesAndHealsBitIdentically) {
       "seed=9;"
       "pipeline.stage_boundary=throw@4;"
       "threadpool.task=throw@1;"
-      "sat.portfolio.share=throw@2;"
       "sat.query=hang@5:60000;"
       "serialize.write_artifact=torn-flip@3;"
       "session.load_artifact=throw@2;"

@@ -456,134 +456,6 @@ TEST(SolverStats, RestartsCountOnlyLubySequenceReentries) {
   EXPECT_GT(hard.last_solve_stats().restarts, 0u);
 }
 
-// ------------------------------------------------------- inprocessing ------
-
-Solver::InprocessConfig only(bool probing, bool scc, bool subsumption,
-                             bool elimination) {
-  Solver::InprocessConfig config;
-  config.probing = probing;
-  config.scc = scc;
-  config.subsumption = subsumption;
-  config.elimination = elimination;
-  return config;
-}
-
-TEST(Inprocess, FailedLiteralProbingFixesVariables) {
-  // x → a and x → ¬a: probing x conflicts, so ¬x is forced at root.
-  Solver s;
-  s.ensure_vars(3);
-  s.add_clause({mk_lit(0, true), mk_lit(1)});
-  s.add_clause({mk_lit(0, true), mk_lit(1, true), mk_lit(2)});
-  s.add_clause({mk_lit(0, true), mk_lit(2, true)});
-  ASSERT_TRUE(s.inprocess(only(true, false, false, false)));
-  EXPECT_GE(s.stats().failed_literals, 1u);
-  ASSERT_EQ(s.solve(), Solver::Result::Sat);
-  EXPECT_FALSE(s.model_value(0));
-}
-
-TEST(Inprocess, SccCollapsesEquivalenceChain) {
-  // a ≡ b ≡ c plus a clause keeping them relevant; a frozen.
-  Solver s;
-  s.ensure_vars(4);
-  s.add_clause({mk_lit(0, true), mk_lit(1)});  // a → b
-  s.add_clause({mk_lit(1, true), mk_lit(2)});  // b → c
-  s.add_clause({mk_lit(2, true), mk_lit(0)});  // c → a
-  s.add_clause({mk_lit(2), mk_lit(3)});
-  s.set_frozen(0);
-  ASSERT_TRUE(s.inprocess(only(false, true, false, false)));
-  EXPECT_EQ(s.stats().equivalent_literals, 2u);
-  EXPECT_FALSE(s.is_substituted(0));  // frozen representative survives
-  EXPECT_TRUE(s.is_substituted(1));
-  EXPECT_TRUE(s.is_substituted(2));
-
-  const Lit assume[] = {mk_lit(0)};
-  ASSERT_EQ(s.solve(assume), Solver::Result::Sat);
-  EXPECT_TRUE(s.model_value(1));  // reconstructed through the equivalence
-  EXPECT_TRUE(s.model_value(2));
-  const Lit neg[] = {mk_lit(0, true)};
-  ASSERT_EQ(s.solve(neg), Solver::Result::Sat);
-  EXPECT_FALSE(s.model_value(1));
-  EXPECT_FALSE(s.model_value(2));
-}
-
-TEST(Inprocess, ContradictorySccIsUnsat) {
-  // a ≡ ¬a through two implications.
-  Solver s;
-  s.ensure_vars(2);
-  s.add_clause({mk_lit(0), mk_lit(1)});
-  s.add_clause({mk_lit(0), mk_lit(1, true)});
-  s.add_clause({mk_lit(0, true), mk_lit(1)});
-  s.add_clause({mk_lit(0, true), mk_lit(1, true)});
-  // Probing or SCC must both prove this; use SCC alone.
-  EXPECT_FALSE(s.inprocess(only(false, true, false, false)));
-  EXPECT_EQ(s.solve(), Solver::Result::Unsat);
-}
-
-TEST(Inprocess, SubsumptionRemovesAndStrengthens) {
-  Solver s;
-  s.ensure_vars(4);
-  s.add_clause({mk_lit(0), mk_lit(1)});                         // (a b)
-  s.add_clause({mk_lit(0), mk_lit(1), mk_lit(2)});              // subsumed
-  s.add_clause({mk_lit(0, true), mk_lit(1), mk_lit(3)});        // → (b d)
-  ASSERT_TRUE(s.inprocess(only(false, false, true, false)));
-  EXPECT_GE(s.stats().subsumed_clauses, 1u);
-  EXPECT_GE(s.stats().strengthened_clauses, 1u);
-  ASSERT_EQ(s.solve(), Solver::Result::Sat);
-  EXPECT_TRUE(s.model_value(0) || s.model_value(1));
-}
-
-TEST(Inprocess, EliminationReconstructsTheModel) {
-  // v is definitionally linked to frozen a, b; eliminating it must still
-  // produce models that satisfy the ORIGINAL clauses.
-  Cnf cnf;
-  cnf.var_count = 3;
-  cnf.clauses.push_back({mk_lit(0), mk_lit(2)});        // a ∨ v
-  cnf.clauses.push_back({mk_lit(1), mk_lit(2, true)});  // b ∨ ¬v
-  Solver s = make_solver(cnf);
-  s.set_frozen(0);
-  s.set_frozen(1);
-  ASSERT_TRUE(s.inprocess(only(false, false, false, true)));
-  EXPECT_EQ(s.stats().eliminated_variables, 1u);
-  EXPECT_TRUE(s.is_eliminated(2));
-
-  for (const bool a : {false, true})
-    for (const bool b : {false, true}) {
-      const Lit assume[] = {mk_lit(0, !a), mk_lit(1, !b)};
-      const auto result = s.solve(assume);
-      // (a ∨ v) ∧ (b ∨ ¬v) is satisfiable exactly when a ∨ b.
-      ASSERT_EQ(result == Solver::Result::Sat, a || b) << a << b;
-      if (result == Solver::Result::Sat)
-        ASSERT_TRUE(model_satisfies(s, cnf)) << a << b;
-    }
-}
-
-TEST(Inprocess, AssumptionOnRemovedVariableThrows) {
-  Solver s;
-  s.ensure_vars(3);
-  s.add_clause({mk_lit(0, true), mk_lit(1)});
-  s.add_clause({mk_lit(1, true), mk_lit(0)});
-  s.add_clause({mk_lit(0), mk_lit(2)});
-  // Nothing frozen: var 1 collapses into var 0.
-  ASSERT_TRUE(s.inprocess(only(false, true, false, false)));
-  ASSERT_TRUE(s.is_substituted(1));
-  const Lit assume[] = {mk_lit(1)};
-  EXPECT_THROW(s.solve(assume), Error);
-  // Frozen variables keep working.
-  const Lit ok[] = {mk_lit(0)};
-  EXPECT_EQ(s.solve(ok), Solver::Result::Sat);
-}
-
-TEST(Inprocess, RepeatedRunsStaySound) {
-  Solver s = make_solver(php_cnf(5, 4));
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(s.inprocess());
-  EXPECT_EQ(s.stats().inprocess_runs, 3u);
-  ASSERT_EQ(s.solve(), Solver::Result::Unsat);
-
-  Solver sat_side = make_solver(php_cnf(4, 4));
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(sat_side.inprocess());
-  ASSERT_EQ(sat_side.solve(), Solver::Result::Sat);
-}
-
 // ------------------------------------------------------------- dimacs ------
 
 TEST(Dimacs, ParsesSimple) {
