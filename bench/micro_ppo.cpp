@@ -86,6 +86,11 @@ struct LaneResult {
   double env_steps_per_sec = 0.0;
   double speedup_vs_single = 0.0;
   std::uint64_t checksum = 0;  // episodes + params digest; must match across lanes
+  // Env SAT traffic over the whole run, warmup included. These depend on
+  // each lane oracle's history (end-of-episode repair answers from the
+  // oracle's last Sat model), so unlike the checksum they vary by lane count.
+  std::uint64_t env_sat_queries = 0;
+  std::uint64_t model_hits = 0;
 };
 
 /// Trains a fresh seed-7 trainer at the given lane count: one untimed warmup
@@ -123,6 +128,9 @@ LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
   for (const float p : trainer.policy().flat_params()) fold(h, bits(p));
   for (const float p : trainer.value().flat_params()) fold(h, bits(p));
   result.checksum = h;
+  const auto& env = static_cast<const core::CompatibleSetVectorEnv&>(trainer.vector_env());
+  result.env_sat_queries = env.sat_queries();
+  result.model_hits = env.model_hits();
   result.updates_per_sec = static_cast<double>(updates) / seconds;
   result.env_steps_per_sec =
       static_cast<double>(trainer.total_steps() - steps_before) / seconds;
@@ -213,11 +221,13 @@ int run_micro_ppo(int argc, char** argv) {
     checksums_identical = checksums_identical && r.checksum == results[0].checksum;
   }
 
-  std::printf("\n%8s %14s %16s %10s %18s\n", "lanes", "updates/s", "env_steps/s",
-              "speedup", "episode_checksum");
+  std::printf("\n%8s %14s %16s %10s %12s %12s %18s\n", "lanes", "updates/s",
+              "env_steps/s", "speedup", "sat_queries", "model_hits", "episode_checksum");
   for (const auto& r : results)
-    std::printf("%8zu %14.3f %16.1f %9.2fx %18llx\n", r.lanes, r.updates_per_sec,
-                r.env_steps_per_sec, r.speedup_vs_single,
+    std::printf("%8zu %14.3f %16.1f %9.2fx %12llu %12llu %18llx\n", r.lanes,
+                r.updates_per_sec, r.env_steps_per_sec, r.speedup_vs_single,
+                static_cast<unsigned long long>(r.env_sat_queries),
+                static_cast<unsigned long long>(r.model_hits),
                 static_cast<unsigned long long>(r.checksum));
   std::printf("episode checksums lane-count-invariant: %s\n",
               checksums_identical ? "yes" : "NO — DIFFERENTIAL MISMATCH");
@@ -248,9 +258,12 @@ int run_micro_ppo(int argc, char** argv) {
     std::fprintf(f,
                  "      {\"lanes\": %zu, \"updates_per_sec\": %.6e, "
                  "\"env_steps_per_sec\": %.6e, \"speedup_vs_single\": %.4f, "
+                 "\"env_sat_queries\": %llu, \"model_hits\": %llu, "
                  "\"episode_checksum\": \"%llx\"}%s\n",
                  r.lanes, r.updates_per_sec, r.env_steps_per_sec,
                  r.speedup_vs_single,
+                 static_cast<unsigned long long>(r.env_sat_queries),
+                 static_cast<unsigned long long>(r.model_hits),
                  static_cast<unsigned long long>(r.checksum),
                  i + 1 == results.size() ? "" : ",");
   }

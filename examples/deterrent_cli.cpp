@@ -447,10 +447,13 @@ int cmd_train(const Args& args) {
   const auto status = pipeline->run_train(updates, stage_control(args));
   session.save(*pipeline);
   if (const int rc = report_status(status, session)) return rc;
-  std::printf("trained to %zu updates: %zu distinct sets, largest %zu, %llu SAT queries\n",
-              pipeline->history().size(), pipeline->pool().size(),
-              pipeline->pool().max_set_size(),
-              static_cast<unsigned long long>(pipeline->train_sat_queries()));
+  std::printf(
+      "trained to %zu updates: %zu distinct sets, largest %zu, %llu env SAT queries, "
+      "%llu witness hits, %llu model hits\n",
+      pipeline->history().size(), pipeline->pool().size(), pipeline->pool().max_set_size(),
+      static_cast<unsigned long long>(pipeline->train_sat_queries()),
+      static_cast<unsigned long long>(pipeline->train_witness_hits()),
+      static_cast<unsigned long long>(pipeline->train_model_hits()));
   return 0;
 }
 

@@ -6,6 +6,106 @@
 #include "util/assert.hpp"
 
 namespace deterrent::core {
+namespace {
+
+/// End-of-episode verification (§3.2), shared by CompatibleSetEnv and every
+/// CompatibleSetVectorEnv lane so that a lane and its scalar twin issue the
+/// identical query stream. Replaces `members` by its longest satisfiable
+/// prefix plus the members a greedy repair can add back.
+///
+/// Every SAT query here is a prefix of `members` or "kept members + one
+/// candidate", so try_extend keeps the shared prefix assumed on the solver
+/// trail and a query costs about the propagation of what it adds. Answers
+/// never depend on that: Sat and Unsat are facts about the netlist, and only
+/// an exhausted conflict budget (counted as unsatisfiable) could differ.
+void verify_episode(sat::NetlistOracle& oracle,
+                    std::span<const analysis::RareNet> rare_nets,
+                    const EnvConfig& config, std::vector<std::uint32_t>& members,
+                    std::vector<sat::Constraint>& constraints,
+                    std::uint64_t& witness_hits, std::uint64_t& model_hits) {
+  const auto* sigs = config.witness_signatures;
+  const auto constraint = [&](std::uint32_t m) {
+    return sat::Constraint{rare_nets[m].net, rare_nets[m].rare_value};
+  };
+  const auto solve = [&] {
+    return oracle.try_extend(constraints, config.sat_conflict_budget).value_or(false);
+  };
+
+  const auto joint_of = [&](std::size_t len) {  // AND of the first len signatures
+    util::BitVec joint = (*sigs)[members[0]];
+    for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[members[k]];
+    return joint;
+  };
+
+  // Prefix satisfiability is monotone (constraints only accumulate), so a
+  // binary search needs O(log T) SAT calls instead of one per step — the
+  // mechanism that makes end-of-episode reward cheap (§3.2).
+  auto prefix_sat = [&](std::size_t len) {
+    if (sigs != nullptr && joint_of(len).any()) {
+      ++witness_hits;
+      return true;
+    }
+    constraints.clear();
+    for (std::size_t k = 0; k < len; ++k) constraints.push_back(constraint(members[k]));
+    return solve();
+  };
+
+  std::size_t lo = 1;  // singleton start is satisfiable by construction
+  std::size_t hi = members.size();
+  if (prefix_sat(hi)) return;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (prefix_sat(mid))
+      lo = mid;
+    else
+      hi = mid;
+  }
+
+  // Greedy repair: pairwise evidence admitted members the joint check now
+  // rejects, but usually only a few — retry members beyond the verified
+  // prefix individually, up to the configured budget. Extra SAT calls are
+  // paid only on truncated episodes and never exceed the all-steps per-step
+  // cost, yet recover most of the set (the paper's small −5.6% quality gap
+  // rather than a prefix cliff).
+  std::vector<std::uint32_t> kept(members.begin(),
+                                  members.begin() + static_cast<std::ptrdiff_t>(lo));
+  util::BitVec joint = sigs != nullptr ? joint_of(lo) : util::BitVec();
+  constraints.clear();
+  for (const std::uint32_t m : kept) constraints.push_back(constraint(m));
+  // While the oracle's last Sat model meets every kept member it proves any
+  // candidate it also meets, exactly like a witness signature. A Sat answer
+  // re-establishes that (its constraints are the new kept set); Unsat and
+  // Unknown answers leave the model alone.
+  bool model_meets_kept =
+      std::all_of(constraints.begin(), constraints.end(),
+                  [&](const sat::Constraint& c) { return oracle.model_satisfies(c); });
+  std::size_t budget = config.eoe_repair_budget;
+  for (std::size_t k = lo + 1; k < members.size() && budget > 0; ++k, --budget) {
+    const std::uint32_t m = members[k];  // member lo itself broke the prefix
+    constraints.push_back(constraint(m));
+    bool accepted = false;
+    if (sigs != nullptr && joint.intersects((*sigs)[m])) {
+      ++witness_hits;
+      accepted = true;
+      model_meets_kept = model_meets_kept && oracle.model_satisfies(constraints.back());
+    } else if (model_meets_kept && oracle.model_satisfies(constraints.back())) {
+      ++model_hits;
+      accepted = true;
+    } else if (solve()) {
+      accepted = true;
+      model_meets_kept = true;
+    }
+    if (accepted) {
+      if (sigs != nullptr) joint &= (*sigs)[m];
+      kept.push_back(m);
+    } else {
+      constraints.pop_back();
+    }
+  }
+  members = std::move(kept);
+}
+
+}  // namespace
 
 CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
                                    std::span<const analysis::RareNet> rare_nets,
@@ -85,79 +185,6 @@ bool CompatibleSetEnv::joint_satisfiable_with(std::uint32_t action) {
       .value_or(false);
 }
 
-std::size_t CompatibleSetEnv::longest_satisfiable_prefix() {
-  // Prefix satisfiability is monotone (constraints only accumulate), so a
-  // binary search needs O(log T) SAT calls instead of one per step — the
-  // mechanism that makes end-of-episode reward cheap (§3.2).
-  const auto* sigs = config_.witness_signatures;
-  auto prefix_sat = [&](std::size_t len) {
-    if (sigs != nullptr) {
-      util::BitVec joint = (*sigs)[members_[0]];
-      for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[members_[k]];
-      if (joint.any()) {
-        ++witness_hits_;
-        return true;
-      }
-    }
-    scratch_constraints_.clear();
-    for (std::size_t k = 0; k < len; ++k) {
-      const auto& rn = rare_nets_[members_[k]];
-      scratch_constraints_.push_back({rn.net, rn.rare_value});
-    }
-    return oracle_
-        .try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-        .value_or(false);
-  };
-
-  std::size_t lo = 1;  // singleton start is satisfiable by construction
-  std::size_t hi = members_.size();
-  if (prefix_sat(hi)) return hi;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (prefix_sat(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-
-  // Greedy repair: pairwise evidence admitted members the joint check now
-  // rejects, but usually only a few — retry members beyond the verified
-  // prefix individually, up to the configured budget. Extra SAT calls are
-  // paid only on truncated episodes and never exceed the all-steps per-step
-  // cost, yet recover most of the set (the paper's small −5.6% quality gap
-  // rather than a prefix cliff).
-  std::vector<std::uint32_t> kept(members_.begin(),
-                                  members_.begin() + static_cast<std::ptrdiff_t>(lo));
-  util::BitVec joint;
-  if (sigs != nullptr) {
-    joint = (*sigs)[kept[0]];
-    for (std::size_t k = 1; k < kept.size(); ++k) joint &= (*sigs)[kept[k]];
-  }
-  scratch_constraints_.clear();
-  for (const std::uint32_t m : kept)
-    scratch_constraints_.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  std::size_t budget = config_.eoe_repair_budget;
-  for (std::size_t k = lo + 1; k < members_.size() && budget > 0; ++k, --budget) {
-    const auto& rn = rare_nets_[members_[k]];  // member lo itself broke the prefix
-    scratch_constraints_.push_back({rn.net, rn.rare_value});
-    if (sigs != nullptr && joint.intersects((*sigs)[members_[k]])) {
-      ++witness_hits_;
-      joint &= (*sigs)[members_[k]];
-      kept.push_back(members_[k]);
-      continue;
-    }
-    if (oracle_.try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-            .value_or(false)) {
-      if (sigs != nullptr) joint &= (*sigs)[members_[k]];
-      kept.push_back(members_[k]);
-    } else {
-      scratch_constraints_.pop_back();
-    }
-  }
-  members_ = std::move(kept);
-  return members_.size();
-}
-
 void CompatibleSetEnv::refresh_mask_after_add(std::uint32_t action) {
   if (config_.mask_mode == MaskMode::Pairwise) {
     mask_ &= matrix_->row(action);
@@ -230,12 +257,12 @@ rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
 
   if (result.done) {
     if (config_.reward_mode == RewardMode::EndOfEpisode) {
-      const std::size_t prefix = longest_satisfiable_prefix();
-      members_.resize(prefix);
+      verify_episode(oracle_, rare_nets_, config_, members_, scratch_constraints_,
+                     witness_hits_, model_hits_);
       util::BitVec verified(rare_nets_.size());
       for (const std::uint32_t m : members_) verified.set(m);
       state_ = verified;
-      result.reward = size_reward(prefix);
+      result.reward = size_reward(members_.size());
       if (pool_ != nullptr) pool_->add(state_);
       episode_open_ = false;
     } else {
@@ -364,82 +391,17 @@ bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
       .value_or(false);
 }
 
-std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
-  // Mirrors CompatibleSetEnv::longest_satisfiable_prefix: binary search over
-  // the monotone prefix plus greedy repair, with the witness joint computed
-  // as whole-word BitVec ANDs over the shared signature table.
-  Lane& lane = lanes_[l];
-  const auto* sigs = config_.witness_signatures;
-  auto prefix_sat = [&](std::size_t len) {
-    if (sigs != nullptr) {
-      util::BitVec joint = (*sigs)[lane.members[0]];
-      for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[lane.members[k]];
-      if (joint.any()) {
-        ++witness_hits_;
-        return true;
-      }
-    }
-    scratch_constraints_.clear();
-    for (std::size_t k = 0; k < len; ++k) {
-      const auto& rn = rare_nets_[lane.members[k]];
-      scratch_constraints_.push_back({rn.net, rn.rare_value});
-    }
-    return solve_joint(l, scratch_constraints_);
-  };
-
-  std::size_t lo = 1;  // singleton start is satisfiable by construction
-  std::size_t hi = lane.members.size();
-  if (prefix_sat(hi)) return hi;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (prefix_sat(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-
-  std::vector<std::uint32_t> kept(
-      lane.members.begin(), lane.members.begin() + static_cast<std::ptrdiff_t>(lo));
-  util::BitVec joint;
-  if (sigs != nullptr) {
-    joint = (*sigs)[kept[0]];
-    for (std::size_t k = 1; k < kept.size(); ++k) joint &= (*sigs)[kept[k]];
-  }
-  std::vector<sat::Constraint> constraints;
-  for (const std::uint32_t m : kept)
-    constraints.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  std::size_t budget = config_.eoe_repair_budget;
-  for (std::size_t k = lo + 1; k < lane.members.size() && budget > 0; ++k, --budget) {
-    const auto& rn = rare_nets_[lane.members[k]];  // member lo broke the prefix
-    constraints.push_back({rn.net, rn.rare_value});
-    if (sigs != nullptr && joint.intersects((*sigs)[lane.members[k]])) {
-      ++witness_hits_;
-      joint &= (*sigs)[lane.members[k]];
-      kept.push_back(lane.members[k]);
-      continue;
-    }
-    if (solve_joint(l, constraints)) {
-      if (sigs != nullptr) joint &= (*sigs)[lane.members[k]];
-      kept.push_back(lane.members[k]);
-    } else {
-      constraints.pop_back();
-    }
-  }
-  lane.members = std::move(kept);
-  return lane.members.size();
-}
-
 void CompatibleSetVectorEnv::finish_lane(std::size_t l) {
   Lane& lane = lanes_[l];
   lane.open = false;
   lane.done = true;
   if (config_.reward_mode == RewardMode::EndOfEpisode) {
-    const std::size_t prefix = longest_satisfiable_prefix(l);
-    lane.members.resize(prefix);
+    verify_episode(lane_oracle(l), rare_nets_, config_, lane.members,
+                   scratch_constraints_, witness_hits_, model_hits_);
     util::BitVec verified(rare_nets_.size());
     for (const std::uint32_t m : lane.members) verified.set(m);
     lane.state = std::move(verified);
-    lane.reward = size_reward(prefix);
+    lane.reward = size_reward(lane.members.size());
     if (pool_ != nullptr) pool_->add(lane.state);
     rebuild_observation(lane);
   } else {

@@ -64,6 +64,12 @@ struct EnvConfig {
   /// accepts it — a strictly sounder answer, but one that can differ from
   /// the witness-free env. Must outlive the env; one signature per rare net,
   /// all of equal pattern length.
+  /// EndOfEpisode repair also accepts, without this table, a candidate the
+  /// oracle's last Sat model proves (model_hits()). Answers, rewards, the
+  /// pool and parameters are unchanged; sat_queries() (and so
+  /// StageControl::sat_query_budget) depends on the oracle's history (lane
+  /// count, resume); a PolicyArtifact differs only in history sat_queries
+  /// and wall times.
   const std::vector<util::BitVec>* witness_signatures = nullptr;
   /// Worker threads for the vectorized env's lane SAT dispatch; 0/1 =
   /// sequential, >= 2 creates a private pool that solves a step's pending
@@ -100,11 +106,17 @@ class CompatibleSetEnv final : public rl::Env {
   std::span<const std::uint32_t> members() const { return members_; }
 
   /// Number of SAT queries issued so far (Table 1's cost driver).
+  /// Depends on the oracle's history; see model_hits().
   std::uint64_t sat_queries() const { return oracle_.query_count(); }
 
   /// Joint-satisfiability checks answered by a simulation witness instead of
   /// a SAT call (0 unless config.witness_signatures is set).
   std::uint64_t witness_hits() const { return witness_hits_; }
+
+  /// EndOfEpisode repair checks answered by the oracle's last Sat model
+  /// instead of a SAT call. sat_queries() + model_hits() is what a repair
+  /// that asked the solver every time would have issued.
+  std::uint64_t model_hits() const { return model_hits_; }
 
  private:
   float size_reward(std::size_t set_size) const {
@@ -117,7 +129,6 @@ class CompatibleSetEnv final : public rl::Env {
   }
 
   bool joint_satisfiable_with(std::uint32_t action);
-  std::size_t longest_satisfiable_prefix();
   void refresh_mask_after_add(std::uint32_t action);
   std::vector<float> observation() const;
   void finish_episode();
@@ -138,6 +149,7 @@ class CompatibleSetEnv final : public rl::Env {
   std::vector<sat::Constraint> scratch_constraints_;
   util::BitVec witness_;  // running AND of member signatures (AllSteps mode)
   std::uint64_t witness_hits_ = 0;
+  std::uint64_t model_hits_ = 0;
 };
 
 /// Lock-step batch of N CompatibleSetEnv lanes sharing one copy of the rare
@@ -153,9 +165,13 @@ class CompatibleSetEnv final : public rl::Env {
 /// Determinism contract: lane l's trajectory is bit-identical to a
 /// standalone CompatibleSetEnv fed the same RNG stream and actions — each
 /// lane owns a private, lazily-built oracle whose learnt-clause state evolves
-/// exactly as its scalar twin's, so even conflict-budget-exhausted Unknowns
-/// classify identically. The pool is a content-keyed set, so interleaved
-/// lane completion order cannot leak into artifacts.
+/// exactly as its scalar twin's (both run one end-of-episode verification
+/// routine), so even conflict-budget-exhausted Unknowns classify
+/// identically. The pool is a content-keyed set, so interleaved lane
+/// completion order cannot leak into artifacts. Answers, rewards, the pool
+/// and parameters never depend on which episodes a lane ran; sat_queries()
+/// does, because repair answers from the lane oracle's last Sat model (see
+/// EnvConfig::witness_signatures).
 class CompatibleSetVectorEnv final : public rl::VectorEnv {
  public:
   CompatibleSetVectorEnv(const netlist::Netlist& netlist,
@@ -184,6 +200,10 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Joint checks answered by the witness sweep instead of a SAT call.
   std::uint64_t witness_hits() const { return witness_hits_; }
 
+  /// EndOfEpisode repair checks answered by a lane oracle's last Sat model
+  /// instead of a SAT call (see CompatibleSetEnv::model_hits).
+  std::uint64_t model_hits() const { return model_hits_; }
+
  private:
   struct Lane {
     util::BitVec state;                 // membership bitset
@@ -206,7 +226,6 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Answers "are these constraints jointly satisfiable" on the lane's
   /// oracle; exhausted budgets report false (conservative).
   bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
-  std::size_t longest_satisfiable_prefix(std::size_t lane);
   void finish_lane(std::size_t lane);
   void rebuild_observation(Lane& lane);
 
@@ -222,6 +241,7 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   std::unique_ptr<util::ThreadPool> dispatch_pool_;  // lazy, see dispatch_pool()
   std::vector<sat::Constraint> scratch_constraints_;
   std::uint64_t witness_hits_ = 0;
+  std::uint64_t model_hits_ = 0;
 };
 
 }  // namespace deterrent::core

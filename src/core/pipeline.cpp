@@ -230,12 +230,24 @@ void Pipeline::ensure_trainer() {
   }
 }
 
+const CompatibleSetVectorEnv* Pipeline::train_env() const {
+  return trainer_ ? &dynamic_cast<const CompatibleSetVectorEnv&>(trainer_->vector_env())
+                  : nullptr;
+}
+
 std::uint64_t Pipeline::train_sat_queries() const {
-  std::uint64_t total = sat_queries_base_;
-  if (trainer_)
-    total += dynamic_cast<const CompatibleSetVectorEnv&>(trainer_->vector_env())
-                 .sat_queries();
-  return total;
+  const auto* env = train_env();
+  return sat_queries_base_ + (env != nullptr ? env->sat_queries() : 0);
+}
+
+std::uint64_t Pipeline::train_witness_hits() const {
+  const auto* env = train_env();
+  return env != nullptr ? env->witness_hits() : 0;
+}
+
+std::uint64_t Pipeline::train_model_hits() const {
+  const auto* env = train_env();
+  return env != nullptr ? env->model_hits() : 0;
 }
 
 StageStatus Pipeline::run_train(std::size_t updates, const StageControl& control) {
@@ -282,6 +294,10 @@ StageStatus Pipeline::run_train(std::size_t updates, const StageControl& control
     throw;
   }
   train_seconds_ += watch.elapsed_seconds();
+  util::Log::info("pipeline: trained to ", history_.size(), " updates, pool ",
+                  pool_.size(), "; env SAT queries ", train_sat_queries(),
+                  ", witness hits ", train_witness_hits(), ", model hits ",
+                  train_model_hits());
 
   if (status == StageStatus::Complete)
     checkpoint(control, {Stage::Train, updates, updates,

@@ -52,6 +52,8 @@ struct StageControl {
   /// the first checkpoint past the budget (it does not interrupt mid-update).
   double wall_budget_seconds = 0.0;
   /// Cumulative training SAT-query ceiling; 0 = unlimited. Train only.
+  /// The count depends on the lane oracles' history (lane count, resume),
+  /// so the update at which it trips can too.
   std::uint64_t sat_query_budget = 0;
   /// Stage watchdog: a util::WatchdogScope deadline installed for the whole
   /// stage call (propagated into thread-pool workers). Unlike the budgets,
@@ -215,9 +217,16 @@ class Pipeline {
   /// Cumulative SAT queries issued by the training environments (including
   /// queries from restored checkpoints).
   std::uint64_t train_sat_queries() const;
+  /// Training-env checks this process answered without a SAT call (runtime
+  /// only, not checkpointed): by a witness signature, and by a lane oracle's
+  /// last Sat model during end-of-episode repair.
+  std::uint64_t train_witness_hits() const;
+  std::uint64_t train_model_hits() const;
 
  private:
   void ensure_trainer();
+  /// The training env, or nullptr before the first train stage.
+  const CompatibleSetVectorEnv* train_env() const;
   std::uint64_t rare_hash() const;
   /// Emits a progress checkpoint and applies control's budgets. Returns
   /// Complete to continue, Cancelled/BudgetExhausted to stop.

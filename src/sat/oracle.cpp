@@ -29,13 +29,25 @@ bool NetlistOracle::satisfiable(std::span<const Constraint> constraints,
 
 std::optional<bool> NetlistOracle::try_satisfiable(
     std::span<const Constraint> constraints, std::int64_t conflict_budget) {
+  return query(constraints, conflict_budget, /*retain=*/false);
+}
+
+std::optional<bool> NetlistOracle::try_extend(std::span<const Constraint> constraints,
+                                              std::int64_t conflict_budget) {
+  return query(constraints, conflict_budget, /*retain=*/true);
+}
+
+std::optional<bool> NetlistOracle::query(std::span<const Constraint> constraints,
+                                         std::int64_t conflict_budget, bool retain) {
   // Every solver entry is a query boundary: a natural cancellation point for
   // the stage watchdog and the injection site for simulated solver failures
   // and hangs.
   DETERRENT_FAULT_POINT("sat.query");
   util::WatchdogScope::poll("sat.query");
   const auto assumptions = to_assumptions(constraints);
-  switch (solver_.solve(assumptions, conflict_budget)) {
+  const auto result = retain ? solver_.solve_retaining(assumptions, conflict_budget)
+                             : solver_.solve(assumptions, conflict_budget);
+  switch (result) {
     case Solver::Result::Sat: return true;
     case Solver::Result::Unsat: return false;
     case Solver::Result::Unknown: return std::nullopt;

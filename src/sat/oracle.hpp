@@ -45,6 +45,21 @@ class NetlistOracle {
   std::optional<bool> try_satisfiable(std::span<const Constraint> constraints,
                                       std::int64_t conflict_budget);
 
+  /// try_satisfiable for a run of queries that share constraint prefixes,
+  /// such as "a prefix of the set" or "the kept members + one candidate".
+  /// Same answer, but the constraints stay assumed on the solver trail
+  /// (Solver::solve_retaining), so the next try_extend re-propagates only
+  /// what it does not share with this one. Any other query drops them.
+  std::optional<bool> try_extend(std::span<const Constraint> constraints,
+                                 std::int64_t conflict_budget);
+
+  /// True when the last Sat model drives `c.net` to `c.value`; false before
+  /// the first Sat answer. A model that meets every constraint of a set is
+  /// a constructive proof that the set is jointly satisfiable.
+  bool model_satisfies(const Constraint& c) const {
+    return solver_.has_model() && solver_.model_value(c.net) == c.value;
+  }
+
   /// Finds an input pattern forcing all constraints, or nullopt if UNSAT.
   /// Don't-care inputs take the solver's current phase; call
   /// randomize_completion() between queries to diversify them.
@@ -64,6 +79,8 @@ class NetlistOracle {
 
  private:
   std::vector<Lit> to_assumptions(std::span<const Constraint> constraints) const;
+  std::optional<bool> query(std::span<const Constraint> constraints,
+                            std::int64_t conflict_budget, bool retain);
 
   const netlist::Netlist* netlist_;
   Solver solver_;

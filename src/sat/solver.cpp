@@ -90,7 +90,7 @@ bool Solver::root_simplify(std::vector<Lit>& lits) {
 }
 
 bool Solver::add_clause(std::span<const Lit> lits_in) {
-  DETERRENT_ASSERT(decision_level() == 0, "add_clause requires root level");
+  drop_retained();
   if (!ok_) return false;
 
   std::vector<Lit> lits(lits_in.begin(), lits_in.end());
@@ -131,6 +131,11 @@ void Solver::cancel_until(std::uint32_t level) {
   qhead_ = trail_lim_[level];
   trail_.resize(trail_lim_[level]);
   trail_lim_.resize(level);
+}
+
+void Solver::drop_retained() {
+  cancel_until(0);
+  retained_.clear();
 }
 
 Solver::CRef Solver::propagate() {
@@ -371,6 +376,30 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
 
 Solver::Result Solver::solve(std::span<const Lit> assumptions,
                              std::int64_t conflict_budget) {
+  drop_retained();
+  return run(assumptions, conflict_budget, /*retain=*/false);
+}
+
+Solver::Result Solver::solve_retaining(std::span<const Lit> assumptions,
+                                       std::int64_t conflict_budget) {
+  // Level i + 1 holds assumption i and everything it implied under the
+  // levels below, a propagation fixpoint, so the shared levels are exactly
+  // what search() would rebuild for this query.
+  std::size_t shared = 0;
+  const std::size_t n = std::min(retained_.size(), assumptions.size());
+  while (shared < n && retained_[shared] == assumptions[shared]) ++shared;
+  cancel_until(static_cast<std::uint32_t>(shared));
+  retained_.resize(shared);
+  try {
+    return run(assumptions, conflict_budget, /*retain=*/true);
+  } catch (...) {
+    drop_retained();
+    throw;
+  }
+}
+
+Solver::Result Solver::run(std::span<const Lit> assumptions,
+                           std::int64_t conflict_budget, bool retain) {
   const Stats before = stats_;
   stats_.solves++;
   conflict_core_.clear();
@@ -403,7 +432,16 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   }
 
   if (status == Result::Sat) model_.assign(assigns_.begin(), assigns_.end());
-  cancel_until(0);
+  if (retain && status != Result::Unknown) {
+    // Levels up to the assumption count are assumption levels (search()
+    // decides every assumption before it branches); Unsat stops at the
+    // failed one.
+    cancel_until(std::min(decision_level(),
+                          static_cast<std::uint32_t>(assumptions.size())));
+    retained_.assign(assumptions.begin(), assumptions.begin() + decision_level());
+  } else {
+    drop_retained();
+  }
 
   // Per-solve deltas of the cumulative counters.
   last_.conflicts = stats_.conflicts - before.conflicts;
@@ -549,6 +587,7 @@ void Solver::heap_sift_down(std::size_t i) {
 }
 
 void Solver::randomize_phases(util::Rng& rng) {
+  drop_retained();  // cancelling later would overwrite the fresh phases
   for (auto& p : polarity_) p = rng.bernoulli(0.5) ? 1 : 0;
 }
 

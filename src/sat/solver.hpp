@@ -53,7 +53,24 @@ class Solver {
   /// conflicts (used to bound pathological compatibility queries).
   Result solve(std::span<const Lit> assumptions = {}, std::int64_t conflict_budget = -1);
 
-  /// Model access, valid after the last solve() returned Sat.
+  /// solve() for a run of queries whose assumption lists share prefixes. The
+  /// answer is the same, but after Sat or Unsat the assumption decision
+  /// levels stay on the trail (retained()), and the next call cancels only
+  /// back to the longest common prefix with them, so a query that adds one
+  /// literal to the previous one re-propagates just that literal. Unknown,
+  /// a throw, add_clause(), solve() and randomize_phases() drop the
+  /// retained levels first, so callers that never use this entry see
+  /// exactly the plain solver.
+  Result solve_retaining(std::span<const Lit> assumptions,
+                         std::int64_t conflict_budget = -1);
+
+  /// Assumptions whose decision levels solve_retaining() left on the trail.
+  std::span<const Lit> retained() const { return retained_; }
+
+  /// Model access, valid after the last solve() returned Sat. A model is a
+  /// total assignment satisfying every clause, so it stays a valid witness
+  /// for the formula after later Unsat or Unknown answers.
+  bool has_model() const { return !model_.empty(); }
   bool model_value(Var v) const { return model_[v] == LBool::True; }
   LBool model_lbool(Var v) const { return model_[v]; }
 
@@ -111,6 +128,7 @@ class Solver {
   void new_decision_level() { trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size())); }
   void unchecked_enqueue(Lit p, CRef from);
   void cancel_until(std::uint32_t level);
+  void drop_retained();
 
   // --- search -------------------------------------------------------------
   CRef propagate();
@@ -121,6 +139,8 @@ class Solver {
   void analyze_final(Lit p);
   Lit pick_branch_lit();
   Result search(std::int64_t max_conflicts, std::span<const Lit> assumptions);
+  /// The restart loop of solve()/solve_retaining(), from the current trail.
+  Result run(std::span<const Lit> assumptions, std::int64_t conflict_budget, bool retain);
   void reduce_learnts();
 
   /// Sort + dedup + root-simplify `lits` in place. Returns false when the
@@ -166,6 +186,7 @@ class Solver {
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;
+  std::vector<Lit> retained_;  // assumption of decision level i + 1, see retained()
 
   std::vector<Var> heap_;           // binary max-heap of decision candidates
   std::vector<std::uint32_t> heap_pos_;  // var → heap index, or npos

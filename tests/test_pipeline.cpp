@@ -480,6 +480,27 @@ TEST(Pipeline, CompatTimeoutsAreReportedAsAWarning) {
   EXPECT_NE(log.find("exhausted the SAT conflict budget"), std::string::npos) << log;
 }
 
+TEST(Pipeline, TrainLogReportsEnvCounters) {
+  const Netlist nl = make_circuit(47);
+  Pipeline pipeline(nl, quick_config(12));
+  ASSERT_EQ(pipeline.run_rare_nets(), StageStatus::Complete);
+  ASSERT_EQ(pipeline.run_compatibility(), StageStatus::Complete);
+
+  const util::LogLevel saved = util::Log::level();
+  util::Log::set_level(util::LogLevel::Info);
+  ::testing::internal::CaptureStderr();
+  const StageStatus status = pipeline.run_train(2);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  util::Log::set_level(saved);
+
+  ASSERT_EQ(status, StageStatus::Complete);
+  EXPECT_NE(log.find("env SAT queries " + std::to_string(pipeline.train_sat_queries()) +
+                     ", witness hits " + std::to_string(pipeline.train_witness_hits()) +
+                     ", model hits " + std::to_string(pipeline.train_model_hits())),
+            std::string::npos)
+      << log;
+}
+
 TEST(Pipeline, TrainingAfterExtractionInvalidatesPatterns) {
   const Netlist nl = make_circuit(47);
   Pipeline pipeline(nl, quick_config(12));

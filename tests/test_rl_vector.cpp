@@ -600,8 +600,13 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
   }
 
   std::uint64_t scalar_queries = 0;
-  for (const auto& twin : twins) scalar_queries += twin->sat_queries();
+  std::uint64_t scalar_model_hits = 0;
+  for (const auto& twin : twins) {
+    scalar_queries += twin->sat_queries();
+    scalar_model_hits += twin->model_hits();
+  }
   EXPECT_EQ(venv.sat_queries(), scalar_queries);
+  EXPECT_EQ(venv.model_hits(), scalar_model_hits);
   EXPECT_EQ(vec_pool.size(), scalar_pool.size());
   EXPECT_EQ(vec_pool.k_largest(vec_pool.size()),
             scalar_pool.k_largest(scalar_pool.size()));
@@ -847,12 +852,16 @@ TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
                   lane_pool.k_largest(lane_pool.size()));
         const auto& generic_env = static_cast<const EnvVector&>(generic.vector_env());
         std::uint64_t scalar_queries = 0;
-        for (std::size_t l = 0; l < lanes; ++l)
-          scalar_queries +=
-              static_cast<const CompatibleSetEnv&>(generic_env.lane_env(l)).sat_queries();
+        std::uint64_t scalar_model_hits = 0;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const auto& twin = static_cast<const CompatibleSetEnv&>(generic_env.lane_env(l));
+          scalar_queries += twin.sat_queries();
+          scalar_model_hits += twin.model_hits();
+        }
         const auto& lane_env =
             static_cast<const CompatibleSetVectorEnv&>(specialized.vector_env());
         EXPECT_EQ(lane_env.sat_queries(), scalar_queries);
+        EXPECT_EQ(lane_env.model_hits(), scalar_model_hits);
       }
     }
   }

@@ -11,6 +11,7 @@
 // runs out, so the suite stays time-boxed on slow machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -132,11 +133,35 @@ void expect_sound_core(const Solver& s, const Cnf& cnf,
 
 // -------------------------------------------- CNF differential fuzzing -----
 
+/// Checks one answer of `s` under `assumptions` against brute force: the
+/// result, a SAT model (formula and assumptions), an UNSAT core.
+void expect_answer_matches(const Solver& s, Solver::Result result, const Cnf& cnf,
+                           bool formula_sat, std::span<const Lit> assumptions,
+                           const std::string& what) {
+  Cnf augmented = cnf;
+  for (const Lit a : assumptions) augmented.clauses.push_back({a});
+  ASSERT_NE(result, Solver::Result::Unknown) << what;
+  ASSERT_EQ(result == Solver::Result::Sat, brute_force_sat(augmented))
+      << what << "\n" << write_dimacs_string(cnf);
+  if (result == Solver::Result::Sat) {
+    ASSERT_TRUE(model_satisfies(s, cnf))
+        << what << ": model violates the formula\n" << write_dimacs_string(cnf);
+    for (const Lit a : assumptions)
+      ASSERT_EQ(s.model_value(var_of(a)), !sign_of(a)) << what << ": model ignores assumption";
+  } else if (formula_sat) {
+    // UNSAT purely because of the assumptions: the core must certify it.
+    expect_sound_core(s, cnf, assumptions, what);
+  }
+}
+
 // Random CNF under random assumptions, against brute force. One solver
 // answers several assumption sets in a row, so learnt clauses carry across
 // queries exactly as in the oracle. SAT must replay on the formula and honour
 // the assumptions; UNSAT-under-assumptions must produce a core that is a
-// contradictory subset of the assumptions.
+// contradictory subset of the assumptions. The same solver then runs a
+// sequence of solve_retaining calls whose assumption lists grow, shrink and
+// diverge (at position 0 too), mixed with plain solves and budget-0
+// Unknowns, so reused trail prefixes are held to the same answers.
 TEST(SatFuzz, PlainSolverMatchesBruteForce) {
   FuzzBudget budget;
   std::uint64_t instances = 0;
@@ -154,28 +179,63 @@ TEST(SatFuzz, PlainSolverMatchesBruteForce) {
       for (Var v = 0; v < 3; ++v)
         if (rng.bernoulli(0.6)) assumptions.push_back(mk_lit(v, rng.bernoulli(0.5)));
 
-      Cnf augmented = cnf;
-      for (const Lit a : assumptions) augmented.clauses.push_back({a});
-      const bool expected = brute_force_sat(augmented);
       const std::string what =
           "seed " + std::to_string(seed) + " query " + std::to_string(query);
+      expect_answer_matches(s, s.solve(assumptions), cnf, formula_sat, assumptions, what);
+      if (HasFatalFailure()) return;
+      ++instances;
+    }
 
-      const auto result = s.solve(assumptions);
-      ASSERT_NE(result, Solver::Result::Unknown) << what;
-      ASSERT_EQ(result == Solver::Result::Sat, expected)
-          << what << "\n" << write_dimacs_string(cnf);
-
-      if (result == Solver::Result::Sat) {
-        ASSERT_TRUE(model_satisfies(s, cnf))
-            << what << ": model violates the formula\n" << write_dimacs_string(cnf);
-        for (const Lit a : assumptions)
-          ASSERT_EQ(s.model_value(var_of(a)), !sign_of(a))
-              << what << ": model ignores assumption";
-      } else if (formula_sat) {
-        // UNSAT purely because of the assumptions: the core must certify it.
-        expect_sound_core(s, cnf, assumptions, what);
-        if (HasFatalFailure()) return;
+    std::vector<Lit> assumptions;
+    const auto random_lit = [&] {
+      return mk_lit(static_cast<Var>(rng.below(cnf.var_count)), rng.bernoulli(0.5));
+    };
+    for (int query = 0; query < 8; ++query) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " retaining query " + std::to_string(query);
+      bool plain = false;
+      switch (rng.below(6)) {
+        case 0:
+        case 1:  // grow: the previous query plus one literal
+          assumptions.push_back(random_lit());
+          break;
+        case 2:  // shrink to a prefix
+          assumptions.resize(rng.below(assumptions.size() + 1));
+          break;
+        case 3: {  // diverge: keep a prefix, then differ (position 0 half the time)
+          const std::size_t at =
+              rng.bernoulli(0.5) || assumptions.empty() ? 0 : rng.below(assumptions.size());
+          assumptions.resize(at);
+          assumptions.push_back(random_lit());
+          break;
+        }
+        case 4:  // a plain solve in between drops the retained levels
+          plain = true;
+          break;
+        default: {  // an exhausted budget answers Unknown and drops them too
+          const auto result = s.solve_retaining(assumptions, /*conflict_budget=*/0);
+          if (result == Solver::Result::Unknown) {
+            ASSERT_TRUE(s.retained().empty()) << what << ": Unknown kept its levels";
+            continue;
+          }
+          ASSERT_FALSE(s.okay()) << what << ": budget 0 answered a live formula";
+          expect_answer_matches(s, result, cnf, formula_sat, assumptions, what);
+          if (HasFatalFailure()) return;
+          continue;
+        }
       }
+      const auto result =
+          plain ? s.solve(assumptions) : s.solve_retaining(assumptions);
+      expect_answer_matches(s, result, cnf, formula_sat, assumptions, what);
+      if (HasFatalFailure()) return;
+      const auto kept = s.retained();
+      ASSERT_LE(kept.size(), assumptions.size()) << what;
+      ASSERT_TRUE(std::equal(kept.begin(), kept.end(), assumptions.begin()))
+          << what << ": retained levels are not a prefix of the assumptions";
+      if (plain)
+        ASSERT_TRUE(kept.empty()) << what << ": a plain solve kept levels";
+      else if (result == Solver::Result::Sat)
+        ASSERT_EQ(kept.size(), assumptions.size()) << what;
       ++instances;
     }
   }

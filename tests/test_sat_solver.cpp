@@ -241,6 +241,49 @@ TEST(Solver, IncrementalQueriesAccumulateLearning) {
   }
 }
 
+TEST(Solver, RetainedAssumptionLevelsAreReusedThenDropped) {
+  // v0 → v1 → … → v5: assuming v0 propagates every variable at level 1.
+  Solver s;
+  s.ensure_vars(6);
+  for (Var v = 0; v + 1 < 6; ++v) s.add_clause({mk_lit(v, true), mk_lit(v + 1)});
+  const Lit v0[] = {mk_lit(0)};
+  ASSERT_EQ(s.solve_retaining(v0), Solver::Result::Sat);
+  EXPECT_EQ(std::vector<Lit>(s.retained().begin(), s.retained().end()),
+            std::vector<Lit>(std::begin(v0), std::end(v0)));
+
+  // Sharing v0's level, a failed extension and a satisfied one cost no
+  // propagation at all; Unsat keeps only the levels below the failed literal.
+  const Lit v0_not_v5[] = {mk_lit(0), mk_lit(5, true)};
+  ASSERT_EQ(s.solve_retaining(v0_not_v5), Solver::Result::Unsat);
+  EXPECT_EQ(s.last_solve_stats().propagations, 0u);
+  EXPECT_EQ(s.retained().size(), 1u);
+  EXPECT_EQ(s.conflict_core().size(), 2u);
+  const Lit v0_v3[] = {mk_lit(0), mk_lit(3)};
+  ASSERT_EQ(s.solve_retaining(v0_v3), Solver::Result::Sat);
+  EXPECT_EQ(s.last_solve_stats().propagations, 0u);
+  EXPECT_EQ(s.retained().size(), 2u);
+
+  // Diverging at position 0 re-propagates from the root.
+  const Lit not_v3[] = {mk_lit(3, true)};
+  ASSERT_EQ(s.solve_retaining(not_v3), Solver::Result::Sat);
+  EXPECT_FALSE(s.model_value(0));
+  EXPECT_EQ(s.retained().size(), 1u);
+
+  // Every other entry drops the retained levels first.
+  s.solve();
+  EXPECT_TRUE(s.retained().empty());
+  s.solve_retaining(v0);
+  s.add_clause({mk_lit(4), mk_lit(5)});
+  EXPECT_TRUE(s.retained().empty());
+  s.solve_retaining(v0);
+  util::Rng rng(3);
+  s.randomize_phases(rng);
+  EXPECT_TRUE(s.retained().empty());
+  ASSERT_EQ(s.solve_retaining(v0, /*conflict_budget=*/0), Solver::Result::Unknown);
+  EXPECT_TRUE(s.retained().empty());
+  ASSERT_EQ(s.solve_retaining(v0_not_v5), Solver::Result::Unsat);
+}
+
 TEST(Solver, ConflictBudgetReturnsUnknown) {
   // A hard PHP instance with a tiny budget must give up, not crash.
   const int pigeons = 8;
