@@ -7,7 +7,10 @@
 // qualitative shape (who wins, by roughly what factor, where curves cross)
 // holds in every mode; higher modes tighten the quantitative match.
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,6 +132,60 @@ inline double coverage_percent(const PreparedBenchmark& prep,
 
 inline std::string fmt(double v, int precision = 1) {
   return util::Table::num(v, precision);
+}
+
+/// Opening text for rewriting the JSON object in `path` with a top-level
+/// `"key": {...}` block appended last: the file's other top-level members
+/// followed by a comma, or just "{" when none remain (or there is no file).
+/// A previous `"key"` member is dropped wherever it sits. The caller writes
+/// `\n  "key": {...}\n}\n` after the prefix. Members are found by the
+/// two-space-indented `"key":` lines the bench binaries write.
+inline std::string json_merge_prefix(const std::string& path, const std::string& key) {
+  std::string content;
+  if (std::ifstream in(path); in) {
+    std::stringstream ss;
+    ss << in.rdbuf();
+    content = ss.str();
+  }
+  const auto root_close = content.rfind('}');
+  if (content.find('{') == std::string::npos || root_close == std::string::npos)
+    return "{";
+  content.erase(root_close);
+
+  const std::string marker = "\n  \"" + key + "\":";
+  if (const auto pos = content.find(marker); pos != std::string::npos) {
+    // The member's value ends where its brackets balance again, or at the
+    // next comma for a scalar; quoted text is skipped.
+    std::size_t end = pos + marker.size();
+    int depth = 0;
+    bool in_string = false;
+    for (; end < content.size(); ++end) {
+      const char c = content[end];
+      if (in_string) {
+        if (c == '\\') ++end;
+        else if (c == '"') in_string = false;
+      } else if (c == '"') {
+        in_string = true;
+      } else if (c == '{' || c == '[') {
+        ++depth;
+      } else if (c == '}' || c == ']') {
+        if (--depth == 0) {
+          ++end;
+          break;
+        }
+      } else if (c == ',' && depth == 0) {
+        break;
+      }
+    }
+    end = std::min(end, content.size());
+    while (end < content.size() && (content[end] == ' ' || content[end] == '\n')) ++end;
+    if (end < content.size() && content[end] == ',') ++end;
+    content.erase(pos, end - pos);
+  }
+  while (!content.empty() && (content.back() == ',' || content.back() == ' ' ||
+                              content.back() == '\n' || content.back() == '\t'))
+    content.pop_back();
+  return content == "{" ? content : content + ",";
 }
 
 }  // namespace deterrent::bench

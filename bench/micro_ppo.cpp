@@ -21,12 +21,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common.hpp"
 
 #include "analysis/compatibility.hpp"
 #include "bench_gen/library.hpp"
@@ -152,31 +153,6 @@ std::vector<std::size_t> parse_lanes(const std::string& csv) {
   return lanes;
 }
 
-/// Reads `path` if present and returns everything before a previous "ppo"
-/// block (or before the closing root brace), ready to have the block appended
-/// after a comma. Empty return means "write a fresh root object".
-std::string json_prefix(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string content = ss.str();
-  const std::string marker = "\n  \"ppo\":";
-  if (const auto pos = content.find(marker); pos != std::string::npos) {
-    content.erase(pos);
-    while (!content.empty() && (content.back() == ',' || content.back() == ' '))
-      content.pop_back();
-    return content;
-  }
-  const auto brace = content.rfind('}');
-  if (brace == std::string::npos) return {};
-  content.erase(brace);
-  while (!content.empty() &&
-         (content.back() == '\n' || content.back() == ' ' || content.back() == '\t'))
-    content.pop_back();
-  return content;
-}
-
 int run_micro_ppo(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
   const util::BenchMode mode = util::bench_mode_from_env();
@@ -232,17 +208,13 @@ int run_micro_ppo(int argc, char** argv) {
   std::printf("episode checksums lane-count-invariant: %s\n",
               checksums_identical ? "yes" : "NO — DIFFERENTIAL MISMATCH");
 
-  const std::string prefix = json_prefix(out_path);
+  const std::string prefix = bench::json_merge_prefix(out_path, "ppo");
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_ppo: cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  if (prefix.empty()) {
-    std::fprintf(f, "{");
-  } else {
-    std::fprintf(f, "%s,", prefix.c_str());
-  }
+  std::fprintf(f, "%s", prefix.c_str());
   std::fprintf(f, "\n  \"ppo\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
   std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));

@@ -18,10 +18,10 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "common.hpp"
 
 #include "analysis/rare_nets.hpp"
 #include "bench_gen/library.hpp"
@@ -91,31 +91,6 @@ bool verify_models(const netlist::Netlist& nl, const QueryStream& stream,
   return true;
 }
 
-/// Reads `path` if present and returns everything before a previous "sat"
-/// block (or before the closing root brace), ready to have the block appended
-/// after a comma. Empty return means "write a fresh root object".
-std::string json_prefix(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string content = ss.str();
-  const std::string marker = "\n  \"sat\":";
-  if (const auto sat_pos = content.find(marker); sat_pos != std::string::npos) {
-    content.erase(sat_pos);
-    while (!content.empty() && (content.back() == ',' || content.back() == ' '))
-      content.pop_back();
-    return content;
-  }
-  const auto brace = content.rfind('}');
-  if (brace == std::string::npos) return {};
-  content.erase(brace);
-  while (!content.empty() &&
-         (content.back() == '\n' || content.back() == ' ' || content.back() == '\t'))
-    content.pop_back();
-  return content;
-}
-
 int run_micro_sat(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
   const util::BenchMode mode = util::bench_mode_from_env();
@@ -152,17 +127,13 @@ int run_micro_sat(int argc, char** argv) {
   std::printf("Sat models re-simulated: %zu, all verified: %s\n", result.models.size(),
               models_verified ? "yes" : "NO — MODEL MISMATCH");
 
-  const std::string prefix = json_prefix(out_path);
+  const std::string prefix = bench::json_merge_prefix(out_path, "sat");
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_sat: cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  if (prefix.empty()) {
-    std::fprintf(f, "{");
-  } else {
-    std::fprintf(f, "%s,", prefix.c_str());
-  }
+  std::fprintf(f, "%s", prefix.c_str());
   std::fprintf(f, "\n  \"sat\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
   std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));

@@ -8,6 +8,22 @@
 
 namespace deterrent::rl {
 
+namespace {
+
+/// Block width of the dense batched loops: an axpy_rows call sums at most
+/// this many terms of this many floats, so the block it streams (16 KB at the
+/// hidden width) stays L1-resident across the loop. Blocks ascend, so every
+/// element keeps its one ascending chain.
+constexpr std::size_t kBlock = 64;
+
+/// dst (cols × rows) = src (rows × cols), transposed; exact copies.
+void transpose(const float* src, std::size_t rows, std::size_t cols, float* dst) {
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+}
+
+}  // namespace
+
 Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
     : layer_sizes_(std::move(layer_sizes)),
       kernels_(&kernels::select_mlp_kernels()) {
@@ -27,6 +43,14 @@ Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
     const double scale =
         (is_output ? 0.01 : 1.0) * std::sqrt(2.0 / static_cast<double>(layer.in));
     for (auto& w : layer.w) w = static_cast<float>(rng.normal() * scale);
+  }
+  refresh_transpose();
+}
+
+void Mlp::refresh_transpose() {
+  for (auto& layer : layers_) {
+    layer.wt.resize(layer.w.size());
+    transpose(layer.w.data(), layer.out, layer.in, layer.wt.data());
   }
 }
 
@@ -91,62 +115,39 @@ void Mlp::backward(std::span<const float> input, const Workspace& ws,
 template <typename RowPtrFn>
 std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
                                                BatchWorkspace& ws) const {
-  constexpr std::size_t kTile = kernels::kMlpLanes;
   DETERRENT_ASSERT(rows > 0, "Mlp::forward_batch needs at least one row");
   ws.rows = rows;
   ws.post.resize(layers_.size());
 
-  const float* x = nullptr;  // layers > 0 read the previous contiguous post
+  // Per output element: acc = bias, then acc += x[i]·w[o][i] for i ascending
+  // — forward()'s chain, with the first layer's exact-zero terms skipped.
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const auto& layer = layers_[l];
     auto& out = ws.post[l];
     out.resize(rows * layer.out);
-    ws.scratch.resize(kTile * layer.in);
-    float* xt = ws.scratch.data();
-    // Only the first layer sees the raw observations, which in this MDP are
-    // mostly-zero indicator vectors — worth the nonzero-column bookkeeping.
-    const bool sparse = l == 0;
-    if (sparse) {
+    for (std::size_t n = 0; n < rows; ++n)
+      std::copy(layer.b.begin(), layer.b.end(), out.data() + n * layer.out);
+    if (l == 0) {
       ws.nz.resize(layer.in);
-      ws.cols.reserve(layer.in);
-    }
-    for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
-      const std::size_t tn = std::min(kTile, rows - n0);
-      // Transpose the row tile to lane-major so the hot loop reads both the
-      // weight row and the input lanes with unit stride.
-      if (tn < kTile) std::fill(ws.scratch.begin(), ws.scratch.end(), 0.0f);
-      if (sparse) {
-        std::fill(ws.nz.begin(), ws.nz.end(), static_cast<unsigned char>(0));
-        for (std::size_t n = 0; n < tn; ++n) {
-          const float* xr = row_ptr(n0 + n);
-          for (std::size_t i = 0; i < layer.in; ++i) {
-            const float v = xr[i];
-            xt[i * kTile + n] = v;
-            if (v != 0.0f) ws.nz[i] = 1;
-          }
+      for (std::size_t n = 0; n < rows; ++n) {
+        const float* x = row_ptr(n);
+        float* acc = out.data() + n * layer.out;
+        const std::size_t count = kernels_->nonzero_indices(x, layer.in, ws.nz.data());
+        for (std::size_t j = 0; j < count; ++j) {
+          const std::uint32_t i = ws.nz[j];
+          kernels_->axpy(x[i], layer.wt.data() + i * layer.out, acc, layer.out);
         }
-        ws.cols.clear();
-        for (std::size_t i = 0; i < layer.in; ++i)
-          if (ws.nz[i] != 0) ws.cols.push_back(static_cast<std::uint32_t>(i));
-      } else {
-        for (std::size_t n = 0; n < tn; ++n)
-          for (std::size_t i = 0; i < layer.in; ++i)
-            xt[i * kTile + n] = x[(n0 + n) * layer.in + i];
       }
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        const float* wrow = layer.w.data() + o * layer.in;
-        float acc[kernels::kMlpLanes];
-        if (sparse)
-          kernels_->matvec_cols(wrow, xt, ws.cols.data(), ws.cols.size(),
-                                layer.b[o], acc);
-        else
-          kernels_->matvec_dense(wrow, xt, layer.in, layer.b[o], acc);
-        for (std::size_t n = 0; n < tn; ++n) out[(n0 + n) * layer.out + o] = acc[n];
-      }
+    } else {
+      const float* x = ws.post[l - 1].data();
+      for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
+        for (std::size_t n = 0; n < rows; ++n)
+          kernels_->axpy_rows(x + n * layer.in, 1, layer.wt.data() + o0, layer.out,
+                              layer.in, out.data() + n * layer.out + o0,
+                              std::min(kBlock, layer.out - o0));
     }
     if (l + 1 < layers_.size())
       for (auto& v : out) v = std::tanh(v);
-    x = out.data();
   }
   return ws.post.back();
 }
@@ -172,88 +173,63 @@ std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
 template <typename RowPtrFn>
 void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
                               std::span<const float> output_grads) {
-  constexpr std::size_t kTile = kernels::kMlpLanes;
   const std::size_t rows = ws.rows;
   DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size(),
                    "Mlp::backward_batch workspace/layer mismatch");
   DETERRENT_ASSERT(output_grads.size() == rows * output_size(),
                    "Mlp::backward_batch output grad size mismatch");
 
+  // Every sum below runs its terms in row-by-row backward()'s order, and
+  // every term backward() skips (g == 0) or this pass skips (x == 0) is a
+  // signed zero that cannot change a gradient accumulator (see mlp.hpp).
   std::vector<float> grad(output_grads.begin(), output_grads.end());
   std::vector<float> prev_grad;
-  std::vector<std::uint32_t> x_nz;      // layer-0 per-row nonzero columns
-  std::vector<std::uint32_t> x_nz_off;  // row n owns x_nz[off[n], off[n+1])
   for (std::size_t l = layers_.size(); l-- > 0;) {
     auto& layer = layers_[l];
-    const float* x_base = l == 0 ? nullptr : ws.post[l - 1].data();
+    for (std::size_t n = 0; n < rows; ++n)
+      for (std::size_t o = 0; o < layer.out; ++o)
+        layer.gb[o] += grad[n * layer.out + o];
 
-    // Pass 1 — weight/bias gradients. Row tiles keep the x working set
-    // L1-resident while each weight-gradient row streams through once per
-    // tile. Per gradient element the accumulation order stays ascending in
-    // row index (tiles and rows within a tile both ascend), matching
-    // row-by-row backward().
-    //
-    // The first layer sees the raw mostly-zero observations, so it walks a
-    // per-row nonzero list instead of the dense row. Exact: a skipped term
-    // is g·(±0) = ±0, and adding a signed zero to a gw accumulator never
-    // changes it — gw starts at +0 (zero_grad) and IEEE round-to-nearest
-    // keeps zero sums at +0 ((+0) + (−0) = +0; nonzero terms that cancel
-    // round to +0), so the accumulator never holds −0.0f for a signed zero
-    // to flip.
-    const bool sparse = l == 0;
-    if (sparse) {
-      x_nz.clear();
-      x_nz_off.resize(rows + 1);
+    if (l == 0) {
+      // gw[o][i] += g[n][o]·x[n][i], rows ascending, accumulated through a
+      // transposed copy so each nonzero input adds one contiguous axpy.
+      std::vector<float> gwt(layer.gw.size());
+      transpose(layer.gw.data(), layer.out, layer.in, gwt.data());
+      std::vector<std::uint32_t> nz(layer.in);
       for (std::size_t n = 0; n < rows; ++n) {
-        x_nz_off[n] = static_cast<std::uint32_t>(x_nz.size());
         const float* xr = row_ptr(n);
-        for (std::size_t i = 0; i < layer.in; ++i)
-          if (xr[i] != 0.0f) x_nz.push_back(static_cast<std::uint32_t>(i));
+        const float* g = grad.data() + n * layer.out;
+        const std::size_t count = kernels_->nonzero_indices(xr, layer.in, nz.data());
+        for (std::size_t j = 0; j < count; ++j)
+          kernels_->axpy(xr[nz[j]], g, gwt.data() + nz[j] * layer.out, layer.out);
       }
-      x_nz_off[rows] = static_cast<std::uint32_t>(x_nz.size());
-    }
-    for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
-      const std::size_t tn = std::min(kTile, rows - n0);
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        float* gw_row = layer.gw.data() + o * layer.in;
-        for (std::size_t n = n0; n < n0 + tn; ++n) {
-          const float g = grad[n * layer.out + o];
-          if (g == 0.0f) continue;
-          const float* xr = sparse ? row_ptr(n) : x_base + n * layer.in;
-          if (sparse) {
-            for (std::uint32_t j = x_nz_off[n]; j < x_nz_off[n + 1]; ++j) {
-              const std::uint32_t i = x_nz[j];
-              gw_row[i] += g * xr[i];
-            }
-          } else {
-            kernels_->axpy(g, xr, gw_row, layer.in);
-          }
-          layer.gb[o] += g;
-        }
-      }
+      transpose(gwt.data(), layer.in, layer.out, layer.gw.data());
+      break;  // no upstream layer to feed
     }
 
-    // Pass 2 — input gradients, chained through the previous layer's tanh.
-    // Per element the terms accumulate in ascending output index, exactly
-    // like backward(). The first layer has no upstream to feed, so the pass
-    // is skipped there (backward() computes and discards it).
-    if (l > 0) {
-      prev_grad.assign(rows * layer.in, 0.0f);
-      const float* post = ws.post[l - 1].data();
-      for (std::size_t n = 0; n < rows; ++n) {
-        float* pg = prev_grad.data() + n * layer.in;
-        for (std::size_t o = 0; o < layer.out; ++o) {
-          const float g = grad[n * layer.out + o];
-          if (g == 0.0f) continue;
-          kernels_->axpy(g, layer.w.data() + o * layer.in, pg, layer.in);
-        }
-        const float* pr = post + n * layer.in;
-        for (std::size_t i = 0; i < layer.in; ++i)
-          pg[i] *= 1.0f - pr[i] * pr[i];
-      }
-      grad = std::move(prev_grad);
-      prev_grad.clear();
+    // Weight gradients: per output, a register-blocked sum over the rows.
+    const float* x = ws.post[l - 1].data();
+    for (std::size_t n0 = 0; n0 < rows; n0 += kBlock)
+      for (std::size_t o = 0; o < layer.out; ++o)
+        kernels_->axpy_rows(grad.data() + n0 * layer.out + o, layer.out,
+                            x + n0 * layer.in, layer.in, std::min(kBlock, rows - n0),
+                            layer.gw.data() + o * layer.in, layer.in);
+
+    // Input gradients: per row, a sum over the outputs, then chained through
+    // the previous layer's tanh.
+    prev_grad.assign(rows * layer.in, 0.0f);
+    for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
+      for (std::size_t n = 0; n < rows; ++n)
+        kernels_->axpy_rows(grad.data() + n * layer.out + o0, 1,
+                            layer.w.data() + o0 * layer.in, layer.in,
+                            std::min(kBlock, layer.out - o0),
+                            prev_grad.data() + n * layer.in, layer.in);
+    for (std::size_t n = 0; n < rows; ++n) {
+      float* pg = prev_grad.data() + n * layer.in;
+      const float* pr = x + n * layer.in;
+      for (std::size_t i = 0; i < layer.in; ++i) pg[i] *= 1.0f - pr[i] * pr[i];
     }
+    grad.swap(prev_grad);
   }
 }
 
@@ -296,6 +272,7 @@ void Mlp::copy_params_from(const Mlp& other) {
     layers_[l].w = other.layers_[l].w;
     layers_[l].b = other.layers_[l].b;
   }
+  refresh_transpose();
 }
 
 std::size_t Mlp::param_count() const {
@@ -327,6 +304,7 @@ void Mlp::set_flat_params(std::span<const float> flat) {
                 layer.b.begin());
     pos += layer.b.size();
   }
+  refresh_transpose();
 }
 
 }  // namespace deterrent::rl

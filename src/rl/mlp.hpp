@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -53,25 +54,16 @@ class Mlp {
   struct BatchWorkspace {
     std::size_t rows = 0;
     std::vector<std::vector<float>> post;  ///< per layer: rows × out, row-major
-    std::vector<float> scratch;            ///< transposed input tile
-    std::vector<unsigned char> nz;         ///< layer-0 tile: column has a nonzero
-    std::vector<std::uint32_t> cols;       ///< layer-0 tile: nonzero column list
+    std::vector<std::uint32_t> nz;         ///< layer 0: one row's nonzero inputs
   };
 
   /// Computes outputs for `rows` stacked observations (row-major, rows ×
-  /// input_size) in one matrix–matrix pass. Row r of the returned rows ×
-  /// output_size span is bit-identical to forward() on that row alone: every
-  /// output element is the same ascending-index accumulation chain, only the
-  /// loop nest is tiled so the weight matrix is streamed once per row tile
-  /// instead of once per row, and the inner products run on the widest
-  /// SIMD kernel backend the host supports (mlp_kernels.hpp — all backends
-  /// bit-identical, no FMA contraction). Input columns that are zero across
-  /// the whole tile are skipped in the first layer: each skipped term is a
-  /// signed zero added to an accumulator that can never hold -0.0f (biases
-  /// start at +0 and IEEE round-to-nearest addition of nonzero terms cannot
-  /// produce -0), so the skip is exact — and on this MDP's mostly-zero
-  /// indicator observations it removes most of the layer-0 work.
-  /// Thread-safe.
+  /// input_size). Row r of the result is bit-identical to forward() on that
+  /// row: each output is the same ascending-index chain, accumulated per row
+  /// from a transposed weight copy on the widest kernel backend the host
+  /// supports (all bit-identical). The first layer adds only each row's
+  /// nonzero inputs; a skipped term is a signed zero, which cannot change an
+  /// accumulator that never holds −0 (docs/training.md). Thread-safe.
   std::span<const float> forward_batch(std::span<const float> input,
                                        std::size_t rows, BatchWorkspace& ws) const;
 
@@ -85,15 +77,12 @@ class Mlp {
 
   /// Batch counterpart of backward(): accumulates parameter gradients for the
   /// row-major rows × output_grads given the workspace and input of the
-  /// matching forward_batch(). Two exact passes per layer: weight/bias
-  /// gradients (rows ascending per parameter element, matching row-by-row
-  /// backward()), then the input gradients (terms ascending in output index
-  /// per element, also matching) — skipped entirely for the first layer,
-  /// where backward() computes and discards them. The first layer's
-  /// weight-gradient pass walks per-row nonzero column lists of the
-  /// mostly-zero observations; skipping a g·(±0) term is exact because a
-  /// gradient accumulator never holds −0.0f (it starts at +0 and
-  /// round-to-nearest keeps every zero-valued sum at +0).
+  /// matching forward_batch(). Each gradient element gets backward()'s terms
+  /// in backward()'s order (weights and biases: rows ascending; inputs:
+  /// outputs ascending), with the zero terms either side skips being signed
+  /// zeros that cannot change an accumulator (docs/training.md). The first
+  /// layer accumulates over each row's nonzero inputs into a transposed
+  /// scratch copy of its weight gradient and computes no input gradient.
   void backward_batch(std::span<const float> input, const BatchWorkspace& ws,
                       std::span<const float> output_grads);
 
@@ -101,6 +90,11 @@ class Mlp {
   /// the matching forward_batch() call.
   void backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
                       std::span<const float> output_grads);
+
+  /// Rebuilds the transposed weight copies forward_batch() reads. Call it
+  /// after writing weights through params() (e.g. Adam::step); the
+  /// constructor, set_flat_params() and copy_params_from() call it.
+  void refresh_transpose();
 
   void zero_grad();
 
@@ -136,6 +130,7 @@ class Mlp {
     std::size_t in = 0;
     std::size_t out = 0;
     std::vector<float> w;   // row-major out×in
+    std::vector<float> wt;  // w transposed (in×out), for forward_batch
     std::vector<float> b;   // out
     std::vector<float> gw;  // gradient accumulators
     std::vector<float> gb;

@@ -12,19 +12,13 @@
 //
 // Bit-exactness contract: every kernel computes each output element as the
 // SAME sequence of separate multiplies and adds the scalar loops perform —
-// vectorization runs across independent elements (batch lanes in the matvec,
-// vector indices in the axpy), never across the terms of one accumulation
-// chain, and no backend may contract a multiply-add into an FMA. This is
-// what keeps the batched trainer bit-identical to the scalar one on every
-// backend, and all backends bit-identical to each other.
+// vectorization runs across independent elements (vector indices), never
+// across the terms of one accumulation chain, and no backend may contract a
+// multiply-add into an FMA. This is what keeps the batched trainer
+// bit-identical to the scalar one on every backend, and all backends
+// bit-identical to each other.
 
 namespace deterrent::rl::kernels {
-
-/// Rows per tile of the batched passes — one AVX-512 register of lanes.
-/// Large enough that the weight matrix streams once per ~16 rows instead of
-/// once per row, small enough that a transposed input tile plus the
-/// accumulator block stay L1-resident.
-inline constexpr std::size_t kMlpLanes = 16;
 
 /// Backends for the MLP batch kernels. Mirrors sim::kernels::Isa but kept
 /// separate: the RL kernels are float math with their own exactness contract
@@ -37,21 +31,19 @@ struct MlpKernelTable {
   MlpIsa isa;
   const char* name;
 
-  /// acc[n] = bias, then for j ascending in [0, n_cols):
-  ///   acc[n] += w[cols[j]] * xt[cols[j] * kMlpLanes + n]   for all 16 lanes.
-  /// The column list is how the layer-0 forward skips all-zero input
-  /// columns; passing the identity list is the dense product.
-  void (*matvec_cols)(const float* w, const float* xt, const std::uint32_t* cols,
-                      std::size_t n_cols, float bias, float* acc);
-
-  /// acc[n] = bias, then for i ascending in [0, in):
-  ///   acc[n] += w[i] * xt[i * kMlpLanes + n]   for all 16 lanes.
-  void (*matvec_dense)(const float* w, const float* xt, std::size_t in,
-                       float bias, float* acc);
-
-  /// acc[i] += g * x[i] for i in [0, n) — the backward pass primitive (one
-  /// term per element, so lane width cannot reassociate anything).
+  /// acc[i] += g * x[i] for i in [0, n) — one term per element, so lane
+  /// width cannot reassociate anything.
   void (*axpy)(float g, const float* x, float* acc, std::size_t n);
+
+  /// For k ascending in [0, terms): acc[j] += coef[k*stride] * m[k*ld + j]
+  /// for j in [0, len) — `terms` axpy calls in a row, with the accumulator
+  /// block held in registers across all k. Every dense batched sum.
+  void (*axpy_rows)(const float* coef, std::size_t stride, const float* m,
+                    std::size_t ld, std::size_t terms, float* acc, std::size_t len);
+
+  /// Writes the indices i in [0, n) with x[i] != 0.0f (±0 are zero, NaN is
+  /// not), ascending, to idx (room for n) and returns their count.
+  std::size_t (*nonzero_indices)(const float* x, std::size_t n, std::uint32_t* idx);
 
   /// Per-step constants of the Adam update, precomputed once per step() call.
   struct AdamArgs {
@@ -72,6 +64,10 @@ struct MlpKernelTable {
   void (*adam_step)(float* values, float* m, float* v, const float* grads,
                     std::size_t n, const AdamArgs& args);
 };
+
+/// The base-flag nonzero_indices (mlp_kernels.cpp), shared by tables
+/// without a faster scan.
+std::size_t nonzero_indices_scalar(const float* x, std::size_t n, std::uint32_t* idx);
 
 /// Backend factories; a factory returns nullptr when its TU was compiled
 /// without the required flags. Defined in mlp_kernels.cpp (scalar) and the

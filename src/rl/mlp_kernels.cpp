@@ -13,31 +13,28 @@
 
 namespace deterrent::rl::kernels {
 
+std::size_t nonzero_indices_scalar(const float* x, std::size_t n,
+                                   std::uint32_t* idx) {
+  // Branchless: always write the candidate, advance only past a nonzero.
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[count] = static_cast<std::uint32_t>(i);
+    count += x[i] != 0.0f ? 1 : 0;
+  }
+  return count;
+}
+
 namespace {
-
-void matvec_cols_scalar(const float* w, const float* xt, const std::uint32_t* cols,
-                        std::size_t n_cols, float bias, float* acc) {
-  for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] = bias;
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const float wv = w[i];
-    const float* xr = xt + i * kMlpLanes;
-    for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] += wv * xr[n];
-  }
-}
-
-void matvec_dense_scalar(const float* w, const float* xt, std::size_t in,
-                         float bias, float* acc) {
-  for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] = bias;
-  for (std::size_t i = 0; i < in; ++i) {
-    const float wv = w[i];
-    const float* xr = xt + i * kMlpLanes;
-    for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] += wv * xr[n];
-  }
-}
 
 void axpy_scalar(float g, const float* x, float* acc, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += g * x[i];
+}
+
+void axpy_rows_scalar(const float* coef, std::size_t stride, const float* m,
+                      std::size_t ld, std::size_t terms, float* acc,
+                      std::size_t len) {
+  for (std::size_t k = 0; k < terms; ++k)
+    axpy_scalar(coef[k * stride], m + k * ld, acc, len);
 }
 
 void adam_step_scalar(float* values, float* m, float* v, const float* grads,
@@ -53,8 +50,8 @@ void adam_step_scalar(float* values, float* m, float* v, const float* grads,
 }
 
 constinit const MlpKernelTable kScalarTable{
-    MlpIsa::Scalar,      "scalar",     &matvec_cols_scalar,
-    &matvec_dense_scalar, &axpy_scalar, &adam_step_scalar};
+    MlpIsa::Scalar,          "scalar",         &axpy_scalar, &axpy_rows_scalar,
+    &nonzero_indices_scalar, &adam_step_scalar};
 
 const MlpKernelTable* table_or_null(MlpIsa isa) {
   switch (isa) {

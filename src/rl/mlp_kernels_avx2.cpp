@@ -1,6 +1,6 @@
-// AVX2 MLP batch kernels: 8-float registers, two per 16-lane tile. Compiled
-// with -mavx2 -ffp-contract=off (see CMakeLists.txt) — AVX2 alone enables no
-// FMA instructions and contraction is off for the scalar tails, so every
+// AVX2 MLP batch kernels: 8-float registers. Compiled with -mavx2
+// -ffp-contract=off (see CMakeLists.txt) — AVX2 alone enables no FMA
+// instructions and contraction is off for the scalar tails, so every
 // multiply and add rounds separately, exactly like the scalar table. When
 // the flag is unavailable the TU degrades to a nullptr factory.
 #include "rl/mlp_kernel_table.hpp"
@@ -12,35 +12,6 @@
 namespace deterrent::rl::kernels {
 namespace {
 
-void matvec_cols_avx2(const float* w, const float* xt, const std::uint32_t* cols,
-                      std::size_t n_cols, float bias, float* acc) {
-  __m256 a0 = _mm256_set1_ps(bias);
-  __m256 a1 = a0;
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const __m256 wv = _mm256_set1_ps(w[i]);
-    const float* xr = xt + i * kMlpLanes;
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv, _mm256_loadu_ps(xr)));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv, _mm256_loadu_ps(xr + 8)));
-  }
-  _mm256_storeu_ps(acc, a0);
-  _mm256_storeu_ps(acc + 8, a1);
-}
-
-void matvec_dense_avx2(const float* w, const float* xt, std::size_t in,
-                       float bias, float* acc) {
-  __m256 a0 = _mm256_set1_ps(bias);
-  __m256 a1 = a0;
-  for (std::size_t i = 0; i < in; ++i) {
-    const __m256 wv = _mm256_set1_ps(w[i]);
-    const float* xr = xt + i * kMlpLanes;
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv, _mm256_loadu_ps(xr)));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv, _mm256_loadu_ps(xr + 8)));
-  }
-  _mm256_storeu_ps(acc, a0);
-  _mm256_storeu_ps(acc + 8, a1);
-}
-
 void axpy_avx2(float g, const float* x, float* acc, std::size_t n) {
   const __m256 gv = _mm256_set1_ps(g);
   std::size_t i = 0;
@@ -49,6 +20,38 @@ void axpy_avx2(float g, const float* x, float* acc, std::size_t n) {
     _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), prod));
   }
   for (; i < n; ++i) acc[i] += g * x[i];
+}
+
+// acc[j .. j + 8·R) += Σ_k coef[k·stride]·m[k·ld + j ..], k ascending, with
+// the R accumulators in registers for the whole k loop.
+template <int R>
+void axpy_rows_block(const float* coef, std::size_t stride, const float* m,
+                     std::size_t ld, std::size_t terms, float* acc) {
+  __m256 a[R];
+  for (int r = 0; r < R; ++r) a[r] = _mm256_loadu_ps(acc + 8 * r);
+  for (std::size_t k = 0; k < terms; ++k, m += ld) {
+    const __m256 c = _mm256_set1_ps(coef[k * stride]);
+    for (int r = 0; r < R; ++r)
+      a[r] = _mm256_add_ps(a[r], _mm256_mul_ps(c, _mm256_loadu_ps(m + 8 * r)));
+  }
+  for (int r = 0; r < R; ++r) _mm256_storeu_ps(acc + 8 * r, a[r]);
+}
+
+void axpy_rows_avx2(const float* coef, std::size_t stride, const float* m,
+                    std::size_t ld, std::size_t terms, float* acc,
+                    std::size_t len) {
+  // Eight registers per block keep both FP ports busy while covering the
+  // add latency.
+  std::size_t j = 0;
+  for (; j + 64 <= len; j += 64)
+    axpy_rows_block<8>(coef, stride, m + j, ld, terms, acc + j);
+  for (; j + 8 <= len; j += 8)
+    axpy_rows_block<1>(coef, stride, m + j, ld, terms, acc + j);
+  for (; j < len; ++j) {
+    float a = acc[j];
+    for (std::size_t k = 0; k < terms; ++k) a += coef[k * stride] * m[k * ld + j];
+    acc[j] = a;
+  }
 }
 
 // lr·(m/bias1) / (sqrt(v/bias2) + eps) for one 4-double half of a ymm of
@@ -105,9 +108,11 @@ void adam_step_avx2(float* values, float* m, float* v, const float* grads,
 
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx2 TU must emit no initialization code.
-constinit const MlpKernelTable kTable{MlpIsa::Avx2, "avx2", &matvec_cols_avx2,
-                                      &matvec_dense_avx2, &axpy_avx2,
-                                      &adam_step_avx2};
+// The scan reuses the scalar (base-flag) function: a movemask bit loop
+// measured slower than its branchless compaction.
+constinit const MlpKernelTable kTable{
+    MlpIsa::Avx2,            "avx2",         &axpy_avx2, &axpy_rows_avx2,
+    &nonzero_indices_scalar, &adam_step_avx2};
 
 }  // namespace
 

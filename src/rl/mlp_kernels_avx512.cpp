@@ -1,5 +1,5 @@
-// AVX-512 MLP batch kernels: one 16-float register is exactly one batch
-// tile. Compiled with -mavx512f -ffp-contract=off (see CMakeLists.txt):
+// AVX-512 MLP batch kernels: 16-float registers, masked at the tails.
+// Compiled with -mavx512f -ffp-contract=off (see CMakeLists.txt):
 // AVX-512F includes FMA encodings, so contraction MUST be off — every
 // multiply and add here rounds separately via explicit mul/add intrinsics,
 // bit-identical to the scalar table. When the flag is unavailable the TU
@@ -13,29 +13,6 @@
 namespace deterrent::rl::kernels {
 namespace {
 
-static_assert(kMlpLanes == 16, "AVX-512 kernels assume one zmm per tile");
-
-void matvec_cols_avx512(const float* w, const float* xt, const std::uint32_t* cols,
-                        std::size_t n_cols, float bias, float* acc) {
-  __m512 a = _mm512_set1_ps(bias);
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const __m512 wv = _mm512_set1_ps(w[i]);
-    a = _mm512_add_ps(a, _mm512_mul_ps(wv, _mm512_loadu_ps(xt + i * kMlpLanes)));
-  }
-  _mm512_storeu_ps(acc, a);
-}
-
-void matvec_dense_avx512(const float* w, const float* xt, std::size_t in,
-                         float bias, float* acc) {
-  __m512 a = _mm512_set1_ps(bias);
-  for (std::size_t i = 0; i < in; ++i) {
-    const __m512 wv = _mm512_set1_ps(w[i]);
-    a = _mm512_add_ps(a, _mm512_mul_ps(wv, _mm512_loadu_ps(xt + i * kMlpLanes)));
-  }
-  _mm512_storeu_ps(acc, a);
-}
-
 void axpy_avx512(float g, const float* x, float* acc, std::size_t n) {
   const __m512 gv = _mm512_set1_ps(g);
   std::size_t i = 0;
@@ -44,6 +21,61 @@ void axpy_avx512(float g, const float* x, float* acc, std::size_t n) {
     _mm512_storeu_ps(acc + i, _mm512_add_ps(_mm512_loadu_ps(acc + i), prod));
   }
   for (; i < n; ++i) acc[i] += g * x[i];
+}
+
+// The first min(n, 16) lanes.
+__mmask16 lanes(std::size_t n) {
+  return static_cast<__mmask16>(n >= 16 ? 0xFFFFu : (1u << n) - 1);
+}
+
+// acc[j .. j + 16·R) += Σ_k coef[k·stride]·m[k·ld + j ..], k ascending, with
+// the R accumulators in registers for the whole k loop. Lanes outside
+// `mask` (the len tail) are neither loaded nor stored.
+template <int R>
+void axpy_rows_block(const float* coef, std::size_t stride, const float* m,
+                     std::size_t ld, std::size_t terms, float* acc,
+                     __mmask16 mask = 0xFFFF) {
+  __m512 a[R];
+  for (int r = 0; r < R; ++r) a[r] = _mm512_maskz_loadu_ps(mask, acc + 16 * r);
+  for (std::size_t k = 0; k < terms; ++k, m += ld) {
+    const __m512 c = _mm512_set1_ps(coef[k * stride]);
+    for (int r = 0; r < R; ++r)
+      a[r] = _mm512_add_ps(
+          a[r], _mm512_mul_ps(c, _mm512_maskz_loadu_ps(mask, m + 16 * r)));
+  }
+  for (int r = 0; r < R; ++r) _mm512_mask_storeu_ps(acc + 16 * r, mask, a[r]);
+}
+
+void axpy_rows_avx512(const float* coef, std::size_t stride, const float* m,
+                      std::size_t ld, std::size_t terms, float* acc,
+                      std::size_t len) {
+  // Four registers per block keep both FP ports busy while covering the
+  // add latency.
+  std::size_t j = 0;
+  for (; j + 64 <= len; j += 64)
+    axpy_rows_block<4>(coef, stride, m + j, ld, terms, acc + j);
+  for (; j < len; j += 16)
+    axpy_rows_block<1>(coef, stride, m + j, ld, terms, acc + j, lanes(len - j));
+}
+
+std::size_t nonzero_indices_avx512(const float* x, std::size_t n,
+                                   std::uint32_t* idx) {
+  __m512i index =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; i += 16) {
+    // NEQ_UQ is the C++ `!=`: true for NaN, false for ±0. The compressed
+    // indices are stored through a mask, so idx never grows past n entries.
+    const __mmask16 live = lanes(n - i);
+    const __mmask16 nz = _mm512_mask_cmp_ps_mask(
+        live, _mm512_maskz_loadu_ps(live, x + i), _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    const auto found = static_cast<std::size_t>(__builtin_popcount(nz));
+    _mm512_mask_storeu_epi32(idx + count, lanes(found),
+                             _mm512_maskz_compress_epi32(nz, index));
+    count += found;
+    index = _mm512_add_epi32(index, _mm512_set1_epi32(16));
+  }
+  return count;
 }
 
 // GCC 12 flags the undefined merge operand inside the masked
@@ -106,9 +138,9 @@ void adam_step_avx512(float* values, float* m, float* v, const float* grads,
 
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx512f TU must emit no initialization code.
-constinit const MlpKernelTable kTable{MlpIsa::Avx512, "avx512",
-                                      &matvec_cols_avx512, &matvec_dense_avx512,
-                                      &axpy_avx512, &adam_step_avx512};
+constinit const MlpKernelTable kTable{
+    MlpIsa::Avx512,          "avx512",          &axpy_avx512, &axpy_rows_avx512,
+    &nonzero_indices_avx512, &adam_step_avx512};
 
 }  // namespace
 

@@ -311,6 +311,10 @@ PpoUpdateStats PpoTrainer::update() {
       value_.backward_batch(row_ptrs.data(), value_ws, value_grad);
       policy_opt_.step(config_.max_grad_norm);
       value_opt_.step(config_.max_grad_norm);
+      // Adam wrote the weights through params(); the batched forward reads
+      // transposed copies that must follow.
+      policy_.refresh_transpose();
+      value_.refresh_transpose();
     }
   }
 

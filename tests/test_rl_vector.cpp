@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,8 +58,7 @@ TEST(MlpBatch, ForwardBatchMatchesPerRowBitIdentically) {
   for (const auto& shape : shapes) {
     util::Rng init(shape[0] * 131 + shape.back());
     Mlp net(shape, init);
-    // Rows straddle the internal tile width (16): partial, exact, and
-    // multi-tile-plus-remainder batches.
+    // Row counts below, at and across the 16-float register width.
     for (const std::size_t rows : {1u, 5u, 16u, 17u, 33u, 64u}) {
       util::Rng data(rows * 977 + 5);
       const std::vector<float> input = random_input(rows * shape.front(), data);
@@ -162,19 +163,105 @@ TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
   }
 }
 
+std::uint32_t float_bits(float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+/// Compares bit patterns, so a +0/−0 mismatch fails like any other.
+::testing::AssertionResult bitwise_equal(std::span<const float> a,
+                                         std::span<const float> b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (float_bits(a[i]) != float_bits(b[i]))
+      return ::testing::AssertionFailure()
+             << "elem " << i << ": " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+/// Observation rows shaped like the trainer's: 0/1 member indicators at
+/// 5–40% density, an all-zero row every seventh row, and on every third row
+/// a −0.0f entry and non-unit values — every case the layer-0 nonzero scan
+/// must classify.
+std::vector<float> ppo_rows(std::size_t rows, std::size_t in, util::Rng& rng) {
+  std::vector<float> v(rows * in, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (r % 7 == 3) continue;
+    float* row = v.data() + r * in;
+    const std::uint64_t density_pct = 5 + rng.below(36);
+    for (std::size_t i = 0; i < in; ++i)
+      if (rng.below(100) < density_pct) row[i] = 1.0f;
+    if (r % 3 == 0) {
+      row[rng.below(in)] = -0.0f;
+      row[rng.below(in)] = 0.37f;
+      row[rng.below(in)] = -2.5f;
+    }
+  }
+  return v;
+}
+
+/// Output gradients with exact +0 and −0 entries among nonzero values: the
+/// terms backward() skips and the batched backward adds.
+std::vector<float> grads_with_signed_zeros(std::size_t n, util::Rng& rng) {
+  std::vector<float> g = random_input(n, rng);
+  for (std::size_t i = 1; i < n; i += 5) g[i] = 0.0f;
+  for (std::size_t i = 3; i < n; i += 5) g[i] = -0.0f;
+  return g;
+}
+
+/// forward_batch on `rows` rows against forward() row by row, bitwise.
+::testing::AssertionResult batch_matches_per_sample(const Mlp& net,
+                                                    std::span<const float> input,
+                                                    std::size_t rows) {
+  const std::size_t in = net.input_size();
+  const std::size_t out = net.output_size();
+  Mlp::BatchWorkspace bws;
+  const auto batch_out = net.forward_batch(input, rows, bws);
+  Mlp::Workspace ws;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto row_out = net.forward(input.subspan(r * in, in), ws);
+    auto result = bitwise_equal(batch_out.subspan(r * out, out), row_out);
+    if (!result) return result << " (row " << r << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Pins DETERRENT_FORCE_ISA for one scope; Mlp picks its kernel backend at
+/// construction.
+class ScopedForceIsa {
+ public:
+  explicit ScopedForceIsa(const char* isa) {
+    if (const char* saved = std::getenv("DETERRENT_FORCE_ISA")) saved_ = saved;
+    ::setenv("DETERRENT_FORCE_ISA", isa, 1);
+  }
+  ~ScopedForceIsa() {
+    if (saved_)
+      ::setenv("DETERRENT_FORCE_ISA", saved_->c_str(), 1);
+    else
+      ::unsetenv("DETERRENT_FORCE_ISA");
+  }
+  ScopedForceIsa(const ScopedForceIsa&) = delete;
+  ScopedForceIsa& operator=(const ScopedForceIsa&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 // Every compiled-in SIMD backend the host can run must produce bitwise the
 // same batch results as the Scalar table — the contract that lets a
 // checkpoint (and the bench checksums) move freely between hosts. The
 // backend is chosen at Mlp construction from DETERRENT_FORCE_ISA, so the
 // sweep builds one network per backend from the same init stream. Inputs are
-// ~70% exact zeros to exercise the sparse layer-0 column-skip path.
+// ~70% exact zeros to exercise the sparse layer-0 path.
 TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
   const auto isas = rl::kernels::supported_mlp_isas();
   ASSERT_FALSE(isas.empty());
   ASSERT_EQ(isas.front(), rl::kernels::MlpIsa::Scalar);
 
   const std::vector<std::size_t> shape{19, 32, 32, 6};
-  const std::size_t rows = 33;  // two full tiles plus a remainder
+  const std::size_t rows = 33;
   util::Rng data(2026);
   std::vector<float> input = random_input(rows * shape.front(), data);
   for (std::size_t i = 0; i < input.size(); ++i)
@@ -182,12 +269,9 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
   std::vector<float> grads = random_input(rows * shape.back(), data);
   for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
 
-  const char* saved = std::getenv("DETERRENT_FORCE_ISA");
-  const std::string saved_value = saved ? saved : "";
-
   std::vector<float> ref_out, ref_grads, ref_params;
   for (const auto isa : isas) {
-    ::setenv("DETERRENT_FORCE_ISA", rl::kernels::to_string(isa), 1);
+    const ScopedForceIsa force(rl::kernels::to_string(isa));
     util::Rng init(7);
     Mlp net(shape, init);
 
@@ -225,11 +309,87 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
       ASSERT_EQ(stepped[i], ref_params[i])
           << rl::kernels::to_string(isa) << " adam-stepped param " << i;
   }
+}
 
-  if (saved)
-    ::setenv("DETERRENT_FORCE_ISA", saved_value.c_str(), 1);
-  else
-    ::unsetenv("DETERRENT_FORCE_ISA");
+// The batched passes on trainer-shaped data, on every backend: sparse
+// indicator rows, the real policy shape and widths that are not a multiple
+// of any register width, row counts around the 256-row minibatch, and
+// gradients with signed zeros — bitwise against per-sample forward() and
+// backward().
+TEST(MlpBatch, PpoShapedBatchesMatchPerSampleBitwiseOnEveryBackend) {
+  const std::vector<std::vector<std::size_t>> shapes = {{355, 64, 64, 355},
+                                                        {37, 24, 24, 19}};
+  for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    const ScopedForceIsa force(rl::kernels::to_string(isa));
+    for (const auto& shape : shapes) {
+      util::Rng init(shape.front());
+      Mlp batch_net(shape, init);
+      Mlp row_net(shape, init);
+      row_net.copy_params_from(batch_net);
+      for (const std::size_t rows : {1u, 8u, 255u, 256u, 257u}) {
+        const std::string label = std::string(rl::kernels::to_string(isa)) +
+                                  " in=" + std::to_string(shape.front()) +
+                                  " rows=" + std::to_string(rows);
+        util::Rng data(rows * 7919 + shape.back());
+        const std::vector<float> input = ppo_rows(rows, shape.front(), data);
+        const std::vector<float> grads =
+            grads_with_signed_zeros(rows * shape.back(), data);
+        ASSERT_TRUE(batch_matches_per_sample(batch_net, input, rows)) << label;
+
+        batch_net.zero_grad();
+        Mlp::BatchWorkspace bws;
+        batch_net.forward_batch(input, rows, bws);
+        batch_net.backward_batch(input, bws, grads);
+        row_net.zero_grad();
+        Mlp::Workspace ws;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto in = std::span<const float>(input).subspan(
+              r * shape.front(), shape.front());
+          row_net.forward(in, ws);
+          row_net.backward(in, ws,
+                           std::span<const float>(grads).subspan(
+                               r * shape.back(), shape.back()));
+        }
+        const auto batch_params = batch_net.params();
+        const auto row_params = row_net.params();
+        for (std::size_t p = 0; p < batch_params.size(); ++p)
+          ASSERT_TRUE(bitwise_equal({batch_params[p].grads, batch_params[p].size},
+                                    {row_params[p].grads, row_params[p].size}))
+              << label << " tensor " << p;
+      }
+    }
+  }
+}
+
+// forward_batch reads transposed weight copies, so every way the weights
+// change must refresh them: Adam::step (followed by refresh_transpose(), as
+// the trainer does), set_flat_params() and copy_params_from().
+TEST(MlpBatch, BatchForwardFollowsEveryWeightUpdate) {
+  const std::vector<std::size_t> shape{37, 24, 24, 19};
+  const std::size_t rows = 9;
+  util::Rng init(5);
+  util::Rng data(6);
+  Mlp net(shape, init);
+  const std::vector<float> input = ppo_rows(rows, shape.front(), data);
+  const std::vector<float> grads = grads_with_signed_zeros(rows * shape.back(), data);
+  ASSERT_TRUE(batch_matches_per_sample(net, input, rows)) << "fresh";
+
+  Mlp::BatchWorkspace bws;
+  net.forward_batch(input, rows, bws);
+  net.zero_grad();
+  net.backward_batch(input, bws, grads);
+  rl::Adam opt(net.params(), {1e-2f});
+  opt.step();
+  net.refresh_transpose();
+  ASSERT_TRUE(batch_matches_per_sample(net, input, rows)) << "after Adam::step";
+
+  const Mlp other(shape, init);
+  net.set_flat_params(other.flat_params());
+  ASSERT_TRUE(batch_matches_per_sample(net, input, rows)) << "after set_flat_params";
+
+  const Mlp third(shape, init);
+  net.copy_params_from(third);
+  ASSERT_TRUE(batch_matches_per_sample(net, input, rows)) << "after copy_params_from";
 }
 
 // ----------------------------------------------------------- toy WalkEnv ---
@@ -461,6 +621,29 @@ TEST(PpoVector, StateRestoreResumesBatchedTrainingBitIdentically) {
   EXPECT_EQ(reference.value().flat_params(), resumed.value().flat_params());
   EXPECT_EQ(reference.total_steps(), resumed.total_steps());
   EXPECT_EQ(reference.total_episodes(), resumed.total_episodes());
+}
+
+// The trainer writes its weights through Adam::step after every minibatch
+// and through restore(); the batched forward of the networks it exposes must
+// follow both, or rollouts and minibatches would run on stale weights.
+TEST(PpoVector, BatchedForwardFollowsOptimizerStepsAndRestore) {
+  PpoTrainer trainer([](std::size_t) { return std::make_unique<WalkEnv>(); },
+                     toy_config(), 37);
+  const rl::TrainerState initial = trainer.state();
+  util::Rng data(38);
+  const std::size_t rows = 11;
+  const std::vector<float> input =
+      ppo_rows(rows, trainer.policy().input_size(), data);
+
+  trainer.update();
+  ASSERT_NE(trainer.policy().flat_params(), initial.policy_params);
+  EXPECT_TRUE(batch_matches_per_sample(trainer.policy(), input, rows)) << "update";
+  EXPECT_TRUE(batch_matches_per_sample(trainer.value(), input, rows)) << "update";
+
+  trainer.restore(initial);
+  ASSERT_EQ(trainer.policy().flat_params(), initial.policy_params);
+  EXPECT_TRUE(batch_matches_per_sample(trainer.policy(), input, rows)) << "restore";
+  EXPECT_TRUE(batch_matches_per_sample(trainer.value(), input, rows)) << "restore";
 }
 
 TEST(PpoVector, CheckpointsArePortableAcrossLaneCounts) {
