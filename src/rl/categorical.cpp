@@ -1,5 +1,6 @@
 #include "rl/categorical.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -9,7 +10,22 @@ namespace deterrent::rl {
 
 namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+/// Index of the lowest set bit of `bits`, the mask's word `word`.
+std::size_t bit_index(std::size_t word, std::uint64_t bits) {
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
+
+/// Calls visit(i) for every valid action i, ascending, reading the mask a
+/// word at a time.
+template <typename Visit>
+void for_each_valid(const util::BitVec& mask, Visit visit) {
+  const auto words = mask.words();
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+      visit(bit_index(w, bits));
+}
+}  // namespace
 
 MaskedCategorical::MaskedCategorical(std::span<const float> logits,
                                      const util::BitVec& mask)
@@ -23,22 +39,23 @@ MaskedCategorical::MaskedCategorical(std::span<const float> logits,
 
   // Numerically stable masked log-softmax.
   float max_logit = kNegInf;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1))
-    max_logit = std::max(max_logit, logits[i]);
+  for_each_valid(mask,
+                 [&](std::size_t i) { max_logit = std::max(max_logit, logits[i]); });
 
   double z = 0.0;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1))
+  for_each_valid(mask, [&](std::size_t i) {
     z += std::exp(static_cast<double>(logits[i] - max_logit));
+  });
   const float log_z = static_cast<float>(std::log(z)) + max_logit;
 
   double h = 0.0;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1)) {
+  for_each_valid(mask, [&](std::size_t i) {
     const float lp = logits[i] - log_z;
     log_probs_[i] = lp;
     const float p = std::exp(lp);
     probs_[i] = p;
     if (p > 0.0f) h -= static_cast<double>(p) * lp;
-  }
+  });
   entropy_ = static_cast<float>(h);
 }
 
@@ -54,34 +71,35 @@ std::uint32_t MaskedCategorical::sample(util::Rng& rng) const {
   const double u = rng.uniform();
   double cdf = 0.0;
   std::size_t last_valid = 0;
-  for (std::size_t i = mask_->find_first(); i < probs_.size();
-       i = mask_->find_next(i + 1)) {
-    cdf += probs_[i];
-    last_valid = i;
-    if (u < cdf) return static_cast<std::uint32_t>(i);
-  }
+  const auto words = mask_->words();
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = bit_index(w, bits);
+      cdf += probs_[i];
+      last_valid = i;
+      if (u < cdf) return static_cast<std::uint32_t>(i);
+    }
   return static_cast<std::uint32_t>(last_valid);  // guard against rounding
 }
 
 std::uint32_t MaskedCategorical::argmax() const {
-  std::size_t best = mask_->find_first();
-  for (std::size_t i = mask_->find_next(best + 1); i < probs_.size();
-       i = mask_->find_next(i + 1))
-    if (probs_[i] > probs_[best]) best = i;
+  std::size_t best = probs_.size();
+  for_each_valid(*mask_, [&](std::size_t i) {
+    if (best == probs_.size() || probs_[i] > probs_[best]) best = i;
+  });
   return static_cast<std::uint32_t>(best);
 }
 
 void MaskedCategorical::add_grad(std::uint32_t action, float g, float h,
                                  std::span<float> grad) const {
   DETERRENT_ASSERT(grad.size() == probs_.size(), "grad size mismatch");
-  for (std::size_t i = mask_->find_first(); i < probs_.size();
-       i = mask_->find_next(i + 1)) {
+  for_each_valid(*mask_, [&](std::size_t i) {
     const float p = probs_[i];
     float d = -g * p;
     if (static_cast<std::uint32_t>(i) == action) d += g;
     if (h != 0.0f && p > 0.0f) d -= h * p * (log_probs_[i] + entropy_);
     grad[i] += d;
-  }
+  });
 }
 
 }  // namespace deterrent::rl

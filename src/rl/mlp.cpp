@@ -70,7 +70,7 @@ std::vector<float> Mlp::forward(std::span<const float> input, Workspace& ws) con
       out[o] = acc;
     }
     if (l + 1 < layers_.size())
-      for (auto& v : out) v = std::tanh(v);
+      for (auto& v : out) v = kernels::tanhf_fdlibm(v);
     x = out;
   }
   return ws.post.back();
@@ -146,8 +146,7 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
                               layer.in, out.data() + n * layer.out + o0,
                               std::min(kBlock, layer.out - o0));
     }
-    if (l + 1 < layers_.size())
-      for (auto& v : out) v = std::tanh(v);
+    if (l + 1 < layers_.size()) kernels_->tanh(out.data(), out.size());
   }
   return ws.post.back();
 }

@@ -16,7 +16,10 @@
 // across the terms of one accumulation chain, and no backend may contract a
 // multiply-add into an FMA. This is what keeps the batched trainer
 // bit-identical to the scalar one on every backend, and all backends
-// bit-identical to each other.
+// bit-identical to each other. The tanh entry follows the same rule: every
+// backend evaluates tanhf_fdlibm's sequence of correctly rounded IEEE
+// + − × ÷ and exponent-field integer steps per lane, computing the results
+// of all of its branches and selecting per lane instead of branching.
 
 namespace deterrent::rl::kernels {
 
@@ -45,6 +48,10 @@ struct MlpKernelTable {
   /// not), ascending, to idx (room for n) and returns their count.
   std::size_t (*nonzero_indices)(const float* x, std::size_t n, std::uint32_t* idx);
 
+  /// v[i] = tanhf_fdlibm(v[i]) for i in [0, n), in place — the hidden
+  /// activation of every batched forward pass.
+  void (*tanh)(float* v, std::size_t n);
+
   /// Per-step constants of the Adam update, precomputed once per step() call.
   struct AdamArgs {
     float scale;    ///< gradient clip scale (1 when clipping is off/inactive)
@@ -64,6 +71,13 @@ struct MlpKernelTable {
   void (*adam_step)(float* values, float* m, float* v, const float* grads,
                     std::size_t n, const AdamArgs& args);
 };
+
+/// tanh(x) by fdlibm's s_tanhf.c over s_expm1f.c, ported op for op
+/// (mlp_kernels.cpp): the reference every tanh table entry reproduces, and
+/// the activation of Mlp::forward(). It rounds like glibc 2.36's tanhf,
+/// which is that same code, on every input, and does not depend on the
+/// host's libm.
+float tanhf_fdlibm(float x);
 
 /// The base-flag nonzero_indices (mlp_kernels.cpp), shared by tables
 /// without a faster scan.

@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include "rl/mlp_tanh_lanes.hpp"
+
 namespace deterrent::rl::kernels {
 namespace {
 
@@ -52,6 +54,42 @@ void axpy_rows_avx2(const float* coef, std::size_t stride, const float* m,
     for (std::size_t k = 0; k < terms; ++k) a += coef[k * stride] * m[k * ld + j];
     acc[j] = a;
   }
+}
+
+// tanh_lanes (mlp_tanh_lanes.hpp) on 8 lanes; a mask is an all-ones or
+// all-zeros int32 lane, selected with blendv.
+struct Avx2Lanes {
+  using F = __m256;
+  using I = __m256i;
+  using M = __m256i;
+  static F setf(float v) { return _mm256_set1_ps(v); }
+  static I seti(std::int32_t v) { return _mm256_set1_epi32(v); }
+  static I bits(F v) { return _mm256_castps_si256(v); }
+  static F flt(I v) { return _mm256_castsi256_ps(v); }
+  static F add(F a, F b) { return _mm256_add_ps(a, b); }
+  static F sub(F a, F b) { return _mm256_sub_ps(a, b); }
+  static F mul(F a, F b) { return _mm256_mul_ps(a, b); }
+  static F div(F a, F b) { return _mm256_div_ps(a, b); }
+  static I and_i(I a, I b) { return _mm256_and_si256(a, b); }
+  static I xor_i(I a, I b) { return _mm256_xor_si256(a, b); }
+  static I add_i(I a, I b) { return _mm256_add_epi32(a, b); }
+  static I sub_i(I a, I b) { return _mm256_sub_epi32(a, b); }
+  static I shl23(I v) { return _mm256_slli_epi32(v, 23); }
+  static I srlv(I v, I n) { return _mm256_srlv_epi32(v, n); }
+  static I cvtt(F v) { return _mm256_cvttps_epi32(v); }
+  static F cvt(I v) { return _mm256_cvtepi32_ps(v); }
+  static M gt(I a, I b) { return _mm256_cmpgt_epi32(a, b); }
+  static M eq(I a, I b) { return _mm256_cmpeq_epi32(a, b); }
+  static M and_m(M a, M b) { return _mm256_and_si256(a, b); }
+  static F pick(F a, M m, F b) { return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(m)); }
+  static I pick_i(I a, M m, I b) { return _mm256_blendv_epi8(a, b, m); }
+};
+
+void tanh_avx2(float* v, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_ps(v + i, tanh_lanes<Avx2Lanes>(_mm256_loadu_ps(v + i)));
+  for (; i < n; ++i) v[i] = tanhf_fdlibm(v[i]);
 }
 
 // lr·(m/bias1) / (sqrt(v/bias2) + eps) for one 4-double half of a ymm of
@@ -111,8 +149,8 @@ void adam_step_avx2(float* values, float* m, float* v, const float* grads,
 // The scan reuses the scalar (base-flag) function: a movemask bit loop
 // measured slower than its branchless compaction.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx2,            "avx2",         &axpy_avx2, &axpy_rows_avx2,
-    &nonzero_indices_scalar, &adam_step_avx2};
+    MlpIsa::Avx2,            "avx2",     &axpy_avx2,     &axpy_rows_avx2,
+    &nonzero_indices_scalar, &tanh_avx2, &adam_step_avx2};
 
 }  // namespace
 

@@ -10,6 +10,8 @@
 
 #include <immintrin.h>
 
+#include "rl/mlp_tanh_lanes.hpp"
+
 namespace deterrent::rl::kernels {
 namespace {
 
@@ -78,11 +80,48 @@ std::size_t nonzero_indices_avx512(const float* x, std::size_t n,
   return count;
 }
 
-// GCC 12 flags the undefined merge operand inside the masked
-// _mm512_cvtps_pd / _mm512_sqrt_pd header implementations (PR105593);
-// the operand is dead under the all-ones mask. Scoped suppression.
+// GCC 12 flags the undefined merge operand inside the masked header
+// implementations of _mm512_cvttps_epi32, _mm512_slli_epi32, _mm512_cvtps_pd,
+// _mm512_sqrt_pd and others (PR105593); the operand is dead under the
+// all-ones mask. Scoped suppression, for the tanh lanes and the Adam step.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// tanh_lanes (mlp_tanh_lanes.hpp) on 16 lanes with mask registers.
+struct Avx512Lanes {
+  using F = __m512;
+  using I = __m512i;
+  using M = __mmask16;
+  static F setf(float v) { return _mm512_set1_ps(v); }
+  static I seti(std::int32_t v) { return _mm512_set1_epi32(v); }
+  static I bits(F v) { return _mm512_castps_si512(v); }
+  static F flt(I v) { return _mm512_castsi512_ps(v); }
+  static F add(F a, F b) { return _mm512_add_ps(a, b); }
+  static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+  static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F div(F a, F b) { return _mm512_div_ps(a, b); }
+  static I and_i(I a, I b) { return _mm512_and_si512(a, b); }
+  static I xor_i(I a, I b) { return _mm512_xor_si512(a, b); }
+  static I add_i(I a, I b) { return _mm512_add_epi32(a, b); }
+  static I sub_i(I a, I b) { return _mm512_sub_epi32(a, b); }
+  static I shl23(I v) { return _mm512_slli_epi32(v, 23); }
+  static I srlv(I v, I n) { return _mm512_srlv_epi32(v, n); }
+  static I cvtt(F v) { return _mm512_cvttps_epi32(v); }
+  static F cvt(I v) { return _mm512_cvtepi32_ps(v); }
+  static M gt(I a, I b) { return _mm512_cmpgt_epi32_mask(a, b); }
+  static M eq(I a, I b) { return _mm512_cmpeq_epi32_mask(a, b); }
+  static M and_m(M a, M b) { return _mm512_kand(a, b); }
+  static F pick(F a, M m, F b) { return _mm512_mask_mov_ps(a, m, b); }
+  static I pick_i(I a, M m, I b) { return _mm512_mask_mov_epi32(a, m, b); }
+};
+
+void tanh_avx512(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live = lanes(n - i);
+    _mm512_mask_storeu_ps(v + i, live,
+                          tanh_lanes<Avx512Lanes>(_mm512_maskz_loadu_ps(live, v + i)));
+  }
+}
 
 // lr·(m/bias1) / (sqrt(v/bias2) + eps) for one 8-double half of a zmm of
 // moments. div, sqrt, and the float↔double conversions are all correctly
@@ -139,8 +178,8 @@ void adam_step_avx512(float* values, float* m, float* v, const float* grads,
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx512f TU must emit no initialization code.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx512,          "avx512",          &axpy_avx512, &axpy_rows_avx512,
-    &nonzero_indices_avx512, &adam_step_avx512};
+    MlpIsa::Avx512,          "avx512",     &axpy_avx512,     &axpy_rows_avx512,
+    &nonzero_indices_avx512, &tanh_avx512, &adam_step_avx512};
 
 }  // namespace
 
