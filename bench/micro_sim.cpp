@@ -457,7 +457,7 @@ int run_micro_sim(int argc, char** argv) {
     };
     const auto no_init = [](sim::SequentialEngine&) {};
 
-    // Engine, single trace: the facade workload (SequentialSimulator shape).
+    // Engine, single trace: one program run stepped cycle by cycle.
     {
       sim::SequentialEngine seq(cpu, 1);
       const double s = time_best(min_seconds, [&] {

@@ -8,10 +8,9 @@
 namespace deterrent::core {
 namespace {
 
-/// End-of-episode verification (§3.2), shared by CompatibleSetEnv and every
-/// CompatibleSetVectorEnv lane so that a lane and its scalar twin issue the
-/// identical query stream. Replaces `members` by its longest satisfiable
-/// prefix plus the members a greedy repair can add back.
+/// End-of-episode verification (§3.2) of one lane's episode on that lane's
+/// oracle. Replaces `members` by its longest satisfiable prefix plus the
+/// members a greedy repair can add back.
 ///
 /// Every SAT query here is a prefix of `members` or "kept members + one
 /// candidate", so try_extend keeps the shared prefix assumed on the solver
@@ -107,175 +106,6 @@ void verify_episode(sat::NetlistOracle& oracle,
 
 }  // namespace
 
-CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
-                                   std::span<const analysis::RareNet> rare_nets,
-                                   const analysis::CompatibilityMatrix& matrix,
-                                   const EnvConfig& config, DistinctSetPool* pool)
-    : netlist_(&netlist),
-      rare_nets_(rare_nets.begin(), rare_nets.end()),
-      matrix_(&matrix),
-      config_(config),
-      pool_(pool),
-      oracle_(netlist),
-      state_(rare_nets.size()),
-      mask_(rare_nets.size()) {
-  DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
-                   "compatibility matrix / rare net size mismatch");
-  DETERRENT_ASSERT(config_.witness_signatures == nullptr ||
-                       config_.witness_signatures->size() == rare_nets_.size(),
-                   "witness signature count / rare net count mismatch");
-  max_steps_ = config_.max_steps != 0
-                   ? config_.max_steps
-                   : std::min<std::size_t>(rare_nets_.size(), 128);
-}
-
-std::vector<float> CompatibleSetEnv::reset(util::Rng& rng) {
-  state_.clear_all();
-  members_.clear();
-  steps_ = 0;
-  episode_open_ = true;
-
-  // Initial state: a random rare net whose singleton is satisfiable (§3.1).
-  std::vector<std::uint32_t> viable;
-  viable.reserve(rare_nets_.size());
-  for (std::uint32_t i = 0; i < rare_nets_.size(); ++i)
-    if (matrix_->singleton_satisfiable(i)) viable.push_back(i);
-  DETERRENT_ASSERT(!viable.empty(), "no satisfiable rare net to start an episode");
-  const std::uint32_t start = viable[rng.below(viable.size())];
-  state_.set(start);
-  members_.push_back(start);
-  if (config_.witness_signatures != nullptr)
-    witness_ = (*config_.witness_signatures)[start];
-
-  if (config_.mask_mode == MaskMode::Pairwise) {
-    mask_ = matrix_->row(start);
-    mask_.set(start, false);
-  } else {
-    mask_.set_all();
-    mask_.set(start, false);
-    // Even unmasked agents may only pick nets that can exist in some pattern.
-    for (std::uint32_t i = 0; i < rare_nets_.size(); ++i)
-      if (!matrix_->singleton_satisfiable(i)) mask_.set(i, false);
-  }
-  return observation();
-}
-
-std::vector<float> CompatibleSetEnv::observation() const {
-  std::vector<float> obs(rare_nets_.size(), 0.0f);
-  for (const std::uint32_t m : members_) obs[m] = 1.0f;
-  return obs;
-}
-
-bool CompatibleSetEnv::joint_satisfiable_with(std::uint32_t action) {
-  // Simulation witness first: a random pattern that drove every member AND
-  // the candidate to their rare values simultaneously proves satisfiability
-  // without touching the oracle.
-  if (config_.witness_signatures != nullptr &&
-      witness_.intersects((*config_.witness_signatures)[action])) {
-    ++witness_hits_;
-    return true;
-  }
-  scratch_constraints_.clear();
-  scratch_constraints_.reserve(members_.size() + 1);
-  for (const std::uint32_t m : members_)
-    scratch_constraints_.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  scratch_constraints_.push_back({rare_nets_[action].net, rare_nets_[action].rare_value});
-  return oracle_
-      .try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-      .value_or(false);
-}
-
-void CompatibleSetEnv::refresh_mask_after_add(std::uint32_t action) {
-  if (config_.mask_mode == MaskMode::Pairwise) {
-    mask_ &= matrix_->row(action);
-  }
-  mask_.set(action, false);
-}
-
-void CompatibleSetEnv::finish_episode() {
-  episode_open_ = false;
-  if (config_.reward_mode == RewardMode::EndOfEpisode) return;  // handled by caller
-  if (pool_ != nullptr) pool_->add(state_);
-}
-
-rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
-  DETERRENT_ASSERT(episode_open_, "step after episode end");
-  DETERRENT_ASSERT(action < rare_nets_.size(), "action out of range");
-  DETERRENT_ASSERT(mask_.test(action), "masked action chosen");
-
-  rl::StepResult result;
-  ++steps_;
-
-  bool accepted = false;
-  if (config_.reward_mode == RewardMode::AllSteps) {
-    // Ground truth at every step: pairwise feasibility (mask or matrix) is
-    // necessary, the SAT check against the whole set is decisive.
-    const bool pairwise_ok =
-        config_.mask_mode == MaskMode::Pairwise ||
-        [&] {
-          for (const std::uint32_t m : members_)
-            if (!matrix_->compatible(m, action)) return false;
-          return true;
-        }();
-    accepted = pairwise_ok && !state_.test(action) && joint_satisfiable_with(action);
-    if (accepted) {
-      state_.set(action);
-      members_.push_back(action);
-      if (config_.witness_signatures != nullptr)
-        witness_ &= (*config_.witness_signatures)[action];
-      refresh_mask_after_add(action);
-      result.reward = size_reward(members_.size());  // |s_{t+1}|^p, p=2 in §3.1
-    } else {
-      // Known-bad action: drop it from the mask so the episode can terminate.
-      mask_.set(action, false);
-      result.reward = 0.0f;
-    }
-  } else {
-    // EndOfEpisode: optimistic transition on pairwise evidence only.
-    bool pairwise_ok = !state_.test(action);
-    if (pairwise_ok)
-      for (const std::uint32_t m : members_) {
-        if (!matrix_->compatible(m, action)) {
-          pairwise_ok = false;
-          break;
-        }
-      }
-    accepted = pairwise_ok;
-    if (accepted) {
-      state_.set(action);
-      members_.push_back(action);
-      refresh_mask_after_add(action);
-    } else {
-      mask_.set(action, false);
-    }
-    result.reward = 0.0f;  // sparse: paid at episode end
-  }
-
-  const bool out_of_actions = mask_.none();
-  const bool out_of_steps = steps_ >= max_steps_;
-  result.done = out_of_actions || out_of_steps;
-
-  if (result.done) {
-    if (config_.reward_mode == RewardMode::EndOfEpisode) {
-      verify_episode(oracle_, rare_nets_, config_, members_, scratch_constraints_,
-                     witness_hits_, model_hits_);
-      util::BitVec verified(rare_nets_.size());
-      for (const std::uint32_t m : members_) verified.set(m);
-      state_ = verified;
-      result.reward = size_reward(members_.size());
-      if (pool_ != nullptr) pool_->add(state_);
-      episode_open_ = false;
-    } else {
-      finish_episode();
-    }
-  }
-
-  result.observation = observation();
-  return result;
-}
-
-// ------------------------------------------------------- vectorized lanes --
-
 CompatibleSetVectorEnv::CompatibleSetVectorEnv(
     const netlist::Netlist& netlist, std::span<const analysis::RareNet> rare_nets,
     const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
@@ -284,7 +114,8 @@ CompatibleSetVectorEnv::CompatibleSetVectorEnv(
       rare_nets_(rare_nets.begin(), rare_nets.end()),
       matrix_(&matrix),
       config_(config),
-      pool_(pool) {
+      pool_(pool),
+      viable_mask_(rare_nets.size()) {
   DETERRENT_ASSERT(lanes >= 1, "CompatibleSetVectorEnv needs at least one lane");
   DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
                    "compatibility matrix / rare net size mismatch");
@@ -294,6 +125,13 @@ CompatibleSetVectorEnv::CompatibleSetVectorEnv(
   max_steps_ = config_.max_steps != 0
                    ? config_.max_steps
                    : std::min<std::size_t>(rare_nets_.size(), 128);
+  // Episodes start from a rare net whose singleton is satisfiable (§3.1),
+  // and even unmasked agents may only pick nets that some pattern activates.
+  for (std::uint32_t i = 0; i < rare_nets_.size(); ++i)
+    if (matrix.singleton_satisfiable(i)) {
+      viable_starts_.push_back(i);
+      viable_mask_.set(i);
+    }
   lanes_.resize(lanes);
   for (auto& lane : lanes_) {
     lane.state = util::BitVec(rare_nets_.size());
@@ -333,29 +171,16 @@ void CompatibleSetVectorEnv::reset_lane(std::size_t l, util::Rng& rng) {
   lane.done = false;
   lane.reward = 0.0f;
 
-  // Same draw sequence as CompatibleSetEnv::reset — one below() against the
-  // viable-start list — so a lane and its scalar twin consume their RNG
-  // stream identically.
-  std::vector<std::uint32_t> viable;
-  viable.reserve(rare_nets_.size());
-  for (std::uint32_t i = 0; i < rare_nets_.size(); ++i)
-    if (matrix_->singleton_satisfiable(i)) viable.push_back(i);
-  DETERRENT_ASSERT(!viable.empty(), "no satisfiable rare net to start an episode");
-  const std::uint32_t start = viable[rng.below(viable.size())];
+  DETERRENT_ASSERT(!viable_starts_.empty(),
+                   "no satisfiable rare net to start an episode");
+  const std::uint32_t start = viable_starts_[rng.below(viable_starts_.size())];
   lane.state.set(start);
   lane.members.push_back(start);
   if (config_.witness_signatures != nullptr)
     lane.witness = (*config_.witness_signatures)[start];
 
-  if (config_.mask_mode == MaskMode::Pairwise) {
-    lane.mask = matrix_->row(start);
-    lane.mask.set(start, false);
-  } else {
-    lane.mask.set_all();
-    lane.mask.set(start, false);
-    for (std::uint32_t i = 0; i < rare_nets_.size(); ++i)
-      if (!matrix_->singleton_satisfiable(i)) lane.mask.set(i, false);
-  }
+  lane.mask = config_.mask_mode == MaskMode::Pairwise ? matrix_->row(start) : viable_mask_;
+  lane.mask.set(start, false);
   rebuild_observation(lane);
 }
 
@@ -456,9 +281,9 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
 
   // Phase 2 — batched SAT dispatch for the witness misses. Constraints are
   // staged sequentially (scratch_constraints_ is shared), then each pending
-  // lane solves on its private oracle — the exact query stream its scalar
-  // twin would see, so the verdicts are bit-identical whether the lanes run
-  // sequentially or across the pool.
+  // lane solves on its private oracle, which sees only that lane's queries,
+  // so the verdicts are bit-identical whether the lanes run sequentially or
+  // across the pool.
   if (!pending.empty()) {
     std::vector<std::vector<sat::Constraint>> staged(pending.size());
     for (std::size_t k = 0; k < pending.size(); ++k) {
@@ -469,8 +294,8 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
       const std::size_t l = pending[k];
       verdicts[l] = solve_joint(l, staged[k]) ? Verdict::Accept : Verdict::Reject;
     };
-    util::ThreadPool* pool = dispatch_pool();
-    if (pool != nullptr && pending.size() > 1) {
+    util::ThreadPool* pool = pending.size() > 1 ? dispatch_pool() : nullptr;
+    if (pool != nullptr) {
       pool->parallel_for(pending.size(), solve_pending);
     } else {
       for (std::size_t k = 0; k < pending.size(); ++k) solve_pending(k);
@@ -533,6 +358,26 @@ std::uint64_t CompatibleSetVectorEnv::sat_queries() const {
   for (const auto& oracle : oracles_)
     if (oracle) total += oracle->query_count();
   return total;
+}
+
+CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
+                                   std::span<const analysis::RareNet> rare_nets,
+                                   const analysis::CompatibilityMatrix& matrix,
+                                   const EnvConfig& config, DistinctSetPool* pool)
+    : lane_(netlist, rare_nets, matrix, config, pool, 1), active_(1) {
+  active_.set(0);
+}
+
+std::vector<float> CompatibleSetEnv::reset(util::Rng& rng) {
+  lane_.reset_lane(0, rng);
+  const auto obs = lane_.observation(0);
+  return {obs.begin(), obs.end()};
+}
+
+rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
+  lane_.step(std::span<const std::uint32_t>(&action, 1), active_);
+  const auto obs = lane_.observation(0);
+  return {{obs.begin(), obs.end()}, lane_.reward(0), lane_.done(0)};
 }
 
 }  // namespace deterrent::core

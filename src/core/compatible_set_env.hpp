@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -71,107 +70,42 @@ struct EnvConfig {
   /// count, resume); a PolicyArtifact differs only in history sat_queries
   /// and wall times.
   const std::vector<util::BitVec>* witness_signatures = nullptr;
-  /// Worker threads for the vectorized env's lane SAT dispatch; 0/1 =
-  /// sequential, >= 2 creates a private pool that solves a step's pending
-  /// lanes on their private oracles concurrently. Each oracle still sees
-  /// exactly its scalar twin's query stream, so results stay bit-identical
-  /// at any thread count. Only AllSteps steps dispatch a batch; EndOfEpisode
-  /// verification runs per lane. Ignored by the scalar env.
+  /// Worker threads for the lane SAT dispatch; 0/1 = sequential, >= 2
+  /// creates a private pool that solves a step's pending lanes on their
+  /// private oracles concurrently. Each oracle sees the same query stream at
+  /// any thread count, so results stay bit-identical. Only AllSteps steps
+  /// dispatch a batch, and only when more than one lane needs the solver;
+  /// EndOfEpisode verification runs per lane.
   std::size_t sat_dispatch_threads = 0;
 };
 
-/// The DETERRENT Markov decision process (§3.1):
+/// The DETERRENT Markov decision process (§3.1), as a lock-step batch of N
+/// lanes (vectorized environments, §4.1):
 ///   state   — current set of compatible rare nets (observation: 0/1 vector)
 ///   action  — index of a rare net to add
 ///   reward  — |s_{t+1}|² when the addition keeps the set compatible, else 0
 ///
-/// Each instance owns a private SAT oracle; it is the scalar reference that
-/// CompatibleSetVectorEnv lanes match step for step. Episode-final sets are
-/// reported to the shared DistinctSetPool (satisfiable prefix only, so every
-/// pooled set is realizable by a single test pattern).
-class CompatibleSetEnv final : public rl::Env {
- public:
-  CompatibleSetEnv(const netlist::Netlist& netlist,
-                   std::span<const analysis::RareNet> rare_nets,
-                   const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
-                   DistinctSetPool* pool);
-
-  std::size_t observation_size() const override { return rare_nets_.size(); }
-  std::size_t action_count() const override { return rare_nets_.size(); }
-  std::vector<float> reset(util::Rng& rng) override;
-  rl::StepResult step(std::uint32_t action) override;
-  const util::BitVec& action_mask() const override { return mask_; }
-
-  /// Members of the current set in insertion order.
-  std::span<const std::uint32_t> members() const { return members_; }
-
-  /// Number of SAT queries issued so far (Table 1's cost driver).
-  /// Depends on the oracle's history; see model_hits().
-  std::uint64_t sat_queries() const { return oracle_.query_count(); }
-
-  /// Joint-satisfiability checks answered by a simulation witness instead of
-  /// a SAT call (0 unless config.witness_signatures is set).
-  std::uint64_t witness_hits() const { return witness_hits_; }
-
-  /// EndOfEpisode repair checks answered by the oracle's last Sat model
-  /// instead of a SAT call. sat_queries() + model_hits() is what a repair
-  /// that asked the solver every time would have issued.
-  std::uint64_t model_hits() const { return model_hits_; }
-
- private:
-  float size_reward(std::size_t set_size) const {
-    if (config_.reward_exponent == 2.0) {
-      const auto s = static_cast<float>(set_size);
-      return s * s;
-    }
-    return static_cast<float>(
-        std::pow(static_cast<double>(set_size), config_.reward_exponent));
-  }
-
-  bool joint_satisfiable_with(std::uint32_t action);
-  void refresh_mask_after_add(std::uint32_t action);
-  std::vector<float> observation() const;
-  void finish_episode();
-
-  const netlist::Netlist* netlist_;
-  std::vector<analysis::RareNet> rare_nets_;
-  const analysis::CompatibilityMatrix* matrix_;
-  EnvConfig config_;
-  DistinctSetPool* pool_;
-  sat::NetlistOracle oracle_;
-
-  util::BitVec state_;                  // membership bitset
-  std::vector<std::uint32_t> members_;  // insertion order (for prefix search)
-  util::BitVec mask_;
-  std::size_t steps_ = 0;
-  std::size_t max_steps_ = 0;
-  bool episode_open_ = false;
-  std::vector<sat::Constraint> scratch_constraints_;
-  util::BitVec witness_;  // running AND of member signatures (AllSteps mode)
-  std::uint64_t witness_hits_ = 0;
-  std::uint64_t model_hits_ = 0;
-};
-
-/// Lock-step batch of N CompatibleSetEnv lanes sharing one copy of the rare
-/// nets, compatibility matrix, witness signatures, and DistinctSetPool.
+/// The lanes share one copy of the rare nets, compatibility matrix, witness
+/// signatures and DistinctSetPool. Per step() they run in three phases: a
+/// per-lane screen (membership + pairwise matrix), a whole-word witness sweep
+/// (`util::BitVec` AND / intersect over the shared signature table — one
+/// pass across all active lanes), and a batched SAT dispatch for the lanes
+/// the witness could not answer. Episode-final sets are reported to the pool
+/// (the verified set only, so every pooled set is realizable by a single
+/// test pattern).
 ///
-/// Per step() the lanes run in three phases: a per-lane screen (membership +
-/// pairwise matrix), a whole-word witness sweep (`util::BitVec` AND /
-/// intersect over the shared signature table — one pass across all active
-/// lanes), and a batched SAT dispatch for the lanes the witness could not
-/// answer. Episode-final sets funnel into the shared pool exactly as the
-/// scalar env's do.
-///
-/// Determinism contract: lane l's trajectory is bit-identical to a
-/// standalone CompatibleSetEnv fed the same RNG stream and actions — each
-/// lane owns a private, lazily-built oracle whose learnt-clause state evolves
-/// exactly as its scalar twin's (both run one end-of-episode verification
-/// routine), so even conflict-budget-exhausted Unknowns classify
-/// identically. The pool is a content-keyed set, so interleaved lane
+/// Determinism contract: lane l's trajectory depends only on the RNG stream
+/// reset_lane() fed it and the actions applied to it. Each lane owns a
+/// private, lazily-built oracle that sees only that lane's queries, so an
+/// N-lane env matches N one-lane envs fed the same streams and actions, at
+/// any dispatch thread count, even where a conflict-budget-exhausted Unknown
+/// decides a verdict. The pool is a content-keyed set, so interleaved lane
 /// completion order cannot leak into artifacts. Answers, rewards, the pool
 /// and parameters never depend on which episodes a lane ran; sat_queries()
 /// does, because repair answers from the lane oracle's last Sat model (see
-/// EnvConfig::witness_signatures).
+/// EnvConfig::witness_signatures). tests/reference_env.hpp re-implements the
+/// MDP independently (fresh root-level queries only) as the differential
+/// reference.
 class CompatibleSetVectorEnv final : public rl::VectorEnv {
  public:
   CompatibleSetVectorEnv(const netlist::Netlist& netlist,
@@ -194,14 +128,17 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Members of `lane`'s current set in insertion order.
   std::span<const std::uint32_t> members(std::size_t lane) const;
 
-  /// Total SAT queries across all lanes (Table 1's cost driver).
+  /// Total SAT queries across all lanes (Table 1's cost driver). Depends on
+  /// the lane oracles' history; see model_hits().
   std::uint64_t sat_queries() const;
 
-  /// Joint checks answered by the witness sweep instead of a SAT call.
+  /// Joint-satisfiability checks answered by a simulation witness instead of
+  /// a SAT call (0 unless config.witness_signatures is set).
   std::uint64_t witness_hits() const { return witness_hits_; }
 
   /// EndOfEpisode repair checks answered by a lane oracle's last Sat model
-  /// instead of a SAT call (see CompatibleSetEnv::model_hits).
+  /// instead of a SAT call. sat_queries() + model_hits() is what a repair
+  /// that asked the solver every time would have issued.
   std::uint64_t model_hits() const { return model_hits_; }
 
  private:
@@ -235,6 +172,8 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   EnvConfig config_;
   DistinctSetPool* pool_;
   std::size_t max_steps_ = 0;
+  std::vector<std::uint32_t> viable_starts_;  // singleton-satisfiable rare nets
+  util::BitVec viable_mask_;                  // the same set as a bitset
 
   std::vector<Lane> lanes_;
   std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // one per lane, lazy
@@ -242,6 +181,33 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   std::vector<sat::Constraint> scratch_constraints_;
   std::uint64_t witness_hits_ = 0;
   std::uint64_t model_hits_ = 0;
+};
+
+/// One-lane rl::Env view of CompatibleSetVectorEnv, for callers that run
+/// one episode at a time. It holds no MDP logic of its own: reset, step,
+/// mask and verification all run in the wrapped env's lane 0.
+class CompatibleSetEnv final : public rl::Env {
+ public:
+  CompatibleSetEnv(const netlist::Netlist& netlist,
+                   std::span<const analysis::RareNet> rare_nets,
+                   const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
+                   DistinctSetPool* pool);
+
+  std::size_t observation_size() const override { return lane_.observation_size(); }
+  std::size_t action_count() const override { return lane_.action_count(); }
+  std::vector<float> reset(util::Rng& rng) override;
+  rl::StepResult step(std::uint32_t action) override;
+  const util::BitVec& action_mask() const override { return lane_.action_mask(0); }
+
+  /// Members of the current set in insertion order.
+  std::span<const std::uint32_t> members() const { return lane_.members(0); }
+  std::uint64_t sat_queries() const { return lane_.sat_queries(); }
+  std::uint64_t witness_hits() const { return lane_.witness_hits(); }
+  std::uint64_t model_hits() const { return lane_.model_hits(); }
+
+ private:
+  CompatibleSetVectorEnv lane_;
+  util::BitVec active_;  // lane 0 set
 };
 
 }  // namespace deterrent::core

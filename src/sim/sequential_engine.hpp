@@ -31,9 +31,7 @@ namespace deterrent::sim {
 /// nets that actually moved. When ≥1/4 of the scan-view inputs are dirty,
 /// resimulate's dense fallback runs one full sweep instead; either way the
 /// value buffer is bit-identical to a from-scratch evaluation of the cycle.
-///
-/// SequentialSimulator (sim/sequential.hpp) survives as the verified
-/// single-trace facade over this class.
+/// Single-trace callers construct it with n_traces = 1 and read trace 0.
 class SequentialEngine {
  public:
   /// Compiles the full-scan view of `netlist` (which may be combinational —
@@ -91,8 +89,8 @@ class SequentialEngine {
   /// stimulus this cycle (traces still diverge through their states).
   void step_broadcast(const Pattern& inputs);
 
-  /// Value of `net` in `trace` for the most recent cycle (pre-clock-edge,
-  /// like SequentialSimulator::values()). Valid only after a step().
+  /// Value of `net` in `trace` for the most recent cycle (pre-clock-edge).
+  /// Valid only after a step().
   bool value(netlist::NetId net, std::size_t trace) const;
 
   /// The words() value words of `net` for the most recent cycle.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
 #include "analysis/scoap.hpp"
+#include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/bench_io.hpp"
 #include "sat/oracle.hpp"
@@ -446,6 +449,54 @@ TEST(Compatibility, HarvestMatchesPerPairOracle) {
       EXPECT_EQ(stats.timeout_pairs, first.timeout_pairs);
       EXPECT_EQ(stats.unsat_singletons, first.unsat_singletons);
     }
+  }
+}
+
+
+// The compatibility matrix is a pure function of (netlist, rare nets, seed).
+// Phase 2 splits its pair list into one chunk per pool worker, each with a
+// private oracle and witness-harvest table, so the chunk plan changes with
+// the pool width. Every answer — and therefore every matrix bit — must not:
+// pool width 1 and 4 agree on a real processor design (MIPS16) and on a
+// random circuit alike.
+TEST(QueryPinning, PoolWidthKeepsCompatibilityBitIdentical) {
+  bench_gen::RandomCircuitProfile profile;
+  profile.n_inputs = 10;
+  profile.n_outputs = 5;
+  profile.n_gates = 300;
+  profile.seed = 77;
+  std::vector<std::pair<std::string, Netlist>> designs;
+  designs.emplace_back("random", bench_gen::generate_random_circuit(profile));
+  designs.emplace_back("mips16",
+                       bench_gen::load_benchmark("mips16_like").scan.comb);
+
+  for (const auto& [name, nl] : designs) {
+    RareNetConfig rcfg;
+    rcfg.threshold = 0.15;
+    rcfg.sim_patterns = 1 << 12;
+    util::Rng rare_rng(911);
+    auto rare = find_rare_nets(nl, rcfg, rare_rng);
+    if (rare.size() > 14) rare.resize(14);
+    ASSERT_GE(rare.size(), 2u) << name;
+
+    // Weak prefilter so a meaningful share of pairs reaches the solver.
+    const auto build = [&](std::size_t width) {
+      CompatibilityBuildConfig ccfg;
+      ccfg.sim_patterns = 1 << 8;
+      util::ThreadPool pool(width);
+      util::Rng rng(4242);
+      CompatibilityBuildStats stats;
+      auto matrix = build_compatibility(nl, rare, ccfg, rng, &pool, &stats);
+      EXPECT_EQ(stats.timeout_pairs, 0u) << name;  // answers are all exact
+      return matrix;
+    };
+
+    const auto reference = build(1);
+    const auto matrix = build(4);
+    ASSERT_EQ(matrix.size(), reference.size()) << name;
+    for (std::uint32_t i = 0; i < matrix.size(); ++i)
+      ASSERT_EQ(matrix.row(i), reference.row(i))
+          << name << ": row " << i << " diverged at pool width 4";
   }
 }
 

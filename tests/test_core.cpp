@@ -7,6 +7,8 @@
 #include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
 
+#include "reference_env.hpp"
+
 namespace deterrent::core {
 namespace {
 
@@ -306,55 +308,10 @@ TEST(Env, WitnessSignaturesPreserveResultsAndCutSatQueries) {
   }
 }
 
-/// Reference end-of-episode verification: the same prefix search and greedy
-/// repair as the env, but every check a witness does not answer is a fresh
-/// query from the solver's root (try_satisfiable), with no retained trail
-/// and no reuse of an earlier Sat model.
-struct ReferenceRepair {
-  const Fixture& f;
-  const std::vector<util::BitVec>* sigs;
-  sat::NetlistOracle oracle{f.netlist};
-  std::uint64_t witness_hits = 0;
-
-  bool witnessed(std::span<const std::uint32_t> set) {
-    if (sigs == nullptr) return false;
-    util::BitVec joint = (*sigs)[set[0]];
-    for (const std::uint32_t m : set) joint &= (*sigs)[m];
-    if (!joint.any()) return false;
-    ++witness_hits;
-    return true;
-  }
-
-  bool satisfiable(std::span<const std::uint32_t> set) {
-    std::vector<sat::Constraint> cs;
-    for (const std::uint32_t m : set) cs.push_back({f.rare[m].net, f.rare[m].rare_value});
-    return oracle.try_satisfiable(cs, EnvConfig{}.sat_conflict_budget).value_or(false);
-  }
-
-  std::vector<std::uint32_t> verify(const std::vector<std::uint32_t>& members) {
-    const auto prefix_ok = [&](std::size_t len) {
-      const std::span<const std::uint32_t> prefix(members.data(), len);
-      return witnessed(prefix) || satisfiable(prefix);
-    };
-    std::size_t lo = 1;
-    std::size_t hi = members.size();
-    if (prefix_ok(hi)) return members;
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      (prefix_ok(mid) ? lo : hi) = mid;
-    }
-    std::vector<std::uint32_t> kept(members.begin(), members.begin() + static_cast<std::ptrdiff_t>(lo));
-    for (std::size_t k = lo + 1; k < members.size(); ++k) {
-      kept.push_back(members[k]);
-      if (!witnessed(kept) && !satisfiable(kept)) kept.pop_back();
-    }
-    return kept;
-  }
-};
-
 /// The env's incremental verification (retained assumption prefix, answers
 /// from the last Sat model) must keep every episode's members and reward,
-/// and every model hit must stand for exactly one query the reference makes.
+/// and every model hit must stand for exactly one query the fresh-query
+/// reference makes.
 TEST(Env, IncrementalRepairMatchesAFreshQueryReference) {
   std::uint64_t model_hits = 0;
   for (std::uint64_t seed = 40; seed < 46; ++seed) {
@@ -369,30 +326,32 @@ TEST(Env, IncrementalRepairMatchesAFreshQueryReference) {
       cfg.reward_mode = RewardMode::EndOfEpisode;
       if (with_sigs) cfg.witness_signatures = &signatures;
       CompatibleSetEnv env(f.netlist, f.rare, f.matrix, cfg, nullptr);
-      ReferenceRepair ref{f, cfg.witness_signatures};
+      ReferenceEnv ref(f.netlist, f.rare, f.matrix, cfg, nullptr);
 
       util::Rng rng(seed + 5);
       for (int episode = 0; episode < 16; ++episode) {
-        env.reset(rng);
-        std::vector<std::uint32_t> admitted;
+        util::Rng ref_rng = rng;
+        ASSERT_EQ(env.reset(rng), ref.reset(ref_rng)) << "episode " << episode;
         rl::StepResult step;
         while (!step.done && !env.action_mask().none()) {
+          ASSERT_EQ(env.action_mask(), ref.action_mask()) << "episode " << episode;
           const auto indices = env.action_mask().to_indices();
           const auto action = static_cast<std::uint32_t>(indices[rng.below(indices.size())]);
-          admitted.assign(env.members().begin(), env.members().end());
-          admitted.push_back(action);  // the pairwise mask admits every choice
           step = env.step(action);
+          const auto ref_step = ref.step(action);
+          ASSERT_EQ(step.reward, ref_step.reward) << "episode " << episode;
+          ASSERT_EQ(step.done, ref_step.done) << "episode " << episode;
+          ASSERT_EQ(step.observation, ref_step.observation) << "episode " << episode;
         }
         if (!step.done) continue;  // started with an empty mask: nothing verified
-        const auto expected = ref.verify(admitted);
         ASSERT_EQ(std::vector<std::uint32_t>(env.members().begin(), env.members().end()),
-                  expected)
+                  std::vector<std::uint32_t>(ref.members().begin(), ref.members().end()))
             << "episode " << episode;
-        const auto n = static_cast<float>(expected.size());
+        const auto n = static_cast<float>(env.members().size());
         ASSERT_EQ(step.reward, n * n) << "episode " << episode;
-        ASSERT_EQ(env.sat_queries() + env.model_hits(), ref.oracle.query_count())
+        ASSERT_EQ(env.sat_queries() + env.model_hits(), ref.sat_queries())
             << "episode " << episode;
-        ASSERT_EQ(env.witness_hits(), ref.witness_hits) << "episode " << episode;
+        ASSERT_EQ(env.witness_hits(), ref.witness_hits()) << "episode " << episode;
       }
       model_hits += env.model_hits();
     }

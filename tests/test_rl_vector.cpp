@@ -1,7 +1,7 @@
 // Differential training-determinism suite for the PPO rollout path: batched
 // Mlp passes must match per-row passes, training must be invariant to the
 // lane count, and the batched CompatibleSetVectorEnv must be bit-identical to
-// its scalar CompatibleSetEnv twins.
+// the independent ReferenceEnv (reference_env.hpp) lane by lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,16 +31,18 @@
 #include "rl/ppo.hpp"
 #include "rl/vector_env.hpp"
 
+#include "reference_env.hpp"
+
 namespace deterrent {
 namespace {
 
 using analysis::CompatibilityMatrix;
 using analysis::RareNet;
-using core::CompatibleSetEnv;
 using core::CompatibleSetVectorEnv;
 using core::DistinctSetPool;
 using core::EnvConfig;
 using core::MaskMode;
+using core::ReferenceEnv;
 using core::RewardMode;
 using rl::Env;
 using rl::EnvVector;
@@ -897,27 +899,28 @@ std::uint32_t pick_masked_action(const util::BitVec& mask, util::Rng& rng) {
   return indices[rng.below(indices.size())];
 }
 
-/// Drives a CompatibleSetVectorEnv and N standalone CompatibleSetEnv twins in
-/// lock-step with shared per-lane RNG streams and identical actions, and
-/// asserts every observable matches at every step: observations, masks,
-/// rewards, done flags, members, SAT query counts, and the pooled sets.
+/// Drives a CompatibleSetVectorEnv and N ReferenceEnv twins in lock-step
+/// with shared per-lane RNG streams and identical actions, and asserts every
+/// observable matches at every step: observations, masks, rewards, done
+/// flags, members and the pooled sets. The counters compare as the reference
+/// defines them: every lane model hit stands for one reference SAT query.
 void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
                                std::size_t n_lanes, std::size_t episodes_per_lane) {
   DistinctSetPool vec_pool;
-  DistinctSetPool scalar_pool;
+  DistinctSetPool ref_pool;
   CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes);
-  std::vector<std::unique_ptr<CompatibleSetEnv>> twins;
+  std::vector<std::unique_ptr<ReferenceEnv>> twins;
   std::vector<util::Rng> reset_rng_v;
-  std::vector<util::Rng> reset_rng_s;
+  std::vector<util::Rng> reset_rng_ref;
   std::vector<util::Rng> action_rng;
   std::vector<std::size_t> remaining(n_lanes, episodes_per_lane);
   std::vector<bool> lane_done(n_lanes, false);
 
   for (std::size_t l = 0; l < n_lanes; ++l) {
-    twins.push_back(std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                       cfg, &scalar_pool));
+    twins.push_back(std::make_unique<ReferenceEnv>(f.netlist, f.rare, f.matrix, cfg,
+                                                   &ref_pool));
     reset_rng_v.emplace_back(0xBEEF + 97 * l);
-    reset_rng_s.emplace_back(0xBEEF + 97 * l);
+    reset_rng_ref.emplace_back(0xBEEF + 97 * l);
     action_rng.emplace_back(0xF00D + 31 * l);
   }
 
@@ -926,10 +929,10 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
     // drawing until a playable episode starts or the lane's budget runs out.
     while (remaining[l] > 0) {
       venv.reset_lane(l, reset_rng_v[l]);
-      const std::vector<float> scalar_obs = twins[l]->reset(reset_rng_s[l]);
+      const std::vector<float> ref_obs = twins[l]->reset(reset_rng_ref[l]);
       const auto vec_obs = venv.observation(l);
-      ASSERT_TRUE(std::equal(vec_obs.begin(), vec_obs.end(), scalar_obs.begin(),
-                             scalar_obs.end()));
+      ASSERT_TRUE(std::equal(vec_obs.begin(), vec_obs.end(), ref_obs.begin(),
+                             ref_obs.end()));
       ASSERT_EQ(venv.action_mask(l), twins[l]->action_mask());
       if (!venv.action_mask(l).none()) return;
       --remaining[l];
@@ -955,12 +958,12 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
 
     for (std::size_t l = 0; l < n_lanes; ++l) {
       if (!active.test(l)) continue;
-      const StepResult scalar = twins[l]->step(actions[l]);
-      ASSERT_EQ(venv.reward(l), scalar.reward) << "lane " << l;
-      ASSERT_EQ(venv.done(l), scalar.done) << "lane " << l;
+      const StepResult ref = twins[l]->step(actions[l]);
+      ASSERT_EQ(venv.reward(l), ref.reward) << "lane " << l;
+      ASSERT_EQ(venv.done(l), ref.done) << "lane " << l;
       const auto vec_obs = venv.observation(l);
       ASSERT_TRUE(std::equal(vec_obs.begin(), vec_obs.end(),
-                             scalar.observation.begin(), scalar.observation.end()))
+                             ref.observation.begin(), ref.observation.end()))
           << "lane " << l;
       ASSERT_EQ(venv.action_mask(l), twins[l]->action_mask()) << "lane " << l;
       const bool over = venv.done(l) || venv.action_mask(l).none();
@@ -976,34 +979,52 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
     }
   }
 
-  std::uint64_t scalar_queries = 0;
-  std::uint64_t scalar_model_hits = 0;
+  std::uint64_t ref_queries = 0;
+  std::uint64_t ref_witness_hits = 0;
   for (const auto& twin : twins) {
-    scalar_queries += twin->sat_queries();
-    scalar_model_hits += twin->model_hits();
+    ref_queries += twin->sat_queries();
+    ref_witness_hits += twin->witness_hits();
   }
-  EXPECT_EQ(venv.sat_queries(), scalar_queries);
-  EXPECT_EQ(venv.model_hits(), scalar_model_hits);
-  EXPECT_EQ(vec_pool.size(), scalar_pool.size());
+  EXPECT_EQ(venv.sat_queries() + venv.model_hits(), ref_queries);
+  EXPECT_EQ(venv.witness_hits(), ref_witness_hits);
+  EXPECT_EQ(vec_pool.size(), ref_pool.size());
   EXPECT_EQ(vec_pool.k_largest(vec_pool.size()),
-            scalar_pool.k_largest(scalar_pool.size()));
+            ref_pool.k_largest(ref_pool.size()));
 }
 
 TEST(VectorEnvDifferential, LanesMatchScalarEnvsAcrossAllModeCombos) {
-  const Fixture f = make_fixture(51);
+  Fixture f = make_fixture(51);
   if (f.rare.size() < 6) GTEST_SKIP();
-  for (const RewardMode reward : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
-    for (const MaskMode mask : {MaskMode::Pairwise, MaskMode::None}) {
-      EnvConfig cfg;
-      cfg.reward_mode = reward;
-      cfg.mask_mode = mask;
-      // Witness signatures on one of the two mask modes per reward mode, so
-      // both the witness sweep and the pure-SAT path get differential cover.
-      if (mask == MaskMode::Pairwise) cfg.witness_signatures = &f.signatures;
-      SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
-                                      << " mask=" << static_cast<int>(mask));
-      run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
+  // The second pass kills two rare nets the way build_compatibility records
+  // a net no pattern can drive to its rare value (all-zero row and column,
+  // diagonal included): they must never start an episode or enter a mask,
+  // the unmasked mode's included.
+  for (const bool dead_nets : {false, true}) {
+    if (dead_nets)
+      for (const std::uint32_t dead : {0u, 3u})
+        for (std::uint32_t j = 0; j < f.rare.size(); ++j) f.matrix.set(dead, j, false);
+    for (const RewardMode reward : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
+      for (const MaskMode mask : {MaskMode::Pairwise, MaskMode::None}) {
+        EnvConfig cfg;
+        cfg.reward_mode = reward;
+        cfg.mask_mode = mask;
+        // Witness signatures on one of the two mask modes per reward mode, so
+        // both the witness sweep and the pure-SAT path get differential cover.
+        if (mask == MaskMode::Pairwise) cfg.witness_signatures = &f.signatures;
+        SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
+                                        << " mask=" << static_cast<int>(mask)
+                                        << " dead_nets=" << dead_nets);
+        run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
+      }
     }
+  }
+  // A bounded greedy repair: none (pure prefix truncation) and two retries.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{2}}) {
+    EnvConfig cfg;
+    cfg.reward_mode = RewardMode::EndOfEpisode;
+    cfg.eoe_repair_budget = budget;
+    SCOPED_TRACE(testing::Message() << "eoe_repair_budget=" << budget);
+    run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
   }
 }
 
@@ -1035,11 +1056,11 @@ TEST(VectorEnvDifferential, WitnessSweepFiresAndPreservesTrajectories) {
 
 TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
   // sat_dispatch_threads >= 2 routes lane SAT queries through a private
-  // thread pool. This must be bit-identical to the sequential reference at
-  // every lane count (each lane's private oracle sees its scalar twin's
-  // exact query stream, whatever thread executes it), so the full lock-step
-  // differential — observations, masks, rewards, members, SAT query counts —
-  // runs with exact matching.
+  // thread pool. This must be bit-identical to the reference at every lane
+  // count (each lane's private oracle sees only that lane's queries, whatever
+  // thread executes them), so the full lock-step differential —
+  // observations, masks, rewards, members, SAT query counts — runs with
+  // exact matching.
   const Fixture f = make_fixture(55);
   if (f.rare.size() < 6) GTEST_SKIP();
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
@@ -1185,9 +1206,9 @@ TEST(VectorEnvProperty, DeadLanesStayFrozenAndSurvivorsAreUnaffected) {
 
 // --------------------------------------- trainer on the real environment ---
 
-/// Trainer-level reference through the scalar env: the specialized
-/// CompatibleSetVectorEnv must train exactly like the generic EnvVector over
-/// standalone CompatibleSetEnv lanes, at one lane and at three.
+/// Trainer-level reference: the specialized CompatibleSetVectorEnv must
+/// train exactly like the generic EnvVector over ReferenceEnv lanes, at one
+/// lane and at three.
 TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
   const Fixture f = make_fixture(55);
   if (f.rare.size() < 6) GTEST_SKIP();
@@ -1205,11 +1226,11 @@ TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
         cfg.episodes_per_update = 8;
         cfg.rollout_lanes = lanes;
 
-        DistinctSetPool scalar_pool;
+        DistinctSetPool ref_pool;
         PpoTrainer generic(
             [&](std::size_t) {
-              return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                        env_cfg, &scalar_pool);
+              return std::make_unique<ReferenceEnv>(f.netlist, f.rare, f.matrix, env_cfg,
+                                                    &ref_pool);
             },
             cfg, 61);
 
@@ -1224,21 +1245,21 @@ TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
           expect_stats_equal(generic.update(), specialized.update());
         EXPECT_EQ(generic.policy().flat_params(), specialized.policy().flat_params());
         EXPECT_EQ(generic.value().flat_params(), specialized.value().flat_params());
-        EXPECT_EQ(scalar_pool.size(), lane_pool.size());
-        EXPECT_EQ(scalar_pool.k_largest(scalar_pool.size()),
+        EXPECT_EQ(ref_pool.size(), lane_pool.size());
+        EXPECT_EQ(ref_pool.k_largest(ref_pool.size()),
                   lane_pool.k_largest(lane_pool.size()));
         const auto& generic_env = static_cast<const EnvVector&>(generic.vector_env());
-        std::uint64_t scalar_queries = 0;
-        std::uint64_t scalar_model_hits = 0;
+        std::uint64_t ref_queries = 0;
+        std::uint64_t ref_witness_hits = 0;
         for (std::size_t l = 0; l < lanes; ++l) {
-          const auto& twin = static_cast<const CompatibleSetEnv&>(generic_env.lane_env(l));
-          scalar_queries += twin.sat_queries();
-          scalar_model_hits += twin.model_hits();
+          const auto& twin = static_cast<const ReferenceEnv&>(generic_env.lane_env(l));
+          ref_queries += twin.sat_queries();
+          ref_witness_hits += twin.witness_hits();
         }
         const auto& lane_env =
             static_cast<const CompatibleSetVectorEnv&>(specialized.vector_env());
-        EXPECT_EQ(lane_env.sat_queries(), scalar_queries);
-        EXPECT_EQ(lane_env.model_hits(), scalar_model_hits);
+        EXPECT_EQ(lane_env.sat_queries() + lane_env.model_hits(), ref_queries);
+        EXPECT_EQ(lane_env.witness_hits(), ref_witness_hits);
       }
     }
   }
