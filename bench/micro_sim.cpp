@@ -6,10 +6,8 @@
 // simulator against sim::Engine at several sweep widths W (W x 64 patterns
 // per pass), across every SIMD kernel backend this host supports (scalar /
 // NEON / AVX2 / AVX-512), and with pattern-stripe thread parallelism,
-// reporting gate-evaluations/sec. Also times the sequential workload path —
-// a steady-state MIPS16 program loop through sim::SequentialEngine, single
-// and multi-trace, vs the seed per-cycle full-sweep stepping ("sequential"
-// JSON block, per-ISA).
+// reporting gate-evaluations/sec. Also times incremental re-simulation of
+// single-bit mutations against full sweeps ("incremental" JSON block).
 //
 //   ./micro_sim [output.json]           (default output: BENCH_sim.json)
 //
@@ -18,21 +16,15 @@
 // DETERRENT_FORCE_ISA pins the backend of the main engine rows; the per-ISA
 // "simd" sweep always measures every supported backend regardless.
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_gen/mips16.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/gate.hpp"
-#include "netlist/scan.hpp"
 #include "sim/engine.hpp"
 #include "sim/kernels/dispatch.hpp"
 #include "sim/pattern.hpp"
-#include "sim/sequential_engine.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -109,7 +101,7 @@ double measure(const Workload& w, double min_seconds, SweepFn&& sweep) {
 }
 
 /// Times `run` repeatedly (best-of reps, same policy as measure()) for
-/// workloads with their own unit of work — mutation loops, cycle loops.
+/// workloads with their own unit of work, such as mutation loops.
 template <typename RunFn>
 double time_best(double min_seconds, RunFn&& run) {
   double best = 1e300, total = 0.0;
@@ -348,7 +340,7 @@ int run_micro_sim(int argc, char** argv) {
       scan_engine.evaluate(buf, words, 1);
       for (const std::uint32_t f : flips) {
         words[f] = ~words[f];
-        inc_ops_total += scan_engine.resimulate(buf, {&f, 1}, {&words[f], 1}, 1);
+        inc_ops_total += scan_engine.resimulate(buf, {&f, 1}, {&words[f], 1});
         for (const netlist::NetId out : scan_nl.outputs()) inc_sum ^= buf.word(out, 0);
       }
     });
@@ -372,175 +364,8 @@ int run_micro_sim(int argc, char** argv) {
                 incremental_checksum_ok ? "match" : "MISMATCH");
   }
 
-  // --- sequential: event-driven multi-trace stepping -----------------------
-  // Workload execution on the MIPS16-like core: a steady-state program loop
-  // (constant NOP-class instruction, so between cycles only the PC and its
-  // fetch cone move). The seed path re-evaluates the whole scan-cut cone with
-  // the per-gate-dispatch simulator every cycle; SequentialEngine re-simulates
-  // only the fanout cones of the changed state words, and steps
-  // 64*W independent traces in lock-step for throughput workloads.
-  struct SeqIsaResult {
-    sim::kernels::Isa isa;
-    double trace_cycles_per_sec = 0.0;
-    double speedup_vs_scalar = 0.0;
-    bool checksum_ok = false;
-  };
-  std::size_t seq_cycles = mode == util::BenchMode::Quick ? 512 : 4096;
-  std::size_t seq_gates = 0, seq_dffs = 0, seq_scan_inputs = 0;
-  double seq_seed_cps = 0.0, seq_engine_cps = 0.0, seq_engine_speedup = 0.0;
-  double seq_gate_evals_per_cycle = 0.0;
-  std::size_t seq_traces = 0;
-  double seq_multi_tcps = 0.0, seq_multi_speedup = 0.0;
-  bool seq_checksum_ok = false;
-  std::vector<SeqIsaResult> seq_isa_results;
-  {
-    const netlist::Netlist cpu = bench_gen::generate_mips16({});
-    const netlist::ScanView scan = netlist::make_full_scan(cpu);
-    seq_gates = scan.comb.gate_count();
-    seq_dffs = cpu.dffs().size();
-    seq_scan_inputs = scan.comb.inputs().size();
-    const sim::Pattern nop(cpu.inputs().size());  // ADD r0,r0,r0 + mem_rdata=0
-
-    // Per-cycle value checksum over every net, trace/lane 0. Folded in a
-    // separate untimed pass so verification cost never pollutes the rates.
-    const auto fold = [](std::uint64_t sum, bool bit) {
-      return std::rotl(sum, 1) ^ (bit ? 1ULL : 0ULL);
-    };
-
-    // Seed path: full per-gate-dispatch sweep of the scan cone every cycle.
-    std::uint64_t seed_sum = 0;
-    {
-      SeedSimulator ssim(scan.comb);
-      const auto scan_inputs = scan.comb.inputs();
-      std::vector<int> ff_of(scan_inputs.size(), -1);
-      {
-        std::size_t ff = 0;
-        for (std::size_t o = 0; o < scan_inputs.size(); ++o)
-          if (ff < scan.pseudo_inputs.size() && scan.pseudo_inputs[ff] == scan_inputs[o])
-            ff_of[o] = static_cast<int>(ff++);
-      }
-      std::vector<std::uint64_t> combined(scan_inputs.size());
-      std::vector<bool> state(scan.pseudo_inputs.size(), false);
-      const auto run_seed = [&](bool with_checksum) {
-        std::fill(state.begin(), state.end(), false);
-        for (std::size_t cycle = 0; cycle < seq_cycles; ++cycle) {
-          for (std::size_t o = 0; o < scan_inputs.size(); ++o)
-            combined[o] = ff_of[o] >= 0 && state[static_cast<std::size_t>(ff_of[o])]
-                              ? ~0ULL
-                              : 0ULL;  // NOP loop: every true PI is 0
-          const auto values = ssim.simulate_block(combined);
-          if (with_checksum)
-            for (std::size_t net = 0; net < values.size(); ++net)
-              seed_sum = fold(seed_sum, values[net] & 1ULL);
-          for (std::size_t k = 0; k < state.size(); ++k)
-            state[k] = values[scan.pseudo_outputs[k]] & 1ULL;
-        }
-      };
-      const double s = time_best(min_seconds, [&] { run_seed(false); });
-      seq_seed_cps = static_cast<double>(seq_cycles) / s;
-      seed_sum = 0;
-      run_seed(true);
-    }
-
-    // Lane-0 checksum of a SequentialEngine run (untimed verification pass).
-    const auto engine_lane0_sum = [&](sim::SequentialEngine& seq,
-                                      const auto& init_state) {
-      seq.reset(false);
-      init_state(seq);
-      std::uint64_t sum = 0;
-      for (std::size_t cycle = 0; cycle < seq_cycles; ++cycle) {
-        seq.step_broadcast(nop);
-        for (netlist::NetId net = 0; net < cpu.net_count(); ++net)
-          sum = fold(sum, seq.values().word(net, 0) & 1ULL);
-      }
-      return sum;
-    };
-    const auto no_init = [](sim::SequentialEngine&) {};
-
-    // Engine, single trace: one program run stepped cycle by cycle.
-    {
-      sim::SequentialEngine seq(cpu, 1);
-      const double s = time_best(min_seconds, [&] {
-        seq.reset(false);
-        for (std::size_t cycle = 0; cycle < seq_cycles; ++cycle)
-          seq.step_broadcast(nop);
-      });
-      seq_engine_cps = static_cast<double>(seq_cycles) / s;
-      seq_engine_speedup = seq_engine_cps / seq_seed_cps;
-      seq_gate_evals_per_cycle =
-          static_cast<double>(seq.gate_evals()) / static_cast<double>(seq_cycles);
-      seq_checksum_ok = engine_lane0_sum(seq, no_init) == seed_sum;
-    }
-
-    // Engine, 64*W traces in lock-step, per kernel backend. Traces 1.. get
-    // random register state (lane 0 keeps the seed run's all-zero reset so
-    // its checksum stays comparable); the NOP loop leaves that state alone,
-    // so every added trace rides the same sparse PC cone.
-    seq_traces = 64 * sim::Engine::kDefaultWords;
-    std::vector<std::vector<std::uint64_t>> init_words;
-    {
-      util::Rng srng(41);
-      const std::size_t words = (seq_traces + 63) / 64;
-      for (std::size_t k = 0; k < cpu.dffs().size(); ++k) {
-        std::vector<std::uint64_t> w(words);
-        for (auto& word : w) word = srng.next_word();
-        w[0] &= ~1ULL;  // only trace 0 keeps the seed run's all-zero reset
-        init_words.push_back(std::move(w));
-      }
-    }
-    const auto random_init = [&](sim::SequentialEngine& seq) {
-      for (std::size_t k = 0; k < cpu.dffs().size(); ++k)
-        seq.set_state_words(cpu.dffs()[k], init_words[k]);
-    };
-    const auto measure_multi = [&](std::optional<sim::kernels::Isa> isa) {
-      sim::SequentialEngine seq(cpu, seq_traces, isa);
-      const double s = time_best(min_seconds, [&] {
-        seq.reset(false);
-        random_init(seq);
-        for (std::size_t cycle = 0; cycle < seq_cycles; ++cycle)
-          seq.step_broadcast(nop);
-      });
-      const double tcps =
-          static_cast<double>(seq_cycles) * static_cast<double>(seq_traces) / s;
-      const bool ok = engine_lane0_sum(seq, random_init) == seed_sum;
-      return std::pair<double, bool>{tcps, ok};
-    };
-
-    {
-      const auto [tcps, ok] = measure_multi(std::nullopt);
-      seq_multi_tcps = tcps;
-      seq_multi_speedup = tcps / seq_seed_cps;
-      seq_checksum_ok = seq_checksum_ok && ok;
-    }
-    {
-      const auto [scalar_tcps, scalar_ok] = measure_multi(sim::kernels::Isa::Scalar);
-      seq_isa_results.push_back(
-          {sim::kernels::Isa::Scalar, scalar_tcps, 1.0, scalar_ok});
-      for (const sim::kernels::Isa isa : sim::kernels::supported_isas()) {
-        if (isa == sim::kernels::Isa::Scalar) continue;
-        const auto [tcps, ok] = measure_multi(isa);
-        seq_isa_results.push_back({isa, tcps, tcps / scalar_tcps, ok});
-      }
-    }
-
-    std::printf(
-        "\nsequential (mips16 NOP loop: %zu gates, %zu dffs, %zu scan inputs, "
-        "%zu cycles):\n",
-        seq_gates, seq_dffs, seq_scan_inputs, seq_cycles);
-    std::printf("  seed full-sweep    %12.0f cycles/s\n", seq_seed_cps);
-    std::printf("  engine 1 trace     %12.0f cycles/s (%.1fx, %.1f gate evals/cycle)\n",
-                seq_engine_cps, seq_engine_speedup, seq_gate_evals_per_cycle);
-    std::printf("  engine %zu traces %12.0f trace-cycles/s (%.1fx vs seed)\n",
-                seq_traces, seq_multi_tcps, seq_multi_speedup);
-    for (const auto& r : seq_isa_results)
-      std::printf("    %-8s %14.0f trace-cycles/s %8.2fx vs scalar, checksum %s\n",
-                  sim::kernels::to_string(r.isa), r.trace_cycles_per_sec,
-                  r.speedup_vs_scalar, r.checksum_ok ? "ok" : "MISMATCH");
-  }
-
   // --- report --------------------------------------------------------------
-  bool checksums_ok = incremental_checksum_ok && seq_checksum_ok;
-  for (const auto& r : seq_isa_results) checksums_ok = checksums_ok && r.checksum_ok;
+  bool checksums_ok = incremental_checksum_ok;
   std::printf("\n%-22s %8s %6s %16s %10s\n", "config", "threads", "words",
               "gate_evals/s", "speedup");
   for (const auto& r : results) {
@@ -605,32 +430,6 @@ int run_micro_sim(int argc, char** argv) {
                  i + 1 == isa_results.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"sequential\": {\n");
-  std::fprintf(f, "    \"workload\": \"mips16_nop_loop\",\n");
-  std::fprintf(f, "    \"gates\": %zu,\n", seq_gates);
-  std::fprintf(f, "    \"dffs\": %zu,\n", seq_dffs);
-  std::fprintf(f, "    \"scan_inputs\": %zu,\n", seq_scan_inputs);
-  std::fprintf(f, "    \"cycles\": %zu,\n", seq_cycles);
-  std::fprintf(f, "    \"seed_cycles_per_sec\": %.6e,\n", seq_seed_cps);
-  std::fprintf(f, "    \"engine_cycles_per_sec\": %.6e,\n", seq_engine_cps);
-  std::fprintf(f, "    \"speedup_vs_seed\": %.4f,\n", seq_engine_speedup);
-  std::fprintf(f, "    \"avg_gate_evals_per_cycle\": %.2f,\n", seq_gate_evals_per_cycle);
-  std::fprintf(f, "    \"multi_trace\": {\"traces\": %zu, "
-               "\"trace_cycles_per_sec\": %.6e, \"speedup_vs_seed\": %.4f},\n",
-               seq_traces, seq_multi_tcps, seq_multi_speedup);
-  std::fprintf(f, "    \"checksum_ok\": %s,\n", seq_checksum_ok ? "true" : "false");
-  std::fprintf(f, "    \"per_isa\": [\n");
-  for (std::size_t i = 0; i < seq_isa_results.size(); ++i) {
-    const auto& r = seq_isa_results[i];
-    std::fprintf(f,
-                 "      {\"isa\": \"%s\", \"trace_cycles_per_sec\": %.6e, "
-                 "\"speedup_vs_scalar\": %.4f, \"checksum_ok\": %s}%s\n",
-                 sim::kernels::to_string(r.isa), r.trace_cycles_per_sec,
-                 r.speedup_vs_scalar, r.checksum_ok ? "true" : "false",
-                 i + 1 == seq_isa_results.size() ? "" : ",");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"incremental\": {\n");
   std::fprintf(f, "    \"scan_profile_gates\": %zu,\n", mut_gates);
   std::fprintf(f, "    \"scan_profile_inputs\": %zu,\n", mut_inputs);

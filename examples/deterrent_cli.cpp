@@ -58,11 +58,14 @@
 // `lint` (and any staged command whose front door rejects) exits 6 with the
 // offending diagnostics on stdout. See docs/lint.md.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,6 +86,34 @@
 using namespace deterrent;
 
 namespace {
+
+/// A malformed command line: main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses all of `text` as an unsigned integer in `base`. A sign, trailing
+/// characters or a value past 2^64 - 1 is a UsageError naming `flag`.
+std::uint64_t parse_unsigned(const char* flag, const std::string& text, int base = 10) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  if (ec != std::errc{} || ptr != end)
+    throw UsageError(std::string(flag) + ": expected a non-negative integer, got '" +
+                     text + "'");
+  return value;
+}
+
+/// Parses all of `text` as a finite, non-negative decimal number.
+double parse_non_negative(const char* flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || std::signbit(value))
+    throw UsageError(std::string(flag) + ": expected a non-negative number, got '" +
+                     text + "'");
+  return value;
+}
 
 struct Args {
   std::string command;
@@ -120,11 +151,11 @@ struct Args {
 
   double flag_double(const char* name, double fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : parse_non_negative(name, it->second);
   }
   std::size_t flag_size(const char* name, std::size_t fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : static_cast<std::size_t>(std::stoull(it->second));
+    return it == flags.end() ? fallback : parse_unsigned(name, it->second);
   }
   std::string flag_string(const char* name, std::string fallback) const {
     const auto it = flags.find(name);
@@ -595,7 +626,7 @@ int cmd_cache(const Args& args) {
     if (fp.empty()) {
       removed = cache.evict_all();
     } else {
-      removed = cache.evict_fingerprint(std::stoull(fp, nullptr, 16));
+      removed = cache.evict_fingerprint(parse_unsigned("--fingerprint", fp, 16));
     }
     std::printf("evicted %zu entries from %s\n", removed, cache.root().c_str());
     return 0;
@@ -628,9 +659,14 @@ int main(int argc, char** argv) {
     if (args.command == "resume" && !args.target.empty()) return cmd_resume(args);
     if (args.command == "campaign" && !args.target.empty()) return cmd_campaign(args);
     if (args.command == "cache" && !args.target.empty()) return cmd_cache(args);
+  } catch (const UsageError& e) {
+    // A flag value that is not a whole number of the right kind.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage();
+    return 2;
   } catch (const std::exception& e) {
-    // Covers deterrent::Error plus std:: failures (bad flag values hitting
-    // stoull/stod, filesystem errors) — a CLI typo must not SIGABRT.
+    // Covers deterrent::Error plus std:: failures (filesystem errors and
+    // the like) — a run-time failure must not SIGABRT.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

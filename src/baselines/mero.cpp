@@ -86,7 +86,7 @@ MeroResult run_mero(const netlist::Netlist& netlist,
           dirty_words.push_back(next_word);
         }
       }
-      engine.resimulate(eval_buf, dirty_inputs, dirty_words, 1);
+      engine.resimulate(eval_buf, dirty_inputs, dirty_words);
     }
     std::size_t current_gain = gain_at_lane(0);
 
@@ -111,7 +111,7 @@ MeroResult run_mero(const netlist::Netlist& netlist,
           dirty_inputs.push_back(static_cast<std::uint32_t>(base + lane));
           dirty_words.push_back(broadcast[base + lane] ^ (1ULL << lane));
         }
-        engine.resimulate(eval_buf, dirty_inputs, dirty_words, 1);
+        engine.resimulate(eval_buf, dirty_inputs, dirty_words);
         flipped_base = base;
         flipped_lanes = lanes;
 
@@ -141,7 +141,7 @@ MeroResult run_mero(const netlist::Netlist& netlist,
         dirty_inputs.push_back(static_cast<std::uint32_t>(best_bit));
         dirty_words.push_back(broadcast[best_bit]);
       }
-      engine.resimulate(eval_buf, dirty_inputs, dirty_words, 1);
+      engine.resimulate(eval_buf, dirty_inputs, dirty_words);
       if (best_bit == n_inputs) break;  // local optimum
       current_gain = best_gain;
     }

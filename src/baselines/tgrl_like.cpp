@@ -65,7 +65,7 @@ TgrlLikeResult run_tgrl_like(const netlist::Netlist& netlist,
         dirty_inputs.push_back(static_cast<std::uint32_t>(i));
         dirty_words.push_back(words[i]);
       }
-    engine.resimulate(eval_buf, dirty_inputs, dirty_words, 1);
+    engine.resimulate(eval_buf, dirty_inputs, dirty_words);
     prev_words = words;
   };
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "sim/sequential_engine.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -20,46 +19,6 @@ namespace {
 /// offset, so circuit i's draws are independent of circuit j's for any base.
 std::uint64_t derive_seed(std::uint64_t base, std::size_t index) {
   return util::Rng::mix64(base + index * 0x9e3779b97f4a7c15ULL);
-}
-
-/// Multi-trace workload execution on a circuit's original design: all traces
-/// step in lock-step through one sim::SequentialEngine, per-trace random
-/// reset states, and slowly-varying stimulus (fully random first cycle, one
-/// re-randomized input per cycle afterwards) so steady-state cycles ride the
-/// engine's sparse resimulate path. Fills the workload_* fields of `row`.
-void run_workload(const netlist::Netlist& workload, std::size_t cycles,
-                  std::size_t traces, std::uint64_t seed,
-                  CampaignCircuitReport& row) {
-  sim::SequentialEngine seq(workload, traces);
-  util::Rng rng(util::Rng::mix64(seed ^ 0x5e90e4ce00ULL));
-  const std::size_t n_inputs = workload.inputs().size();
-  const std::size_t words = seq.words();
-  std::vector<std::uint64_t> state_words(words);
-  for (const netlist::NetId q : workload.dffs()) {
-    for (auto& w : state_words) w = rng.next_word();
-    seq.set_state_words(q, state_words);
-  }
-  std::vector<std::uint64_t> stimulus(n_inputs * words);
-  for (auto& w : stimulus) w = rng.next_word();
-
-  util::Stopwatch watch;
-  for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-    if (cycle > 0 && n_inputs > 0) {
-      const std::size_t flip = rng.below(n_inputs);
-      for (std::size_t w = 0; w < words; ++w)
-        stimulus[flip * words + w] = rng.next_word();
-    }
-    seq.step(stimulus);
-  }
-  const double seconds = watch.elapsed_seconds();
-  row.workload_cycles = cycles;
-  row.workload_traces = traces;
-  if (seconds > 0.0)
-    row.workload_trace_cycles_per_sec =
-        static_cast<double>(cycles) * static_cast<double>(traces) / seconds;
-  if (cycles > 0)
-    row.workload_gate_evals_per_cycle =
-        static_cast<double>(seq.gate_evals()) / static_cast<double>(cycles);
 }
 
 }  // namespace
@@ -82,22 +41,14 @@ void Campaign::add(std::string name, const netlist::Netlist& netlist) {
   for (const auto& circuit : circuits_)
     if (circuit.name == name)
       throw Error("Campaign: duplicate circuit name '" + name + "'");
-  circuits_.push_back({std::move(name), &netlist, nullptr});
-}
-
-void Campaign::add(std::string name, const netlist::Netlist& netlist,
-                   const netlist::Netlist& workload) {
-  add(std::move(name), netlist);
-  circuits_.back().workload = &workload;
+  circuits_.push_back({std::move(name), &netlist});
 }
 
 void Campaign::run_circuit_attempt(std::size_t index, const StageControl& control,
-                                   std::size_t attempt, CampaignCircuitReport& row) {
+                                   CampaignCircuitReport& row) {
   const CampaignCircuit& circuit = circuits_[index];
   DeterrentConfig config = config_.base;
   config.seed = derive_seed(config_.base.seed, index);
-  if (config_.reseed_on_retry && attempt > 0)
-    config.seed = util::Rng::mix64(config.seed ^ (attempt * 0xbf58476d1ce4e5b9ULL));
   row.seed = config.seed;
 
   std::unique_ptr<Session> session;
@@ -143,10 +94,6 @@ void Campaign::run_circuit_attempt(std::size_t index, const StageControl& contro
     if (evaluator_ && row.status == StageStatus::Complete)
       row.coverage_percent = evaluator_(circuit, *pipeline, pipeline->patterns());
   }
-  if (config_.workload_cycles > 0 && circuit.workload != nullptr &&
-      row.status == StageStatus::Complete)
-    run_workload(*circuit.workload, config_.workload_cycles,
-                 std::max<std::size_t>(1, config_.workload_traces), row.seed, row);
 }
 
 CampaignCircuitReport Campaign::run_circuit(std::size_t index,
@@ -166,7 +113,7 @@ CampaignCircuitReport Campaign::run_circuit(std::size_t index,
     row.attempts = attempt + 1;
     row.error.clear();
     try {
-      run_circuit_attempt(index, control, attempt, row);
+      run_circuit_attempt(index, control, row);
       if (row.status == StageStatus::Rejected) {
         // The lint verdict is deterministic — retrying cannot change it, so
         // quarantine immediately without burning the retry budget.

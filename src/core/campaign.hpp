@@ -15,11 +15,6 @@ namespace deterrent::core {
 struct CampaignCircuit {
   std::string name;
   const netlist::Netlist* netlist = nullptr;
-  /// Optional original (typically sequential) design behind `netlist`'s scan
-  /// view. When set and CampaignConfig::workload_cycles > 0, the campaign
-  /// executes a multi-trace workload on it through sim::SequentialEngine
-  /// after the pipeline completes and reports the measured throughput.
-  const netlist::Netlist* workload = nullptr;
 };
 
 struct CampaignConfig {
@@ -46,12 +41,6 @@ struct CampaignConfig {
   /// stages entirely — even across different session roots or machines
   /// sharing the directory. Requires session_root (the cache feeds sessions).
   std::string cache_dir;
-  /// Sequential workload evaluation: after a circuit's pipeline completes,
-  /// step this many clock cycles of seeded, slowly-varying random stimulus
-  /// on its `workload` netlist (when enrolled), `workload_traces` traces in
-  /// lock-step per sim::SequentialEngine call. 0 disables the stage.
-  std::size_t workload_cycles = 0;
-  std::size_t workload_traces = 64;
   /// Robustness knobs (see docs/robustness.md). A circuit attempt that fails
   /// with a TransientError / CorruptArtifactError, or whose stage watchdog
   /// times out, is retried up to `max_retries` more times with exponential
@@ -70,12 +59,6 @@ struct CampaignConfig {
   /// StageControl::stage_timeout_seconds); a control passed to run() with
   /// its own non-zero value wins. 0 = no watchdog.
   double stage_timeout_seconds = 0.0;
-  /// Mix the attempt number into the circuit seed on each retry. Off by
-  /// default: deterministic reruns must reproduce the original artifacts
-  /// bit-identically, and session-backed circuits keep their stored config's
-  /// seed regardless. Turn on for seed-sensitive failures in ephemeral
-  /// (session-less) campaigns.
-  bool reseed_on_retry = false;
 };
 
 /// Per-circuit outcome row of a campaign run.
@@ -97,14 +80,6 @@ struct CampaignCircuitReport {
   std::size_t patterns = 0;
   std::uint64_t sat_queries = 0;
   double coverage_percent = -1.0;  ///< -1 when no evaluator was configured
-  /// Sequential workload stage (0 / -1 when not run): cycles actually
-  /// stepped, lock-step traces, aggregate trace-cycles per second, and the
-  /// mean gate evaluations per cycle (activity — full program size would
-  /// mean every cycle fell back to a dense sweep).
-  std::size_t workload_cycles = 0;
-  std::size_t workload_traces = 0;
-  double workload_trace_cycles_per_sec = 0.0;
-  double workload_gate_evals_per_cycle = -1.0;
   double seconds = 0.0;
   std::size_t attempts = 1;  ///< 1 + retries actually consumed
   /// Permanently failed: a PermanentError / foreign exception, or retries
@@ -156,12 +131,6 @@ class Campaign {
   explicit Campaign(CampaignConfig config);
 
   void add(std::string name, const netlist::Netlist& netlist);
-  /// Enrolls a circuit together with its original (sequential) design, so
-  /// the workload stage (CampaignConfig::workload_cycles) can execute
-  /// multi-trace cycles on it. Pass e.g. `benchmark.scan.comb` and
-  /// `benchmark.original`.
-  void add(std::string name, const netlist::Netlist& netlist,
-           const netlist::Netlist& workload);
   std::size_t circuit_count() const { return circuits_.size(); }
 
   void set_evaluator(Evaluator evaluator) { evaluator_ = std::move(evaluator); }
@@ -178,7 +147,7 @@ class Campaign {
   /// remaining stages, save, fill the report row. Throws on failure — the
   /// retry loop in run_circuit classifies the exception.
   void run_circuit_attempt(std::size_t index, const StageControl& control,
-                           std::size_t attempt, CampaignCircuitReport& row);
+                           CampaignCircuitReport& row);
 
   CampaignConfig config_;
   std::vector<CampaignCircuit> circuits_;

@@ -157,14 +157,30 @@ void Engine::evaluate(EvalBuffer& buf, std::span<const std::uint64_t> input_word
   buf.owner_ = this;
 }
 
-template <typename WordCount>
-std::size_t Engine::resimulate_run(EvalBuffer& buf,
-                                   std::span<const std::uint32_t> dirty_inputs,
-                                   std::span<const std::uint64_t> dirty_words,
-                                   WordCount n_words) const {
-  const std::size_t W = n_words;
+std::size_t Engine::resimulate(EvalBuffer& buf,
+                               std::span<const std::uint32_t> dirty_inputs,
+                               std::span<const std::uint64_t> dirty_words) const {
   const auto inputs = netlist_->inputs();
+  DETERRENT_ASSERT(buf.primed_for(*this),
+                   "resimulate: buffer was not primed by this engine");
+  DETERRENT_ASSERT(buf.words_ == 1 && buf.nets_ == netlist_->net_count(),
+                   "resimulate: buffer was not primed at one word per net");
+  DETERRENT_ASSERT(dirty_words.size() == dirty_inputs.size(),
+                   "resimulate: dirty word count mismatch");
   std::uint64_t* v = buf.values_.data();
+
+  // Dense fallback: with this many dirty inputs the union cone is almost
+  // certainly the whole program, and the per-op scheduling overhead would
+  // make the "incremental" path slower than a straight sweep.
+  if (dirty_inputs.size() * kDenseFallbackDivisor >= inputs.size()) {
+    for (std::size_t j = 0; j < dirty_inputs.size(); ++j) {
+      DETERRENT_ASSERT(dirty_inputs[j] < inputs.size(),
+                       "resimulate: dirty input ordinal out of range");
+      v[inputs[dirty_inputs[j]]] = dirty_words[j];
+    }
+    run(v, 1);
+    return op_.size();
+  }
 
   // One bit per program entry; ~n_ops/8 bytes, L1-resident for typical
   // circuits. Bits are cleared as they are drained, so between calls the
@@ -189,19 +205,15 @@ std::size_t Engine::resimulate_run(EvalBuffer& buf,
     DETERRENT_ASSERT(dirty_inputs[j] < inputs.size(),
                      "resimulate: dirty input ordinal out of range");
     const NetId net = inputs[dirty_inputs[j]];
-    std::uint64_t* dst = v + std::size_t{net} * W;
-    const std::uint64_t* src = dirty_words.data() + j * W;
-    if (std::equal(src, src + W, dst)) continue;  // no actual change
-    std::copy_n(src, W, dst);
+    if (v[net] == dirty_words[j]) continue;  // no actual change
+    v[net] = dirty_words[j];
     schedule_fanouts(net);
   }
 
-  buf.op_scratch_.resize(W);
+  buf.op_scratch_.resize(1);
   std::uint64_t* tmp = buf.op_scratch_.data();
   const kernels::ProgramView program = program_view();
-  // Resolve the width-specialized evaluator once; the drain loop below calls
-  // it per op, and a per-op width switch would be pure overhead.
-  const kernels::EvalOpFn eval_op = kernels_->eval_op_for(W);
+  const kernels::EvalOpFn eval_op = kernels_->eval_op;
   std::size_t evaluated = 0;
   // Program order is topological, so every op scheduled by a change sits at
   // a strictly larger index: one ascending scan of the mask drains the whole
@@ -212,55 +224,14 @@ std::size_t Engine::resimulate_run(EvalBuffer& buf,
       const int bit = std::countr_zero(mask[word]);
       mask[word] &= mask[word] - 1;
       const std::size_t k = word * 64 + static_cast<std::size_t>(bit);
-      eval_op(program, k, v, tmp, W);
+      eval_op(program, k, v, tmp);
       ++evaluated;
-      std::uint64_t* out = v + std::size_t{out_[k]} * W;
-      if (std::equal(tmp, tmp + W, out)) continue;  // change cut-off
-      std::copy_n(tmp, W, out);
+      if (*tmp == v[out_[k]]) continue;  // change cut-off
+      v[out_[k]] = *tmp;
       schedule_fanouts(out_[k]);
     }
   }
   return evaluated;
-}
-
-std::size_t Engine::resimulate(EvalBuffer& buf,
-                               std::span<const std::uint32_t> dirty_inputs,
-                               std::span<const std::uint64_t> dirty_words,
-                               std::size_t n_words) const {
-  const auto inputs = netlist_->inputs();
-  DETERRENT_ASSERT(buf.primed_for(*this),
-                   "resimulate: buffer was not primed by this engine");
-  DETERRENT_ASSERT(buf.words_ == n_words && buf.nets_ == netlist_->net_count(),
-                   "resimulate: buffer shape does not match the primed sweep");
-  DETERRENT_ASSERT(dirty_words.size() == dirty_inputs.size() * n_words,
-                   "resimulate: dirty word count mismatch");
-
-  // Dense fallback: with this many dirty inputs the union cone is almost
-  // certainly the whole program, and the per-op scheduling overhead would
-  // make the "incremental" path slower than a straight sweep.
-  if (dirty_inputs.size() * kDenseFallbackDivisor >= inputs.size()) {
-    std::uint64_t* v = buf.values_.data();
-    for (std::size_t j = 0; j < dirty_inputs.size(); ++j) {
-      DETERRENT_ASSERT(dirty_inputs[j] < inputs.size(),
-                       "resimulate: dirty input ordinal out of range");
-      std::copy_n(dirty_words.data() + j * n_words, n_words,
-                  v + std::size_t{inputs[dirty_inputs[j]]} * n_words);
-    }
-    run(v, n_words);
-    return op_.size();
-  }
-
-  switch (n_words) {
-    case 1: return resimulate_run(buf, dirty_inputs, dirty_words,
-                                  std::integral_constant<std::size_t, 1>{});
-    case 2: return resimulate_run(buf, dirty_inputs, dirty_words,
-                                  std::integral_constant<std::size_t, 2>{});
-    case 4: return resimulate_run(buf, dirty_inputs, dirty_words,
-                                  std::integral_constant<std::size_t, 4>{});
-    case 8: return resimulate_run(buf, dirty_inputs, dirty_words,
-                                  std::integral_constant<std::size_t, 8>{});
-    default: return resimulate_run(buf, dirty_inputs, dirty_words, n_words);
-  }
 }
 
 void Engine::evaluate_blocks(EvalBuffer& buf, const PatternSet& patterns,

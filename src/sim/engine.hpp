@@ -23,9 +23,10 @@ class Engine;
 ///
 /// A buffer filled by Engine::evaluate / evaluate_blocks is *primed*: it
 /// holds a complete, consistent value set for every net and can serve as the
-/// base state of Engine::resimulate. The incremental scratch state (dirty
-/// stamps, level worklists) also lives here, so concurrent mutation loops
-/// need one buffer per thread but can still share one compiled Engine.
+/// base state of Engine::resimulate when it holds one word per net. The
+/// incremental scratch state (dirty-op bitmask, change-detect word) also
+/// lives here, so concurrent mutation loops need one buffer per thread but
+/// can still share one compiled Engine.
 class EvalBuffer {
  public:
   /// Words per net of the most recent evaluation (the W of that call).
@@ -75,7 +76,10 @@ class EvalBuffer {
   // drained, so the mask is all-zero between calls and never needs a reset.
   const Engine* owner_ = nullptr;         // engine that last primed values_
   std::vector<std::uint64_t> dirty_ops_;  // one bit per program entry
-  util::CacheAlignedVector<std::uint64_t> op_scratch_;  // W-word change-detect temp
+  // The change-detect word eval_op writes. It lives on the heap: as a stack
+  // slot it cost about 8% of the cone walk with the AVX-512 backend, whose
+  // masked one-word store the walk reads straight back.
+  util::CacheAlignedVector<std::uint64_t> op_scratch_;
 };
 
 /// Batch logic-simulation engine: compiles a netlist once into a flat,
@@ -92,12 +96,13 @@ class EvalBuffer {
 /// sim::estimate_signal_stats for the canonical stripe loop).
 ///
 /// Incremental re-simulation: mutation loops (MERO's greedy bit flips, the
-/// TGRL hill climber, trigger checks on evolving patterns) change only a few
-/// input words between sweeps. resimulate() re-evaluates just the transitive
-/// fanout cone of the dirty inputs against the previous value buffer — event
-/// driven in ascending program order via an L1-resident op bitmask, with a
-/// change cut-off that stops propagation as soon as a gate's output words
-/// are unchanged. Results are bit-identical to a full evaluate() of the same
+/// TGRL hill climber, trigger checks on evolving patterns) work on one
+/// 64-pattern block and change only a few input words between sweeps.
+/// resimulate() re-evaluates just the transitive fanout cone of the dirty
+/// inputs against the previous one-word value buffer — event driven in
+/// ascending program order via an L1-resident op bitmask, with a change
+/// cut-off that stops propagation as soon as a gate's output word is
+/// unchanged. Results are bit-identical to a full evaluate() of the same
 /// input state.
 ///
 /// SIMD backends: the W-word inner loops are provided by an ISA-tagged
@@ -143,30 +148,29 @@ class Engine {
   /// Incrementally re-evaluates `buf` after a sparse input change.
   ///
   /// `dirty_inputs[j]` is an index into target().inputs() (the input
-  /// *ordinal*, not a NetId) whose new value words are
-  /// `dirty_words[j * n_words .. j * n_words + n_words)`; undirtied inputs
-  /// keep the words already in `buf`. Only gates in the transitive fanout
-  /// cone of inputs whose value actually changed are re-evaluated, and
-  /// propagation stops early wherever a re-evaluated gate reproduces its old
-  /// output words. When the dirty set is a large fraction of the inputs the
-  /// call falls back to a full program sweep (same results, no worklist
-  /// overhead), so resimulate is never asymptotically worse than evaluate.
+  /// *ordinal*, not a NetId) whose new value word is `dirty_words[j]`;
+  /// undirtied inputs keep the words already in `buf`. Only gates in the
+  /// transitive fanout cone of inputs whose value actually changed are
+  /// re-evaluated, and propagation stops early wherever a re-evaluated gate
+  /// reproduces its old output word. When the dirty set is a large fraction
+  /// of the inputs the call falls back to a full program sweep (same
+  /// results, no worklist overhead), so resimulate is never asymptotically
+  /// worse than evaluate.
   ///
   /// Preconditions (checked): `buf` was primed by *this* engine via
-  /// evaluate()/evaluate_blocks() or a prior resimulate(), with the same
-  /// n_words. The priming check is pointer identity, so do not carry a
-  /// buffer across the lifetime of its engine — a new engine at the same
-  /// address cannot be told apart from the one that primed the buffer.
+  /// evaluate()/evaluate_blocks() or a prior resimulate(), at one word per
+  /// net (64 patterns). The priming check is pointer identity, so do not
+  /// carry a buffer across the lifetime of its engine — a new engine at the
+  /// same address cannot be told apart from the one that primed the buffer.
   /// Duplicate entries in `dirty_inputs` are allowed; the last one wins.
   /// Determinism: the resulting buffer is bit-identical to a full
-  /// evaluate() of the updated input state, for every net and word.
+  /// evaluate() of the updated input state, for every net.
   ///
   /// Returns the number of gate evaluations performed (program size when the
   /// dense fallback was taken) — useful for benchmarks and activity stats.
   std::size_t resimulate(EvalBuffer& buf,
                          std::span<const std::uint32_t> dirty_inputs,
-                         std::span<const std::uint64_t> dirty_words,
-                         std::size_t n_words) const;
+                         std::span<const std::uint64_t> dirty_words) const;
 
   /// Evaluates blocks [first_block, first_block + n_words) of a PatternSet,
   /// gathering the input words directly from the set's block storage. Primes
@@ -220,11 +224,6 @@ class Engine {
   kernels::ProgramView program_view() const;
 
   void run(std::uint64_t* values, std::size_t n_words) const;
-  template <typename WordCount>
-  std::size_t resimulate_run(EvalBuffer& buf,
-                             std::span<const std::uint32_t> dirty_inputs,
-                             std::span<const std::uint64_t> dirty_words,
-                             WordCount n_words) const;
 
   const netlist::Netlist* netlist_;
   /// Kernel backend shared by run() and resimulate() — full and incremental

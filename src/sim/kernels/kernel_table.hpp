@@ -59,22 +59,16 @@ struct ProgramView {
   std::size_t n_ops = 0;
 };
 
-/// A single-op evaluator: evaluates program entry k against `values`,
-/// writing the W result words to `out`. Obtained from
-/// KernelTable::eval_op_for — see the contract there.
+/// A single-op evaluator at one word per net: evaluates program entry k
+/// against `values`, writing the result word to `*out`.
 using EvalOpFn = void (*)(const ProgramView& program, std::size_t k,
-                          const std::uint64_t* values, std::uint64_t* out,
-                          std::size_t n_words);
+                          const std::uint64_t* values, std::uint64_t* out);
 
-/// One backend: the full-program sweep loop and a resolver for the single-op
-/// evaluator the incremental resimulate walk calls per drained work item.
-/// run_program takes the word count at runtime and internally dispatches the
-/// common sweep widths (1/2/4/8) to fully-unrolled variants; eval_op_for
-/// performs that same width dispatch ONCE, returning an evaluator
-/// specialized for the given count — resimulate drains thousands of
-/// single-op items at one fixed W, so a per-op width switch would be pure
-/// overhead on that hot path. Calling the returned evaluator with a
-/// different n_words than it was resolved for is undefined. Value buffers
+/// One backend: the full-program sweep loop and the single-op evaluator the
+/// incremental resimulate walk calls per drained work item. run_program
+/// takes the word count at runtime and internally dispatches the common
+/// sweep widths (1/2/4/8) to fully-unrolled variants; eval_op is compiled
+/// for one word per net, the only width resimulate accepts. Value buffers
 /// are expected (not required) to be 64-byte aligned — the kernels use
 /// unaligned loads, so alignment is a performance contract, never a
 /// correctness one.
@@ -87,7 +81,7 @@ struct KernelTable {
   const char* name = "scalar";
   void (*run_program)(const ProgramView& program, std::uint64_t* values,
                       std::size_t n_words) = nullptr;
-  EvalOpFn (*eval_op_for)(std::size_t n_words) = nullptr;
+  EvalOpFn eval_op = nullptr;
 };
 
 // Backend factories, one per TU. Each returns its table, or nullptr when the

@@ -34,7 +34,7 @@ struct Avx2Vec {
 // -mavx2 TU must emit no initialization code — see kernels_avx512.cpp.
 constinit const KernelTable kTable{Isa::Avx2, "avx2",
                                    &run_program_entry<Avx2Vec>,
-                                   &eval_op_for_entry<Avx2Vec>};
+                                   &eval_op_entry<Avx2Vec>};
 
 }  // namespace
 

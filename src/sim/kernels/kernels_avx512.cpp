@@ -54,7 +54,7 @@ struct Avx512Vec {
 // capable CPUs. scripts/check_isa_isolation.sh verifies this shape in CI.
 constinit const KernelTable kTable{Isa::Avx512, "avx512",
                                    &run_program_entry<Avx512Vec>,
-                                   &eval_op_for_entry<Avx512Vec>};
+                                   &eval_op_entry<Avx512Vec>};
 
 }  // namespace
 

@@ -203,9 +203,10 @@ inline void run_program_impl(const ProgramView& p, std::uint64_t* v,
                     n_words);
 }
 
-// Exported entry points: dispatch the common sweep widths to compile-time
+// Exported entry points, the targets of the KernelTable function pointers:
+// run_program_entry dispatches the common sweep widths to compile-time
 // variants (fully unrolled inner loops), everything else to the runtime-W
-// path. These are what the KernelTable function pointers reference.
+// path; eval_op_entry is compiled for one word per net.
 
 template <std::size_t N>
 using WC = std::integral_constant<std::size_t, N>;
@@ -221,31 +222,11 @@ void run_program_entry(const ProgramView& p, std::uint64_t* v, std::size_t n_wor
   }
 }
 
-template <class V, std::size_t N>
-void eval_op_fixed(const ProgramView& p, std::size_t k, const std::uint64_t* v,
-                   std::uint64_t* out, std::size_t /*n_words*/) {
-  eval_op_impl<V>(p, k, v, out, WC<N>{});
-}
-
+/// One op at one word per net: the evaluator behind resimulate's cone walk.
 template <class V>
-void eval_op_any(const ProgramView& p, std::size_t k, const std::uint64_t* v,
-                 std::uint64_t* out, std::size_t n_words) {
-  eval_op_impl<V>(p, k, v, out, n_words);
-}
-
-/// Resolves the width dispatch once per resimulate call instead of once per
-/// drained op (the walk evaluates thousands of single ops at one fixed W).
-/// The fixed-width evaluators ignore their n_words argument — the caller
-/// promised it at resolution time.
-template <class V>
-EvalOpFn eval_op_for_entry(std::size_t n_words) {
-  switch (n_words) {
-    case 1: return &eval_op_fixed<V, 1>;
-    case 2: return &eval_op_fixed<V, 2>;
-    case 4: return &eval_op_fixed<V, 4>;
-    case 8: return &eval_op_fixed<V, 8>;
-    default: return &eval_op_any<V>;
-  }
+void eval_op_entry(const ProgramView& p, std::size_t k, const std::uint64_t* v,
+                   std::uint64_t* out) {
+  eval_op_impl<V>(p, k, v, out, WC<1>{});
 }
 
 }  // namespace

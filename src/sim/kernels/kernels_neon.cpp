@@ -34,7 +34,7 @@ struct NeonVec {
 // kernels_avx512.cpp for why the x86 TUs require it).
 constinit const KernelTable kTable{Isa::Neon, "neon",
                                    &run_program_entry<NeonVec>,
-                                   &eval_op_for_entry<NeonVec>};
+                                   &eval_op_entry<NeonVec>};
 
 }  // namespace
 

@@ -9,7 +9,7 @@ namespace {
 
 constinit const KernelTable kTable{Isa::Scalar, "scalar",
                                    &run_program_entry<ScalarVec>,
-                                   &eval_op_for_entry<ScalarVec>};
+                                   &eval_op_entry<ScalarVec>};
 
 }  // namespace
 

@@ -14,8 +14,7 @@ namespace deterrent::sim {
 /// pass in one machine word per net. Kept for call sites that genuinely work
 /// one block (or one pattern) at a time — greedy mutation loops, SAT model
 /// cross-checks. Batch consumers (probability estimation, signatures,
-/// coverage) use the Engine directly with multi-word sweeps; cycle-accurate
-/// stepping goes through sim::SequentialEngine.
+/// coverage) use the Engine directly with multi-word sweeps.
 ///
 /// The netlist must be combinational (apply netlist::make_full_scan to
 /// sequential designs first — the standard full-scan assumption of §4.1).

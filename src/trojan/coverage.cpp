@@ -84,7 +84,7 @@ const std::vector<bool>& IncrementalTriggerChecker::check(const sim::Pattern& pa
         dirty_inputs_.push_back(static_cast<std::uint32_t>(i));
         dirty_words_.push_back(pattern.test(i) ? ~0ULL : 0ULL);
       }
-    last_ops_ = engine_.resimulate(buf_, dirty_inputs_, dirty_words_, 1);
+    last_ops_ = engine_.resimulate(buf_, dirty_inputs_, dirty_words_);
   }
   last_ = pattern;
 

@@ -645,52 +645,6 @@ TEST(Campaign, RunsLibraryCircuitsConcurrentlyAndAggregates) {
   }
 }
 
-TEST(Campaign, SequentialWorkloadStageReportsMultiTraceThroughput) {
-  // Enrolling the original sequential design next to its scan view and
-  // setting workload_cycles runs the multi-trace SequentialEngine workload
-  // after the pipeline and fills the workload_* report fields. The second
-  // circuit has no workload netlist, so its fields stay at their defaults.
-  bench_gen::RandomCircuitProfile p;
-  p.n_inputs = 12;
-  p.n_outputs = 6;
-  p.n_gates = 180;
-  p.n_dffs = 10;
-  p.seed = 53;
-  const Netlist original = bench_gen::generate_random_circuit(p);
-  const netlist::ScanView scan = netlist::make_full_scan(original);
-  const Netlist comb_only = make_circuit(52);
-
-  CampaignConfig cfg;
-  cfg.base = quick_config(6);
-  cfg.threads = 1;
-  cfg.workload_cycles = 64;
-  cfg.workload_traces = 96;  // 2 words, ragged
-
-  Campaign campaign(cfg);
-  campaign.add("seq_like", scan.comb, original);
-  campaign.add("comb_only", comb_only);
-  const auto report = campaign.run();
-  ASSERT_EQ(report.circuits.size(), 2u);
-
-  const auto& with = report.circuits[0];
-  EXPECT_TRUE(with.ok) << with.error;
-  EXPECT_EQ(with.workload_cycles, 64u);
-  EXPECT_EQ(with.workload_traces, 96u);
-  EXPECT_GT(with.workload_trace_cycles_per_sec, 0.0);
-  EXPECT_GT(with.workload_gate_evals_per_cycle, 0.0);
-  // Chaotic state dynamics may pay the dense fallback (one full sweep) on
-  // some cycles, but never more — the activity statistic is bounded by the
-  // program size. The sparse steady-state case is pinned by the MIPS16
-  // workload in test_sequential_engine.cpp and the micro_sim bench.
-  EXPECT_LE(with.workload_gate_evals_per_cycle,
-            static_cast<double>(scan.comb.gate_count()));
-
-  const auto& without = report.circuits[1];
-  EXPECT_TRUE(without.ok) << without.error;
-  EXPECT_EQ(without.workload_cycles, 0u);
-  EXPECT_EQ(without.workload_gate_evals_per_cycle, -1.0);
-}
-
 TEST(Campaign, SharedCancellationStopsAllCircuits) {
   const Netlist n1 = make_circuit(50);
   const Netlist n2 = make_circuit(51);
