@@ -2,12 +2,16 @@
 //
 // Backs §3.3/§5 — the offline pairwise phase and the per-step compatibility
 // checks issue tens of thousands of assumption-based rare-net queries against
-// one solver instance; queries/sec is the figure of merit. Measures one fixed
-// pair-query stream over a full-scan benchmark cone through one plain
-// sat::NetlistOracle, the shape every SAT worker in the pipeline has. Every
-// Sat answer's input model is re-simulated through sim::Engine and must
-// drive both constrained nets to their required values ("models_verified" in
-// the JSON — the bench doubles as an end-to-end solver/encoder check).
+// one solver instance; queries/sec is the figure of merit. Runs one fixed
+// pair-query stream over a full-scan benchmark cone through two
+// sat::NetlistOracles: a plain one (full branching, as the environments,
+// extraction and the baselines use it) and one that branches on the primary
+// inputs only (NetlistOracle::branch_on_inputs, as the compatibility build
+// uses it). Both legs must answer Sat on the same queries
+// ("verdicts_match"), and every Sat answer's input model from either leg is
+// re-simulated through sim::Engine and must drive both constrained nets to
+// their required values ("models_verified" — the bench doubles as an
+// end-to-end solver/encoder check).
 //
 //   ./micro_sat [output.json]           (default output: BENCH_sim.json)
 //
@@ -64,9 +68,11 @@ struct StreamResult {
 /// Runs the full query stream through a fresh oracle and returns
 /// queries/sec (oracle construction is setup, not counted — the paper's
 /// workload amortizes one encoding over the whole pairwise phase).
-StreamResult run_stream(const netlist::Netlist& nl, const QueryStream& stream) {
+StreamResult run_stream(const netlist::Netlist& nl, const QueryStream& stream,
+                        bool input_branching) {
   StreamResult r;
   sat::NetlistOracle oracle(nl);
+  if (input_branching) oracle.branch_on_inputs();
   util::Stopwatch watch;
   for (std::size_t q = 0; q < stream.size(); ++q) {
     if (!oracle.satisfiable(stream[q])) continue;
@@ -117,14 +123,21 @@ int run_micro_sat(int argc, char** argv) {
               bench_name.c_str(), nl.gate_count(), rare.size(), stream.size(),
               util::to_string(mode));
 
-  const StreamResult result = run_stream(nl, stream);
-  const bool models_verified = verify_models(nl, stream, result);
+  const StreamResult plain = run_stream(nl, stream, /*input_branching=*/false);
+  const StreamResult inputs = run_stream(nl, stream, /*input_branching=*/true);
+  const bool verdicts_match = plain.model_query == inputs.model_query;
+  const bool models_verified =
+      verify_models(nl, stream, plain) && verify_models(nl, stream, inputs);
   const double sat_fraction =
-      static_cast<double>(result.models.size()) / static_cast<double>(stream.size());
+      static_cast<double>(plain.models.size()) / static_cast<double>(stream.size());
 
-  std::printf("\nplain oracle: %.1f queries/s, sat fraction %.3f\n",
-              result.queries_per_sec, sat_fraction);
-  std::printf("Sat models re-simulated: %zu, all verified: %s\n", result.models.size(),
+  std::printf("\nplain oracle:           %.1f queries/s, sat fraction %.3f\n",
+              plain.queries_per_sec, sat_fraction);
+  std::printf("input-branching oracle: %.1f queries/s (%.2fx)\n", inputs.queries_per_sec,
+              inputs.queries_per_sec / plain.queries_per_sec);
+  std::printf("Sat verdicts match: %s\n", verdicts_match ? "yes" : "NO — VERDICT MISMATCH");
+  std::printf("Sat models re-simulated: %zu + %zu, all verified: %s\n",
+              plain.models.size(), inputs.models.size(),
               models_verified ? "yes" : "NO — MODEL MISMATCH");
 
   const std::string prefix = bench::json_merge_prefix(out_path, "sat");
@@ -141,13 +154,16 @@ int run_micro_sat(int argc, char** argv) {
   std::fprintf(f, "    \"rare_nets\": %zu,\n", rare.size());
   std::fprintf(f, "    \"queries\": %zu,\n", stream.size());
   std::fprintf(f, "    \"sat_fraction\": %.4f,\n", sat_fraction);
-  std::fprintf(f, "    \"queries_per_sec\": %.6e,\n", result.queries_per_sec);
-  std::fprintf(f, "    \"sat_models\": %zu,\n", result.models.size());
+  std::fprintf(f, "    \"plain_queries_per_sec\": %.6e,\n", plain.queries_per_sec);
+  std::fprintf(f, "    \"input_branching_queries_per_sec\": %.6e,\n",
+               inputs.queries_per_sec);
+  std::fprintf(f, "    \"sat_models\": %zu,\n", plain.models.size());
+  std::fprintf(f, "    \"verdicts_match\": %s,\n", verdicts_match ? "true" : "false");
   std::fprintf(f, "    \"models_verified\": %s\n", models_verified ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return models_verified ? 0 : 1;
+  return verdicts_match && models_verified ? 0 : 1;
 }
 
 }  // namespace

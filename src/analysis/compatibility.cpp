@@ -182,17 +182,21 @@ class WitnessHarvest {
 
 /// Phase 2 of one worker (a parallel_chunks chunk or a shard): decides
 /// `pairs` in order with one private oracle, whose learnt clauses amortize
-/// across the list, and one harvest table. A pair the table already covers
-/// is compatible without a query: a concrete, simulated pattern proves it,
-/// so it counts into sat_sat (and harvested). A solver bug can therefore
-/// only cost a skip, never flip a verdict. Compatible pairs are appended to
-/// `compatible`; the phase-2 counters are added to `stats`.
+/// across the list, and one harvest table. The oracle branches on the
+/// primary inputs only: its models feed nothing but the harvest table, so
+/// the cheaper Sat answers change no verdict and no serialized counter. A
+/// pair the table already covers is compatible without a query: a concrete,
+/// simulated pattern proves it, so it counts into sat_sat (and harvested).
+/// A solver bug can therefore only cost a skip, never flip a verdict.
+/// Compatible pairs are appended to `compatible`; the phase-2 counters are
+/// added to `stats`.
 void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
                   const CompatibilityBuildConfig& config,
                   std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
                   PairList& compatible, CompatibilityBuildStats& stats) {
   if (pairs.empty()) return;
   sat::NetlistOracle oracle(netlist);
+  oracle.branch_on_inputs();
   WitnessHarvest harvest(netlist, rare_nets);
   for (const auto& [i, j] : pairs) {
     if (harvest.covers(i, j)) {

@@ -78,7 +78,8 @@ struct CompatibilityBuildConfig {
   /// reports "incompatible" (counted in timeout_pairs).
   std::int64_t sat_conflict_budget = 50000;
   /// Removed: the clause-sharing SAT portfolio is gone, and every phase-2
-  /// worker runs one plain sat::NetlistOracle. The field survives only so
+  /// worker runs one sat::NetlistOracle that branches on the primary inputs
+  /// only (NetlistOracle::branch_on_inputs). The field survives only so
   /// existing callers that pin it to 0 keep compiling; build_compatibility
   /// throws deterrent::Error for values >= 2.
   std::size_t portfolio_threads = 0;
@@ -107,9 +108,17 @@ struct CompatibilityBuildStats {
   double build_seconds = 0.0;
   /// The part of sat_sat proven by a re-simulated model of an earlier Sat
   /// answer instead of a query of its own. It depends on the chunk or shard
-  /// plan, so it is runtime-only: artifacts do not serialize it, and a
-  /// sharded build counts only the shards this run built.
+  /// plan and on which model the solver finds (the build's oracles branch on
+  /// the primary inputs only), so it is runtime-only: artifacts do not
+  /// serialize it, and a sharded build counts only the shards this run built.
   std::size_t harvested = 0;
+
+  /// SAT queries actually made: the SAT-decided pairs no harvested model
+  /// covered. A shard resumed from disk reports no harvest, so all of its
+  /// SAT-decided pairs count here.
+  std::size_t solver_calls() const {
+    return sat_sat - harvested + sat_unsat + timeout_pairs;
+  }
 
   /// Adds another chunk's or shard's per-pair counters (sim_resolved,
   /// sat_sat, sat_unsat, timeout_pairs, harvested).
@@ -122,8 +131,10 @@ struct CompatibilityBuildStats {
 ///
 /// Phase 2 harvests witnesses: each worker re-simulates the input model of
 /// every Sat answer and skips the later pairs such a model already drives to
-/// their rare values together. The matrix and every serialized counter are
-/// unchanged by this; only stats.harvested depends on the chunk plan.
+/// their rare values together. Each worker's oracle branches on the primary
+/// inputs only, which changes its models but no verdict. The matrix and
+/// every serialized counter are unchanged by either; only stats.harvested
+/// depends on the chunk plan and the models.
 ///
 /// `signatures_out`, when non-null, receives the phase-1 activation
 /// signatures (one per rare net, pattern-indexed) so downstream consumers —

@@ -11,6 +11,12 @@ NetlistOracle::NetlistOracle(const netlist::Netlist& netlist) : netlist_(&netlis
   encode_netlist(netlist, solver_);
 }
 
+void NetlistOracle::branch_on_inputs() {
+  std::vector<bool> mask(solver_.var_count(), false);
+  for (const netlist::NetId in : netlist_->inputs()) mask[in] = true;
+  solver_.set_decision_vars(mask);
+}
+
 std::vector<Lit> NetlistOracle::to_assumptions(
     std::span<const Constraint> constraints) const {
   std::vector<Lit> assumptions;

@@ -35,6 +35,13 @@ class NetlistOracle {
 
   const netlist::Netlist& target() const { return *netlist_; }
 
+  /// Makes the solver branch on the primary inputs only. Every other net is
+  /// a gate output (or an XOR chain auxiliary) that propagation fixes once
+  /// the inputs are set, so every verdict is unchanged, and a Sat answer
+  /// pays no heap upkeep for the internal nets. Sat models change, so
+  /// callers whose models reach an artifact keep full branching.
+  void branch_on_inputs();
+
   /// Can all constraints hold simultaneously? `conflict_budget` bounds solver
   /// effort (<0 = unlimited); an exhausted budget reports as incompatible via
   /// Unknown → nullopt in try_satisfiable and false in satisfiable.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -32,6 +33,7 @@ Var Solver::new_var() {
   seen_.push_back(0);
   lbd_seen_.push_back(0);
   heap_pos_.push_back(kNotInHeap);
+  decision_.push_back(1);
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
@@ -40,6 +42,19 @@ Var Solver::new_var() {
 
 void Solver::ensure_vars(std::size_t n) {
   while (assigns_.size() < n) new_var();
+}
+
+void Solver::set_decision_vars(const std::vector<bool>& mask) {
+  if (mask.size() != var_count())
+    throw Error("Solver::set_decision_vars: mask has " + std::to_string(mask.size()) +
+                " bits for " + std::to_string(var_count()) + " variables");
+  drop_retained();
+  heap_.clear();
+  std::fill(heap_pos_.begin(), heap_pos_.end(), kNotInHeap);
+  for (Var v = 0; v < var_count(); ++v) {
+    decision_[v] = mask[v] ? 1 : 0;
+    if (mask[v]) heap_insert(v);
+  }
 }
 
 Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt) {
@@ -126,7 +141,7 @@ void Solver::cancel_until(std::uint32_t level) {
     const Var x = var_of(trail_[c]);
     assigns_[x] = LBool::Undef;
     polarity_[x] = sign_of(trail_[c]);  // phase saving
-    if (heap_pos_[x] == kNotInHeap) heap_insert(x);
+    if (decision_[x]) heap_insert(x);
   }
   qhead_ = trail_lim_[level];
   trail_.resize(trail_lim_[level]);
@@ -365,7 +380,11 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
       }
       if (next == kUndefLit) {
         next = pick_branch_lit();
-        if (next == kUndefLit) return Result::Sat;  // all variables assigned
+        if (next == kUndefLit) {
+          DETERRENT_ASSERT(trail_.size() == var_count(),
+                           "Sat with an unassigned variable outside the decision set");
+          return Result::Sat;
+        }
         stats_.decisions++;
       }
       new_decision_level();

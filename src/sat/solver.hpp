@@ -33,13 +33,22 @@ class Solver {
 
   Solver();
 
-  /// Creates a fresh unassigned variable.
+  /// Creates a fresh unassigned variable. It is a decision variable, also
+  /// after set_decision_vars().
   Var new_var();
 
   /// Guarantees variables [0, n) exist.
   void ensure_vars(std::size_t n);
 
   std::size_t var_count() const { return assigns_.size(); }
+
+  /// Restricts branching to the variables whose mask bit is set, MiniSat's
+  /// decision-variable flag; `mask` must hold var_count() bits, or this
+  /// throws deterrent::Error. Every other variable must be fixed by
+  /// propagation once the decision variables are assigned (the inputs of a
+  /// combinational encoding are such a set): search() asserts that a Sat
+  /// answer assigned every variable. Verdicts stay the same; models may not.
+  void set_decision_vars(const std::vector<bool>& mask);
 
   /// Adds a clause (empty span ⇒ immediate UNSAT). Returns false when the
   /// formula is already unsatisfiable at root level.
@@ -188,6 +197,7 @@ class Solver {
   std::size_t qhead_ = 0;
   std::vector<Lit> retained_;  // assumption of decision level i + 1, see retained()
 
+  std::vector<std::uint8_t> decision_;  // 1 ⇒ branching candidate
   std::vector<Var> heap_;           // binary max-heap of decision candidates
   std::vector<std::uint32_t> heap_pos_;  // var → heap index, or npos
   static constexpr std::uint32_t kNotInHeap = 0xffffffffu;

@@ -287,6 +287,100 @@ TEST(SatFuzz, CircuitModelsReplayThroughTheSimulator) {
   }
 }
 
+// Branching on the primary inputs only (Solver::set_decision_vars, as
+// NetlistOracle::branch_on_inputs sets it) against the plain solver: one
+// query stream of plain solves, solve_retaining runs whose assumption lists
+// grow, shrink and diverge, and budget-0 Unknowns goes to both solvers. The
+// verdicts must agree, and every Sat model of either must assign every
+// variable (Tseitin auxiliaries included) and replay through the simulator.
+TEST(SatFuzz, InputBranchingMatchesPlainSolver) {
+  FuzzBudget budget;
+  std::uint64_t sat_answers = 0;
+  std::uint64_t unsat_answers = 0;
+  for (std::uint64_t seed = 1; seed < 200 && !budget.expired(); ++seed) {
+    bench_gen::RandomCircuitProfile profile;
+    profile.n_inputs = 10;
+    profile.n_outputs = 5;
+    profile.n_gates = 120;
+    profile.seed = seed;
+    const netlist::Netlist nl = bench_gen::generate_random_circuit(profile);
+    sim::Simulator simulator(nl);
+    util::Rng rng(seed * 6151ull + 3);
+
+    Solver plain;
+    Solver branching;
+    sat::encode_netlist(nl, plain);
+    sat::encode_netlist(nl, branching);
+    std::vector<bool> inputs(branching.var_count(), false);
+    for (const netlist::NetId in : nl.inputs()) inputs[in] = true;
+    branching.set_decision_vars(inputs);
+
+    const auto random_lit = [&] {
+      return mk_lit(static_cast<Var>(rng.below(nl.net_count())), rng.bernoulli(0.5));
+    };
+    const auto expect_replays = [&](const Solver& s, std::span<const Lit> assumptions,
+                                    const std::string& what) {
+      for (Var v = 0; v < s.var_count(); ++v)
+        ASSERT_NE(s.model_lbool(v), sat::LBool::Undef) << what << ": var " << v;
+      sim::Pattern pattern(nl.inputs().size());
+      for (std::size_t i = 0; i < nl.inputs().size(); ++i)
+        pattern.set(i, s.model_value(static_cast<Var>(nl.inputs()[i])));
+      const std::vector<bool> values = simulator.simulate_pattern(pattern);
+      for (netlist::NetId net = 0; net < nl.net_count(); ++net)
+        ASSERT_EQ(values[net], s.model_value(static_cast<Var>(net)))
+            << what << ": net " << net << " disagrees with simulation";
+      for (const Lit a : assumptions)
+        ASSERT_EQ(values[var_of(a)], !sign_of(a)) << what << ": assumption ignored";
+    };
+
+    std::vector<Lit> assumptions;
+    for (int query = 0; query < 24; ++query) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " query " + std::to_string(query);
+      switch (rng.below(4)) {
+        case 0:  // grow
+          assumptions.push_back(random_lit());
+          break;
+        case 1:  // shrink to a prefix
+          assumptions.resize(rng.below(assumptions.size() + 1));
+          break;
+        case 2: {  // diverge after a prefix
+          assumptions.resize(assumptions.empty() ? 0 : rng.below(assumptions.size()));
+          assumptions.push_back(random_lit());
+          break;
+        }
+        default:  // a fresh list of one to three literals
+          assumptions.clear();
+          for (std::size_t k = 0, n = 1 + rng.below(3); k < n; ++k)
+            assumptions.push_back(random_lit());
+      }
+      const std::uint64_t mode = rng.below(5);
+      const std::int64_t conflict_budget = mode == 4 ? 0 : -1;
+      const auto ask = [&](Solver& s) {
+        return mode % 2 == 0 ? s.solve_retaining(assumptions, conflict_budget)
+                             : s.solve(assumptions, conflict_budget);
+      };
+      const auto want = ask(plain);
+      const auto got = ask(branching);
+      ASSERT_EQ(got, want) << what;
+      if (mode == 4) {
+        ASSERT_EQ(got, Solver::Result::Unknown) << what;
+        continue;
+      }
+      if (got == Solver::Result::Unsat) ++unsat_answers;
+      if (got != Solver::Result::Sat) continue;
+      ++sat_answers;
+      expect_replays(plain, assumptions, what + " (plain)");
+      expect_replays(branching, assumptions, what + " (input branching)");
+      if (HasFatalFailure()) return;
+    }
+  }
+  RecordProperty("sat_answers", static_cast<int>(sat_answers));
+  RecordProperty("unsat_answers", static_cast<int>(unsat_answers));
+  ASSERT_GT(sat_answers, 0u);
+  ASSERT_GT(unsat_answers, 0u);
+}
+
 // ----------------------------------------------------- DIMACS corpus -------
 
 // Minimized regression instances, table-driven. Each is solved by the plain

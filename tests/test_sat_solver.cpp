@@ -2,6 +2,7 @@
 
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace deterrent::sat {
@@ -301,6 +302,90 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
       for (int p2 = p1 + 1; p2 < pigeons; ++p2)
         s.add_clause({mk_lit(var_at(p1, h), true), mk_lit(var_at(p2, h), true)});
   EXPECT_EQ(s.solve({}, 10), Solver::Result::Unknown);
+}
+
+// ---------------------------------------------------- decision set ------
+
+TEST(Solver, DecisionMaskMustCoverEveryVariable) {
+  Solver s;
+  s.ensure_vars(3);
+  EXPECT_THROW(s.set_decision_vars({true, false}), Error);
+  EXPECT_THROW(s.set_decision_vars({true, false, true, true}), Error);
+  s.set_decision_vars({true, true, true});
+  EXPECT_EQ(s.solve(), Solver::Result::Sat);
+}
+
+TEST(Solver, NewVarAfterDecisionMaskIsADecisionVariable) {
+  // Variable 1 is a copy of variable 0, so only 0 needs to be a decision
+  // variable. A variable created after the mask is one by default: left
+  // free, it is decided (negative first), not reported unassigned.
+  Solver s;
+  s.ensure_vars(2);
+  s.add_clause({mk_lit(0, true), mk_lit(1)});
+  s.add_clause({mk_lit(0), mk_lit(1, true)});
+  s.set_decision_vars({true, false});
+  const Var fresh = s.new_var();
+  ASSERT_EQ(s.solve(), Solver::Result::Sat);
+  EXPECT_FALSE(s.model_value(fresh));
+  EXPECT_EQ(s.model_value(0), s.model_value(1));
+  EXPECT_EQ(s.last_solve_stats().decisions, 2u);
+}
+
+/// k triples (y, a, b) with y <-> a AND b, each y created before its a and b.
+/// Deciding a and b always fixes y, so branching on the inputs costs exactly
+/// two decisions per triple; deciding y = false first fixes nothing and costs
+/// a third.
+Solver and_triples(int k) {
+  Solver s;
+  s.ensure_vars(3 * k);
+  for (int t = 0; t < k; ++t) {
+    const Var y = 3 * t, a = 3 * t + 1, b = 3 * t + 2;
+    s.add_clause({mk_lit(y, true), mk_lit(a)});
+    s.add_clause({mk_lit(y, true), mk_lit(b)});
+    s.add_clause({mk_lit(y), mk_lit(a, true), mk_lit(b, true)});
+  }
+  return s;
+}
+
+TEST(Solver, HeapYieldsOnlyDecisionVariables) {
+  constexpr int k = 16;
+  Solver plain = and_triples(k);
+  ASSERT_EQ(plain.solve(), Solver::Result::Sat);
+  ASSERT_GT(plain.last_solve_stats().decisions, 2u * k)
+      << "the plain solver should branch on an AND output first";
+
+  Solver s = and_triples(k);
+  std::vector<bool> inputs(3 * k, true);
+  for (int t = 0; t < k; ++t) inputs[3 * t] = false;
+  s.set_decision_vars(inputs);
+  util::Rng rng(5);
+  for (int round = 0; round < 6; ++round) {
+    // Every solve backtracks over the previous trail, so the outputs it
+    // assigned must not come back into the heap. Assuming output 0 true
+    // fixes its inputs and puts the output first on the trail, the place a
+    // re-inserted variable would be popped from early in the next round.
+    const Lit assume[] = {mk_lit(0)};
+    const bool assumed = round % 2 == 1;
+    const auto result = assumed ? s.solve(assume) : s.solve();
+    ASSERT_EQ(result, Solver::Result::Sat) << "round " << round;
+    EXPECT_EQ(s.last_solve_stats().decisions, assumed ? 2u * k - 2 : 2u * k)
+        << "round " << round;
+    for (int t = 0; t < k; ++t)
+      EXPECT_EQ(s.model_value(3 * t),
+                s.model_value(3 * t + 1) && s.model_value(3 * t + 2));
+    if (round == 3) s.randomize_phases(rng);
+  }
+}
+
+TEST(SolverDeath, FreeVariableOutsideTheDecisionSetTripsTheAssert) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Solver s;
+  s.ensure_vars(2);
+  s.add_clause({mk_lit(0), mk_lit(1)});
+  s.set_decision_vars({true, false});
+  // Deciding 0 = true leaves 1 free, and nothing will ever branch on it.
+  const Lit assume[] = {mk_lit(0)};
+  EXPECT_DEATH(s.solve(assume), "unassigned variable");
 }
 
 // --------------------------------------------------------------- fuzz ------
