@@ -4,11 +4,13 @@
 // Runs the same training workload (compatible-set MDP on a full-scan
 // benchmark cone) at rollout_lanes = 1 (the baseline: the same one-path
 // trainer, one episode at a time) and at each requested lane count, timing
-// update() throughput. Training is contractually bit-identical at every
-// lane count, so the bench doubles as a differential check: every
-// configuration folds its per-update statistics and final network
-// parameters into an episode checksum, and any lane-count-dependent
-// divergence fails the run ("checksums_identical" in the JSON, exit code 1).
+// update() throughput; then runs the lane list again with a 2-thread pool
+// shared by the trainer and the env, as core::Pipeline trains. Training is
+// contractually bit-identical at every lane count and with or without the
+// pool, so the bench doubles as a differential check: every configuration
+// folds its per-update statistics and final network parameters into an
+// episode checksum, and any divergence fails the run ("checksums_identical"
+// in the JSON, exit code 1).
 //
 //   ./micro_ppo [output.json] [lanes]      (default: BENCH_sim.json 1,8,64)
 //
@@ -83,6 +85,7 @@ std::uint64_t bits(float v) {
 
 struct LaneResult {
   std::size_t lanes = 1;
+  std::size_t threads = 1;  // 1 = serial, else the pool's thread count
   double updates_per_sec = 0.0;
   double env_steps_per_sec = 0.0;
   double speedup_vs_single = 0.0;
@@ -94,22 +97,25 @@ struct LaneResult {
   std::uint64_t model_hits = 0;
 };
 
-/// Trains a fresh seed-7 trainer at the given lane count: one untimed warmup
-/// update, then `updates` timed ones. The checksum digests every per-update
-/// statistic and the final network parameters — bit-identical collection and
-/// optimization across lane counts is the pass condition.
+/// Trains a fresh seed-7 trainer at the given lane count, on `threads` when
+/// given: one untimed warmup update, then `updates` timed ones. The checksum
+/// digests every per-update statistic and the final network parameters —
+/// bit-identical collection and optimization across lane counts and thread
+/// counts is the pass condition.
 LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
-                     rl::PpoConfig ppo, std::size_t lanes, std::size_t updates) {
+                     rl::PpoConfig ppo, std::size_t lanes, std::size_t updates,
+                     util::ThreadPool* threads) {
   LaneResult result;
   result.lanes = lanes;
+  result.threads = threads != nullptr ? threads->thread_count() : 1;
   ppo.rollout_lanes = lanes;
 
   core::DistinctSetPool pool;
   const auto vector_factory = [&](std::size_t n) -> std::unique_ptr<rl::VectorEnv> {
     return std::make_unique<core::CompatibleSetVectorEnv>(
-        fx.bench.scan.comb, fx.rare, fx.matrix, env_cfg, &pool, n);
+        fx.bench.scan.comb, fx.rare, fx.matrix, env_cfg, &pool, n, threads);
   };
-  rl::PpoTrainer trainer(nullptr, ppo, 7, vector_factory);
+  rl::PpoTrainer trainer(nullptr, ppo, 7, vector_factory, threads);
 
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto digest_update = [&](const rl::PpoUpdateStats& stats) {
@@ -188,8 +194,10 @@ int run_micro_ppo(int argc, char** argv) {
       ppo.episodes_per_update, updates, util::to_string(mode));
 
   std::vector<LaneResult> results;
-  for (const std::size_t n : lanes)
-    results.push_back(run_lanes(fx, env_cfg, ppo, n, updates));
+  util::ThreadPool two(2);
+  for (util::ThreadPool* threads : {static_cast<util::ThreadPool*>(nullptr), &two})
+    for (const std::size_t n : lanes)
+      results.push_back(run_lanes(fx, env_cfg, ppo, n, updates, threads));
 
   bool checksums_identical = true;
   for (auto& r : results) {
@@ -197,15 +205,16 @@ int run_micro_ppo(int argc, char** argv) {
     checksums_identical = checksums_identical && r.checksum == results[0].checksum;
   }
 
-  std::printf("\n%8s %14s %16s %10s %12s %12s %18s\n", "lanes", "updates/s",
-              "env_steps/s", "speedup", "sat_queries", "model_hits", "episode_checksum");
+  std::printf("\n%8s %8s %14s %16s %10s %12s %12s %18s\n", "lanes", "threads",
+              "updates/s", "env_steps/s", "speedup", "sat_queries", "model_hits",
+              "episode_checksum");
   for (const auto& r : results)
-    std::printf("%8zu %14.3f %16.1f %9.2fx %12llu %12llu %18llx\n", r.lanes,
-                r.updates_per_sec, r.env_steps_per_sec, r.speedup_vs_single,
+    std::printf("%8zu %8zu %14.3f %16.1f %9.2fx %12llu %12llu %18llx\n", r.lanes,
+                r.threads, r.updates_per_sec, r.env_steps_per_sec, r.speedup_vs_single,
                 static_cast<unsigned long long>(r.env_sat_queries),
                 static_cast<unsigned long long>(r.model_hits),
                 static_cast<unsigned long long>(r.checksum));
-  std::printf("episode checksums lane-count-invariant: %s\n",
+  std::printf("episode checksums lane- and thread-count-invariant: %s\n",
               checksums_identical ? "yes" : "NO — DIFFERENTIAL MISMATCH");
 
   const std::string prefix = bench::json_merge_prefix(out_path, "ppo");
@@ -228,11 +237,11 @@ int run_micro_ppo(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(f,
-                 "      {\"lanes\": %zu, \"updates_per_sec\": %.6e, "
+                 "      {\"lanes\": %zu, \"threads\": %zu, \"updates_per_sec\": %.6e, "
                  "\"env_steps_per_sec\": %.6e, \"speedup_vs_single\": %.4f, "
                  "\"env_sat_queries\": %llu, \"model_hits\": %llu, "
                  "\"episode_checksum\": \"%llx\"}%s\n",
-                 r.lanes, r.updates_per_sec, r.env_steps_per_sec,
+                 r.lanes, r.threads, r.updates_per_sec, r.env_steps_per_sec,
                  r.speedup_vs_single,
                  static_cast<unsigned long long>(r.env_sat_queries),
                  static_cast<unsigned long long>(r.model_hits),

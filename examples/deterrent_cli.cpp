@@ -31,8 +31,6 @@
 //   --budget-seconds <s>   per-stage wall-clock budget  (default unlimited)
 //   --sat-budget <n>       training SAT-query budget    (default unlimited)
 //   --threads <n>          campaign circuit workers     (default hardware)
-//   --sat-dispatch <n>     threads for batched lane SAT dispatch in vectorized
-//                          rollouts (default 0 = sequential; results identical)
 //   --compat-shards <n>    split the compatibility build into n deterministic
 //                          row-range shards, checkpointed per shard (default 0)
 //   --cache-dir <dir>      shared content-addressed artifact cache: staged
@@ -132,7 +130,6 @@ struct Args {
   double budget_seconds() const { return flag_double("--budget-seconds", 0.0); }
   std::uint64_t sat_budget() const { return flag_size("--sat-budget", 0); }
   std::size_t threads() const { return flag_size("--threads", 0); }
-  std::size_t sat_dispatch() const { return flag_size("--sat-dispatch", 0); }
   std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
@@ -212,7 +209,6 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   cfg.lint = lint_config(args);
   cfg.rare.threshold = args.threshold();
   cfg.compat.shard_count = args.compat_shards();
-  cfg.env.sat_dispatch_threads = args.sat_dispatch();
   cfg.updates = args.updates();
   cfg.k_patterns = args.k();
   cfg.seed = args.seed();

@@ -25,7 +25,11 @@ struct DeterrentConfig {
   std::size_t updates = 40;     ///< PPO update iterations in train()
   std::size_t k_patterns = 32;  ///< k largest distinct sets → test patterns
   std::uint64_t seed = 1;
-  std::size_t offline_threads = 0;  ///< offline-phase workers; 0 = hardware
+  /// The pipeline's worker threads: the rare-net and compatibility stages
+  /// use all of them, the train stage's network passes and lane SAT work at
+  /// most four. 0 = hardware concurrency. Every stage is bit-identical at
+  /// any count.
+  std::size_t offline_threads = 0;
 
   /// PPO defaults with the paper's boosted exploration (§3.4): entropy
   /// coefficient c_eps = 1 and GAE smoothing λ = 0.99.

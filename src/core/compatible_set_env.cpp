@@ -1,7 +1,9 @@
 #include "core/compatible_set_env.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -104,18 +106,28 @@ void verify_episode(sat::NetlistOracle& oracle,
   members = std::move(kept);
 }
 
+/// fn(k) for k in [0, n), across `pool` when there is one and n > 1.
+void for_each_lane(util::ThreadPool* pool, std::size_t n,
+                   const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && n > 1)
+    pool->parallel_for(n, fn);
+  else
+    for (std::size_t k = 0; k < n; ++k) fn(k);
+}
+
 }  // namespace
 
 CompatibleSetVectorEnv::CompatibleSetVectorEnv(
     const netlist::Netlist& netlist, std::span<const analysis::RareNet> rare_nets,
     const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
-    DistinctSetPool* pool, std::size_t lanes)
+    DistinctSetPool* pool, std::size_t lanes, util::ThreadPool* threads)
     : netlist_(&netlist),
       rare_nets_(rare_nets.begin(), rare_nets.end()),
       matrix_(&matrix),
       config_(config),
       pool_(pool),
-      viable_mask_(rare_nets.size()) {
+      viable_mask_(rare_nets.size()),
+      threads_(threads) {
   DETERRENT_ASSERT(lanes >= 1, "CompatibleSetVectorEnv needs at least one lane");
   DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
                    "compatibility matrix / rare net size mismatch");
@@ -202,13 +214,6 @@ void CompatibleSetVectorEnv::build_constraints(const Lane& lane,
         {rare_nets_[extra_action].net, rare_nets_[extra_action].rare_value});
 }
 
-util::ThreadPool* CompatibleSetVectorEnv::dispatch_pool() {
-  if (config_.sat_dispatch_threads < 2) return nullptr;
-  if (!dispatch_pool_)
-    dispatch_pool_ = std::make_unique<util::ThreadPool>(config_.sat_dispatch_threads);
-  return dispatch_pool_.get();
-}
-
 bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
                                          std::span<const sat::Constraint> constraints) {
   return lane_oracle(lane)
@@ -216,13 +221,27 @@ bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
       .value_or(false);
 }
 
+void CompatibleSetVectorEnv::verify_lanes(std::span<const std::size_t> ending) {
+  // Each lane verifies on its own oracle and scratch and counts into its own
+  // slot; the totals are summed afterwards, so nothing shared is written.
+  std::vector<std::array<std::uint64_t, 2>> hits(ending.size());  // witness, model
+  const auto verify = [&](std::size_t k) {
+    Lane& lane = lanes_[ending[k]];
+    verify_episode(lane_oracle(ending[k]), rare_nets_, config_, lane.members,
+                   lane.verify_scratch, hits[k][0], hits[k][1]);
+  };
+  for_each_lane(threads_, ending.size(), verify);
+  for (const auto& [witness, model] : hits) {
+    witness_hits_ += witness;
+    model_hits_ += model;
+  }
+}
+
 void CompatibleSetVectorEnv::finish_lane(std::size_t l) {
   Lane& lane = lanes_[l];
   lane.open = false;
   lane.done = true;
   if (config_.reward_mode == RewardMode::EndOfEpisode) {
-    verify_episode(lane_oracle(l), rare_nets_, config_, lane.members,
-                   scratch_constraints_, witness_hits_, model_hits_);
     util::BitVec verified(rare_nets_.size());
     for (const std::uint32_t m : lane.members) verified.set(m);
     lane.state = std::move(verified);
@@ -294,15 +313,11 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
       const std::size_t l = pending[k];
       verdicts[l] = solve_joint(l, staged[k]) ? Verdict::Accept : Verdict::Reject;
     };
-    util::ThreadPool* pool = pending.size() > 1 ? dispatch_pool() : nullptr;
-    if (pool != nullptr) {
-      pool->parallel_for(pending.size(), solve_pending);
-    } else {
-      for (std::size_t k = 0; k < pending.size(); ++k) solve_pending(k);
-    }
+    for_each_lane(threads_, pending.size(), solve_pending);
   }
 
-  // Phase 3 — apply transitions, rewards, terminations.
+  // Phase 3 — apply transitions and rewards, and note the lanes that end.
+  std::vector<std::size_t> ending;
   for (std::size_t l = active.find_first(); l < lanes_.size();
        l = active.find_next(l + 1)) {
     Lane& lane = lanes_[l];
@@ -327,9 +342,13 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
 
     const bool out_of_actions = lane.mask.none();
     const bool out_of_steps = lane.steps >= max_steps_;
-    if (out_of_actions || out_of_steps)
-      finish_lane(l);  // may overwrite reward (EndOfEpisode terminal payout)
+    if (out_of_actions || out_of_steps) ending.push_back(l);
   }
+
+  // Phase 4 — terminations: verification (EndOfEpisode) across the lanes that
+  // end together, then pool additions and terminal rewards in lane order.
+  if (config_.reward_mode == RewardMode::EndOfEpisode) verify_lanes(ending);
+  for (const std::size_t l : ending) finish_lane(l);
 }
 
 std::span<const float> CompatibleSetVectorEnv::observation(std::size_t lane) const {

@@ -70,12 +70,9 @@ struct EnvConfig {
   /// count, resume); a PolicyArtifact differs only in history sat_queries
   /// and wall times.
   const std::vector<util::BitVec>* witness_signatures = nullptr;
-  /// Worker threads for the lane SAT dispatch; 0/1 = sequential, >= 2
-  /// creates a private pool that solves a step's pending lanes on their
-  /// private oracles concurrently. Each oracle sees the same query stream at
-  /// any thread count, so results stay bit-identical. Only AllSteps steps
-  /// dispatch a batch, and only when more than one lane needs the solver;
-  /// EndOfEpisode verification runs per lane.
+  /// Not read. Kept only because the config block serializes it and the
+  /// frozen end-to-end benchmark assigns it (docs/architecture.md); the
+  /// lanes' SAT work runs on the pool passed to CompatibleSetVectorEnv.
   std::size_t sat_dispatch_threads = 0;
 };
 
@@ -97,8 +94,8 @@ struct EnvConfig {
 /// Determinism contract: lane l's trajectory depends only on the RNG stream
 /// reset_lane() fed it and the actions applied to it. Each lane owns a
 /// private, lazily-built oracle that sees only that lane's queries, so an
-/// N-lane env matches N one-lane envs fed the same streams and actions, at
-/// any dispatch thread count, even where a conflict-budget-exhausted Unknown
+/// N-lane env matches N one-lane envs fed the same streams and actions, with
+/// or without a thread pool, even where a conflict-budget-exhausted Unknown
 /// decides a verdict. The pool is a content-keyed set, so interleaved lane
 /// completion order cannot leak into artifacts. Answers, rewards, the pool
 /// and parameters never depend on which episodes a lane ran; sat_queries()
@@ -108,11 +105,16 @@ struct EnvConfig {
 /// reference.
 class CompatibleSetVectorEnv final : public rl::VectorEnv {
  public:
+  /// `threads` (optional, must outlive the env) runs the SAT work of lanes
+  /// that need it in the same step() concurrently, each lane on its private
+  /// oracle: an AllSteps step's pending checks, and the EndOfEpisode
+  /// verification of lanes that finish together. Pool additions and rewards
+  /// stay in lane order.
   CompatibleSetVectorEnv(const netlist::Netlist& netlist,
                          std::span<const analysis::RareNet> rare_nets,
                          const analysis::CompatibilityMatrix& matrix,
                          const EnvConfig& config, DistinctSetPool* pool,
-                         std::size_t lanes);
+                         std::size_t lanes, util::ThreadPool* threads = nullptr);
 
   std::size_t lanes() const override { return lanes_.size(); }
   std::size_t observation_size() const override { return rare_nets_.size(); }
@@ -148,6 +150,7 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
     util::BitVec witness;               // running AND of member signatures
     std::vector<std::uint32_t> members; // insertion order
     std::vector<float> obs;             // dense observation, kept incrementally
+    std::vector<sat::Constraint> verify_scratch;  // EndOfEpisode verification
     float reward = 0.0f;
     std::size_t steps = 0;
     bool done = true;                   // unfrozen only by reset_lane()
@@ -157,12 +160,13 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   float size_reward(std::size_t set_size) const;
   bool pairwise_ok(const Lane& lane, std::uint32_t action) const;
   sat::NetlistOracle& lane_oracle(std::size_t lane);
-  /// Lazy dispatch pool; nullptr when config.sat_dispatch_threads < 2.
-  util::ThreadPool* dispatch_pool();
   void build_constraints(const Lane& lane, std::uint32_t extra_action);
   /// Answers "are these constraints jointly satisfiable" on the lane's
   /// oracle; exhausted budgets report false (conservative).
   bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
+  /// EndOfEpisode verification of the lanes ending in this step, across the
+  /// pool when more than one ends.
+  void verify_lanes(std::span<const std::size_t> ending);
   void finish_lane(std::size_t lane);
   void rebuild_observation(Lane& lane);
 
@@ -177,7 +181,7 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
 
   std::vector<Lane> lanes_;
   std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // one per lane, lazy
-  std::unique_ptr<util::ThreadPool> dispatch_pool_;  // lazy, see dispatch_pool()
+  util::ThreadPool* threads_ = nullptr;  // optional, see the constructor
   std::vector<sat::Constraint> scratch_constraints_;
   std::uint64_t witness_hits_ = 0;
   std::uint64_t model_hits_ = 0;

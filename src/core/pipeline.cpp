@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <unordered_set>
 
 #include "analysis/lint.hpp"
@@ -14,6 +15,16 @@
 #include "util/watchdog.hpp"
 
 namespace deterrent::core {
+
+namespace {
+
+/// The train stage's thread cap: the widest pool measured (on a shared
+/// 4-core x86-64 host, 3 and 4 workers trained train_c5315 faster than 2;
+/// docs/training.md#threads). Wider pools split the 256-row minibatch and
+/// the 8 lanes into pieces no measurement has covered.
+constexpr std::size_t kMaxTrainThreads = 4;
+
+}  // namespace
 
 const char* to_string(Stage stage) {
   switch (stage) {
@@ -215,16 +226,26 @@ void Pipeline::ensure_trainer() {
   EnvConfig env_config = config_.env;
   if (env_config.witness_signatures == nullptr && !witness_signatures_.empty())
     env_config.witness_signatures = &witness_signatures_;
+  // Training runs on up to kMaxTrainThreads of the pipeline's workers: the
+  // trainer's optimization passes and the env's lane SAT work share one
+  // pool, built here rather than at setup. Both are bit-identical with or
+  // without it.
+  const std::size_t workers =
+      std::min(kMaxTrainThreads, config_.offline_threads != 0
+                                     ? config_.offline_threads
+                                     : std::size_t{std::thread::hardware_concurrency()});
+  if (workers > 1) train_threads_ = std::make_unique<util::ThreadPool>(workers);
+  util::ThreadPool* threads = train_threads_.get();
   // Training collects on one CompatibleSetVectorEnv. Episode RNG streams are
   // keyed by global episode index, never by lane, so artifacts and resume
   // points are bit-identical at any lane count.
-  auto vector_factory =
-      [this, env_config](std::size_t lanes) -> std::unique_ptr<rl::VectorEnv> {
+  auto vector_factory = [this, env_config,
+                         threads](std::size_t lanes) -> std::unique_ptr<rl::VectorEnv> {
     return std::make_unique<CompatibleSetVectorEnv>(*netlist_, rare_nets_, *matrix_,
-                                                    env_config, &pool_, lanes);
+                                                    env_config, &pool_, lanes, threads);
   };
   trainer_ = std::make_unique<rl::PpoTrainer>(nullptr, config_.ppo, config_.seed,
-                                              vector_factory);
+                                              vector_factory, threads);
   if (pending_trainer_state_.has_value()) {
     trainer_->restore(*pending_trainer_state_);
     pending_trainer_state_.reset();

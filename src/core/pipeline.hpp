@@ -250,6 +250,7 @@ class Pipeline {
   analysis::CompatibilityBuildStats compat_stats_;
 
   DistinctSetPool pool_;
+  std::unique_ptr<util::ThreadPool> train_threads_;  // outlives trainer_; see ensure_trainer
   std::unique_ptr<rl::PpoTrainer> trainer_;
   std::optional<rl::TrainerState> pending_trainer_state_;
   std::vector<TrainingSnapshot> history_;

@@ -5,6 +5,7 @@
 
 #include "rl/mlp_kernels.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace deterrent::rl {
 
@@ -16,10 +17,31 @@ namespace {
 /// element keeps its one ascending chain.
 constexpr std::size_t kBlock = 64;
 
-/// dst (cols × rows) = src (rows × cols), transposed; exact copies.
-void transpose(const float* src, std::size_t rows, std::size_t cols, float* dst) {
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+/// dst (cols × rows) = src (rows × cols) transposed over rows [r0, r1) and
+/// columns [c0, c1) of src; exact copies.
+void transpose(const float* src, std::size_t rows, std::size_t cols, float* dst,
+               std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
+  for (std::size_t r = r0; r < r1; ++r)
+    for (std::size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+}
+
+/// [begin, end) of part `part` of `parts` near-equal slices of [0, n).
+struct Slice { std::size_t begin, end; };
+Slice slice(std::size_t n, std::size_t part, std::size_t parts) {
+  return {n * part / parts, n * (part + 1) / parts};
+}
+
+std::size_t part_count(const util::ThreadPool* pool) {
+  return pool != nullptr ? pool->thread_count() : 1;
+}
+
+/// Runs body(part, parts) once per pool thread (inline without a pool);
+/// each pass slices its own axes by part.
+template <typename Body>
+void for_parts(util::ThreadPool* pool, Body&& body) {
+  const std::size_t parts = part_count(pool);
+  util::parallel_chunks(pool, parts,
+                        [&](std::size_t part, std::size_t, std::size_t) { body(part, parts); });
 }
 
 }  // namespace
@@ -50,7 +72,8 @@ Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
 void Mlp::refresh_transpose() {
   for (auto& layer : layers_) {
     layer.wt.resize(layer.w.size());
-    transpose(layer.w.data(), layer.out, layer.in, layer.wt.data());
+    transpose(layer.w.data(), layer.out, layer.in, layer.wt.data(), 0, layer.out, 0,
+              layer.in);
   }
 }
 
@@ -114,64 +137,73 @@ void Mlp::backward(std::span<const float> input, const Workspace& ws,
 
 template <typename RowPtrFn>
 std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                               BatchWorkspace& ws) const {
+                                               BatchWorkspace& ws,
+                                               util::ThreadPool* pool) const {
   DETERRENT_ASSERT(rows > 0, "Mlp::forward_batch needs at least one row");
   ws.rows = rows;
   ws.post.resize(layers_.size());
+  for (std::size_t l = 0; l < layers_.size(); ++l)
+    ws.post[l].resize(rows * layers_[l].out);
+  const std::size_t in0 = layers_.front().in;
+  ws.nz.resize(part_count(pool) * in0);
 
   // Per output element: acc = bias, then acc += x[i]·w[o][i] for i ascending
   // — forward()'s chain, with the first layer's exact-zero terms skipped.
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const auto& layer = layers_[l];
-    auto& out = ws.post[l];
-    out.resize(rows * layer.out);
-    for (std::size_t n = 0; n < rows; ++n)
-      std::copy(layer.b.begin(), layer.b.end(), out.data() + n * layer.out);
-    if (l == 0) {
-      ws.nz.resize(layer.in);
-      for (std::size_t n = 0; n < rows; ++n) {
-        const float* x = row_ptr(n);
-        float* acc = out.data() + n * layer.out;
-        const std::size_t count = kernels_->nonzero_indices(x, layer.in, ws.nz.data());
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::uint32_t i = ws.nz[j];
-          kernels_->axpy(x[i], layer.wt.data() + i * layer.out, acc, layer.out);
+  // Rows are independent through every layer, so each part runs its rows
+  // through the whole network.
+  for_parts(pool, [&](std::size_t part, std::size_t parts) {
+    const auto [n0, n1] = slice(rows, part, parts);
+    std::uint32_t* nz = ws.nz.data() + part * in0;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const auto& layer = layers_[l];
+      float* out = ws.post[l].data();
+      for (std::size_t n = n0; n < n1; ++n)
+        std::copy(layer.b.begin(), layer.b.end(), out + n * layer.out);
+      if (l == 0) {
+        for (std::size_t n = n0; n < n1; ++n) {
+          const float* x = row_ptr(n);
+          float* acc = out + n * layer.out;
+          const std::size_t count = kernels_->nonzero_indices(x, layer.in, nz);
+          for (std::size_t j = 0; j < count; ++j)
+            kernels_->axpy(x[nz[j]], layer.wt.data() + nz[j] * layer.out, acc, layer.out);
         }
+      } else {
+        const float* x = ws.post[l - 1].data();
+        for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
+          for (std::size_t n = n0; n < n1; ++n)
+            kernels_->axpy_rows(x + n * layer.in, 1, layer.wt.data() + o0, layer.out,
+                                layer.in, out + n * layer.out + o0,
+                                std::min(kBlock, layer.out - o0));
       }
-    } else {
-      const float* x = ws.post[l - 1].data();
-      for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
-        for (std::size_t n = 0; n < rows; ++n)
-          kernels_->axpy_rows(x + n * layer.in, 1, layer.wt.data() + o0, layer.out,
-                              layer.in, out.data() + n * layer.out + o0,
-                              std::min(kBlock, layer.out - o0));
+      if (l + 1 < layers_.size())
+        kernels_->tanh(out + n0 * layer.out, (n1 - n0) * layer.out);
     }
-    if (l + 1 < layers_.size()) kernels_->tanh(out.data(), out.size());
-  }
+  });
   return ws.post.back();
 }
 
 std::span<const float> Mlp::forward_batch(std::span<const float> input,
-                                          std::size_t rows,
-                                          BatchWorkspace& ws) const {
+                                          std::size_t rows, BatchWorkspace& ws,
+                                          util::ThreadPool* pool) const {
   DETERRENT_ASSERT(input.size() == rows * input_size(),
                    "Mlp::forward_batch input size mismatch");
   const std::size_t in = input_size();
   const float* base = input.data();
   return forward_batch_impl([base, in](std::size_t n) { return base + n * in; },
-                            rows, ws);
+                            rows, ws, pool);
 }
 
 std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
-                                          std::size_t rows,
-                                          BatchWorkspace& ws) const {
+                                          std::size_t rows, BatchWorkspace& ws,
+                                          util::ThreadPool* pool) const {
   return forward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; },
-                            rows, ws);
+                            rows, ws, pool);
 }
 
 template <typename RowPtrFn>
 void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
-                              std::span<const float> output_grads) {
+                              std::span<const float> output_grads,
+                              util::ThreadPool* pool) {
   const std::size_t rows = ws.rows;
   DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size(),
                    "Mlp::backward_batch workspace/layer mismatch");
@@ -181,71 +213,89 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
   // Every sum below runs its terms in row-by-row backward()'s order, and
   // every term backward() skips (g == 0) or this pass skips (x == 0) is a
   // signed zero that cannot change a gradient accumulator (see mlp.hpp).
+  // Parts split outputs (a bias or weight gradient sums over rows), inputs
+  // (layer 0's transposed weight gradient) or rows (an input gradient sums
+  // over outputs), never the axis of a sum.
   std::vector<float> grad(output_grads.begin(), output_grads.end());
   std::vector<float> prev_grad;
   for (std::size_t l = layers_.size(); l-- > 0;) {
     auto& layer = layers_[l];
-    for (std::size_t n = 0; n < rows; ++n)
-      for (std::size_t o = 0; o < layer.out; ++o)
-        layer.gb[o] += grad[n * layer.out + o];
+    const auto bias_grads = [&](Slice o) {
+      for (std::size_t n = 0; n < rows; ++n)
+        for (std::size_t k = o.begin; k < o.end; ++k)
+          layer.gb[k] += grad[n * layer.out + k];
+    };
 
     if (l == 0) {
       // gw[o][i] += g[n][o]·x[n][i], rows ascending, accumulated through a
       // transposed copy so each nonzero input adds one contiguous axpy.
       std::vector<float> gwt(layer.gw.size());
-      transpose(layer.gw.data(), layer.out, layer.in, gwt.data());
-      std::vector<std::uint32_t> nz(layer.in);
-      for (std::size_t n = 0; n < rows; ++n) {
-        const float* xr = row_ptr(n);
-        const float* g = grad.data() + n * layer.out;
-        const std::size_t count = kernels_->nonzero_indices(xr, layer.in, nz.data());
-        for (std::size_t j = 0; j < count; ++j)
-          kernels_->axpy(xr[nz[j]], g, gwt.data() + nz[j] * layer.out, layer.out);
-      }
-      transpose(gwt.data(), layer.in, layer.out, layer.gw.data());
+      std::vector<std::uint32_t> nz(part_count(pool) * layer.in);
+      for_parts(pool, [&](std::size_t part, std::size_t parts) {
+        bias_grads(slice(layer.out, part, parts));
+        const auto [i0, i1] = slice(layer.in, part, parts);
+        std::uint32_t* idx = nz.data() + part * layer.in;
+        transpose(layer.gw.data(), layer.out, layer.in, gwt.data(), 0, layer.out, i0, i1);
+        for (std::size_t n = 0; n < rows; ++n) {
+          const float* xr = row_ptr(n) + i0;
+          const float* g = grad.data() + n * layer.out;
+          const std::size_t count = kernels_->nonzero_indices(xr, i1 - i0, idx);
+          for (std::size_t j = 0; j < count; ++j)
+            kernels_->axpy(xr[idx[j]], g, gwt.data() + (i0 + idx[j]) * layer.out,
+                           layer.out);
+        }
+        transpose(gwt.data(), layer.in, layer.out, layer.gw.data(), i0, i1, 0, layer.out);
+      });
       break;  // no upstream layer to feed
     }
 
-    // Weight gradients: per output, a register-blocked sum over the rows.
     const float* x = ws.post[l - 1].data();
-    for (std::size_t n0 = 0; n0 < rows; n0 += kBlock)
-      for (std::size_t o = 0; o < layer.out; ++o)
-        kernels_->axpy_rows(grad.data() + n0 * layer.out + o, layer.out,
-                            x + n0 * layer.in, layer.in, std::min(kBlock, rows - n0),
-                            layer.gw.data() + o * layer.in, layer.in);
-
-    // Input gradients: per row, a sum over the outputs, then chained through
-    // the previous layer's tanh.
     prev_grad.assign(rows * layer.in, 0.0f);
-    for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
-      for (std::size_t n = 0; n < rows; ++n)
-        kernels_->axpy_rows(grad.data() + n * layer.out + o0, 1,
-                            layer.w.data() + o0 * layer.in, layer.in,
-                            std::min(kBlock, layer.out - o0),
-                            prev_grad.data() + n * layer.in, layer.in);
-    for (std::size_t n = 0; n < rows; ++n) {
-      float* pg = prev_grad.data() + n * layer.in;
-      const float* pr = x + n * layer.in;
-      for (std::size_t i = 0; i < layer.in; ++i) pg[i] *= 1.0f - pr[i] * pr[i];
-    }
+    for_parts(pool, [&](std::size_t part, std::size_t parts) {
+      // Weight gradients: per output, a register-blocked sum over the rows.
+      const Slice o = slice(layer.out, part, parts);
+      bias_grads(o);
+      for (std::size_t n0 = 0; n0 < rows; n0 += kBlock)
+        for (std::size_t k = o.begin; k < o.end; ++k)
+          kernels_->axpy_rows(grad.data() + n0 * layer.out + k, layer.out,
+                              x + n0 * layer.in, layer.in, std::min(kBlock, rows - n0),
+                              layer.gw.data() + k * layer.in, layer.in);
+
+      // Input gradients: per row, a sum over the outputs, then chained
+      // through the previous layer's tanh.
+      const auto [r0, r1] = slice(rows, part, parts);
+      for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
+        for (std::size_t n = r0; n < r1; ++n)
+          kernels_->axpy_rows(grad.data() + n * layer.out + o0, 1,
+                              layer.w.data() + o0 * layer.in, layer.in,
+                              std::min(kBlock, layer.out - o0),
+                              prev_grad.data() + n * layer.in, layer.in);
+      for (std::size_t n = r0; n < r1; ++n) {
+        float* pg = prev_grad.data() + n * layer.in;
+        const float* pr = x + n * layer.in;
+        for (std::size_t i = 0; i < layer.in; ++i) pg[i] *= 1.0f - pr[i] * pr[i];
+      }
+    });
     grad.swap(prev_grad);
   }
 }
 
 void Mlp::backward_batch(std::span<const float> input, const BatchWorkspace& ws,
-                         std::span<const float> output_grads) {
+                         std::span<const float> output_grads,
+                         util::ThreadPool* pool) {
   DETERRENT_ASSERT(input.size() == ws.rows * input_size(),
                    "Mlp::backward_batch input size mismatch");
   const std::size_t in = input_size();
   const float* base = input.data();
   backward_batch_impl([base, in](std::size_t n) { return base + n * in; }, ws,
-                      output_grads);
+                      output_grads, pool);
 }
 
 void Mlp::backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
-                         std::span<const float> output_grads) {
+                         std::span<const float> output_grads,
+                         util::ThreadPool* pool) {
   backward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; }, ws,
-                      output_grads);
+                      output_grads, pool);
 }
 
 void Mlp::zero_grad() {

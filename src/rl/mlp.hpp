@@ -7,6 +7,10 @@
 
 #include "util/rng.hpp"
 
+namespace deterrent::util {
+class ThreadPool;
+}  // namespace deterrent::util
+
 namespace deterrent::rl {
 
 namespace kernels {
@@ -54,7 +58,7 @@ class Mlp {
   struct BatchWorkspace {
     std::size_t rows = 0;
     std::vector<std::vector<float>> post;  ///< per layer: rows × out, row-major
-    std::vector<std::uint32_t> nz;         ///< layer 0: one row's nonzero inputs
+    std::vector<std::uint32_t> nz;         ///< layer 0: nonzero inputs, one row per part
   };
 
   /// Computes outputs for `rows` stacked observations (row-major, rows ×
@@ -64,8 +68,11 @@ class Mlp {
   /// supports (all bit-identical). The first layer adds only each row's
   /// nonzero inputs; a skipped term is a signed zero, which cannot change an
   /// accumulator that never holds −0 (docs/training.md). Thread-safe.
+  /// With a pool the rows are split across its threads; every batched pass
+  /// splits only along axes no sum runs over, so it is bit-identical.
   std::span<const float> forward_batch(std::span<const float> input,
-                                       std::size_t rows, BatchWorkspace& ws) const;
+                                       std::size_t rows, BatchWorkspace& ws,
+                                       util::ThreadPool* pool = nullptr) const;
 
   /// Row-pointer variant: row r's observation lives at row_ptrs[r] (each
   /// input_size() floats). Bit-identical to gathering the rows into one
@@ -73,7 +80,8 @@ class Mlp {
   /// feeds shuffled minibatch rows and per-lane observations directly,
   /// skipping that gather copy. Thread-safe.
   std::span<const float> forward_batch(const float* const* row_ptrs,
-                                       std::size_t rows, BatchWorkspace& ws) const;
+                                       std::size_t rows, BatchWorkspace& ws,
+                                       util::ThreadPool* pool = nullptr) const;
 
   /// Batch counterpart of backward(): accumulates parameter gradients for the
   /// row-major rows × output_grads given the workspace and input of the
@@ -83,13 +91,17 @@ class Mlp {
   /// zeros that cannot change an accumulator (docs/training.md). The first
   /// layer accumulates over each row's nonzero inputs into a transposed
   /// scratch copy of its weight gradient and computes no input gradient.
+  /// With a pool, weight and bias gradients are split by output (layer 0's
+  /// weight gradient by input) and input gradients by row.
   void backward_batch(std::span<const float> input, const BatchWorkspace& ws,
-                      std::span<const float> output_grads);
+                      std::span<const float> output_grads,
+                      util::ThreadPool* pool = nullptr);
 
   /// Row-pointer variant of backward_batch(); pass the same row pointers as
   /// the matching forward_batch() call.
   void backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
-                      std::span<const float> output_grads);
+                      std::span<const float> output_grads,
+                      util::ThreadPool* pool = nullptr);
 
   /// Rebuilds the transposed weight copies forward_batch() reads. Call it
   /// after writing weights through params() (e.g. Adam::step); the
@@ -121,10 +133,12 @@ class Mlp {
   /// (contiguous span or scattered row pointers); instantiated in mlp.cpp.
   template <typename RowPtrFn>
   std::span<const float> forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                            BatchWorkspace& ws) const;
+                                            BatchWorkspace& ws,
+                                            util::ThreadPool* pool) const;
   template <typename RowPtrFn>
   void backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
-                           std::span<const float> output_grads);
+                           std::span<const float> output_grads,
+                           util::ThreadPool* pool);
 
   struct Layer {
     std::size_t in = 0;

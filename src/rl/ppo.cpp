@@ -7,6 +7,7 @@
 #include "rl/gae.hpp"
 #include "rl/vector_env.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace deterrent::rl {
 
@@ -44,9 +45,11 @@ std::unique_ptr<VectorEnv> make_rollout_env(
 }  // namespace
 
 PpoTrainer::PpoTrainer(const EnvFactory& factory, const PpoConfig& config,
-                       std::uint64_t seed, const VectorEnvFactory& vector_factory)
+                       std::uint64_t seed, const VectorEnvFactory& vector_factory,
+                       util::ThreadPool* pool)
     : config_(config),
       seed_(seed),
+      pool_(pool),
       vector_env_(make_rollout_env(factory, config, vector_factory)),
       policy_([&] {
         auto rng = seeded_rng(seed, 0);
@@ -245,12 +248,15 @@ PpoUpdateStats PpoTrainer::update() {
 
   // One matrix–matrix forward/backward per minibatch. The batched passes
   // preserve every per-element accumulation order of per-sample passes, so
-  // the parameters match a per-sample loop bit for bit (MlpBatch tests).
+  // the parameters match a per-sample loop bit for bit (MlpBatch tests), with
+  // or without the pool.
   Mlp::BatchWorkspace policy_ws;
   Mlp::BatchWorkspace value_ws;
   std::vector<const float*> row_ptrs;  // minibatch rows, shuffled order
   std::vector<float> policy_grad;
   std::vector<float> value_grad;
+  struct LossTerms { float policy, entropy; double value; };
+  std::vector<LossTerms> terms;  // per row, summed serially in row order
   const std::size_t act_dim = policy_.output_size();
   double sum_policy_loss = 0.0;
   double sum_value_loss = 0.0;
@@ -271,44 +277,55 @@ PpoUpdateStats PpoTrainer::update() {
       row_ptrs.resize(rows);
       for (std::size_t k = start; k < end; ++k)
         row_ptrs[k - start] = all_obs[order[k]]->data();
-      const auto logits_all = policy_.forward_batch(row_ptrs.data(), rows, policy_ws);
-      const auto values_all = value_.forward_batch(row_ptrs.data(), rows, value_ws);
+      const auto logits_all =
+          policy_.forward_batch(row_ptrs.data(), rows, policy_ws, pool_);
+      const auto values_all = value_.forward_batch(row_ptrs.data(), rows, value_ws, pool_);
       policy_grad.assign(rows * act_dim, 0.0f);
       value_grad.assign(rows, 0.0f);
+      terms.resize(rows);
 
-      for (std::size_t k = start; k < end; ++k) {
-        const std::size_t row = k - start;
-        const std::uint32_t i = order[k];
-        const MaskedCategorical dist(logits_all.subspan(row * act_dim, act_dim),
-                                     *all_masks[i]);
-        const float new_logp = dist.log_prob(all_actions[i]);
-        const float ratio = std::exp(new_logp - all_old_logp[i]);
-        const float adv = all_adv[i];
+      // Rows are independent here: each writes only its own gradient rows and
+      // loss terms.
+      util::parallel_chunks(pool_, rows, [&](std::size_t, std::size_t begin,
+                                             std::size_t stop) {
+        for (std::size_t row = begin; row < stop; ++row) {
+          const std::uint32_t i = order[start + row];
+          const MaskedCategorical dist(logits_all.subspan(row * act_dim, act_dim),
+                                       *all_masks[i]);
+          const float new_logp = dist.log_prob(all_actions[i]);
+          const float ratio = std::exp(new_logp - all_old_logp[i]);
+          const float adv = all_adv[i];
 
-        const float unclipped = ratio * adv;
-        const float clipped =
-            std::clamp(ratio, 1.0f - config_.clip_ratio, 1.0f + config_.clip_ratio) *
-            adv;
-        sum_policy_loss += -std::min(unclipped, clipped);
-        sum_entropy += dist.entropy();
+          const float unclipped = ratio * adv;
+          const float clipped =
+              std::clamp(ratio, 1.0f - config_.clip_ratio, 1.0f + config_.clip_ratio) *
+              adv;
+          terms[row].policy = -std::min(unclipped, clipped);
+          terms[row].entropy = dist.entropy();
 
-        // Gradient of the clipped surrogate w.r.t. new_logp: zero when the
-        // clipped branch is active (it is constant in θ), −A·ratio otherwise.
-        const bool clip_active = clipped < unclipped;
-        const float g = clip_active ? 0.0f : -adv * ratio * inv_batch;
-        // Entropy bonus: loss term −c_eps·H ⇒ h = −c_eps (see add_grad docs).
-        const float h = -config_.entropy_coef * inv_batch;
-        dist.add_grad(all_actions[i], g, h,
-                      std::span<float>(policy_grad).subspan(row * act_dim, act_dim));
+          // Gradient of the clipped surrogate w.r.t. new_logp: zero when the
+          // clipped branch is active (it is constant in θ), −A·ratio otherwise.
+          const bool clip_active = clipped < unclipped;
+          const float g = clip_active ? 0.0f : -adv * ratio * inv_batch;
+          // Entropy bonus: loss term −c_eps·H ⇒ h = −c_eps (see add_grad docs).
+          const float h = -config_.entropy_coef * inv_batch;
+          dist.add_grad(all_actions[i], g, h,
+                        std::span<float>(policy_grad).subspan(row * act_dim, act_dim));
 
-        const float v_err = values_all[row] - all_ret[i];
-        sum_value_loss += 0.5 * static_cast<double>(v_err) * v_err;
-        value_grad[row] = config_.value_coef * v_err * inv_batch;
-
-        ++loss_samples;
+          const float v_err = values_all[row] - all_ret[i];
+          terms[row].value = 0.5 * static_cast<double>(v_err) * v_err;
+          value_grad[row] = config_.value_coef * v_err * inv_batch;
+        }
+      });
+      for (const LossTerms& t : terms) {
+        sum_policy_loss += t.policy;
+        sum_entropy += t.entropy;
+        sum_value_loss += t.value;
       }
-      policy_.backward_batch(row_ptrs.data(), policy_ws, policy_grad);
-      value_.backward_batch(row_ptrs.data(), value_ws, value_grad);
+      loss_samples += rows;
+
+      policy_.backward_batch(row_ptrs.data(), policy_ws, policy_grad, pool_);
+      value_.backward_batch(row_ptrs.data(), value_ws, value_grad, pool_);
       policy_opt_.step(config_.max_grad_norm);
       value_opt_.step(config_.max_grad_norm);
       // Adam wrote the weights through params(); the batched forward reads

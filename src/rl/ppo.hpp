@@ -90,8 +90,14 @@ class PpoTrainer {
   /// `vector_factory(lanes)` when provided (then `factory` is never called
   /// and may be null), else a generic EnvVector over `factory`-built lanes.
   /// The networks take their shapes from that env.
+  ///
+  /// `pool` (optional, must outlive the trainer) runs the optimization
+  /// phase's network passes and per-row loss loop across its threads. Each splits only along axes no sum runs over, so parameters,
+  /// optimizer state and statistics are bit-identical with and without it
+  /// (docs/training.md). Collection passes stay serial.
   PpoTrainer(const EnvFactory& factory, const PpoConfig& config, std::uint64_t seed,
-             const VectorEnvFactory& vector_factory = nullptr);
+             const VectorEnvFactory& vector_factory = nullptr,
+             util::ThreadPool* pool = nullptr);
   ~PpoTrainer();
 
   TrainerState state() const;
@@ -135,6 +141,7 @@ class PpoTrainer {
 
   PpoConfig config_;
   std::uint64_t seed_ = 0;
+  util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<VectorEnv> vector_env_;  // built first: sizes the networks
   Mlp policy_;
   Mlp value_;

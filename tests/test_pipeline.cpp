@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "bench_gen/library.hpp"
@@ -374,6 +375,42 @@ TEST(Pipeline, LegacyWorkerCountTrainsAsRolloutLanes) {
   const std::string lanes_text = patterns_text(lanes.run());
   EXPECT_FALSE(lanes_text.empty());
   EXPECT_EQ(patterns_text(legacy.run()), lanes_text);
+}
+
+TEST(Pipeline, WorkerCountDoesNotChangeTraining) {
+  // offline_threads is also the train stage's pool (network passes, loss
+  // loop, lane verification): one worker trains serially, and any count must give
+  // the same parameters, optimizer state, pool and patterns.
+  const Netlist nl = make_circuit(46);
+  std::optional<PolicyArtifact> serial;
+  std::string serial_text;
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "offline_threads=" << threads);
+    DeterrentConfig cfg = quick_config(13);
+    cfg.offline_threads = threads;
+    cfg.ppo.rollout_lanes = 4;
+    cfg.ppo.minibatch_size = 37;
+    Pipeline p(nl, cfg);
+    ASSERT_EQ(p.run_remaining(), StageStatus::Complete);
+    PolicyArtifact policy = p.export_policy();
+    const std::string text = patterns_text(p.patterns());
+    if (!serial) {
+      serial = std::move(policy);
+      serial_text = text;
+      EXPECT_FALSE(serial_text.empty());
+      continue;
+    }
+    EXPECT_EQ(policy.trainer.policy_params, serial->trainer.policy_params);
+    EXPECT_EQ(policy.trainer.value_params, serial->trainer.value_params);
+    EXPECT_EQ(policy.trainer.policy_opt.m, serial->trainer.policy_opt.m);
+    EXPECT_EQ(policy.trainer.policy_opt.v, serial->trainer.policy_opt.v);
+    EXPECT_EQ(policy.trainer.policy_opt.t, serial->trainer.policy_opt.t);
+    EXPECT_EQ(policy.trainer.value_opt.m, serial->trainer.value_opt.m);
+    EXPECT_EQ(policy.trainer.value_opt.v, serial->trainer.value_opt.v);
+    EXPECT_EQ(policy.trainer.value_opt.t, serial->trainer.value_opt.t);
+    EXPECT_EQ(policy.pool_sets, serial->pool_sets);
+    EXPECT_EQ(text, serial_text);
+  }
 }
 
 // -------------------------------------------------------- stage control ----

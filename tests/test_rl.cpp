@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "rl/adam.hpp"
 #include "rl/categorical.hpp"
@@ -8,6 +12,7 @@
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace deterrent::rl {
 namespace {
@@ -484,6 +489,160 @@ TEST(Ppo, UpdateStatsConsistent) {
               stats.policy_loss + cfg.entropy_coef * stats.entropy_loss +
                   cfg.value_coef * stats.value_loss,
               1e-9);
+}
+
+// ------------------------------------------------------ pooled training ---
+// A pool splits the batched passes and the loss loop along axes no sum runs
+// over, so every result must match the serial one bit for bit.
+
+std::vector<std::uint32_t> bits_of(std::span<const float> v) {
+  std::vector<std::uint32_t> out;
+  out.reserve(v.size());
+  for (const float x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+std::vector<std::uint32_t> grad_bits(Mlp& net) {
+  std::vector<std::uint32_t> out;
+  for (const ParamRef& p : net.params()) {
+    const auto b = bits_of({p.grads, p.size});
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
+}
+
+TEST(PooledTraining, MlpBatchPassesMatchSerialBitwise) {
+  // Wider than one 64-output block and with a sparse, signed first layer, so
+  // every split axis (rows, outputs, layer-0 inputs) cuts inside a block.
+  const std::vector<std::size_t> shape{83, 70, 64, 130};
+  util::ThreadPool two(2);
+  util::ThreadPool three(3);
+  for (const std::size_t rows : {1u, 3u, 64u, 257u}) {
+    SCOPED_TRACE(testing::Message() << "rows=" << rows);
+    util::Rng data_rng(rows);
+    std::vector<float> input(rows * shape.front());
+    for (auto& x : input)
+      x = data_rng.below(3) == 0 ? static_cast<float>(data_rng.normal()) : 0.0f;
+    std::vector<float> out_grads(rows * shape.back());
+    for (auto& g : out_grads) g = static_cast<float>(data_rng.normal());
+
+    std::vector<std::vector<std::uint32_t>> outputs;
+    std::vector<std::vector<std::uint32_t>> grads;
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &two, &three}) {
+      util::Rng init(5);
+      Mlp net(shape, init);
+      Mlp::BatchWorkspace ws;
+      outputs.push_back(bits_of(net.forward_batch(input, rows, ws, pool)));
+      // Twice without zero_grad: the second pass accumulates onto nonzero
+      // gradients.
+      net.backward_batch(input, ws, out_grads, pool);
+      net.backward_batch(input, ws, out_grads, pool);
+      grads.push_back(grad_bits(net));
+    }
+    for (std::size_t k = 1; k < outputs.size(); ++k) {
+      EXPECT_EQ(outputs[k], outputs[0]) << "pool leg " << k;
+      EXPECT_EQ(grads[k], grads[0]) << "pool leg " << k;
+    }
+  }
+}
+
+/// Multi-step episodes over a signed, mostly-zero observation with masked
+/// actions: a jump is legal only from even cells, a wait only past the start.
+class MaskedChainEnv final : public Env {
+ public:
+  static constexpr int kLength = 9;
+  std::size_t observation_size() const override { return kLength + 3; }
+  std::size_t action_count() const override { return 4; }
+  std::vector<float> reset(util::Rng& rng) override {
+    pos_ = static_cast<int>(rng.below(3));
+    steps_ = 0;
+    return observe();
+  }
+  StepResult step(std::uint32_t action) override {
+    pos_ = action == 0 ? std::max(0, pos_ - 1) : pos_ + static_cast<int>(action % 3);
+    ++steps_;
+    const bool win = pos_ >= kLength;
+    const bool done = win || steps_ >= 3 * kLength;
+    const float reward = (win ? 1.0f : 0.0f) - 0.01f * static_cast<float>(action);
+    return {observe(), reward, done};
+  }
+  const util::BitVec& action_mask() const override { return mask_; }
+
+ private:
+  std::vector<float> observe() {
+    mask_.clear_all();
+    mask_.set(0);
+    mask_.set(1);
+    if (pos_ % 2 == 0) mask_.set(2);
+    if (pos_ > 0) mask_.set(3);
+    std::vector<float> o(observation_size(), 0.0f);
+    o[static_cast<std::size_t>(std::min(pos_, kLength))] = 1.0f;
+    o[kLength + 1] = pos_ % 2 == 0 ? -0.5f : 0.0f;
+    o[kLength + 2] = static_cast<float>(steps_) / 10.0f;
+    return o;
+  }
+  int pos_ = 0;
+  int steps_ = 0;
+  util::BitVec mask_{4};
+};
+
+std::vector<std::uint64_t> stats_bits(const PpoUpdateStats& s) {
+  std::vector<std::uint64_t> out{s.steps, s.episodes};
+  for (const double d : {s.mean_episode_reward, s.mean_episode_length, s.mean_entropy,
+                         s.policy_loss, s.value_loss, s.entropy_loss, s.total_loss})
+    out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+TEST(PooledTraining, TrainerMatchesSerialBitwise) {
+  util::ThreadPool two(2);
+  util::ThreadPool three(3);
+  // 37 divides by neither thread count and leaves a short last minibatch;
+  // 1000 puts the whole rollout in one short minibatch.
+  for (const std::size_t minibatch : {37u, 1000u}) {
+    SCOPED_TRACE(testing::Message() << "minibatch=" << minibatch);
+    PpoConfig cfg;
+    cfg.episodes_per_update = 12;
+    cfg.hidden_size = 24;
+    cfg.minibatch_size = minibatch;
+    cfg.epochs = 2;
+    cfg.entropy_coef = 1.0f;
+    cfg.learning_rate = 3e-3f;
+    cfg.rollout_lanes = 4;
+
+    std::vector<std::vector<std::uint64_t>> stats;
+    std::vector<TrainerState> states;
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &two, &three}) {
+      PpoTrainer trainer([](std::size_t) { return std::make_unique<MaskedChainEnv>(); },
+                         cfg, 21, nullptr, pool);
+      std::vector<std::uint64_t> leg;
+      for (int u = 0; u < 4; ++u) {
+        const auto b = stats_bits(trainer.update());
+        leg.insert(leg.end(), b.begin(), b.end());
+      }
+      stats.push_back(leg);
+      states.push_back(trainer.state());
+    }
+    const std::uint64_t steps = stats[0][0];  // first update's rollout
+    if (minibatch == 37) {
+      ASSERT_GT(steps, 2 * minibatch);
+      ASSERT_NE(steps % minibatch, 0u) << "no short last minibatch";
+    } else {
+      ASSERT_LT(steps, minibatch);
+    }
+    for (std::size_t k = 1; k < states.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "pool leg " << k);
+      EXPECT_EQ(stats[k], stats[0]);
+      EXPECT_EQ(bits_of(states[k].policy_params), bits_of(states[0].policy_params));
+      EXPECT_EQ(bits_of(states[k].value_params), bits_of(states[0].value_params));
+      for (const auto& [a, b] : {std::pair{&states[k].policy_opt, &states[0].policy_opt},
+                                 std::pair{&states[k].value_opt, &states[0].value_opt}}) {
+        EXPECT_EQ(bits_of(a->m), bits_of(b->m));
+        EXPECT_EQ(bits_of(a->v), bits_of(b->v));
+        EXPECT_EQ(a->t, b->t);
+      }
+    }
+  }
 }
 
 }  // namespace

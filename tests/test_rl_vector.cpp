@@ -30,6 +30,7 @@
 #include "rl/mlp_kernels.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vector_env.hpp"
+#include "util/thread_pool.hpp"
 
 #include "reference_env.hpp"
 
@@ -905,10 +906,12 @@ std::uint32_t pick_masked_action(const util::BitVec& mask, util::Rng& rng) {
 /// flags, members and the pooled sets. The counters compare as the reference
 /// defines them: every lane model hit stands for one reference SAT query.
 void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
-                               std::size_t n_lanes, std::size_t episodes_per_lane) {
+                               std::size_t n_lanes, std::size_t episodes_per_lane,
+                               util::ThreadPool* threads = nullptr) {
   DistinctSetPool vec_pool;
   DistinctSetPool ref_pool;
-  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes);
+  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes,
+                              threads);
   std::vector<std::unique_ptr<ReferenceEnv>> twins;
   std::vector<util::Rng> reset_rng_v;
   std::vector<util::Rng> reset_rng_ref;
@@ -1055,21 +1058,31 @@ TEST(VectorEnvDifferential, WitnessSweepFiresAndPreservesTrajectories) {
 }
 
 TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
-  // sat_dispatch_threads >= 2 routes lane SAT queries through a private
-  // thread pool. This must be bit-identical to the reference at every lane
-  // count (each lane's private oracle sees only that lane's queries, whatever
-  // thread executes them), so the full lock-step differential —
-  // observations, masks, rewards, members, SAT query counts — runs with
-  // exact matching.
+  // With a thread pool the env solves an AllSteps step's pending lanes, and
+  // verifies the EndOfEpisode lanes that finish together, concurrently on
+  // their private oracles. This must be bit-identical to the reference at
+  // every lane count (each lane's oracle sees only that lane's queries,
+  // whatever thread executes them), so the full lock-step differential —
+  // observations, masks, rewards, members, pool, SAT query counts — runs
+  // with exact matching. A short step cap ends every lane's episode in the
+  // same step, so the EndOfEpisode legs verify whole batches at once.
   const Fixture f = make_fixture(55);
   if (f.rare.size() < 6) GTEST_SKIP();
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
-      EnvConfig cfg;
-      cfg.sat_dispatch_threads = threads;
-      SCOPED_TRACE(testing::Message()
-                   << "lanes=" << lanes << " dispatch_threads=" << threads);
-      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2);
+  util::ThreadPool two(2);
+  util::ThreadPool three(3);
+  for (const RewardMode mode : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
+    for (const std::size_t max_steps : {std::size_t{0}, std::size_t{4}}) {
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+        for (util::ThreadPool* threads : {&two, &three}) {
+          EnvConfig cfg;
+          cfg.reward_mode = mode;
+          cfg.max_steps = max_steps;
+          SCOPED_TRACE(testing::Message()
+                       << "mode=" << static_cast<int>(mode) << " max_steps=" << max_steps
+                       << " lanes=" << lanes << " threads=" << threads->thread_count());
+          run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2, threads);
+        }
+      }
     }
   }
 }

@@ -352,14 +352,13 @@ TEST(Robustness, FaultInjectionSoakNeverCrashesAndHealsBitIdentically) {
 
   CampaignConfig cfg;
   cfg.base = quick_config(21);
-  cfg.base.offline_threads = 1;
-  // Per-step SAT rewards on four lanes with a two-thread lane SAT dispatch
-  // pool, so training fans out through util::ThreadPool — with every thread
-  // count at 1 the pool paths run inline and the threadpool.task site would
-  // never be reached.
+  // Per-step SAT rewards on four lanes with two pipeline workers, so
+  // training fans out through util::ThreadPool (network passes, Adam, lane
+  // SAT checks) — with one worker the pipeline builds no training pool and
+  // training would never reach the threadpool.task site.
+  cfg.base.offline_threads = 2;
   cfg.base.env.reward_mode = RewardMode::AllSteps;
   cfg.base.ppo.rollout_lanes = 4;
-  cfg.base.env.sat_dispatch_threads = 2;
   cfg.threads = 1;  // deterministic hit ordering across the whole campaign
   cfg.max_retries = 6;
   cfg.retry_backoff_ms = 1.0;

@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "util/assert.hpp"
 #include "util/bitvec.hpp"
 #include "util/env.hpp"
+#include "util/faults.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+#include "util/watchdog.hpp"
 
 namespace deterrent::util {
 namespace {
@@ -286,6 +295,198 @@ TEST(ThreadPool, WaitIdleAllowsReuse) {
     pool.wait_idle();
   }
   EXPECT_EQ(counter.load(), 100);
+}
+
+// ------------------------------------------------ ThreadPool fork-join ----
+
+using Chunk = std::tuple<std::size_t, std::size_t, std::size_t>;  // index, begin, end
+
+TEST(ThreadPoolForkJoin, CallerRunsChunkZeroAndWorkersTheRest) {
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::vector<Chunk> chunks;
+  std::vector<std::thread::id> threads(3);
+  std::atomic<bool> worker_started{false};
+  pool.parallel_chunks(10, [&](std::size_t c, std::size_t b, std::size_t e) {
+    {
+      std::lock_guard lock(mutex);
+      chunks.emplace_back(c, b, e);
+      threads[c] = std::this_thread::get_id();
+    }
+    // Chunk 0 holds the caller until a worker has started another chunk,
+    // which only a second thread can do.
+    if (c != 0) worker_started = true;
+    for (int i = 0; c == 0 && !worker_started && i < 5000; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  std::sort(chunks.begin(), chunks.end());
+  EXPECT_EQ(chunks, (std::vector<Chunk>{{0, 0, 4}, {1, 4, 8}, {2, 8, 10}}));
+  EXPECT_EQ(threads[0], std::this_thread::get_id());
+  EXPECT_TRUE(threads[1] != threads[0] || threads[2] != threads[0])
+      << "no worker ran a chunk";
+
+  // One chunk runs inline on the caller; the plan is (n, thread_count()) only.
+  std::thread::id single;
+  pool.parallel_chunks(1, [&](std::size_t c, std::size_t b, std::size_t e) {
+    EXPECT_EQ(c, 0u);
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 1u);
+    single = std::this_thread::get_id();
+  });
+  EXPECT_EQ(single, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolForkJoin, CallerRunsChunksNoWorkerStarted) {
+  // Every worker is held by a queued task, so the caller must run the whole
+  // region itself instead of waiting for them.
+  ThreadPool pool(3);
+  std::atomic<bool> release{false};
+  std::atomic<int> held{0};
+  for (int i = 0; i < 3; ++i)
+    pool.submit([&] {
+      ++held;
+      while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  while (held < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::vector<std::thread::id> threads(3);
+  pool.parallel_chunks(3, [&](std::size_t c, std::size_t, std::size_t) {
+    threads[c] = std::this_thread::get_id();
+  });
+  for (const auto& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+  release = true;
+  pool.wait_idle();
+}
+
+TEST(ThreadPoolForkJoin, RegionsKeepAtMostThreadCountThreadsBusy) {
+  // The caller is one of the region's threads, so only thread_count() - 1
+  // workers ever join; chunks are slow enough that idle joiners would claim
+  // some.
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  for (int round = 0; round < 100; ++round) {
+    pool.parallel_chunks(3, [&](std::size_t, std::size_t, std::size_t) {
+      {
+        std::lock_guard lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    });
+    if (round % 10 == 9) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ids.erase(std::this_thread::get_id());
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(ThreadPoolForkJoin, BackToBackRegionsCoverEveryIndexOnce) {
+  // Alternates bursts (workers still spinning) with pauses long enough for
+  // them to block, so both wake-up paths run.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(257);
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round * 37) % hits.size();
+    pool.parallel_for(n, [&](std::size_t i) { hits[i]++; });
+    if (round % 50 == 49) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  int total = 0;
+  for (const auto& h : hits) total += h.load();
+  int expected = 0;
+  for (int round = 0; round < 400; ++round)
+    expected += 1 + (round * 37) % static_cast<int>(hits.size());
+  EXPECT_EQ(total, expected);
+}
+
+TEST(ThreadPoolForkJoin, ExceptionSurfacesOnlyAfterEveryChunkFinished) {
+  ThreadPool pool(3);
+  for (const std::size_t thrower : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "throwing chunk " << thrower);
+    std::vector<std::atomic<bool>> finished(3);
+    EXPECT_THROW(
+        pool.parallel_chunks(3,
+                             [&](std::size_t c, std::size_t, std::size_t) {
+                               if (c == thrower) throw PermanentError("chunk failed");
+                               std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                               finished[c] = true;
+                             }),
+        PermanentError);
+    for (std::size_t c = 0; c < 3; ++c)
+      if (c != thrower) EXPECT_TRUE(finished[c].load()) << "chunk " << c;
+  }
+
+  // Reusable afterwards, for both fork-join and queued work, and the error
+  // does not stick.
+  std::atomic<std::size_t> total{0};
+  pool.parallel_chunks(100, [&](std::size_t, std::size_t b, std::size_t e) { total += e - b; });
+  EXPECT_EQ(total.load(), 100u);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
+  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPoolForkJoin, FaultSiteFiresOncePerChunk) {
+  struct Disarm {
+    ~Disarm() { faults::disarm_all(); }
+  } disarm;
+  ThreadPool pool(3);
+  faults::FaultSpec never;
+  never.action = faults::Action::Throw;
+  never.nth = 1000000;
+  faults::arm("threadpool.task", never);
+  pool.parallel_chunks(10, [](std::size_t, std::size_t, std::size_t) {});
+  EXPECT_EQ(faults::hit_count("threadpool.task"), 3u);
+  pool.parallel_chunks(1, [](std::size_t, std::size_t, std::size_t) {});
+  EXPECT_EQ(faults::hit_count("threadpool.task"), 4u);
+
+  faults::FaultSpec second;
+  second.action = faults::Action::Throw;
+  second.nth = 2;
+  faults::arm("threadpool.task", second);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_chunks(3, [&](std::size_t, std::size_t, std::size_t) { ++ran; }),
+               FaultInjectedError);
+  EXPECT_EQ(faults::fired_count("threadpool.task"), 1u);
+  EXPECT_EQ(ran.load(), 2);  // the faulted chunk never ran its body
+}
+
+TEST(ThreadPoolForkJoin, WorkerChunksRunUnderTheCallersWatchdog) {
+  ThreadPool pool(2);
+  WatchdogScope scope(0.05);
+  EXPECT_THROW(pool.parallel_chunks(2,
+                                    [](std::size_t c, std::size_t, std::size_t) {
+                                      if (c == 0) return;
+                                      for (int i = 0; i < 1000; ++i) {
+                                        WatchdogScope::poll("worker chunk");
+                                        std::this_thread::sleep_for(
+                                            std::chrono::milliseconds(2));
+                                      }
+                                    }),
+               TimeoutError);
+}
+
+TEST(ThreadPoolForkJoin, ConcurrentCallersTakeTurns) {
+  ThreadPool pool(2);
+  std::atomic<long> sum{0};
+  const auto caller = [&] {
+    for (int round = 0; round < 200; ++round)
+      pool.parallel_for(64, [&](std::size_t i) { sum += static_cast<long>(i); });
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
+  EXPECT_EQ(sum.load(), 2L * 200 * (63 * 64 / 2));
+}
+
+TEST(ThreadPoolForkJoin, OptionalPoolRunsInlineWithoutOne) {
+  std::vector<Chunk> chunks;
+  parallel_chunks(nullptr, 7, [&](std::size_t c, std::size_t b, std::size_t e) {
+    chunks.emplace_back(c, b, e);
+  });
+  EXPECT_EQ(chunks, (std::vector<Chunk>{{0, 0, 7}}));
+  parallel_chunks(nullptr, 0, [](std::size_t, std::size_t, std::size_t) {
+    FAIL() << "must not be called";
+  });
 }
 
 // -------------------------------------------------------------- Table ------
