@@ -4,8 +4,9 @@
 // Runs the same training workload (compatible-set MDP on a full-scan
 // benchmark cone) at rollout_lanes = 1 (the baseline: the same one-path
 // trainer, one episode at a time) and at each requested lane count, timing
-// update() throughput; then runs the lane list again with a 2-thread pool
-// shared by the trainer and the env, as core::Pipeline trains. Training is
+// each update() and reporting the median update's rate; then runs the lane
+// list again with a 2-thread pool shared by the trainer and the env, as
+// core::Pipeline trains. Training is
 // contractually bit-identical at every lane count and with or without the
 // pool, so the bench doubles as a differential check: every configuration
 // folds its per-update statistics and final network parameters into an
@@ -86,8 +87,8 @@ std::uint64_t bits(float v) {
 struct LaneResult {
   std::size_t lanes = 1;
   std::size_t threads = 1;  // 1 = serial, else the pool's thread count
-  double updates_per_sec = 0.0;
-  double env_steps_per_sec = 0.0;
+  double updates_per_sec = 0.0;    // 1 / median seconds of one timed update
+  double env_steps_per_sec = 0.0;  // over all timed updates
   double speedup_vs_single = 0.0;
   std::uint64_t checksum = 0;  // episodes + params digest; must match across lanes
   // Env SAT traffic over the whole run, warmup included. These depend on
@@ -98,10 +99,10 @@ struct LaneResult {
 };
 
 /// Trains a fresh seed-7 trainer at the given lane count, on `threads` when
-/// given: one untimed warmup update, then `updates` timed ones. The checksum
-/// digests every per-update statistic and the final network parameters —
-/// bit-identical collection and optimization across lane counts and thread
-/// counts is the pass condition.
+/// given: one untimed warmup update, then `updates` separately timed ones.
+/// The checksum digests every per-update statistic and the final network
+/// parameters — bit-identical collection and optimization across lane
+/// counts and thread counts is the pass condition.
 LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
                      rl::PpoConfig ppo, std::size_t lanes, std::size_t updates,
                      util::ThreadPool* threads) {
@@ -127,10 +128,20 @@ LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
 
   digest_update(trainer.update());  // warmup: touches every lazy lane oracle
 
+  // Each update is timed on its own and the rate is the median's: one host
+  // hiccup then moves a row by one update's share, not the whole block's.
+  std::vector<double> update_seconds(updates);
   util::Stopwatch watch;
   const std::uint64_t steps_before = trainer.total_steps();
-  for (std::size_t u = 0; u < updates; ++u) digest_update(trainer.update());
+  for (std::size_t u = 0; u < updates; ++u) {
+    util::Stopwatch one;
+    digest_update(trainer.update());
+    update_seconds[u] = one.elapsed_seconds();
+  }
   const double seconds = watch.elapsed_seconds();
+  std::sort(update_seconds.begin(), update_seconds.end());
+  const double median =
+      (update_seconds[(updates - 1) / 2] + update_seconds[updates / 2]) / 2;
 
   for (const float p : trainer.policy().flat_params()) fold(h, bits(p));
   for (const float p : trainer.value().flat_params()) fold(h, bits(p));
@@ -138,7 +149,7 @@ LaneResult run_lanes(const EnvFixture& fx, const core::EnvConfig& env_cfg,
   const auto& env = static_cast<const core::CompatibleSetVectorEnv&>(trainer.vector_env());
   result.env_sat_queries = env.sat_queries();
   result.model_hits = env.model_hits();
-  result.updates_per_sec = static_cast<double>(updates) / seconds;
+  result.updates_per_sec = 1.0 / median;
   result.env_steps_per_sec =
       static_cast<double>(trainer.total_steps() - steps_before) / seconds;
   return result;

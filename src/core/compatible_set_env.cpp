@@ -164,7 +164,12 @@ float CompatibleSetVectorEnv::size_reward(std::size_t set_size) const {
 
 sat::NetlistOracle& CompatibleSetVectorEnv::lane_oracle(std::size_t lane) {
   auto& oracle = oracles_[lane];
-  if (!oracle) oracle = std::make_unique<sat::NetlistOracle>(*netlist_);
+  if (!oracle) {
+    oracle = std::make_unique<sat::NetlistOracle>(*netlist_);
+    // Same verdicts, cheaper Sat answers; a model only ever serves as a
+    // proof (verify_episode), so no reward or member depends on which one.
+    oracle->branch_on_inputs();
+  }
   return *oracle;
 }
 

@@ -93,7 +93,9 @@ struct EnvConfig {
 ///
 /// Determinism contract: lane l's trajectory depends only on the RNG stream
 /// reset_lane() fed it and the actions applied to it. Each lane owns a
-/// private, lazily-built oracle that sees only that lane's queries, so an
+/// private, lazily-built oracle that sees only that lane's queries and
+/// branches on the primary inputs only (NetlistOracle::branch_on_inputs:
+/// same verdicts; its Sat models serve only as proofs), so an
 /// N-lane env matches N one-lane envs fed the same streams and actions, with
 /// or without a thread pool, even where a conflict-budget-exhausted Unknown
 /// decides a verdict. The pool is a content-keyed set, so interleaved lane

@@ -1,6 +1,7 @@
 #include "rl/mlp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "rl/mlp_kernels.hpp"
@@ -17,12 +18,21 @@ namespace {
 /// element keeps its one ascending chain.
 constexpr std::size_t kBlock = 64;
 
-/// dst (cols × rows) = src (rows × cols) transposed over rows [r0, r1) and
-/// columns [c0, c1) of src; exact copies.
-void transpose(const float* src, std::size_t rows, std::size_t cols, float* dst,
-               std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-  for (std::size_t r = r0; r < r1; ++r)
-    for (std::size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+/// Tile edge of the blocked transposes: a 16 × 16 tile reads 16 source and
+/// writes 16 destination cache lines, all L1-resident while it is copied.
+constexpr std::size_t kTile = 16;
+
+/// dst[c·dst_ld + r] = src[r·src_ld + c] for r < rows, c < cols, tile by
+/// tile; exact copies.
+void transpose(const float* src, std::size_t src_ld, float* dst, std::size_t dst_ld,
+               std::size_t rows, std::size_t cols) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile)
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t r1 = std::min(rows, r0 + kTile);
+      const std::size_t c1 = std::min(cols, c0 + kTile);
+      for (std::size_t r = r0; r < r1; ++r)
+        for (std::size_t c = c0; c < c1; ++c) dst[c * dst_ld + r] = src[r * src_ld + c];
+    }
 }
 
 /// [begin, end) of part `part` of `parts` near-equal slices of [0, n).
@@ -72,8 +82,7 @@ Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
 void Mlp::refresh_transpose() {
   for (auto& layer : layers_) {
     layer.wt.resize(layer.w.size());
-    transpose(layer.w.data(), layer.out, layer.in, layer.wt.data(), 0, layer.out, 0,
-              layer.in);
+    transpose(layer.w.data(), layer.in, layer.wt.data(), layer.out, layer.out, layer.in);
   }
 }
 
@@ -144,8 +153,7 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   ws.post.resize(layers_.size());
   for (std::size_t l = 0; l < layers_.size(); ++l)
     ws.post[l].resize(rows * layers_[l].out);
-  const std::size_t in0 = layers_.front().in;
-  ws.nz.resize(part_count(pool) * in0);
+  ws.parts.resize(part_count(pool));
 
   // Per output element: acc = bias, then acc += x[i]·w[o][i] for i ascending
   // — forward()'s chain, with the first layer's exact-zero terms skipped.
@@ -153,7 +161,9 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   // through the whole network.
   for_parts(pool, [&](std::size_t part, std::size_t parts) {
     const auto [n0, n1] = slice(rows, part, parts);
-    std::uint32_t* nz = ws.nz.data() + part * in0;
+    BatchWorkspace::Part& s = ws.parts[part];
+    s.idx.resize(layers_.front().in);
+    s.coef.resize(layers_.front().in);
     for (std::size_t l = 0; l < layers_.size(); ++l) {
       const auto& layer = layers_[l];
       float* out = ws.post[l].data();
@@ -162,10 +172,10 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
       if (l == 0) {
         for (std::size_t n = n0; n < n1; ++n) {
           const float* x = row_ptr(n);
-          float* acc = out + n * layer.out;
-          const std::size_t count = kernels_->nonzero_indices(x, layer.in, nz);
-          for (std::size_t j = 0; j < count; ++j)
-            kernels_->axpy(x[nz[j]], layer.wt.data() + nz[j] * layer.out, acc, layer.out);
+          const std::size_t count = kernels_->nonzero_indices(x, layer.in, s.idx.data());
+          for (std::size_t j = 0; j < count; ++j) s.coef[j] = x[s.idx[j]];
+          kernels_->axpy_indexed(s.coef.data(), s.idx.data(), count, layer.wt.data(),
+                                 layer.out, out + n * layer.out, layer.out);
         }
       } else {
         const float* x = ws.post[l - 1].data();
@@ -201,7 +211,7 @@ std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
 }
 
 template <typename RowPtrFn>
-void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
+void Mlp::backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
                               std::span<const float> output_grads,
                               util::ThreadPool* pool) {
   const std::size_t rows = ws.rows;
@@ -214,10 +224,10 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
   // every term backward() skips (g == 0) or this pass skips (x == 0) is a
   // signed zero that cannot change a gradient accumulator (see mlp.hpp).
   // Parts split outputs (a bias or weight gradient sums over rows), inputs
-  // (layer 0's transposed weight gradient) or rows (an input gradient sums
-  // over outputs), never the axis of a sum.
-  std::vector<float> grad(output_grads.begin(), output_grads.end());
-  std::vector<float> prev_grad;
+  // (layer 0's weight gradient) or rows (an input gradient sums over
+  // outputs), never the axis of a sum.
+  ws.parts.resize(part_count(pool));
+  const float* grad = output_grads.data();  // dL/d(pre-activation) of layer l
   for (std::size_t l = layers_.size(); l-- > 0;) {
     auto& layer = layers_[l];
     const auto bias_grads = [&](Slice o) {
@@ -227,60 +237,103 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
     };
 
     if (l == 0) {
-      // gw[o][i] += g[n][o]·x[n][i], rows ascending, accumulated through a
-      // transposed copy so each nonzero input adds one contiguous axpy.
-      std::vector<float> gwt(layer.gw.size());
-      std::vector<std::uint32_t> nz(part_count(pool) * layer.in);
       for_parts(pool, [&](std::size_t part, std::size_t parts) {
         bias_grads(slice(layer.out, part, parts));
         const auto [i0, i1] = slice(layer.in, part, parts);
-        std::uint32_t* idx = nz.data() + part * layer.in;
-        transpose(layer.gw.data(), layer.out, layer.in, gwt.data(), 0, layer.out, i0, i1);
-        for (std::size_t n = 0; n < rows; ++n) {
-          const float* xr = row_ptr(n) + i0;
-          const float* g = grad.data() + n * layer.out;
-          const std::size_t count = kernels_->nonzero_indices(xr, i1 - i0, idx);
-          for (std::size_t j = 0; j < count; ++j)
-            kernels_->axpy(xr[idx[j]], g, gwt.data() + (i0 + idx[j]) * layer.out,
-                           layer.out);
-        }
-        transpose(gwt.data(), layer.in, layer.out, layer.gw.data(), i0, i1, 0, layer.out);
+        layer0_weight_grads(row_ptr, rows, grad, i0, i1, ws.parts[part]);
       });
       break;  // no upstream layer to feed
     }
 
     const float* x = ws.post[l - 1].data();
-    prev_grad.assign(rows * layer.in, 0.0f);
+    std::vector<float>& prev_grad = ws.grad[l % 2];  // grad is the other one
+    prev_grad.resize(rows * layer.in);
     for_parts(pool, [&](std::size_t part, std::size_t parts) {
       // Weight gradients: per output, a register-blocked sum over the rows.
       const Slice o = slice(layer.out, part, parts);
       bias_grads(o);
       for (std::size_t n0 = 0; n0 < rows; n0 += kBlock)
         for (std::size_t k = o.begin; k < o.end; ++k)
-          kernels_->axpy_rows(grad.data() + n0 * layer.out + k, layer.out,
-                              x + n0 * layer.in, layer.in, std::min(kBlock, rows - n0),
+          kernels_->axpy_rows(grad + n0 * layer.out + k, layer.out, x + n0 * layer.in,
+                              layer.in, std::min(kBlock, rows - n0),
                               layer.gw.data() + k * layer.in, layer.in);
 
       // Input gradients: per row, a sum over the outputs, then chained
-      // through the previous layer's tanh.
+      // through the previous layer's tanh. The output layer's sum visits
+      // only the row's nonzero gradients (a masked logit's is +0); a hidden
+      // layer's are dense.
+      BatchWorkspace::Part& s = ws.parts[part];
+      s.idx.resize(layer.out);
+      s.coef.resize(layer.out);
       const auto [r0, r1] = slice(rows, part, parts);
-      for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
-        for (std::size_t n = r0; n < r1; ++n)
-          kernels_->axpy_rows(grad.data() + n * layer.out + o0, 1,
-                              layer.w.data() + o0 * layer.in, layer.in,
-                              std::min(kBlock, layer.out - o0),
-                              prev_grad.data() + n * layer.in, layer.in);
       for (std::size_t n = r0; n < r1; ++n) {
+        const float* g = grad + n * layer.out;
         float* pg = prev_grad.data() + n * layer.in;
+        std::fill(pg, pg + layer.in, 0.0f);
+        if (l + 1 == layers_.size()) {
+          const std::size_t count = kernels_->nonzero_indices(g, layer.out, s.idx.data());
+          for (std::size_t j = 0; j < count; ++j) s.coef[j] = g[s.idx[j]];
+          kernels_->axpy_indexed(s.coef.data(), s.idx.data(), count, layer.w.data(),
+                                 layer.in, pg, layer.in);
+        } else {
+          for (std::size_t o0 = 0; o0 < layer.out; o0 += kBlock)
+            kernels_->axpy_rows(g + o0, 1, layer.w.data() + o0 * layer.in, layer.in,
+                                std::min(kBlock, layer.out - o0), pg, layer.in);
+        }
         const float* pr = x + n * layer.in;
         for (std::size_t i = 0; i < layer.in; ++i) pg[i] *= 1.0f - pr[i] * pr[i];
       }
     });
-    grad.swap(prev_grad);
+    grad = prev_grad.data();
   }
 }
 
-void Mlp::backward_batch(std::span<const float> input, const BatchWorkspace& ws,
+template <typename RowPtrFn>
+void Mlp::layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* grad,
+                              std::size_t i0, std::size_t i1,
+                              BatchWorkspace::Part& s) {
+  // gw[o][i] += g[n][o]·x[n][i] for the part's inputs i, rows ascending:
+  // one register-held sum per weight-gradient column over the rows where
+  // input i is nonzero. A bitmap per input (one bit per row, filled from
+  // the rows' nonzero scans) yields those rows in ascending order, and the
+  // columns move through a tile-sized transposed copy.
+  Layer& layer = layers_.front();
+  const std::size_t width = i1 - i0;
+  const std::size_t words = (rows + 63) / 64;
+  s.rows_of.assign(width * words, 0);
+  s.idx.resize(std::max(width, rows));
+  s.coef.resize(rows);
+  for (std::size_t n = 0; n < rows; ++n) {
+    const std::size_t count =
+        kernels_->nonzero_indices(row_ptr(n) + i0, width, s.idx.data());
+    for (std::size_t j = 0; j < count; ++j)
+      s.rows_of[s.idx[j] * words + n / 64] |= std::uint64_t{1} << (n % 64);
+  }
+  s.tile.resize(kTile * layer.out);
+  for (std::size_t t0 = 0; t0 < width; t0 += kTile) {
+    const std::size_t t1 = std::min(width, t0 + kTile);
+    const auto* bits = s.rows_of.data();
+    if (std::all_of(bits + t0 * words, bits + t1 * words,
+                    [](std::uint64_t w) { return w == 0; }))
+      continue;
+    float* gw = layer.gw.data() + i0 + t0;
+    transpose(gw, layer.in, s.tile.data(), layer.out, layer.out, t1 - t0);
+    for (std::size_t i = t0; i < t1; ++i) {
+      std::size_t count = 0;
+      for (std::size_t w = 0; w < words; ++w)
+        for (std::uint64_t b = bits[i * words + w]; b != 0; b &= b - 1) {
+          const std::size_t n = w * 64 + static_cast<std::size_t>(std::countr_zero(b));
+          s.idx[count] = static_cast<std::uint32_t>(n);
+          s.coef[count++] = row_ptr(n)[i0 + i];
+        }
+      kernels_->axpy_indexed(s.coef.data(), s.idx.data(), count, grad, layer.out,
+                             s.tile.data() + (i - t0) * layer.out, layer.out);
+    }
+    transpose(s.tile.data(), layer.out, gw, layer.in, t1 - t0, layer.out);
+  }
+}
+
+void Mlp::backward_batch(std::span<const float> input, BatchWorkspace& ws,
                          std::span<const float> output_grads,
                          util::ThreadPool* pool) {
   DETERRENT_ASSERT(input.size() == ws.rows * input_size(),
@@ -291,7 +344,7 @@ void Mlp::backward_batch(std::span<const float> input, const BatchWorkspace& ws,
                       output_grads, pool);
 }
 
-void Mlp::backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
+void Mlp::backward_batch(const float* const* row_ptrs, BatchWorkspace& ws,
                          std::span<const float> output_grads,
                          util::ThreadPool* pool) {
   backward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; }, ws,

@@ -54,11 +54,19 @@ class Mlp {
   void backward(std::span<const float> input, const Workspace& ws,
                 std::span<const float> output_grad);
 
-  /// Activation cache for a whole row batch (forward_batch / backward_batch).
+  /// Activation cache for a whole row batch (forward_batch / backward_batch)
+  /// and the passes' reusable scratch.
   struct BatchWorkspace {
     std::size_t rows = 0;
     std::vector<std::vector<float>> post;  ///< per layer: rows × out, row-major
-    std::vector<std::uint32_t> nz;         ///< layer 0: nonzero inputs, one row per part
+    std::vector<float> grad[2];  ///< backward: hidden dL/d(pre-activation), rows × width
+    struct Part {                ///< one slot per pool part, written by that part only
+      std::vector<std::uint32_t> idx;      ///< nonzero positions (of a row or column)
+      std::vector<float> coef;             ///< their values
+      std::vector<std::uint64_t> rows_of;  ///< layer 0 backward: per input, a row bitmap
+      std::vector<float> tile;             ///< transposed weight-gradient columns
+    };
+    std::vector<Part> parts;
   };
 
   /// Computes outputs for `rows` stacked observations (row-major, rows ×
@@ -88,18 +96,20 @@ class Mlp {
   /// matching forward_batch(). Each gradient element gets backward()'s terms
   /// in backward()'s order (weights and biases: rows ascending; inputs:
   /// outputs ascending), with the zero terms either side skips being signed
-  /// zeros that cannot change an accumulator (docs/training.md). The first
-  /// layer accumulates over each row's nonzero inputs into a transposed
-  /// scratch copy of its weight gradient and computes no input gradient.
-  /// With a pool, weight and bias gradients are split by output (layer 0's
-  /// weight gradient by input) and input gradients by row.
-  void backward_batch(std::span<const float> input, const BatchWorkspace& ws,
+  /// zeros that cannot change an accumulator (docs/training.md). The output
+  /// layer's input gradient sums only each row's nonzero output gradients
+  /// (a masked logit's is +0). The first layer sums each input's
+  /// weight-gradient column over the rows where that input is nonzero and
+  /// computes no input gradient. With a pool, weight and bias gradients are
+  /// split by output (layer 0's weight gradient by input) and input
+  /// gradients by row.
+  void backward_batch(std::span<const float> input, BatchWorkspace& ws,
                       std::span<const float> output_grads,
                       util::ThreadPool* pool = nullptr);
 
   /// Row-pointer variant of backward_batch(); pass the same row pointers as
   /// the matching forward_batch() call.
-  void backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
+  void backward_batch(const float* const* row_ptrs, BatchWorkspace& ws,
                       std::span<const float> output_grads,
                       util::ThreadPool* pool = nullptr);
 
@@ -136,9 +146,14 @@ class Mlp {
                                             BatchWorkspace& ws,
                                             util::ThreadPool* pool) const;
   template <typename RowPtrFn>
-  void backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
+  void backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
                            std::span<const float> output_grads,
                            util::ThreadPool* pool);
+
+  /// Layer 0's weight gradient for inputs [i0, i1), on one part's scratch.
+  template <typename RowPtrFn>
+  void layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* grad,
+                           std::size_t i0, std::size_t i1, BatchWorkspace::Part& s);
 
   struct Layer {
     std::size_t in = 0;

@@ -34,15 +34,19 @@ struct MlpKernelTable {
   MlpIsa isa;
   const char* name;
 
-  /// acc[i] += g * x[i] for i in [0, n) — one term per element, so lane
-  /// width cannot reassociate anything.
-  void (*axpy)(float g, const float* x, float* acc, std::size_t n);
-
   /// For k ascending in [0, terms): acc[j] += coef[k*stride] * m[k*ld + j]
-  /// for j in [0, len) — `terms` axpy calls in a row, with the accumulator
-  /// block held in registers across all k. Every dense batched sum.
+  /// for j in [0, len), with the accumulator block held in registers across
+  /// all k. Every dense batched sum.
   void (*axpy_rows)(const float* coef, std::size_t stride, const float* m,
                     std::size_t ld, std::size_t terms, float* acc, std::size_t len);
+
+  /// axpy_rows over an index list: for k ascending in [0, terms),
+  /// acc[j] += coef[k] * m[idx[k]*ld + j] for j in [0, len). Every sparse
+  /// batched sum: layer 0's forward pass and weight gradient, and the output
+  /// layer's input gradient, over the nonzero terms only.
+  void (*axpy_indexed)(const float* coef, const std::uint32_t* idx,
+                       std::size_t terms, const float* m, std::size_t ld,
+                       float* acc, std::size_t len);
 
   /// Writes the indices i in [0, n) with x[i] != 0.0f (±0 are zero, NaN is
   /// not), ascending, to idx (room for n) and returns their count.

@@ -130,15 +130,24 @@ void tanh_scalar(float* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] = tanhf_fdlibm(v[i]);
 }
 
-void axpy_scalar(float g, const float* x, float* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += g * x[i];
-}
-
 void axpy_rows_scalar(const float* coef, std::size_t stride, const float* m,
                       std::size_t ld, std::size_t terms, float* acc,
                       std::size_t len) {
-  for (std::size_t k = 0; k < terms; ++k)
-    axpy_scalar(coef[k * stride], m + k * ld, acc, len);
+  for (std::size_t k = 0; k < terms; ++k) {
+    const float c = coef[k * stride];
+    const float* row = m + k * ld;
+    for (std::size_t j = 0; j < len; ++j) acc[j] += c * row[j];
+  }
+}
+
+void axpy_indexed_scalar(const float* coef, const std::uint32_t* idx,
+                         std::size_t terms, const float* m, std::size_t ld,
+                         float* acc, std::size_t len) {
+  for (std::size_t k = 0; k < terms; ++k) {
+    const float c = coef[k];
+    const float* row = m + idx[k] * ld;
+    for (std::size_t j = 0; j < len; ++j) acc[j] += c * row[j];
+  }
 }
 
 void adam_step_scalar(float* values, float* m, float* v, const float* grads,
@@ -154,7 +163,7 @@ void adam_step_scalar(float* values, float* m, float* v, const float* grads,
 }
 
 constinit const MlpKernelTable kScalarTable{
-    MlpIsa::Scalar,          "scalar",     &axpy_scalar,     &axpy_rows_scalar,
+    MlpIsa::Scalar,          "scalar",     &axpy_rows_scalar, &axpy_indexed_scalar,
     &nonzero_indices_scalar, &tanh_scalar, &adam_step_scalar};
 
 const MlpKernelTable* table_or_null(MlpIsa isa) {

@@ -14,46 +14,67 @@
 namespace deterrent::rl::kernels {
 namespace {
 
-void axpy_avx2(float g, const float* x, float* acc, std::size_t n) {
-  const __m256 gv = _mm256_set1_ps(g);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(gv, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), prod));
-  }
-  for (; i < n; ++i) acc[i] += g * x[i];
+// The first min(n, 8) lanes, as a maskload/maskstore mask.
+__m256i lanes(std::size_t n) {
+  const auto live = static_cast<std::int32_t>(n >= 8 ? 8 : n);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(live),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-// acc[j .. j + 8·R) += Σ_k coef[k·stride]·m[k·ld + j ..], k ascending, with
-// the R accumulators in registers for the whole k loop.
-template <int R>
-void axpy_rows_block(const float* coef, std::size_t stride, const float* m,
-                     std::size_t ld, std::size_t terms, float* acc) {
+// One term of a sum: coef · row[j] for every j.
+struct Term {
+  float coef;
+  const float* row;
+};
+
+// acc[j .. j + 8·R) += Σ_k term(k).coef·term(k).row[j ..], k ascending, with
+// the R accumulators in registers for the whole k loop. A masked block
+// (R = 1, the len tail) neither loads nor stores the lanes outside `mask`.
+template <int R, bool Masked, typename TermFn>
+void sum_block(TermFn term, std::size_t terms, std::size_t j, float* acc,
+               __m256i mask) {
+  const auto load = [mask](const float* p) {
+    return Masked ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
+  };
   __m256 a[R];
-  for (int r = 0; r < R; ++r) a[r] = _mm256_loadu_ps(acc + 8 * r);
-  for (std::size_t k = 0; k < terms; ++k, m += ld) {
-    const __m256 c = _mm256_set1_ps(coef[k * stride]);
+  for (int r = 0; r < R; ++r) a[r] = load(acc + j + 8 * r);
+  for (std::size_t k = 0; k < terms; ++k) {
+    const Term t = term(k);
+    const __m256 c = _mm256_set1_ps(t.coef);
     for (int r = 0; r < R; ++r)
-      a[r] = _mm256_add_ps(a[r], _mm256_mul_ps(c, _mm256_loadu_ps(m + 8 * r)));
+      a[r] = _mm256_add_ps(a[r], _mm256_mul_ps(c, load(t.row + j + 8 * r)));
   }
-  for (int r = 0; r < R; ++r) _mm256_storeu_ps(acc + 8 * r, a[r]);
+  for (int r = 0; r < R; ++r) {
+    if constexpr (Masked)
+      _mm256_maskstore_ps(acc + j + 8 * r, mask, a[r]);
+    else
+      _mm256_storeu_ps(acc + j + 8 * r, a[r]);
+  }
+}
+
+// sum_block over acc[0, len). Eight registers per block keep both FP ports
+// busy while covering the add latency.
+template <typename TermFn>
+void sum_rows(TermFn term, std::size_t terms, float* acc, std::size_t len) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::size_t j = 0;
+  for (; j + 64 <= len; j += 64) sum_block<8, false>(term, terms, j, acc, all);
+  for (; j + 8 <= len; j += 8) sum_block<1, false>(term, terms, j, acc, all);
+  if (j < len) sum_block<1, true>(term, terms, j, acc, lanes(len - j));
 }
 
 void axpy_rows_avx2(const float* coef, std::size_t stride, const float* m,
                     std::size_t ld, std::size_t terms, float* acc,
                     std::size_t len) {
-  // Eight registers per block keep both FP ports busy while covering the
-  // add latency.
-  std::size_t j = 0;
-  for (; j + 64 <= len; j += 64)
-    axpy_rows_block<8>(coef, stride, m + j, ld, terms, acc + j);
-  for (; j + 8 <= len; j += 8)
-    axpy_rows_block<1>(coef, stride, m + j, ld, terms, acc + j);
-  for (; j < len; ++j) {
-    float a = acc[j];
-    for (std::size_t k = 0; k < terms; ++k) a += coef[k * stride] * m[k * ld + j];
-    acc[j] = a;
-  }
+  sum_rows([=](std::size_t k) { return Term{coef[k * stride], m + k * ld}; },
+           terms, acc, len);
+}
+
+void axpy_indexed_avx2(const float* coef, const std::uint32_t* idx,
+                       std::size_t terms, const float* m, std::size_t ld,
+                       float* acc, std::size_t len) {
+  sum_rows([=](std::size_t k) { return Term{coef[k], m + idx[k] * ld}; }, terms,
+           acc, len);
 }
 
 // tanh_lanes (mlp_tanh_lanes.hpp) on 8 lanes; a mask is an all-ones or
@@ -149,7 +170,7 @@ void adam_step_avx2(float* values, float* m, float* v, const float* grads,
 // The scan reuses the scalar (base-flag) function: a movemask bit loop
 // measured slower than its branchless compaction.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx2,            "avx2",     &axpy_avx2,     &axpy_rows_avx2,
+    MlpIsa::Avx2,            "avx2",     &axpy_rows_avx2, &axpy_indexed_avx2,
     &nonzero_indices_scalar, &tanh_avx2, &adam_step_avx2};
 
 }  // namespace

@@ -15,49 +15,56 @@
 namespace deterrent::rl::kernels {
 namespace {
 
-void axpy_avx512(float g, const float* x, float* acc, std::size_t n) {
-  const __m512 gv = _mm512_set1_ps(g);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 prod = _mm512_mul_ps(gv, _mm512_loadu_ps(x + i));
-    _mm512_storeu_ps(acc + i, _mm512_add_ps(_mm512_loadu_ps(acc + i), prod));
-  }
-  for (; i < n; ++i) acc[i] += g * x[i];
-}
-
 // The first min(n, 16) lanes.
 __mmask16 lanes(std::size_t n) {
   return static_cast<__mmask16>(n >= 16 ? 0xFFFFu : (1u << n) - 1);
 }
 
-// acc[j .. j + 16·R) += Σ_k coef[k·stride]·m[k·ld + j ..], k ascending, with
-// the R accumulators in registers for the whole k loop. Lanes outside
+// One term of a sum: coef · row[j] for every j.
+struct Term {
+  float coef;
+  const float* row;
+};
+
+// acc[j .. j + 16·R) += Σ_k term(k).coef·term(k).row[j ..], k ascending,
+// with the R accumulators in registers for the whole k loop. Lanes outside
 // `mask` (the len tail) are neither loaded nor stored.
-template <int R>
-void axpy_rows_block(const float* coef, std::size_t stride, const float* m,
-                     std::size_t ld, std::size_t terms, float* acc,
-                     __mmask16 mask = 0xFFFF) {
+template <int R, typename TermFn>
+void sum_block(TermFn term, std::size_t terms, std::size_t j, float* acc,
+               __mmask16 mask) {
   __m512 a[R];
-  for (int r = 0; r < R; ++r) a[r] = _mm512_maskz_loadu_ps(mask, acc + 16 * r);
-  for (std::size_t k = 0; k < terms; ++k, m += ld) {
-    const __m512 c = _mm512_set1_ps(coef[k * stride]);
+  for (int r = 0; r < R; ++r) a[r] = _mm512_maskz_loadu_ps(mask, acc + j + 16 * r);
+  for (std::size_t k = 0; k < terms; ++k) {
+    const Term t = term(k);
+    const __m512 c = _mm512_set1_ps(t.coef);
     for (int r = 0; r < R; ++r)
       a[r] = _mm512_add_ps(
-          a[r], _mm512_mul_ps(c, _mm512_maskz_loadu_ps(mask, m + 16 * r)));
+          a[r], _mm512_mul_ps(c, _mm512_maskz_loadu_ps(mask, t.row + j + 16 * r)));
   }
-  for (int r = 0; r < R; ++r) _mm512_mask_storeu_ps(acc + 16 * r, mask, a[r]);
+  for (int r = 0; r < R; ++r) _mm512_mask_storeu_ps(acc + j + 16 * r, mask, a[r]);
+}
+
+// sum_block over acc[0, len). Four registers per block keep both FP ports
+// busy while covering the add latency.
+template <typename TermFn>
+void sum_rows(TermFn term, std::size_t terms, float* acc, std::size_t len) {
+  std::size_t j = 0;
+  for (; j + 64 <= len; j += 64) sum_block<4>(term, terms, j, acc, 0xFFFF);
+  for (; j < len; j += 16) sum_block<1>(term, terms, j, acc, lanes(len - j));
 }
 
 void axpy_rows_avx512(const float* coef, std::size_t stride, const float* m,
                       std::size_t ld, std::size_t terms, float* acc,
                       std::size_t len) {
-  // Four registers per block keep both FP ports busy while covering the
-  // add latency.
-  std::size_t j = 0;
-  for (; j + 64 <= len; j += 64)
-    axpy_rows_block<4>(coef, stride, m + j, ld, terms, acc + j);
-  for (; j < len; j += 16)
-    axpy_rows_block<1>(coef, stride, m + j, ld, terms, acc + j, lanes(len - j));
+  sum_rows([=](std::size_t k) { return Term{coef[k * stride], m + k * ld}; },
+           terms, acc, len);
+}
+
+void axpy_indexed_avx512(const float* coef, const std::uint32_t* idx,
+                         std::size_t terms, const float* m, std::size_t ld,
+                         float* acc, std::size_t len) {
+  sum_rows([=](std::size_t k) { return Term{coef[k], m + idx[k] * ld}; }, terms,
+           acc, len);
 }
 
 std::size_t nonzero_indices_avx512(const float* x, std::size_t n,
@@ -178,7 +185,7 @@ void adam_step_avx512(float* values, float* m, float* v, const float* grads,
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx512f TU must emit no initialization code.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx512,          "avx512",     &axpy_avx512,     &axpy_rows_avx512,
+    MlpIsa::Avx512,          "avx512",     &axpy_rows_avx512, &axpy_indexed_avx512,
     &nonzero_indices_avx512, &tanh_avx512, &adam_step_avx512};
 
 }  // namespace

@@ -29,12 +29,21 @@ util::Rng seeded_rng(std::uint64_t seed, std::uint64_t stream) {
 /// 1 = value init, 2 = shuffle), so no training run can collide them.
 constexpr std::uint64_t kEpisodeStreamBase = std::uint64_t{1} << 32;
 
+/// `config`, unless it holds a zero the trainer cannot run with. A library
+/// caller or a deserialized session config can pass one, so it throws
+/// deterrent::Error rather than asserting.
+const PpoConfig& checked(const PpoConfig& config) {
+  if (config.minibatch_size == 0) throw Error("PpoConfig: minibatch_size is 0");
+  if (std::max(config.rollout_lanes, config.n_workers) == 0)
+    throw Error("PpoConfig: rollout_lanes and n_workers are both 0 (no lane)");
+  return config;
+}
+
 std::unique_ptr<VectorEnv> make_rollout_env(
     const PpoTrainer::EnvFactory& factory, const PpoConfig& config,
     const PpoTrainer::VectorEnvFactory& vector_factory) {
   // n_workers is the legacy spelling of the lane count (see PpoConfig).
   const std::size_t lanes = std::max(config.rollout_lanes, config.n_workers);
-  DETERRENT_ASSERT(lanes >= 1, "PPO requires at least one lane");
   DETERRENT_ASSERT(factory || vector_factory, "PpoTrainer needs an env factory");
   auto env = vector_factory ? vector_factory(lanes)
                             : std::make_unique<EnvVector>(lanes, factory);
@@ -47,7 +56,7 @@ std::unique_ptr<VectorEnv> make_rollout_env(
 PpoTrainer::PpoTrainer(const EnvFactory& factory, const PpoConfig& config,
                        std::uint64_t seed, const VectorEnvFactory& vector_factory,
                        util::ThreadPool* pool)
-    : config_(config),
+    : config_(checked(config)),
       seed_(seed),
       pool_(pool),
       vector_env_(make_rollout_env(factory, config, vector_factory)),

@@ -89,7 +89,8 @@ class PpoTrainer {
   /// Builds the one rollout env with max(rollout_lanes, n_workers) lanes:
   /// `vector_factory(lanes)` when provided (then `factory` is never called
   /// and may be null), else a generic EnvVector over `factory`-built lanes.
-  /// The networks take their shapes from that env.
+  /// The networks take their shapes from that env. Throws deterrent::Error
+  /// when config.minibatch_size or max(rollout_lanes, n_workers) is 0.
   ///
   /// `pool` (optional, must outlive the trainer) runs the optimization
   /// phase's network passes and per-row loss loop across its threads. Each splits only along axes no sum runs over, so parameters,

@@ -337,6 +337,26 @@ class BanditEnv final : public Env {
   }();
 };
 
+TEST(Ppo, ZeroMinibatchSizeThrows) {
+  PpoConfig cfg;
+  cfg.minibatch_size = 0;  // e.g. from a library caller or a session config
+  EXPECT_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                          cfg, 1),
+               Error);
+}
+
+TEST(Ppo, ZeroLaneCountThrows) {
+  PpoConfig cfg;
+  cfg.rollout_lanes = 0;
+  cfg.n_workers = 0;
+  EXPECT_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                          cfg, 1),
+               Error);
+  cfg.n_workers = 1;  // the legacy spelling alone is enough
+  EXPECT_NO_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                             cfg, 1));
+}
+
 TEST(Ppo, LearnsBandit) {
   PpoConfig cfg;
   cfg.episodes_per_update = 32;
@@ -542,6 +562,57 @@ TEST(PooledTraining, MlpBatchPassesMatchSerialBitwise) {
     for (std::size_t k = 1; k < outputs.size(); ++k) {
       EXPECT_EQ(outputs[k], outputs[0]) << "pool leg " << k;
       EXPECT_EQ(grads[k], grads[0]) << "pool leg " << k;
+    }
+  }
+}
+
+TEST(PooledTraining, MaskedPolicyHeadMatchesPerSampleBitwise) {
+  // A masked logit's output gradient is exactly +0 (about two thirds of the
+  // policy head's on the training designs), and the batched backward sums
+  // only each row's nonzero ones into its input gradient. Policy-shaped nets
+  // at the widths of c5315_like (354 rare nets) and s15850_like (714), with
+  // and without a pool, against per-sample forward() and backward().
+  util::ThreadPool two(2);
+  util::ThreadPool three(3);
+  for (const std::size_t width : {354u, 714u}) {
+    const std::vector<std::size_t> shape{width, 64, 64, width};
+    for (const std::size_t rows : {67u, 256u}) {
+      SCOPED_TRACE(testing::Message() << "width=" << width << " rows=" << rows);
+      util::Rng data(width + rows);
+      std::vector<float> input(rows * width, 0.0f);
+      for (auto& x : input)
+        if (data.below(8) == 0) x = 1.0f;
+      std::vector<float> out_grads(rows * width, 0.0f);
+      std::size_t valid = 0;
+      for (auto& g : out_grads)
+        if (data.below(3) == 0) {
+          g = static_cast<float>(data.normal());
+          ++valid;
+        }
+      ASSERT_LT(valid * 2, out_grads.size()) << "most output gradients must be +0";
+
+      util::Rng init(3);
+      Mlp reference(shape, init);
+      std::vector<std::uint32_t> want_out;
+      Mlp::Workspace ws;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto in = std::span<const float>(input).subspan(r * width, width);
+        const auto out = bits_of(reference.forward(in, ws));
+        want_out.insert(want_out.end(), out.begin(), out.end());
+        reference.backward(in, ws,
+                           std::span<const float>(out_grads).subspan(r * width, width));
+      }
+      const auto want_grads = grad_bits(reference);
+
+      for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &two, &three}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << (pool ? pool->thread_count() : 1));
+        util::Rng same_init(3);
+        Mlp net(shape, same_init);
+        Mlp::BatchWorkspace bws;
+        EXPECT_EQ(bits_of(net.forward_batch(input, rows, bws, pool)), want_out);
+        net.backward_batch(input, bws, out_grads, pool);
+        EXPECT_EQ(grad_bits(net), want_grads);
+      }
     }
   }
 }

@@ -319,6 +319,55 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
   }
 }
 
+// The index-list entry behind every sparse batched sum, on every backend,
+// bitwise against the scalar table and against a plain sequential loop of
+// separately rounded products and sums: every masked tail length, ±0
+// coefficients (added, never skipped: the kernel sums what it is given), a
+// repeated index and the empty list. Lanes past `len` must stay untouched.
+TEST(MlpKernels, AxpyIndexedMatchesSequentialSumsOnEveryBackend) {
+  constexpr std::size_t kLd = 73;
+  constexpr std::size_t kRows = 12;
+  util::Rng rng(404);
+  const std::vector<float> m = random_input(kRows * kLd, rng);
+  std::vector<float> coef = random_input(40, rng);
+  coef[1] = 0.0f;
+  coef[6] = -0.0f;
+  std::vector<std::uint32_t> long_list(coef.size());
+  for (auto& i : long_list) i = static_cast<std::uint32_t>(rng.below(kRows));
+  const std::vector<std::vector<std::uint32_t>> lists = {
+      {}, {4}, {0, 5, 5, 11, 2, 0, 7}, long_list};
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 1; len <= 17; ++len) lens.push_back(len);
+  lens.push_back(64);
+  lens.push_back(70);
+
+  const auto& scalar = rl::kernels::mlp_kernel_table(rl::kernels::MlpIsa::Scalar);
+  for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    const auto& table = rl::kernels::mlp_kernel_table(isa);
+    for (const auto& idx : lists) {
+      for (const std::size_t len : lens) {
+        SCOPED_TRACE(testing::Message() << rl::kernels::to_string(isa)
+                                        << " terms=" << idx.size() << " len=" << len);
+        const std::vector<float> start = random_input(len + 8, rng);
+        std::vector<float> sequential = start;
+        for (std::size_t k = 0; k < idx.size(); ++k)
+          for (std::size_t j = 0; j < len; ++j) {
+            volatile float product = coef[k] * m[idx[k] * kLd + j];  // no FMA
+            sequential[j] = sequential[j] + product;
+          }
+        std::vector<float> want = start;
+        scalar.axpy_indexed(coef.data(), idx.data(), idx.size(), m.data(), kLd,
+                            want.data(), len);
+        std::vector<float> got = start;
+        table.axpy_indexed(coef.data(), idx.data(), idx.size(), m.data(), kLd,
+                           got.data(), len);
+        ASSERT_TRUE(bitwise_equal(want, sequential)) << "scalar table";
+        ASSERT_TRUE(bitwise_equal(got, want));
+      }
+    }
+  }
+}
+
 // The batched passes on trainer-shaped data, on every backend: sparse
 // indicator rows, the real policy shape and widths that are not a multiple
 // of any register width, row counts around the 256-row minibatch, and
@@ -905,9 +954,15 @@ std::uint32_t pick_masked_action(const util::BitVec& mask, util::Rng& rng) {
 /// observable matches at every step: observations, masks, rewards, done
 /// flags, members and the pooled sets. The counters compare as the reference
 /// defines them: every lane model hit stands for one reference SAT query.
+/// The env's own counters land in `counts` when given.
+struct EnvCounts {
+  std::uint64_t sat_queries = 0;
+  std::uint64_t model_hits = 0;
+};
 void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
                                std::size_t n_lanes, std::size_t episodes_per_lane,
-                               util::ThreadPool* threads = nullptr) {
+                               util::ThreadPool* threads = nullptr,
+                               EnvCounts* counts = nullptr) {
   DistinctSetPool vec_pool;
   DistinctSetPool ref_pool;
   CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes,
@@ -990,6 +1045,7 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
   }
   EXPECT_EQ(venv.sat_queries() + venv.model_hits(), ref_queries);
   EXPECT_EQ(venv.witness_hits(), ref_witness_hits);
+  if (counts != nullptr) *counts = {venv.sat_queries(), venv.model_hits()};
   EXPECT_EQ(vec_pool.size(), ref_pool.size());
   EXPECT_EQ(vec_pool.k_largest(vec_pool.size()),
             ref_pool.k_largest(ref_pool.size()));
@@ -1028,6 +1084,35 @@ TEST(VectorEnvDifferential, LanesMatchScalarEnvsAcrossAllModeCombos) {
     cfg.eoe_repair_budget = budget;
     SCOPED_TRACE(testing::Message() << "eoe_repair_budget=" << budget);
     run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
+  }
+}
+
+TEST(VectorEnvDifferential, InputBranchingLanesMatchReferenceThroughRepair) {
+  // The lane oracles branch on the primary inputs only, so their Sat models
+  // differ from the reference's full-branching ones. Repair reads a model
+  // only as a proof, so members, rewards and the pool must still match over
+  // 120 end-of-episode episodes. Repair must really run: without it the
+  // lanes ask fewer SAT queries (the prefix search is the same either way,
+  // since trajectories do not depend on verification), and some repair
+  // answers come from a model. The witness leg also accepts members the
+  // model does not meet, so a model stops proving the kept set.
+  const Fixture f = make_fixture(57, 300);
+  if (f.rare.size() < 8) GTEST_SKIP();
+  for (const auto* sigs : {static_cast<const std::vector<util::BitVec>*>(nullptr),
+                           &f.signatures}) {
+    SCOPED_TRACE(testing::Message() << "witness signatures: " << (sigs != nullptr));
+    EnvConfig cfg;
+    cfg.reward_mode = RewardMode::EndOfEpisode;
+    cfg.witness_signatures = sigs;
+    EnvCounts with_repair;
+    run_lockstep_differential(f, cfg, /*n_lanes=*/4, /*episodes_per_lane=*/30, nullptr,
+                              &with_repair);
+    cfg.eoe_repair_budget = 0;
+    EnvCounts prefix_only;
+    run_lockstep_differential(f, cfg, /*n_lanes=*/4, /*episodes_per_lane=*/30, nullptr,
+                              &prefix_only);
+    EXPECT_GT(with_repair.sat_queries, prefix_only.sat_queries) << "no repair SAT call";
+    EXPECT_GT(with_repair.model_hits, 0u) << "no repair answer from a Sat model";
   }
 }
 
