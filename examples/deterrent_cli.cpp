@@ -20,7 +20,8 @@
 //   deterrent_cli cache evict --cache-dir DIR [--fingerprint HEX]
 //
 // <bench|name> is either a built-in profile (c2670_like, …, mips16_like) or a
-// path to an ISCAS `.bench` file. Common flags:
+// path to an ISCAS `.bench` file. A flag not listed in this comment is a usage
+// error (exit 2). Common flags:
 //   --threshold <θ>        rareness threshold           (default 0.1)
 //   --updates <n>          PPO updates                  (default 30)
 //   --k <n>                patterns to extract          (default 64)
@@ -31,8 +32,6 @@
 //   --budget-seconds <s>   per-stage wall-clock budget  (default unlimited)
 //   --sat-budget <n>       training SAT-query budget    (default unlimited)
 //   --threads <n>          campaign circuit workers     (default hardware)
-//   --compat-shards <n>    split the compatibility build into n deterministic
-//                          row-range shards, checkpointed per shard (default 0)
 //   --cache-dir <dir>      shared content-addressed artifact cache: staged
 //                          commands hydrate from and publish to it
 //   --no-cache             ignore --cache-dir for this invocation
@@ -59,12 +58,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/lint.hpp"
@@ -130,7 +129,6 @@ struct Args {
   double budget_seconds() const { return flag_double("--budget-seconds", 0.0); }
   std::uint64_t sat_budget() const { return flag_size("--sat-budget", 0); }
   std::size_t threads() const { return flag_size("--threads", 0); }
-  std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
   std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 8); }
@@ -160,22 +158,33 @@ struct Args {
   }
 };
 
-bool is_bare_flag(const char* name) {
-  return std::strcmp(name, "--quiet") == 0 || std::strcmp(name, "--no-lint") == 0 ||
-         std::strcmp(name, "--no-cache") == 0;
-}
+// The flags the header comment documents: value flags take the next
+// argument, bare flags none.
+constexpr std::string_view kValueFlags[] = {
+    "-o", "-p", "--threshold", "--updates", "--k", "--width", "--trojans", "--seed",
+    "--session", "--budget-seconds", "--sat-budget", "--threads", "--cache-dir",
+    "--fingerprint", "--rollout-lanes", "--retries", "--retry-backoff-ms",
+    "--retry-backoff-cap-ms", "--stage-timeout", "--lint-json", "--lint-fatal"};
+constexpr std::string_view kBareFlags[] = {"--quiet", "--no-lint", "--no-cache"};
 
+/// Throws UsageError on a flag the header comment does not list, so a typo
+/// fails the run instead of being ignored.
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   if (argc >= 3 && argv[2][0] != '-') args.target = argv[2];
   for (int i = 3; i < argc; ++i) {
     if (argv[i][0] != '-') continue;
-    if (is_bare_flag(argv[i])) {
+    const std::string_view name = argv[i];
+    if (std::ranges::find(kBareFlags, name) != std::end(kBareFlags)) {
       args.flags[argv[i]] = "1";
+    } else if (std::ranges::find(kValueFlags, name) == std::end(kValueFlags)) {
+      throw UsageError("unknown flag '" + std::string(name) + "'");
     } else if (i + 1 < argc) {
       args.flags[argv[i]] = argv[i + 1];
       ++i;
+    } else {
+      throw UsageError(std::string(name) + ": missing value");
     }
   }
   return args;
@@ -208,7 +217,6 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   core::DeterrentConfig cfg;
   cfg.lint = lint_config(args);
   cfg.rare.threshold = args.threshold();
-  cfg.compat.shard_count = args.compat_shards();
   cfg.updates = args.updates();
   cfg.k_patterns = args.k();
   cfg.seed = args.seed();
@@ -642,8 +650,8 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
   try {
+    const Args args = parse_args(argc, argv);
     if (args.command == "lint" && !args.target.empty()) return cmd_lint(args);
     if (args.command == "analyze" && !args.target.empty()) return cmd_analyze(args);
     if (args.command == "generate" && !args.target.empty()) return cmd_generate(args);
@@ -656,7 +664,8 @@ int main(int argc, char** argv) {
     if (args.command == "campaign" && !args.target.empty()) return cmd_campaign(args);
     if (args.command == "cache" && !args.target.empty()) return cmd_cache(args);
   } catch (const UsageError& e) {
-    // A flag value that is not a whole number of the right kind.
+    // An unknown flag, a flag without its value, or a value that is not a
+    // number of the right kind.
     std::fprintf(stderr, "error: %s\n", e.what());
     usage();
     return 2;

@@ -2,8 +2,8 @@
 //
 // Loads the MIPS16-like processor (or any sequential benchmark), shows the
 // full-scan transform (every flip-flop becomes a controllable/observable
-// pseudo-pin), runs a couple of processor cycles through the combinational
-// view, and exports the design as `.bench` and structural Verilog.
+// pseudo-pin), runs one processor cycle through the combinational view, and
+// exports the design as `.bench`.
 //
 //   ./scan_chain_demo [benchmark_name]
 #include <cstdio>
@@ -12,8 +12,8 @@
 #include "bench_gen/library.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
-#include "netlist/verilog_io.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
+#include "sim/pattern.hpp"
 
 using namespace deterrent;
 
@@ -34,9 +34,10 @@ int main(int argc, char** argv) {
     std::printf("(%s is combinational; scan view is the identity)\n", name.c_str());
   } else {
     // Drive one combinational cycle: all-zero state, a NOP-ish instruction.
-    sim::Simulator sim(bench.scan.comb);
+    const sim::Engine engine(bench.scan.comb);
+    sim::EvalBuffer buf;
     sim::Pattern pattern(bench.scan.comb.inputs().size());  // all zeros
-    const auto values = sim.simulate_pattern(pattern);
+    const auto values = engine.evaluate_pattern(buf, pattern);
     std::size_t ones = 0;
     for (const auto po : bench.scan.comb.outputs()) ones += values[po];
     std::printf("cycle with all-zero state: %zu of %zu outputs high\n\n", ones,
@@ -44,11 +45,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string bench_path = name + ".bench";
-  const std::string verilog_path = name + ".v";
   netlist::write_bench_file(bench.original, bench_path);
-  netlist::write_verilog_file(bench.original, name, verilog_path);
-  std::printf("exported %s and %s (re-load with load_benchmark_file)\n",
-              bench_path.c_str(), verilog_path.c_str());
+  std::printf("exported %s (re-load with load_benchmark_file)\n", bench_path.c_str());
 
   // Round-trip sanity: the exported .bench reparses identically.
   const auto reloaded = bench_gen::load_benchmark_file(bench_path);

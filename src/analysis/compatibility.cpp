@@ -5,6 +5,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
@@ -84,47 +85,6 @@ double CompatibilityMatrix::average_degree() const {
   return 2.0 * static_cast<double>(edge_count()) / static_cast<double>(rows_.size());
 }
 
-void CompatibilityMatrix::merge_or(const CompatibilityMatrix& other) {
-  if (other.size() != size())
-    throw Error("CompatibilityMatrix::merge_or: size mismatch (" +
-                std::to_string(other.size()) + " vs " + std::to_string(size()) + ")");
-  for (std::size_t i = 0; i < rows_.size(); ++i) rows_[i] |= other.rows_[i];
-  edge_count_valid_.store(false, std::memory_order_release);
-}
-
-std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
-    std::size_t n, std::size_t shard_count) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
-  if (n == 0) {
-    ranges.emplace_back(0, 0);
-    return ranges;
-  }
-  const std::size_t shards = std::min(std::max<std::size_t>(1, shard_count), n);
-  std::size_t remaining_pairs = n * (n + 1) / 2;
-  std::uint32_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t remaining_shards = shards - s;
-    std::uint32_t end;
-    if (remaining_shards == 1) {
-      end = static_cast<std::uint32_t>(n);
-    } else {
-      // Greedy balance: take rows until this shard holds its share of the
-      // remaining pairs, but always leave one row per later shard.
-      const std::size_t target =
-          (remaining_pairs + remaining_shards - 1) / remaining_shards;
-      const auto max_end = static_cast<std::uint32_t>(n - (remaining_shards - 1));
-      end = begin;
-      std::size_t got = 0;
-      while (end < max_end && got < target) got += n - end++;
-    }
-    if (end == begin) end = begin + 1;
-    for (std::uint32_t i = begin; i < end; ++i) remaining_pairs -= n - i;
-    ranges.emplace_back(begin, end);
-    begin = end;
-  }
-  return ranges;
-}
-
 namespace {
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -180,16 +140,15 @@ class WitnessHarvest {
   sim::EvalBuffer buf_;
 };
 
-/// Phase 2 of one worker (a parallel_chunks chunk or a shard): decides
-/// `pairs` in order with one private oracle, whose learnt clauses amortize
-/// across the list, and one harvest table. The oracle branches on the
-/// primary inputs only: its models feed nothing but the harvest table, so
-/// the cheaper Sat answers change no verdict and no serialized counter. A
-/// pair the table already covers is compatible without a query: a concrete,
-/// simulated pattern proves it, so it counts into sat_sat (and harvested).
-/// A solver bug can therefore only cost a skip, never flip a verdict.
-/// Compatible pairs are appended to `compatible`; the phase-2 counters are
-/// added to `stats`.
+/// Phase 2 of one worker (a parallel_chunks chunk): decides `pairs` in order
+/// with one private oracle, whose learnt clauses amortize across the list,
+/// and one harvest table. The oracle branches on the primary inputs only:
+/// its models feed nothing but the harvest table, so the cheaper Sat answers
+/// change no verdict and no serialized counter. A pair the table already
+/// covers is compatible without a query: a concrete, simulated pattern
+/// proves it, so it counts into sat_sat (and harvested). A solver bug can
+/// therefore only cost a skip, never flip a verdict. Compatible pairs are
+/// appended to `compatible`; the phase-2 counters are added to `stats`.
 void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
                   const CompatibilityBuildConfig& config,
                   std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
@@ -232,39 +191,6 @@ void CompatibilityBuildStats::add_pair_counts(const CompatibilityBuildStats& oth
   sat_unsat += other.sat_unsat;
   timeout_pairs += other.timeout_pairs;
   harvested += other.harvested;
-}
-
-CompatibilityMatrix build_compatibility_shard(
-    const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
-    const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,
-    std::uint32_t row_begin, std::uint32_t row_end, CompatibilityBuildStats* stats) {
-  const std::size_t n = rare_nets.size();
-  DETERRENT_ASSERT(signatures.size() == n && row_begin <= row_end && row_end <= n,
-                   "build_compatibility_shard: bad row range or signature table");
-  CompatibilityMatrix matrix(n);
-  CompatibilityBuildStats local;
-
-  // Phase 1 over the owned triangle slice.
-  PairList unresolved;
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    for (std::uint32_t j = i; j < n; ++j) {
-      ++local.pair_count;
-      if (i == j ? signatures[i].any() : signatures[i].intersects(signatures[j])) {
-        matrix.set(i, j);
-        ++local.sim_resolved;
-      } else {
-        unresolved.emplace_back(i, j);
-      }
-    }
-  }
-
-  // Phase 2 with the shard's own oracle and harvest table. Sat/Unsat
-  // verdicts match the monolithic build's.
-  PairList compatible;
-  decide_pairs(netlist, rare_nets, config, unresolved, compatible, local);
-  for (const auto& [i, j] : compatible) matrix.set(i, j);
-  if (stats != nullptr) *stats = local;
-  return matrix;
 }
 
 std::size_t finalize_compatibility(CompatibilityMatrix& matrix) {
@@ -332,6 +258,11 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
                 std::to_string(config.portfolio_threads) +
                 " is no longer supported (the clause-sharing portfolio was "
                 "removed); leave it at 0");
+  if (config.shard_count >= 2)
+    throw Error("build_compatibility: shard_count = " +
+                std::to_string(config.shard_count) +
+                " is no longer supported (the sharded build was removed); "
+                "leave it at 0");
   util::Stopwatch watch;
   const std::size_t n = rare_nets.size();
   CompatibilityMatrix matrix(n);
@@ -341,35 +272,6 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
   // Phase 1 — simulation pre-filter: co-occurrence is a satisfiability witness.
   auto signatures =
       rare_activation_signatures(netlist, rare_nets, config.sim_patterns, rng, pool);
-
-  if (config.shard_count >= 2 && n > 0) {
-    // Sharded build: deterministic row-range shards, each a full-width
-    // partial matrix, merged by ORing rows. The shard plan depends only on
-    // (n, shard_count), so the result is independent of the pool size and
-    // identical to the monolithic matrix.
-    const auto ranges = compatibility_shard_ranges(n, config.shard_count);
-    std::vector<CompatibilityMatrix> partials(ranges.size());
-    std::vector<CompatibilityBuildStats> shard_stats(ranges.size());
-    auto build_one = [&](std::size_t s) {
-      partials[s] =
-          build_compatibility_shard(netlist, rare_nets, config, signatures,
-                                    ranges[s].first, ranges[s].second, &shard_stats[s]);
-    };
-    if (pool != nullptr && pool->thread_count() > 1 && ranges.size() > 1) {
-      pool->parallel_for(ranges.size(), build_one);
-    } else {
-      for (std::size_t s = 0; s < ranges.size(); ++s) build_one(s);
-    }
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-      matrix.merge_or(partials[s]);
-      local_stats.add_pair_counts(shard_stats[s]);
-    }
-    if (signatures_out != nullptr) *signatures_out = std::move(signatures);
-    local_stats.unsat_singletons = finalize_compatibility(matrix);
-    local_stats.build_seconds = watch.elapsed_seconds();
-    if (stats != nullptr) *stats = local_stats;
-    return matrix;
-  }
 
   PairList unresolved;
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "analysis/rare_nets.hpp"
@@ -60,10 +59,6 @@ class CompatibilityMatrix {
   /// Mean degree (compatible partners per rare net), excluding the diagonal.
   double average_degree() const;
 
-  /// ORs `other`'s rows into this matrix (sizes must match) — the shard
-  /// merge. Symmetry is preserved because every partial is itself symmetric.
-  void merge_or(const CompatibilityMatrix& other);
-
  private:
   std::vector<util::BitVec> rows_;
   mutable std::atomic<std::size_t> cached_edge_count_{0};
@@ -83,12 +78,10 @@ struct CompatibilityBuildConfig {
   /// existing callers that pin it to 0 keep compiling; build_compatibility
   /// throws deterrent::Error for values >= 2.
   std::size_t portfolio_threads = 0;
-  /// >= 2 splits the pairwise build into that many deterministic row-range
-  /// shards, each producing a full-width partial matrix merged by ORing rows
-  /// (see compatibility_shard_ranges / build_compatibility_shard). The merged
-  /// matrix — and every deterministic stats field — is identical to the
-  /// monolithic build's; shards run across the pool, one SAT oracle each.
-  /// 0/1 keeps the unsharded paths.
+  /// Removed: the sharded build is gone. The field keeps its serialized
+  /// config slot, so config hashes and sessions stay valid, and existing
+  /// callers that pin it to 0 keep compiling; build_compatibility throws
+  /// deterrent::Error for values >= 2.
   std::size_t shard_count = 0;
 };
 
@@ -107,21 +100,20 @@ struct CompatibilityBuildStats {
   std::size_t unsat_singletons = 0;    ///< rare nets with no satisfying pattern
   double build_seconds = 0.0;
   /// The part of sat_sat proven by a re-simulated model of an earlier Sat
-  /// answer instead of a query of its own. It depends on the chunk or shard
-  /// plan and on which model the solver finds (the build's oracles branch on
-  /// the primary inputs only), so it is runtime-only: artifacts do not
-  /// serialize it, and a sharded build counts only the shards this run built.
+  /// answer instead of a query of its own. It depends on the chunk plan and
+  /// on which model the solver finds (the build's oracles branch on the
+  /// primary inputs only), so it is runtime-only: artifacts do not
+  /// serialize it.
   std::size_t harvested = 0;
 
   /// SAT queries actually made: the SAT-decided pairs no harvested model
-  /// covered. A shard resumed from disk reports no harvest, so all of its
-  /// SAT-decided pairs count here.
+  /// covered.
   std::size_t solver_calls() const {
     return sat_sat - harvested + sat_unsat + timeout_pairs;
   }
 
-  /// Adds another chunk's or shard's per-pair counters (sim_resolved,
-  /// sat_sat, sat_unsat, timeout_pairs, harvested).
+  /// Adds another chunk's per-pair counters (sim_resolved, sat_sat,
+  /// sat_unsat, timeout_pairs, harvested).
   void add_pair_counts(const CompatibilityBuildStats& other);
 };
 
@@ -147,35 +139,9 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
                                         CompatibilityBuildStats* stats = nullptr,
                                         std::vector<util::BitVec>* signatures_out = nullptr);
 
-/// Deterministic shard plan for a sharded build: contiguous row ranges
-/// [begin, end) covering [0, n), balanced by owned pair count (shard k owns
-/// every pair (i, j) with begin <= i < end, j >= i — a triangular workload,
-/// so early rows are worth more than late ones). Depends only on
-/// (n, shard_count): the plan is stable across machines and thread counts,
-/// which is what lets remote workers pick up chunks from a serialized
-/// manifest. shard_count is clamped to [1, n] (n == 0 yields one empty
-/// range so the merge loop still runs).
-std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
-    std::size_t n, std::size_t shard_count);
-
-/// Builds one shard's partial matrix: phase-1 signature intersection and
-/// phase-2 SAT for every owned pair (row_begin <= i < row_end, j >= i),
-/// single-threaded with one private SAT oracle and witness-harvest table.
-/// The partial is full-width (n × n) and symmetric; ORing all shards'
-/// partials reproduces the monolithic build's matrix bit-for-bit. `stats`
-/// receives this shard's counters only (pair_count = owned pairs; no
-/// singleton finalize — that is a whole-matrix pass, see
-/// finalize_compatibility).
-CompatibilityMatrix build_compatibility_shard(
-    const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
-    const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,
-    std::uint32_t row_begin, std::uint32_t row_end,
-    CompatibilityBuildStats* stats = nullptr);
-
-/// Post-merge pass shared by the monolithic and sharded builds: a rare net
-/// whose singleton is unsatisfiable can never participate in a trigger, so
-/// its whole row is cleared. Returns the number of rows cleared
-/// (stats.unsat_singletons).
+/// Last pass of the build: a rare net whose singleton is unsatisfiable can
+/// never participate in a trigger, so its whole row is cleared. Returns the
+/// number of rows cleared (stats.unsat_singletons).
 std::size_t finalize_compatibility(CompatibilityMatrix& matrix);
 
 /// Per-rare-net activation signatures under `pattern_count` random patterns:

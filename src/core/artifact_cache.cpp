@@ -33,8 +33,6 @@ const char* kind_dir(ArtifactKind kind) {
     case ArtifactKind::Policy: return "policy";
     case ArtifactKind::Patterns: return "patterns";
     case ArtifactKind::Lint: return "lint";
-    case ArtifactKind::CompatShardPartial: return "compat_shard";
-    case ArtifactKind::CompatShardManifest: return "compat_manifest";
   }
   return "unknown";
 }

@@ -60,8 +60,7 @@ struct TrainingSnapshot {
 // own. Artifacts are versioned binary files (util::write_artifact_file
 // envelope: magic, kind, version, netlist fingerprint, CRC) so a run can be
 // checkpointed after any stage and resumed — in another process, on another
-// machine — with bit-identical results. They are also the exchange unit the
-// planned sharded/distributed offline phase ships between workers.
+// machine — with bit-identical results.
 // ---------------------------------------------------------------------------
 
 /// Discriminator stored in the artifact file header.
@@ -72,8 +71,7 @@ enum class ArtifactKind : std::uint32_t {
   Policy = 4,
   Patterns = 5,
   Lint = 6,
-  CompatShardPartial = 7,
-  CompatShardManifest = 8,
+  // 7 and 8 are retired (the sharded build's partial and manifest): never reuse.
 };
 
 /// Bumped whenever any artifact payload layout changes; loaders reject other
@@ -81,9 +79,9 @@ enum class ArtifactKind : std::uint32_t {
 /// LintConfig block; the lint verdict artifact was added. v4: PpoConfig
 /// gained rollout_lanes and TrainerState gained the episode-stream seed
 /// (vectorized trainer with collector-independent episode RNG streams).
-/// v5: the config block gained compat.shard_count and
-/// env.sat_dispatch_threads; the compat-shard partial and manifest artifacts
-/// were added (sharded compatibility build).
+/// v5: the config block gained the compatibility shard-count and env SAT
+/// dispatch-thread slots, and the sharded build's partial and manifest
+/// artifacts were added (that build is gone; both slots stay).
 inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Verdict of the lint front door (stage 0): the full diagnostic report plus

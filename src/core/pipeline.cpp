@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "analysis/lint.hpp"
-#include "core/compat_shards.hpp"
 #include "netlist/stats.hpp"
 #include "sat/oracle.hpp"
 #include "util/assert.hpp"
@@ -185,10 +184,9 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
     util::Rng rng;
     rng.set_state(offline_rng_state_);
     util::ThreadPool workers(config_.offline_threads);
-    matrix_ = build_sharded_compatibility(*netlist_, rare_nets_, config_.compat, rng,
-                                          &workers, &compat_stats_,
-                                          &witness_signatures_, compat_scratch_dir_,
-                                          fingerprint_, rare_hash());
+    matrix_ = analysis::build_compatibility(*netlist_, rare_nets_, config_.compat, rng,
+                                            &workers, &compat_stats_,
+                                            &witness_signatures_);
     // The stats count the diagonal; the edge count does not. Every
     // compatible singleton was witnessed in simulation or proven by SAT, so
     // subtracting both shares leaves sim + sat == the compatible pairs.

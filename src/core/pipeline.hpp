@@ -122,15 +122,6 @@ class Pipeline {
   /// updates have run, Extract until a pattern set was produced.
   Stage next_stage() const;
 
-  /// Runtime-only (never serialized): directory where a sharded
-  /// compatibility build (config.compat.shard_count >= 2) persists its chunk
-  /// manifest and per-shard partial artifacts, so a killed build resumes
-  /// from the shards that finished. Empty = in-memory sharding only.
-  /// Session sets this to `<session dir>/compat_shards` and removes the
-  /// directory once the merged artifact is safely on disk.
-  void set_compat_scratch_dir(std::string dir) { compat_scratch_dir_ = std::move(dir); }
-  const std::string& compat_scratch_dir() const { return compat_scratch_dir_; }
-
   /// The Train stage's completion target: config.updates, clamped to at
   /// least 1 (see Deterrent::train for the zero-updates edge).
   std::size_t effective_updates() const;
@@ -243,7 +234,6 @@ class Pipeline {
   bool rare_done_ = false;
   std::vector<analysis::RareNet> rare_nets_;
   std::array<std::uint64_t, 4> offline_rng_state_{};  // carried rare → compat
-  std::string compat_scratch_dir_;  // runtime-only, see set_compat_scratch_dir
 
   std::optional<analysis::CompatibilityMatrix> matrix_;
   std::vector<util::BitVec> witness_signatures_;

@@ -77,12 +77,6 @@ void Session::save(const Pipeline& pipeline) const {
     pipeline.export_rare_nets().save(path(kRareFile));
   if (pipeline.compatibility_done() && !has_compatibility())
     pipeline.export_compatibility().save(path(kCompatFile));
-  // With the merged matrix safely on disk, the shard scratch directory is
-  // dead weight — an interrupted build's partials were already adopted.
-  if (pipeline.compatibility_done() && has_compatibility()) {
-    std::error_code ec;
-    fs::remove_all(path(kCompatShardDir), ec);
-  }
   // A poisoned pipeline's trainer state may be torn mid-update; persisting
   // it would checkpoint garbage, so keep the previous on-disk policy.
   if (!pipeline.history().empty() && !pipeline.poisoned())
@@ -205,7 +199,6 @@ std::unique_ptr<Pipeline> Session::resume_or_init(const DeterrentConfig& fallbac
 std::unique_ptr<Pipeline> Session::resume_prefix(const DeterrentConfig& config) const {
   hydrate_from_cache(config);
   auto pipeline = std::make_unique<Pipeline>(*netlist_, config);
-  pipeline->set_compat_scratch_dir((fs::path(dir_) / kCompatShardDir).string());
   // Sidecar, not prefix: a bad lint file is quarantined, but the prefix
   // continues — losing the stored warnings must not force an offline-phase
   // rebuild (and a rejected verdict is re-derived by re-linting anyway).

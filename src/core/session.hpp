@@ -61,9 +61,6 @@ class Session {
   static constexpr const char* kCompatFile = "compatibility.art";
   static constexpr const char* kPolicyFile = "policy.art";
   static constexpr const char* kPatternFile = "patterns.art";
-  /// Scratch directory for a sharded compatibility build (manifest + shard
-  /// partials); removed by save() once the merged artifact is on disk.
-  static constexpr const char* kCompatShardDir = "compat_shards";
 
   /// Binds a directory (created if missing) to a netlist. The netlist must
   /// outlive the session.

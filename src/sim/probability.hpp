@@ -24,7 +24,7 @@ struct SignalStats {
 
 /// Estimates signal probabilities with `pattern_count` uniform random
 /// patterns. When a pool is given, blocks are distributed across it (each
-/// worker owns a private Simulator); results are deterministic for a given
+/// worker owns a private EvalBuffer); results are deterministic for a given
 /// seed regardless of thread count.
 SignalStats estimate_signal_stats(const netlist::Netlist& netlist,
                                   std::size_t pattern_count, util::Rng& rng,

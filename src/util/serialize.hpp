@@ -100,8 +100,8 @@ struct Fnv1a {
 /// write-then-fsync-then-rename protocol as write_artifact_file, so a crash
 /// mid-write can never leave a torn file under the final name. `fault_site`,
 /// when non-null, names the injection site consulted for throw/hang/torn
-/// actions (see util/faults.hpp); the artifact cache and shard scratch files
-/// route through here with their own sites.
+/// actions (see util/faults.hpp); the artifact cache routes through here
+/// with its own site.
 void write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes,
                        const char* fault_site = nullptr);
 

@@ -6,7 +6,8 @@
 #include "baselines/tarmac.hpp"
 #include "baselines/tgrl_like.hpp"
 #include "bench_gen/random_circuit.hpp"
-#include "sim/simulator.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::baselines {
 namespace {

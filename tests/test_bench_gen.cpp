@@ -9,9 +9,10 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/scan.hpp"
 #include "netlist/stats.hpp"
-#include "sim/simulator.hpp"
 #include "trojan/trojan.hpp"
 #include "util/rng.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::bench_gen {
 namespace {

@@ -1,8 +1,7 @@
-// Content-addressed artifact cache + sharded compatibility build tests:
-// hit/miss/evict accounting, config-hash sensitivity (any serialized
-// DeterrentConfig knob must change the key), corrupt-entry quarantine and
-// regeneration, sharded-vs-monolithic bit-identity at several shard counts,
-// and kill-mid-build resume from persisted shard partials.
+// Content-addressed artifact cache tests: hit/miss/evict accounting,
+// config-hash sensitivity (any serialized DeterrentConfig knob must change
+// the key), the removed compatibility-build knobs, and corrupt-entry
+// quarantine and regeneration.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,12 +15,10 @@
 #include "analysis/rare_nets.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "core/artifact_cache.hpp"
-#include "core/compat_shards.hpp"
 #include "core/session.hpp"
 #include "netlist/stats.hpp"
 #include "sim/pattern_io.hpp"
 #include "util/faults.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deterrent::core {
 namespace {
@@ -224,7 +221,9 @@ TEST(ArtifactCacheUnit, DefaultConfigHashIsStableAcrossTheSatKnobRemoval) {
   EXPECT_EQ(config_hash(DeterrentConfig{}), 0x90aa682ff908716aull);
 }
 
-TEST(ArtifactCacheUnit, CompatibilityBuildRejectsThePortfolio) {
+// The portfolio and the sharded build are gone; their fields survive only
+// for callers that pin them to 0 or 1, and 2 or more throws.
+TEST(ArtifactCacheUnit, CompatibilityBuildRejectsThePortfolioAndShards) {
   const Netlist nl = make_circuit(305);
   analysis::RareNetConfig rcfg;
   rcfg.threshold = 0.15;
@@ -239,6 +238,16 @@ TEST(ArtifactCacheUnit, CompatibilityBuildRejectsThePortfolio) {
   ccfg.portfolio_threads = 0;
   util::Rng rng2(6);
   EXPECT_NO_THROW(analysis::build_compatibility(nl, rare, ccfg, rng2));
+
+  ccfg.shard_count = 2;
+  util::Rng rng3(6);
+  EXPECT_THROW(analysis::build_compatibility(nl, rare, ccfg, rng3), Error);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
+    ccfg.shard_count = shards;
+    util::Rng rng4(6);
+    EXPECT_NO_THROW(analysis::build_compatibility(nl, rare, ccfg, rng4))
+        << "shard_count=" << shards;
+  }
 }
 
 TEST(ArtifactCacheIntegration, ChangedConfigNeverHydrates) {
@@ -295,152 +304,6 @@ TEST(ArtifactCacheIntegration, CorruptEntryIsEvictedAndRegenerated) {
   Session session(third.str(), nl);
   session.attach_cache(&cache);
   EXPECT_EQ(session.resume_or_init(cfg)->next_stage(), Stage::Done);
-}
-
-// --------------------------------- sharded compatibility bit-identity -----
-
-struct CompatFixture {
-  Netlist nl;
-  std::vector<analysis::RareNet> rare;
-  std::uint64_t fp = 0;
-  std::uint64_t rare_hash = 0;
-};
-
-CompatFixture make_compat_fixture(std::uint64_t seed) {
-  CompatFixture f{make_circuit(seed, 260), {}, 0, 0};
-  util::Rng rng(seed * 5 + 3);
-  analysis::RareNetConfig rcfg;
-  rcfg.threshold = 0.15;
-  rcfg.sim_patterns = 1 << 12;
-  f.rare = analysis::find_rare_nets(f.nl, rcfg, rng);
-  f.fp = netlist::structural_fingerprint(f.nl);
-  f.rare_hash = rare_content_hash(f.fp, f.rare);
-  return f;
-}
-
-/// Serializes a CompatibilityArtifact with build_seconds (the only
-/// wall-clock-dependent field) normalized away, for byte comparison.
-std::string compat_bytes(const CompatFixture& f,
-                         const analysis::CompatibilityMatrix& matrix,
-                         const std::vector<util::BitVec>& signatures,
-                         analysis::CompatibilityBuildStats stats,
-                         const std::string& path) {
-  CompatibilityArtifact art;
-  art.netlist_fingerprint = f.fp;
-  art.rare_hash = f.rare_hash;
-  art.matrix = matrix;
-  art.witness_signatures = signatures;
-  stats.build_seconds = 0.0;
-  art.stats = stats;
-  art.save(path);
-  return read_bytes(path);
-}
-
-TEST(CompatShards, ShardedArtifactBitIdenticalToMonolithic) {
-  const CompatFixture f = make_compat_fixture(305);
-  if (f.rare.size() < 8) GTEST_SKIP();
-
-  analysis::CompatibilityBuildConfig ccfg;
-  ccfg.sim_patterns = 1 << 12;
-  analysis::CompatibilityBuildStats mono_stats;
-  std::vector<util::BitVec> mono_sigs;
-  util::Rng mono_rng(77);
-  const analysis::CompatibilityMatrix mono = analysis::build_compatibility(
-      f.nl, f.rare, ccfg, mono_rng, nullptr, &mono_stats, &mono_sigs);
-
-  TempDir out("shard_out");
-  const std::string mono_bytes =
-      compat_bytes(f, mono, mono_sigs, mono_stats, out.str("mono.art"));
-
-  util::ThreadPool pool(3);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    TempDir scratch("shard_scratch");
-    analysis::CompatibilityBuildConfig scfg = ccfg;
-    scfg.shard_count = shards;
-    analysis::CompatibilityBuildStats stats;
-    std::vector<util::BitVec> sigs;
-    util::Rng rng(77);  // same stream as the monolithic build
-    const analysis::CompatibilityMatrix matrix = build_sharded_compatibility(
-        f.nl, f.rare, scfg, rng, &pool, &stats, &sigs, scratch.str(), f.fp,
-        f.rare_hash);
-    // Whole-artifact byte identity: matrix rows, witness signatures, and
-    // every deterministic stats counter — not just the matrix bits.
-    EXPECT_EQ(compat_bytes(f, matrix, sigs, stats, out.str("shard.art")),
-              mono_bytes)
-        << "shard_count=" << shards;
-  }
-}
-
-TEST(CompatShards, KilledBuildResumesFromPersistedPartials) {
-  DisarmGuard guard;
-  const CompatFixture f = make_compat_fixture(306);
-  if (f.rare.size() < 8) GTEST_SKIP();
-
-  analysis::CompatibilityBuildConfig ccfg;
-  ccfg.sim_patterns = 1 << 12;
-  ccfg.shard_count = 4;
-  util::ThreadPool pool(3);
-
-  const auto build = [&](const std::string& scratch,
-                         analysis::CompatibilityBuildStats* stats = nullptr) {
-    util::Rng rng(78);
-    return build_sharded_compatibility(f.nl, f.rare, ccfg, rng, &pool, stats,
-                                       nullptr, scratch, f.fp, f.rare_hash);
-  };
-
-  TempDir scratch("kill_scratch");
-  analysis::CompatibilityBuildStats ref_stats;
-  const analysis::CompatibilityMatrix reference = build(scratch.str(), &ref_stats);
-
-  // The scratch directory now holds the manifest plus all four partials. A
-  // re-run over them must load every partial instead of recomputing: arming a
-  // first-hit SAT fault proves zero pair queries happen.
-  ASSERT_TRUE(fs::exists(fs::path(scratch.str()) / "manifest.art"));
-  util::faults::arm_from_string("seed=1;sat.query=throw@1");
-  {
-    analysis::CompatibilityBuildStats resumed_stats;
-    const analysis::CompatibilityMatrix resumed = build(scratch.str(), &resumed_stats);
-    ASSERT_EQ(resumed.size(), reference.size());
-    for (std::uint32_t i = 0; i < resumed.size(); ++i)
-      EXPECT_EQ(resumed.row(i), reference.row(i)) << "row " << i;
-    EXPECT_EQ(resumed_stats.pair_count, ref_stats.pair_count);
-    EXPECT_EQ(resumed_stats.sat_sat, ref_stats.sat_sat);
-    EXPECT_EQ(resumed_stats.sat_unsat, ref_stats.sat_unsat);
-    EXPECT_EQ(resumed_stats.unsat_singletons, ref_stats.unsat_singletons);
-  }
-  util::faults::disarm_all();
-
-  // Kill-mid-merge shape: one partial deleted, one silently bit-flipped. The
-  // resume must drop the corrupt partial (quarantine, not trust) and rebuild
-  // exactly the two missing shards — bit-identical to the clean build.
-  std::vector<fs::path> partials;
-  for (const auto& entry : fs::directory_iterator(scratch.path)) {
-    if (entry.path().filename().string().rfind("shard_", 0) == 0)
-      partials.push_back(entry.path());
-  }
-  ASSERT_GE(partials.size(), 2u);
-  fs::remove(partials[0]);
-  flip_byte(partials[1].string(), 48);
-  {
-    const analysis::CompatibilityMatrix healed = build(scratch.str());
-    ASSERT_EQ(healed.size(), reference.size());
-    for (std::uint32_t i = 0; i < healed.size(); ++i)
-      EXPECT_EQ(healed.row(i), reference.row(i)) << "row " << i;
-  }
-
-  // Genuine kill: fresh scratch, fault the first SAT pair query so the build
-  // dies mid-flight, then resume disarmed — still bit-identical. (Skipped if
-  // this fixture resolves every pair in simulation: no SAT ⇒ nothing to kill.)
-  if (ref_stats.sat_sat + ref_stats.sat_unsat + ref_stats.timeout_pairs > 0) {
-    TempDir scratch2("kill_scratch2");
-    util::faults::arm_from_string("seed=1;sat.query=throw@1");
-    EXPECT_THROW(build(scratch2.str()), FaultInjectedError);
-    util::faults::disarm_all();
-    const analysis::CompatibilityMatrix recovered = build(scratch2.str());
-    ASSERT_EQ(recovered.size(), reference.size());
-    for (std::uint32_t i = 0; i < recovered.size(); ++i)
-      EXPECT_EQ(recovered.row(i), reference.row(i)) << "row " << i;
-  }
 }
 
 }  // namespace

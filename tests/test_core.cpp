@@ -4,10 +4,10 @@
 #include "core/compatible_set_env.hpp"
 #include "core/deterrent.hpp"
 #include "core/set_pool.hpp"
-#include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
 
 #include "reference_env.hpp"
+#include "reference_sim.hpp"
 
 namespace deterrent::core {
 namespace {

@@ -17,9 +17,10 @@
 #include "sim/engine.hpp"
 #include "sim/kernels/dispatch.hpp"
 #include "sim/probability.hpp"
-#include "sim/simulator.hpp"
 #include "trojan/coverage.hpp"
 #include "util/thread_pool.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::sim {
 namespace {

@@ -9,7 +9,6 @@
 #include "netlist/netlist.hpp"
 #include "netlist/scan.hpp"
 #include "netlist/stats.hpp"
-#include "netlist/verilog_io.hpp"
 #include "util/rng.hpp"
 
 namespace deterrent::netlist {
@@ -396,26 +395,6 @@ TEST(BenchIO, RoundTripSequential) {
   const Netlist reparsed = read_bench_string(write_bench_string(original));
   EXPECT_TRUE(reparsed.is_sequential());
   EXPECT_EQ(reparsed.dffs().size(), 1u);
-}
-
-// ------------------------------------------------------ verilog I/O --------
-
-TEST(VerilogIO, EmitsModuleWithPorts) {
-  const Netlist nl = read_bench_string(kC17);
-  const std::string v = write_verilog_string(nl, "c17");
-  EXPECT_NE(v.find("module c17"), std::string::npos);
-  EXPECT_NE(v.find("input G1;"), std::string::npos);
-  EXPECT_NE(v.find("nand"), std::string::npos);
-  EXPECT_NE(v.find("endmodule"), std::string::npos);
-  EXPECT_EQ(v.find("always"), std::string::npos);  // combinational: no clk
-}
-
-TEST(VerilogIO, SequentialGetsClockAndAlways) {
-  const Netlist nl =
-      read_bench_string("INPUT(a)\nOUTPUT(x)\nq = DFF(x)\nx = XOR(a, q)\n");
-  const std::string v = write_verilog_string(nl, "seq");
-  EXPECT_NE(v.find("input clk;"), std::string::npos);
-  EXPECT_NE(v.find("always @(posedge clk)"), std::string::npos);
 }
 
 // ----------------------------------------------------------- stats ---------

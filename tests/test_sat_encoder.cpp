@@ -7,8 +7,9 @@
 #include "netlist/bench_io.hpp"
 #include "sat/encoder.hpp"
 #include "sat/oracle.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::sat {
 namespace {

@@ -23,8 +23,9 @@
 #include "sat/dimacs.hpp"
 #include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent {
 namespace {

@@ -5,8 +5,9 @@
 #include "netlist/scan.hpp"
 #include "sim/pattern.hpp"
 #include "sim/probability.hpp"
-#include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::sim {
 namespace {

@@ -5,10 +5,11 @@
 #include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/simulator.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
 #include "util/rng.hpp"
+
+#include "reference_sim.hpp"
 
 namespace deterrent::trojan {
 namespace {
