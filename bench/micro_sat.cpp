@@ -3,15 +3,17 @@
 // Backs §3.3/§5 — the offline pairwise phase and the per-step compatibility
 // checks issue tens of thousands of assumption-based rare-net queries against
 // one solver instance; queries/sec is the figure of merit. Runs one fixed
-// pair-query stream over a full-scan benchmark cone through two
-// sat::NetlistOracles: a plain one (full branching, as the environments,
-// extraction and the baselines use it) and one that branches on the primary
-// inputs only (NetlistOracle::branch_on_inputs, as the compatibility build
-// uses it). Both legs must answer Sat on the same queries
-// ("verdicts_match"), and every Sat answer's input model from either leg is
-// re-simulated through sim::Engine and must drive both constrained nets to
-// their required values ("models_verified" — the bench doubles as an
-// end-to-end solver/encoder check).
+// pair-query stream over a full-scan benchmark cone through three
+// sat::NetlistOracle legs: a plain one (full branching, as the environments,
+// extraction and the baselines use it), one that branches on the primary
+// inputs only (NetlistOracle::branch_on_inputs, the compatibility build's
+// fallback query), and one that answers by justification
+// (NetlistOracle::justify, the compatibility build's first query). All legs
+// must answer Sat on the same queries ("verdicts_match"), and every Sat
+// answer's input pattern from any leg — the justification leg's candidates
+// included — is re-simulated through sim::Engine and must drive both
+// constrained nets to their required values ("models_verified" — the bench
+// doubles as an end-to-end solver/encoder check).
 //
 //   ./micro_sat [output.json]           (default output: BENCH_sim.json)
 //
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -61,29 +64,36 @@ QueryStream make_queries(const std::vector<analysis::RareNet>& rare,
 
 struct StreamResult {
   double queries_per_sec = 0.0;
-  std::vector<sim::Pattern> models;      // input model of every Sat answer
-  std::vector<std::size_t> model_query;  // stream index of each model
+  std::vector<sim::Pattern> models;      // input pattern of every Sat answer
+  std::vector<std::size_t> model_query;  // stream index of each pattern
 };
+
+enum class Leg { Plain, InputBranching, Justification };
 
 /// Runs the full query stream through a fresh oracle and returns
 /// queries/sec (oracle construction is setup, not counted — the paper's
 /// workload amortizes one encoding over the whole pairwise phase).
-StreamResult run_stream(const netlist::Netlist& nl, const QueryStream& stream,
-                        bool input_branching) {
+StreamResult run_stream(const netlist::Netlist& nl, const QueryStream& stream, Leg leg) {
   StreamResult r;
   sat::NetlistOracle oracle(nl);
-  if (input_branching) oracle.branch_on_inputs();
+  if (leg != Leg::Plain) oracle.branch_on_inputs();
   util::Stopwatch watch;
   for (std::size_t q = 0; q < stream.size(); ++q) {
-    if (!oracle.satisfiable(stream[q])) continue;
-    r.models.push_back(oracle.input_model());
+    if (leg == Leg::Justification) {
+      auto answer = oracle.justify(stream[q], -1);
+      if (answer.verdict != sat::Justification::Verdict::Candidate) continue;
+      r.models.push_back(std::move(answer.candidate));
+    } else {
+      if (!oracle.satisfiable(stream[q])) continue;
+      r.models.push_back(oracle.input_model());
+    }
     r.model_query.push_back(q);
   }
   r.queries_per_sec = static_cast<double>(stream.size()) / watch.elapsed_seconds();
   return r;
 }
 
-/// Re-simulates every Sat model: each must drive both constrained nets of
+/// Re-simulates every Sat pattern: each must drive both constrained nets of
 /// its query to the required values.
 bool verify_models(const netlist::Netlist& nl, const QueryStream& stream,
                    const StreamResult& r) {
@@ -123,11 +133,14 @@ int run_micro_sat(int argc, char** argv) {
               bench_name.c_str(), nl.gate_count(), rare.size(), stream.size(),
               util::to_string(mode));
 
-  const StreamResult plain = run_stream(nl, stream, /*input_branching=*/false);
-  const StreamResult inputs = run_stream(nl, stream, /*input_branching=*/true);
-  const bool verdicts_match = plain.model_query == inputs.model_query;
-  const bool models_verified =
-      verify_models(nl, stream, plain) && verify_models(nl, stream, inputs);
+  const StreamResult plain = run_stream(nl, stream, Leg::Plain);
+  const StreamResult inputs = run_stream(nl, stream, Leg::InputBranching);
+  const StreamResult justified = run_stream(nl, stream, Leg::Justification);
+  const bool verdicts_match = plain.model_query == inputs.model_query &&
+                              plain.model_query == justified.model_query;
+  const bool models_verified = verify_models(nl, stream, plain) &&
+                               verify_models(nl, stream, inputs) &&
+                               verify_models(nl, stream, justified);
   const double sat_fraction =
       static_cast<double>(plain.models.size()) / static_cast<double>(stream.size());
 
@@ -135,9 +148,11 @@ int run_micro_sat(int argc, char** argv) {
               plain.queries_per_sec, sat_fraction);
   std::printf("input-branching oracle: %.1f queries/s (%.2fx)\n", inputs.queries_per_sec,
               inputs.queries_per_sec / plain.queries_per_sec);
+  std::printf("justifying oracle:      %.1f queries/s (%.2fx)\n",
+              justified.queries_per_sec, justified.queries_per_sec / plain.queries_per_sec);
   std::printf("Sat verdicts match: %s\n", verdicts_match ? "yes" : "NO — VERDICT MISMATCH");
-  std::printf("Sat models re-simulated: %zu + %zu, all verified: %s\n",
-              plain.models.size(), inputs.models.size(),
+  std::printf("Sat patterns re-simulated: %zu + %zu + %zu, all verified: %s\n",
+              plain.models.size(), inputs.models.size(), justified.models.size(),
               models_verified ? "yes" : "NO — MODEL MISMATCH");
 
   const std::string prefix = bench::json_merge_prefix(out_path, "sat");
@@ -157,6 +172,7 @@ int run_micro_sat(int argc, char** argv) {
   std::fprintf(f, "    \"plain_queries_per_sec\": %.6e,\n", plain.queries_per_sec);
   std::fprintf(f, "    \"input_branching_queries_per_sec\": %.6e,\n",
                inputs.queries_per_sec);
+  std::fprintf(f, "    \"justified_queries_per_sec\": %.6e,\n", justified.queries_per_sec);
   std::fprintf(f, "    \"sat_models\": %zu,\n", plain.models.size());
   std::fprintf(f, "    \"verdicts_match\": %s,\n", verdicts_match ? "true" : "false");
   std::fprintf(f, "    \"models_verified\": %s\n", models_verified ? "true" : "false");

@@ -62,6 +62,8 @@ int main(int argc, char** argv) {
   std::printf("  resolved by SAT (sat/unsat)          : %zu/%zu\n", stats.sat_sat,
               stats.sat_unsat);
   std::printf("  sat proven by a harvested model      : %zu\n", stats.harvested);
+  std::printf("  sat proven by its own justification  : %zu\n", stats.justified);
+  std::printf("  justification fallbacks              : %zu\n", stats.justify_fallbacks);
   std::printf("  solver calls made                    : %zu\n", stats.solver_calls());
   std::printf("  unsatisfiable singletons             : %zu\n", stats.unsat_singletons);
   std::printf("  build time                           : %.2fs\n\n", stats.build_seconds);

@@ -167,15 +167,17 @@ constexpr std::string_view kValueFlags[] = {
     "--retry-backoff-cap-ms", "--stage-timeout", "--lint-json", "--lint-fatal"};
 constexpr std::string_view kBareFlags[] = {"--quiet", "--no-lint", "--no-cache"};
 
-/// Throws UsageError on a flag the header comment does not list, so a typo
-/// fails the run instead of being ignored.
+/// Throws UsageError on a flag the header comment does not list, or on a
+/// bare word after the target, so a typo fails the run instead of being
+/// ignored.
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   if (argc >= 3 && argv[2][0] != '-') args.target = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    if (argv[i][0] != '-') continue;
+  for (int i = args.target.empty() ? 2 : 3; i < argc; ++i) {
     const std::string_view name = argv[i];
+    if (name.empty() || name[0] != '-')
+      throw UsageError("unexpected argument '" + std::string(name) + "'");
     if (std::ranges::find(kBareFlags, name) != std::end(kBareFlags)) {
       args.flags[argv[i]] = "1";
     } else if (std::ranges::find(kValueFlags, name) == std::end(kValueFlags)) {

@@ -113,7 +113,7 @@ class WitnessHarvest {
     return false;
   }
 
-  /// Adds one model (one bit per primary input) as the next column.
+  /// Adds one pattern (one bit per primary input) as the next column.
   void add(const sim::Pattern& model) {
     if (lane_ == 0) {
       std::fill(batch_.begin(), batch_.end(), 0);
@@ -142,13 +142,17 @@ class WitnessHarvest {
 
 /// Phase 2 of one worker (a parallel_chunks chunk): decides `pairs` in order
 /// with one private oracle, whose learnt clauses amortize across the list,
-/// and one harvest table. The oracle branches on the primary inputs only:
-/// its models feed nothing but the harvest table, so the cheaper Sat answers
-/// change no verdict and no serialized counter. A pair the table already
-/// covers is compatible without a query: a concrete, simulated pattern
-/// proves it, so it counts into sat_sat (and harvested). A solver bug can
-/// therefore only cost a skip, never flip a verdict. Compatible pairs are
-/// appended to `compatible`; the phase-2 counters are added to `stats`.
+/// and one harvest table. A pair the table already covers is compatible
+/// without a query: a concrete, simulated pattern proves it, so it counts
+/// into sat_sat (and harvested). Any other pair is asked by justification;
+/// its candidate pattern goes into the table, whose W = 1 re-sweep is the
+/// proof: when it covers the pair, the pair counts into sat_sat (and
+/// justified). A candidate that does not cover the pair, or an Unknown,
+/// falls back to the input-branching query, whose verdict stands
+/// (justify_fallbacks). The Unsat path is unchanged. A solver bug can
+/// therefore only cost a query, never flip a verdict, and the patterns feed
+/// nothing but the table, so no serialized counter moves. Compatible pairs
+/// are appended to `compatible`; the phase-2 counters are added to `stats`.
 void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
                   const CompatibilityBuildConfig& config,
                   std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
@@ -168,9 +172,24 @@ void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare
         {rare_nets[i].net, rare_nets[i].rare_value},
         {rare_nets[j].net, rare_nets[j].rare_value},
     };
-    const std::size_t arity = (i == j) ? 1 : 2;
-    const auto result =
-        oracle.try_satisfiable({constraints, arity}, config.sat_conflict_budget);
+    const std::span<const sat::Constraint> pair(constraints, (i == j) ? 1 : 2);
+    const auto justification = oracle.justify(pair, config.sat_conflict_budget);
+    using Verdict = sat::Justification::Verdict;
+    if (justification.verdict == Verdict::Unsat) {
+      ++stats.sat_unsat;
+      continue;
+    }
+    if (justification.verdict == Verdict::Candidate) {
+      harvest.add(justification.candidate);
+      if (harvest.covers(i, j)) {
+        ++stats.sat_sat;
+        ++stats.justified;
+        compatible.emplace_back(i, j);
+        continue;
+      }
+    }
+    ++stats.justify_fallbacks;
+    const auto result = oracle.try_satisfiable(pair, config.sat_conflict_budget);
     if (!result.has_value()) {
       ++stats.timeout_pairs;
     } else if (*result) {
@@ -191,6 +210,8 @@ void CompatibilityBuildStats::add_pair_counts(const CompatibilityBuildStats& oth
   sat_unsat += other.sat_unsat;
   timeout_pairs += other.timeout_pairs;
   harvested += other.harvested;
+  justified += other.justified;
+  justify_fallbacks += other.justify_fallbacks;
 }
 
 std::size_t finalize_compatibility(CompatibilityMatrix& matrix) {

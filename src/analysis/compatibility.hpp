@@ -73,8 +73,8 @@ struct CompatibilityBuildConfig {
   /// reports "incompatible" (counted in timeout_pairs).
   std::int64_t sat_conflict_budget = 50000;
   /// Removed: the clause-sharing SAT portfolio is gone, and every phase-2
-  /// worker runs one sat::NetlistOracle that branches on the primary inputs
-  /// only (NetlistOracle::branch_on_inputs). The field survives only so
+  /// worker runs one sat::NetlistOracle, asked by justification and
+  /// branching on the primary inputs only. The field survives only so
   /// existing callers that pin it to 0 keep compiling; build_compatibility
   /// throws deterrent::Error for values >= 2.
   std::size_t portfolio_threads = 0;
@@ -105,15 +105,23 @@ struct CompatibilityBuildStats {
   /// primary inputs only), so it is runtime-only: artifacts do not
   /// serialize it.
   std::size_t harvested = 0;
+  /// The part of sat_sat proven by simulating the candidate pattern of the
+  /// pair's own justification query (NetlistOracle::justify). Runtime-only
+  /// like `harvested`.
+  std::size_t justified = 0;
+  /// Justification queries that answered Unknown, or whose candidate the
+  /// simulation did not prove, and so asked the input-branching query
+  /// (try_satisfiable) as well. Runtime-only; 0 unless the solver errs.
+  std::size_t justify_fallbacks = 0;
 
-  /// SAT queries actually made: the SAT-decided pairs no harvested model
-  /// covered.
+  /// SAT queries actually made: one per SAT-decided pair that no harvested
+  /// model covered, plus one per fallback.
   std::size_t solver_calls() const {
-    return sat_sat - harvested + sat_unsat + timeout_pairs;
+    return sat_sat - harvested + sat_unsat + timeout_pairs + justify_fallbacks;
   }
 
   /// Adds another chunk's per-pair counters (sim_resolved, sat_sat,
-  /// sat_unsat, timeout_pairs, harvested).
+  /// sat_unsat, timeout_pairs, harvested, justified, justify_fallbacks).
   void add_pair_counts(const CompatibilityBuildStats& other);
 };
 
@@ -121,12 +129,15 @@ struct CompatibilityBuildStats {
 /// per worker, mirroring the paper's 64-process offline computation (§3.3).
 /// Deterministic for fixed rng seed regardless of thread count.
 ///
-/// Phase 2 harvests witnesses: each worker re-simulates the input model of
-/// every Sat answer and skips the later pairs such a model already drives to
-/// their rare values together. Each worker's oracle branches on the primary
-/// inputs only, which changes its models but no verdict. The matrix and
-/// every serialized counter are unchanged by either; only stats.harvested
-/// depends on the chunk plan and the models.
+/// Phase 2 harvests witnesses: each worker re-simulates the input pattern of
+/// every Sat answer and skips the later pairs such a pattern already drives
+/// to their rare values together. Each worker asks its oracle by
+/// justification first (NetlistOracle::justify) and accepts a Sat verdict
+/// only when the simulated candidate covers the pair, falling back to an
+/// input-branching query otherwise. That changes the patterns but no
+/// verdict: the matrix and every serialized counter are unchanged; only
+/// stats.harvested, stats.justified and stats.justify_fallbacks depend on
+/// the chunk plan and the patterns.
 ///
 /// `signatures_out`, when non-null, receives the phase-1 activation
 /// signatures (one per rare net, pattern-indexed) so downstream consumers —

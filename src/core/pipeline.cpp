@@ -198,7 +198,9 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
                     matrix_->edge_count(), " compatible pairs (",
                     compat_stats_.sim_resolved - sim_singletons, " sim, ",
                     compat_stats_.sat_sat - (singletons - sim_singletons), " sat; ",
-                    compat_stats_.harvested, " harvested; ",
+                    compat_stats_.harvested, " harvested, ",
+                    compat_stats_.justified, " justified, ",
+                    compat_stats_.justify_fallbacks, " justify fallbacks; ",
                     compat_stats_.solver_calls(), " solver calls; ",
                     compat_stats_.timeout_pairs, " timed out) in ",
                     compat_stats_.build_seconds, "s");

@@ -12,9 +12,11 @@ using netlist::NetId;
 namespace {
 
 /// Sink abstraction so one encoding routine feeds either a Solver or a Cnf.
+/// `define` receives each gate's structure (null: not kept).
 struct ClauseSink {
   std::function<Var()> new_var;
   std::function<void(std::span<const Lit>)> add;
+  std::function<void(Var, GateKind, bool, std::span<const Var>)> define;
 };
 
 void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
@@ -33,8 +35,14 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
     sink.add(std::span<const Lit>(lits.begin(), lits.size()));
   };
 
+  auto define = [&sink](Var y, GateKind kind, bool inverted, std::span<const Var> in) {
+    if (sink.define) sink.define(y, kind, inverted, in);
+  };
+
   // y <-> a XOR b, for pre-existing variables.
   auto encode_xor2 = [&](Var y, Var a, Var b) {
+    const Var in[2] = {a, b};
+    define(y, GateKind::Xor, false, in);
     add({mk_lit(y, true), mk_lit(a), mk_lit(b)});
     add({mk_lit(y, true), mk_lit(a, true), mk_lit(b, true)});
     add({mk_lit(y), mk_lit(a), mk_lit(b, true)});
@@ -55,10 +63,12 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
         add({mk_lit(y)});
         break;
       case GateType::Buf:
+        define(y, GateKind::And, false, fanins);
         add({mk_lit(y, true), mk_lit(fanins[0])});
         add({mk_lit(y), mk_lit(fanins[0], true)});
         break;
       case GateType::Not:
+        define(y, GateKind::And, true, fanins);
         add({mk_lit(y, true), mk_lit(fanins[0], true)});
         add({mk_lit(y), mk_lit(fanins[0])});
         break;
@@ -66,6 +76,7 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
       case GateType::Nand: {
         // z = AND(fanins); y = z (And) or y = ~z (Nand).
         const bool inv = type == GateType::Nand;
+        define(y, GateKind::And, inv, fanins);
         std::vector<Lit> big;
         big.reserve(fanins.size() + 1);
         big.push_back(mk_lit(y, inv));  // And: y ∨ ¬a1 ∨ …  Nand: ¬y ∨ ¬a1 ∨ …
@@ -79,6 +90,7 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
       case GateType::Or:
       case GateType::Nor: {
         const bool inv = type == GateType::Nor;
+        define(y, GateKind::Or, inv, fanins);
         std::vector<Lit> big;
         big.reserve(fanins.size() + 1);
         big.push_back(mk_lit(y, inv ? false : true));  // Or: ¬y ∨ a1 ∨ …  Nor: y ∨ a1 ∨ …
@@ -94,6 +106,7 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
         const bool inv = type == GateType::Xnor;
         if (fanins.size() == 1) {
           // Degenerate arity: XOR(a) = a, XNOR(a) = ¬a.
+          define(y, GateKind::And, inv, fanins);
           add({mk_lit(y, true), mk_lit(fanins[0], inv)});
           add({mk_lit(y), mk_lit(fanins[0], !inv)});
           break;
@@ -110,6 +123,8 @@ void encode_into(const netlist::Netlist& nl, ClauseSink& sink) {
         if (!inv) {
           encode_xor2(y, acc, last);
         } else {
+          const Var in[2] = {acc, last};
+          define(y, GateKind::Xor, true, in);
           // y <-> ~(acc ^ last)  ==  y <-> (acc ^ ~last)
           add({mk_lit(y, true), mk_lit(acc), mk_lit(last, true)});
           add({mk_lit(y, true), mk_lit(acc, true), mk_lit(last)});
@@ -130,8 +145,24 @@ void encode_netlist(const netlist::Netlist& netlist, Solver& solver) {
   ClauseSink sink{
       [&solver] { return solver.new_var(); },
       [&solver](std::span<const Lit> lits) { solver.add_clause(lits); },
+      nullptr,
   };
   encode_into(netlist, sink);
+}
+
+void define_gates(const netlist::Netlist& netlist, Solver& solver) {
+  // The same walk as encode_netlist numbers the auxiliaries the same way;
+  // only the definitions are kept.
+  Var next = 0;
+  ClauseSink sink{
+      [&next] { return next++; },
+      [](std::span<const Lit>) {},
+      [&solver](Var y, GateKind kind, bool inverted, std::span<const Var> in) {
+        solver.define_gate(y, kind, inverted, in);
+      },
+  };
+  encode_into(netlist, sink);
+  DETERRENT_ASSERT(next == solver.var_count(), "define_gates needs the netlist's encoding");
 }
 
 Cnf encode_netlist_cnf(const netlist::Netlist& netlist) {
@@ -141,6 +172,7 @@ Cnf encode_netlist_cnf(const netlist::Netlist& netlist) {
       [&cnf](std::span<const Lit> lits) {
         cnf.clauses.emplace_back(lits.begin(), lits.end());
       },
+      nullptr,
   };
   encode_into(netlist, sink);
   return cnf;

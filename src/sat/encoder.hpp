@@ -19,6 +19,11 @@ namespace deterrent::sat {
 /// ids stable so constraints transfer unchanged.
 void encode_netlist(const netlist::Netlist& netlist, Solver& solver);
 
+/// Defines every gate variable of that encoding in `solver`, XOR-chain
+/// auxiliaries included (Solver::define_gate), for Solver::solve_justified.
+/// `solver` must hold exactly encode_netlist(netlist, ·)'s variables.
+void define_gates(const netlist::Netlist& netlist, Solver& solver);
+
 /// Same encoding, but into a standalone CNF container (for DIMACS export and
 /// for differential testing of the encoder against logic simulation).
 Cnf encode_netlist_cnf(const netlist::Netlist& netlist);

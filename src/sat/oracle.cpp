@@ -61,6 +61,34 @@ std::optional<bool> NetlistOracle::query(std::span<const Constraint> constraints
   return std::nullopt;
 }
 
+Justification NetlistOracle::justify(std::span<const Constraint> constraints,
+                                     std::int64_t conflict_budget) {
+  DETERRENT_FAULT_POINT("sat.query");
+  util::WatchdogScope::poll("sat.query");
+  if (!gates_defined_) {
+    define_gates(*netlist_, solver_);
+    gates_defined_ = true;
+  }
+  const auto assumptions = to_assumptions(constraints);
+  Justification answer;
+  switch (solver_.solve_justified(assumptions, conflict_budget)) {
+    case Solver::Result::Unsat: answer.verdict = Justification::Verdict::Unsat; break;
+    case Solver::Result::Unknown: answer.verdict = Justification::Verdict::Unknown; break;
+    case Solver::Result::Sat: {
+      answer.verdict = Justification::Verdict::Candidate;
+      const auto inputs = netlist_->inputs();
+      answer.candidate = sim::Pattern(inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const LBool v = solver_.model_lbool(inputs[i]);
+        answer.candidate.set(i, v == LBool::Undef ? solver_.phase_value(inputs[i])
+                                                  : v == LBool::True);
+      }
+      break;
+    }
+  }
+  return answer;
+}
+
 std::optional<sim::Pattern> NetlistOracle::find_pattern(
     std::span<const Constraint> constraints) {
   DETERRENT_FAULT_POINT("sat.query");
@@ -71,6 +99,7 @@ std::optional<sim::Pattern> NetlistOracle::find_pattern(
 }
 
 sim::Pattern NetlistOracle::input_model() const {
+  DETERRENT_ASSERT(solver_.model_total(), "input_model reads a partial model of justify()");
   const auto inputs = netlist_->inputs();
   sim::Pattern pattern(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i)

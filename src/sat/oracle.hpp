@@ -7,6 +7,7 @@
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 #include "sim/pattern.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace deterrent::sat {
@@ -18,6 +19,15 @@ struct Constraint {
   bool value;
 
   bool operator==(const Constraint&) const = default;
+};
+
+/// Answer of NetlistOracle::justify(). A Candidate is an input pattern that
+/// the solver says meets every constraint, not yet a proof: callers that
+/// rely on it simulate it first.
+struct Justification {
+  enum class Verdict { Unsat, Unknown, Candidate };
+  Verdict verdict = Verdict::Unknown;
+  sim::Pattern candidate;  ///< Candidate only; ordered as Netlist::inputs()
 };
 
 /// Incremental SAT front-end over one netlist.
@@ -60,10 +70,25 @@ class NetlistOracle {
   std::optional<bool> try_extend(std::span<const Constraint> constraints,
                                  std::int64_t conflict_budget);
 
+  /// try_satisfiable by justification (Solver::solve_justified): the solver
+  /// decides only inputs that justify the constraints and stops once they
+  /// are all justified. A Sat answer comes back as a candidate pattern, the
+  /// inputs the search assigned plus the solver's saved phases for the rest;
+  /// the constraints hold under every such completion. Unsat and Unknown
+  /// (an exhausted `conflict_budget`) mean what they mean for
+  /// try_satisfiable. The candidate is a partial model's completion, so
+  /// model_satisfies() and input_model() must not be read until the next
+  /// try_satisfiable, try_extend or find_pattern answers Sat.
+  Justification justify(std::span<const Constraint> constraints,
+                        std::int64_t conflict_budget);
+
   /// True when the last Sat model drives `c.net` to `c.value`; false before
   /// the first Sat answer. A model that meets every constraint of a set is
-  /// a constructive proof that the set is jointly satisfiable.
+  /// a constructive proof that the set is jointly satisfiable. That model
+  /// must be total, from any query but justify().
   bool model_satisfies(const Constraint& c) const {
+    DETERRENT_ASSERT(!solver_.has_model() || solver_.model_total(),
+                     "model_satisfies reads a partial model of justify()");
     return solver_.has_model() && solver_.model_value(c.net) == c.value;
   }
 
@@ -74,7 +99,7 @@ class NetlistOracle {
 
   /// Primary-input assignment of the last Sat answer, ordered as
   /// Netlist::inputs() (the read find_pattern returns); only meaningful
-  /// directly after a query that answered Sat.
+  /// directly after a query other than justify() that answered Sat.
   sim::Pattern input_model() const;
 
   /// Randomizes the solver's phase choices so subsequent find_pattern calls
@@ -91,6 +116,7 @@ class NetlistOracle {
 
   const netlist::Netlist* netlist_;
   Solver solver_;
+  bool gates_defined_ = false;  // the first justify() hands the solver its gates
 };
 
 }  // namespace deterrent::sat

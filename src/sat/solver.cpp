@@ -1,6 +1,7 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -55,6 +56,20 @@ void Solver::set_decision_vars(const std::vector<bool>& mask) {
     decision_[v] = mask[v] ? 1 : 0;
     if (mask[v]) heap_insert(v);
   }
+}
+
+void Solver::define_gate(Var y, GateKind kind, bool inverted,
+                         std::span<const Var> fanins) {
+  if (y >= var_count())
+    throw Error("Solver::define_gate: unknown variable " + std::to_string(y));
+  for (const Var a : fanins)
+    if (a >= var_count())
+      throw Error("Solver::define_gate: unknown fanin variable " + std::to_string(a));
+  controllability_.clear();
+  if (gates_.size() < var_count()) gates_.resize(var_count());
+  gates_[y] = {kind, inverted, static_cast<std::uint32_t>(gate_fanins_.size()),
+               static_cast<std::uint32_t>(fanins.size())};
+  gate_fanins_.insert(gate_fanins_.end(), fanins.begin(), fanins.end());
 }
 
 Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt) {
@@ -137,6 +152,7 @@ void Solver::unchecked_enqueue(Lit p, CRef from) {
 
 void Solver::cancel_until(std::uint32_t level) {
   if (decision_level() <= level) return;
+  closure_valid_ = false;
   for (std::size_t c = trail_.size(); c-- > trail_lim_[level];) {
     const Var x = var_of(trail_[c]);
     assigns_[x] = LBool::Undef;
@@ -325,6 +341,159 @@ Lit Solver::pick_branch_lit() {
   return kUndefLit;
 }
 
+void Solver::add_to_closure(Var v) {
+  if (closure_mark_[v] == closure_stamp_) return;
+  closure_mark_[v] = closure_stamp_;
+  justify_stack_.push_back(v);
+}
+
+Lit Solver::pick_justified_lit(std::span<const Lit> assumptions) {
+  if (!closure_valid_) {
+    if (++closure_stamp_ == 0) {
+      std::fill(closure_mark_.begin(), closure_mark_.end(), 0);
+      closure_stamp_ = 1;
+    }
+    justify_stack_.clear();
+    for (const Lit a : assumptions) add_to_closure(var_of(a));
+    closure_valid_ = true;
+  }
+  while (!justify_stack_.empty()) {
+    const Var v = justify_stack_.back();
+    DETERRENT_ASSERT(value(v) != LBool::Undef, "unassigned net in the justification closure");
+    const GateDef g = gates_[v];
+    if (g.kind == GateKind::Free || level_[v] == 0) {
+      justify_stack_.pop_back();
+      continue;
+    }
+    const std::span<const Var> in(gate_fanins_.data() + g.first, g.count);
+    // The value of the gate before its output inversion.
+    const bool out = (value(v) == LBool::True) != g.inverted;
+    const bool controlling = g.kind == GateKind::Or;  // the fanin value that fixes And/Or
+    if (g.kind != GateKind::Xor && out == controlling) {
+      // One fanin at the controlling value fixes the gate; prefer one that
+      // is already in the closure or needs no justification.
+      Var pick = kNoVar;
+      for (const Var a : in) {
+        if (value(a) != lbool_from(controlling)) continue;
+        if (pick == kNoVar) pick = a;
+        if (closure_mark_[a] == closure_stamp_ || gates_[a].kind == GateKind::Free ||
+            level_[a] == 0) {
+          pick = a;
+          break;
+        }
+      }
+      if (pick == kNoVar) {
+        Var easiest = kNoVar;
+        for (const Var a : in)
+          if (value(a) == LBool::Undef && (easiest == kNoVar || easier(a, easiest, controlling)))
+            easiest = a;
+        return backtrace(easiest, controlling);
+      }
+      justify_stack_.pop_back();
+      add_to_closure(pick);
+      continue;
+    }
+    // And/Or at the non-controlling value, or Xor: every fanin fixes it.
+    // Propagation has already assigned the And/Or fanins; an Xor may wait
+    // for one.
+    for (const Var a : in)
+      if (value(a) == LBool::Undef)
+        return backtrace(a, g.kind == GateKind::Xor ? parity_objective(in, a, out) : !controlling);
+    justify_stack_.pop_back();
+    for (const Var a : in) add_to_closure(a);
+  }
+  return kUndefLit;
+}
+
+bool Solver::parity_objective(std::span<const Var> in, Var a, bool parity) const {
+  for (const Var b : in)
+    if (b != a) parity ^= value(b) == LBool::Undef ? phase_value(b) : value(b) == LBool::True;
+  return parity;
+}
+
+bool Solver::easier(Var a, Var b, bool want) const {
+  const bool a_at_phase = phase_value(a) == want;
+  if (a_at_phase != (phase_value(b) == want)) return a_at_phase;
+  return controllability_[a][want] < controllability_[b][want];
+}
+
+void Solver::compute_controllability() {
+  // SCOAP-style: a Free variable costs 1 either way; a gate costs one more
+  // than its cheapest fanin at the controlling value, or than all of its
+  // fanins at the other one; a parity, the cheapest fanin values that give
+  // it. Sums saturate. Post-order over the gate DAG with an explicit stack.
+  static constexpr std::uint32_t kMax = 0x3fffffffu;
+  const auto add = [](std::uint32_t x, std::uint32_t y) { return std::min(kMax, x + y); };
+  controllability_.assign(var_count(), {1, 1});
+  std::vector<std::uint8_t> state(var_count(), 0);  // 1: fanins pushed, 2: done
+  std::vector<Var> stack;
+  for (Var root = 0; root < var_count(); ++root) {
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const Var v = stack.back();
+      const GateDef g = gates_[v];
+      const std::span<const Var> in(gate_fanins_.data() + g.first, g.count);
+      if (state[v] == 0) {
+        state[v] = 1;
+        for (const Var a : in)
+          if (state[a] == 0) stack.push_back(a);
+        continue;
+      }
+      stack.pop_back();
+      if (state[v] == 2 || g.kind == GateKind::Free) {
+        state[v] = 2;
+        continue;
+      }
+      state[v] = 2;
+      std::array<std::uint32_t, 2> cost{};
+      if (g.kind == GateKind::Xor) {
+        std::array<std::uint32_t, 2> parity{0, kMax};  // cheapest even / odd
+        for (const Var a : in) {
+          const auto& c = controllability_[a];
+          parity = {std::min(add(parity[0], c[0]), add(parity[1], c[1])),
+                    std::min(add(parity[0], c[1]), add(parity[1], c[0]))};
+        }
+        cost = parity;
+      } else {
+        const bool controlling = g.kind == GateKind::Or;
+        std::uint32_t cheapest = kMax;
+        std::uint32_t all = 0;
+        for (const Var a : in) {
+          cheapest = std::min(cheapest, controllability_[a][controlling]);
+          all = add(all, controllability_[a][!controlling]);
+        }
+        cost[controlling] = cheapest;
+        cost[!controlling] = all;
+      }
+      if (g.inverted) std::swap(cost[0], cost[1]);
+      controllability_[v] = {add(cost[0], 1), add(cost[1], 1)};
+    }
+  }
+}
+
+Lit Solver::backtrace(Var v, bool want) const {
+  while (gates_[v].kind != GateKind::Free) {
+    DETERRENT_ASSERT(value(v) == LBool::Undef, "backtrace through an assigned net");
+    const GateDef g = gates_[v];
+    const std::span<const Var> in(gate_fanins_.data() + g.first, g.count);
+    want ^= g.inverted;
+    // And/Or: the objective at a fanin is the un-inverted output value; AND
+    // = 0 needs one fanin at 0, the easiest, AND = 1 needs every fanin at 1.
+    // Xor: the parity the other fanins leave.
+    const bool one_suffices = g.kind != GateKind::Xor && want == (g.kind == GateKind::Or);
+    Var next = kNoVar;
+    for (const Var a : in)
+      if (value(a) == LBool::Undef &&
+          (next == kNoVar || (one_suffices && easier(a, next, want))))
+        next = a;
+    // Propagation fixes a gate whose fanins are all assigned.
+    DETERRENT_ASSERT(next != kNoVar, "unassigned gate with every fanin assigned");
+    if (g.kind == GateKind::Xor) want = parity_objective(in, next, want);
+    v = next;
+  }
+  return mk_lit(v, !want);
+}
+
 Solver::Result Solver::search(std::int64_t max_conflicts,
                               std::span<const Lit> assumptions) {
   std::int64_t conflict_count = 0;
@@ -379,9 +548,9 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
         }
       }
       if (next == kUndefLit) {
-        next = pick_branch_lit();
+        next = justify_ ? pick_justified_lit(assumptions) : pick_branch_lit();
         if (next == kUndefLit) {
-          DETERRENT_ASSERT(trail_.size() == var_count(),
+          DETERRENT_ASSERT(justify_ || trail_.size() == var_count(),
                            "Sat with an unassigned variable outside the decision set");
           return Result::Sat;
         }
@@ -397,6 +566,24 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
                              std::int64_t conflict_budget) {
   drop_retained();
   return run(assumptions, conflict_budget, /*retain=*/false);
+}
+
+Solver::Result Solver::solve_justified(std::span<const Lit> assumptions,
+                                       std::int64_t conflict_budget) {
+  drop_retained();
+  if (gates_.size() < var_count()) gates_.resize(var_count());  // the rest are Free
+  if (closure_mark_.size() < var_count()) closure_mark_.resize(var_count(), 0);
+  if (controllability_.size() != var_count()) compute_controllability();
+  justify_ = true;
+  closure_valid_ = false;
+  try {
+    const Result result = run(assumptions, conflict_budget, /*retain=*/false);
+    justify_ = false;
+    return result;
+  } catch (...) {
+    justify_ = false;
+    throw;
+  }
 }
 
 Solver::Result Solver::solve_retaining(std::span<const Lit> assumptions,
@@ -450,7 +637,10 @@ Solver::Result Solver::run(std::span<const Lit> assumptions,
     status = search(limit, assumptions);
   }
 
-  if (status == Result::Sat) model_.assign(assigns_.begin(), assigns_.end());
+  if (status == Result::Sat) {
+    model_.assign(assigns_.begin(), assigns_.end());
+    model_total_ = trail_.size() == var_count();
+  }
   if (retain && status != Result::Unknown) {
     // Levels up to the assumption count are assumption levels (search()
     // decides every assumption before it branches); Unsat stops at the

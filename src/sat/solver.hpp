@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,6 +51,12 @@ class Solver {
   /// answer assigned every variable. Verdicts stay the same; models may not.
   void set_decision_vars(const std::vector<bool>& mask);
 
+  /// Records that variable `y` is the gate `kind` over `fanins` (inverted:
+  /// Nand, Nor, Not or Xnor), which the clauses must already encode. Only
+  /// solve_justified() reads the definitions; a variable never defined is
+  /// Free. Throws deterrent::Error on an unknown variable.
+  void define_gate(Var y, GateKind kind, bool inverted, std::span<const Var> fanins);
+
   /// Adds a clause (empty span ⇒ immediate UNSAT). Returns false when the
   /// formula is already unsatisfiable at root level.
   bool add_clause(std::span<const Lit> lits);
@@ -73,15 +80,41 @@ class Solver {
   Result solve_retaining(std::span<const Lit> assumptions,
                          std::int64_t conflict_budget = -1);
 
+  /// solve() by justification, for a clause database that is a circuit
+  /// encoding whose gates are all defined (define_gate), plus learnt
+  /// clauses. The search keeps the assumptions' justification closure: an
+  /// assigned net is justified when its assigned fanins fix its value (AND
+  /// = 0 with a fanin at 0, AND = 1 with every fanin at 1, XOR with every
+  /// fanin assigned) or when it is fixed at root level, which every input
+  /// pattern meets; justifying a net pulls the fanins that fix it into the
+  /// closure. Each decision backtraces, PODEM style, from a closure net not
+  /// yet justified to an unassigned Free variable and sets the value that
+  /// moves it towards its objective, so only Free variables are decided. Sat
+  /// is answered as soon as every closure net is justified, with a partial
+  /// model: the Free variables it assigns fix every assumption, so any
+  /// completion of the others meets them all. Unsat and Unknown mean what
+  /// they mean for solve(); the same conflict budget applies.
+  Result solve_justified(std::span<const Lit> assumptions,
+                         std::int64_t conflict_budget = -1);
+
   /// Assumptions whose decision levels solve_retaining() left on the trail.
   std::span<const Lit> retained() const { return retained_; }
 
-  /// Model access, valid after the last solve() returned Sat. A model is a
-  /// total assignment satisfying every clause, so it stays a valid witness
-  /// for the formula after later Unsat or Unknown answers.
+  /// Model access, valid after the last solve() returned Sat. A model of
+  /// solve() or solve_retaining() is a total assignment satisfying every
+  /// clause, so it stays a valid witness for the formula after later Unsat
+  /// or Unknown answers. A model of solve_justified() is partial: the
+  /// variables it leaves Undef read as false through model_value(), and
+  /// model_total() is false.
   bool has_model() const { return !model_.empty(); }
+  bool model_total() const { return model_total_; }
   bool model_value(Var v) const { return model_[v] == LBool::True; }
   LBool model_lbool(Var v) const { return model_[v]; }
+
+  /// The value the next decision on `v` tries first: its saved phase. After
+  /// a solve, the variables that solve assigned above root level save the
+  /// value they had.
+  bool phase_value(Var v) const { return polarity_[v] == 0; }
 
   /// After Unsat under assumptions: a subset of the assumptions that is
   /// already contradictory (the "failed assumptions" / unsat core).
@@ -147,6 +180,20 @@ class Solver {
   bool literal_redundant(Lit p);
   void analyze_final(Lit p);
   Lit pick_branch_lit();
+  /// solve_justified()'s decision: kUndefLit once the closure of
+  /// `assumptions` is justified, otherwise a backtraced Free literal.
+  Lit pick_justified_lit(std::span<const Lit> assumptions);
+  /// PODEM backtrace from the objective "unassigned `v` takes `want`".
+  Lit backtrace(Var v, bool want) const;
+  void add_to_closure(Var v);
+  /// Whether fanin `a` is a better way than `b` to reach `want`: first one
+  /// whose saved phase already is `want`, so that consecutive answers keep
+  /// their patterns alike, then the cheaper one to control.
+  bool easier(Var a, Var b, bool want) const;
+  void compute_controllability();
+  /// The value fanin `a` of a parity over `in` needs for the parity to be
+  /// `parity`, with the other unassigned fanins at their saved phase.
+  bool parity_objective(std::span<const Var> in, Var a, bool parity) const;
   Result search(std::int64_t max_conflicts, std::span<const Lit> assumptions);
   /// The restart loop of solve()/solve_retaining(), from the current trail.
   Result run(std::span<const Lit> assumptions, std::int64_t conflict_budget, bool retain);
@@ -207,7 +254,29 @@ class Solver {
   std::vector<std::uint32_t> lbd_seen_;
   std::uint32_t lbd_stamp_ = 0;
 
+  // --- justification (solve_justified) ----------------------------------
+  struct GateDef {
+    GateKind kind = GateKind::Free;
+    bool inverted = false;
+    std::uint32_t first = 0;  // fanins: gate_fanins_[first, first + count)
+    std::uint32_t count = 0;
+  };
+  std::vector<GateDef> gates_;  // by variable, sized on first use
+  std::vector<Var> gate_fanins_;
+  // Per variable, the cost of setting it to 0 / 1 from the Free variables;
+  // rebuilt when the variables or gates change.
+  std::vector<std::array<std::uint32_t, 2>> controllability_;
+  bool justify_ = false;  // solve_justified() is running
+  // Closure nets that were not yet seen justified, in a stack whose top is
+  // worked on first. Justification only grows with the trail, so it is
+  // valid until the next cancel_until(), which clears closure_valid_.
+  std::vector<Var> justify_stack_;
+  std::vector<std::uint32_t> closure_mark_;  // == closure_stamp_: in the closure
+  std::uint32_t closure_stamp_ = 0;
+  bool closure_valid_ = false;
+
   std::vector<LBool> model_;
+  bool model_total_ = false;
   std::vector<Lit> conflict_core_;
 
   double var_inc_ = 1.0;

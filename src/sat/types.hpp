@@ -43,4 +43,10 @@ constexpr LBool lit_value(LBool v, Lit p) {
 
 using Clause = std::vector<Lit>;
 
+/// How a circuit encoding defines a variable, for Solver::solve_justified:
+/// Free is a primary input (or a constant, fixed at root level); And and Or
+/// are the n-ary gates (one fanin: a buffer), Xor the two-input parity of a
+/// gate or of an XOR-chain stage. An inverted gate is Nand, Nor, Not or Xnor.
+enum class GateKind : std::uint8_t { Free, And, Or, Xor };
+
 }  // namespace deterrent::sat

@@ -387,10 +387,12 @@ TEST(Compatibility, StatsAddUp) {
 }
 
 /// Witness harvesting skips the SAT query of every pair an earlier Sat
-/// model already drives to its rare values. The matrix must still equal a
-/// reference that asks an oracle about every pair, the skips must be real
-/// queries saved (counted at the sat.query fault site), and neither the
-/// matrix nor the serialized counters may depend on the pool size.
+/// model already drives to its rare values, and the other Sat pairs are
+/// proven by their own justification candidate. The matrix must still equal
+/// a reference that asks an oracle about every pair, the skips must be real
+/// queries saved (counted at the sat.query fault site), no candidate may
+/// need the fallback query, and neither the matrix nor the serialized
+/// counters may depend on the pool size.
 TEST(Compatibility, HarvestMatchesPerPairOracle) {
   struct Profile {
     std::uint64_t seed;
@@ -435,9 +437,12 @@ TEST(Compatibility, HarvestMatchesPerPairOracle) {
       for (std::uint32_t i = 0; i < rare.size(); ++i)
         ASSERT_EQ(matrix.row(i), reference.row(i)) << "row " << i;
       EXPECT_GT(stats.harvested, 0u);
-      EXPECT_LE(stats.harvested, stats.sat_sat);
+      EXPECT_GT(stats.justified, 0u);
+      EXPECT_EQ(stats.justify_fallbacks, 0u);
+      EXPECT_LE(stats.harvested + stats.justified, stats.sat_sat);
+      EXPECT_EQ(queries, stats.solver_calls());
       EXPECT_EQ(queries, stats.sat_sat - stats.harvested + stats.sat_unsat +
-                             stats.timeout_pairs);
+                             stats.timeout_pairs + stats.justify_fallbacks);
       if (threads == 1) {
         first = stats;
         continue;

@@ -514,6 +514,11 @@ TEST(Pipeline, CompatTimeoutsAreReportedAsAWarning) {
   const std::size_t timeouts = pipeline.compat_stats().timeout_pairs;
   ASSERT_GT(timeouts, 0u);
   EXPECT_NE(log.find(std::to_string(timeouts) + " timed out"), std::string::npos) << log;
+  // Each pair's justification query gave up first and fell back to the
+  // input-branching query, which gave up too.
+  EXPECT_EQ(pipeline.compat_stats().justify_fallbacks, timeouts);
+  EXPECT_NE(log.find(std::to_string(timeouts) + " justify fallbacks"), std::string::npos)
+      << log;
   EXPECT_NE(log.find("exhausted the SAT conflict budget"), std::string::npos) << log;
 }
 

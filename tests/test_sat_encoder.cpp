@@ -192,6 +192,43 @@ TEST(Oracle, MultiConstraintConjunction) {
   for (const auto& c : constraints) EXPECT_EQ(check[c.net], c.value);
 }
 
+TEST(Oracle, JustifyAnswersWithASimulatedCandidate) {
+  const Netlist nl = small_random(77);
+  NetlistOracle oracle(nl);
+  oracle.branch_on_inputs();
+  sim::Simulator simulator(nl);
+  util::Rng rng(11);
+  std::size_t candidates = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Constraint> constraints;
+    for (int k = 0; k < 2; ++k)
+      constraints.push_back({static_cast<NetId>(rng.below(nl.net_count())), rng.bernoulli(0.5)});
+    const bool want = oracle.satisfiable(constraints);
+    const Justification answer = oracle.justify(constraints, -1);
+    ASSERT_NE(answer.verdict, Justification::Verdict::Unknown);
+    ASSERT_EQ(answer.verdict == Justification::Verdict::Candidate, want) << trial;
+    if (!want) continue;
+    ++candidates;
+    ASSERT_EQ(answer.candidate.size(), nl.inputs().size());
+    const auto values = simulator.simulate_pattern(answer.candidate);
+    for (const auto& c : constraints) EXPECT_EQ(values[c.net], c.value) << trial;
+    EXPECT_EQ(oracle.justify(constraints, 0).verdict, Justification::Verdict::Unknown);
+  }
+  EXPECT_GT(candidates, 0u);
+}
+
+TEST(OracleDeath, PartialModelIsNotReadAsAModel) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Netlist nl = small_random(77);
+  NetlistOracle oracle(nl);
+  const Constraint c{nl.outputs()[0], true};
+  ASSERT_TRUE(oracle.satisfiable({&c, 1}));
+  EXPECT_TRUE(oracle.model_satisfies(c));
+  ASSERT_EQ(oracle.justify({&c, 1}, -1).verdict, Justification::Verdict::Candidate);
+  EXPECT_DEATH((void)oracle.model_satisfies(c), "partial model");
+  EXPECT_DEATH((void)oracle.input_model(), "partial model");
+}
+
 TEST(Oracle, RandomizedCompletionDiversifiesPatterns) {
   const Netlist nl = small_random(88, 60);
   NetlistOracle oracle(nl);

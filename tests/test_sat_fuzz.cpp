@@ -382,6 +382,98 @@ TEST(SatFuzz, InputBranchingMatchesPlainSolver) {
   ASSERT_GT(unsat_answers, 0u);
 }
 
+// Justification (Solver::solve_justified, as NetlistOracle::justify asks it)
+// against the plain solver, on random circuits with wide AND/OR gates and
+// XOR/XNOR chains, under one to four constraints. Verdicts must agree. A Sat
+// answer of the justifying solver is a partial model: its assigned inputs,
+// with the others filled at random eight times, must drive every constrained
+// net to its value through the reference simulator. Budget-0 queries answer
+// Unknown. The justifying solver also branches on the inputs and answers
+// plain queries in between, as the compatibility build's fallback does,
+// whose total models must replay too.
+TEST(SatFuzz, JustificationMatchesPlainSolver) {
+  FuzzBudget budget;
+  std::uint64_t candidates = 0;
+  std::uint64_t unsat_answers = 0;
+  std::uint64_t fills = 0;
+  for (std::uint64_t seed = 1; seed < 2000 && !budget.expired(); ++seed) {
+    bench_gen::RandomCircuitProfile profile;
+    profile.n_inputs = 12;
+    profile.n_outputs = 5;
+    profile.n_gates = 150;
+    profile.wide_gate_fraction = 0.4;
+    profile.w_xor = 0.14;
+    profile.w_xnor = 0.1;
+    profile.seed = seed;
+    const netlist::Netlist nl = bench_gen::generate_random_circuit(profile);
+    sim::Simulator simulator(nl);
+    util::Rng rng(seed * 4111ull + 5);
+
+    Solver plain;
+    Solver justifying;
+    sat::encode_netlist(nl, plain);
+    sat::encode_netlist(nl, justifying);
+    sat::define_gates(nl, justifying);
+    std::vector<bool> inputs(justifying.var_count(), false);
+    for (const netlist::NetId in : nl.inputs()) inputs[in] = true;
+    justifying.set_decision_vars(inputs);
+
+    for (int query = 0; query < 24; ++query) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " query " + std::to_string(query);
+      std::vector<Lit> assumptions;
+      for (std::size_t k = 0, n = 1 + rng.below(4); k < n; ++k)
+        assumptions.push_back(
+            mk_lit(static_cast<Var>(rng.below(nl.net_count())), rng.bernoulli(0.5)));
+      const std::uint64_t mode = rng.below(6);
+      if (mode == 0) {
+        ASSERT_EQ(justifying.solve_justified(assumptions, /*conflict_budget=*/0),
+                  Solver::Result::Unknown)
+            << what;
+        continue;
+      }
+      const auto want = plain.solve(assumptions);
+      if (mode == 1) {
+        // A plain query on the justifying solver: a total model.
+        ASSERT_EQ(justifying.solve(assumptions), want) << what;
+        if (want != Solver::Result::Sat) continue;
+        ASSERT_TRUE(justifying.model_total()) << what;
+        sim::Pattern pattern(nl.inputs().size());
+        for (std::size_t i = 0; i < nl.inputs().size(); ++i)
+          pattern.set(i, justifying.model_value(static_cast<Var>(nl.inputs()[i])));
+        const std::vector<bool> values = simulator.simulate_pattern(pattern);
+        for (netlist::NetId net = 0; net < nl.net_count(); ++net)
+          ASSERT_EQ(values[net], justifying.model_value(static_cast<Var>(net)))
+              << what << ": net " << net << " disagrees with simulation";
+        continue;
+      }
+      const auto got = justifying.solve_justified(assumptions);
+      ASSERT_EQ(got, want) << what;
+      if (got == Solver::Result::Unsat) ++unsat_answers;
+      if (got != Solver::Result::Sat) continue;
+      ++candidates;
+      for (int fill = 0; fill < 8; ++fill) {
+        sim::Pattern pattern(nl.inputs().size());
+        for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+          const sat::LBool v = justifying.model_lbool(static_cast<Var>(nl.inputs()[i]));
+          pattern.set(i, v == sat::LBool::Undef ? rng.bernoulli(0.5) : v == sat::LBool::True);
+        }
+        const std::vector<bool> values = simulator.simulate_pattern(pattern);
+        for (const Lit a : assumptions)
+          ASSERT_EQ(values[var_of(a)], !sign_of(a))
+              << what << " fill " << fill << ": constraint on net " << var_of(a)
+              << " missed by " << pattern.to_string();
+        ++fills;
+      }
+    }
+  }
+  RecordProperty("candidates", static_cast<int>(candidates));
+  RecordProperty("unsat_answers", static_cast<int>(unsat_answers));
+  RecordProperty("fills", static_cast<int>(fills));
+  ASSERT_GT(candidates, 0u);
+  ASSERT_GT(unsat_answers, 0u);
+}
+
 // ----------------------------------------------------- DIMACS corpus -------
 
 // Minimized regression instances, table-driven. Each is solved by the plain

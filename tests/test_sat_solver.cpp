@@ -388,6 +388,106 @@ TEST(SolverDeath, FreeVariableOutsideTheDecisionSetTripsTheAssert) {
   EXPECT_DEATH(s.solve(assume), "unassigned variable");
 }
 
+// --------------------------------------------------- justification -----
+
+/// Tseitin clauses and gate definitions for y <-> AND(fanins) or OR(fanins).
+void add_gate(Solver& s, Var y, GateKind kind, std::initializer_list<Var> fanins) {
+  // AND: (¬y ∨ a) per fanin, (y ∨ ¬a1 ∨ …). OR: (y ∨ ¬a), (¬y ∨ a1 ∨ …).
+  const bool is_or = kind == GateKind::Or;
+  std::vector<Lit> big{mk_lit(y, is_or)};
+  for (const Var a : fanins) {
+    s.add_clause({mk_lit(y, !is_or), mk_lit(a, is_or)});
+    big.push_back(mk_lit(a, !is_or));
+  }
+  s.add_clause(big);
+  const std::vector<Var> in(fanins);
+  s.define_gate(y, kind, /*inverted=*/false, in);
+}
+
+TEST(Justification, FrontierEmptiesAfterOneDecisionPerOr) {
+  // y = AND(o_0, ..., o_{k-1}), o_t = OR(a_t, b_t). Assuming y fixes every
+  // o_t at 1 and no input, and one input at 1 justifies each OR.
+  constexpr int k = 6;
+  Solver s;
+  s.ensure_vars(1 + 3 * k);
+  const auto o = [](int t) { return static_cast<Var>(1 + 3 * t); };
+  for (int t = 0; t < k; ++t) add_gate(s, o(t), GateKind::Or, {o(t) + 1, o(t) + 2});
+  std::vector<Var> ors;
+  for (int t = 0; t < k; ++t) ors.push_back(o(t));
+  std::vector<Lit> big{mk_lit(0)};
+  for (const Var v : ors) {
+    s.add_clause({mk_lit(0, true), mk_lit(v)});
+    big.push_back(mk_lit(v, true));
+  }
+  s.add_clause(big);
+  s.define_gate(0, GateKind::And, false, ors);
+
+  const Lit assume[] = {mk_lit(0)};
+  ASSERT_EQ(s.solve_justified(assume), Solver::Result::Sat);
+  EXPECT_EQ(s.last_solve_stats().decisions, static_cast<std::uint64_t>(k));
+  EXPECT_FALSE(s.model_total());
+  for (int t = 0; t < k; ++t) {
+    const LBool a = s.model_lbool(o(t) + 1);
+    const LBool b = s.model_lbool(o(t) + 2);
+    // Exactly one input per OR is set, to 1; its partner stays free.
+    EXPECT_EQ((a == LBool::True) + (b == LBool::True), 1) << "OR " << t;
+    EXPECT_EQ((a == LBool::Undef) + (b == LBool::Undef), 1) << "OR " << t;
+  }
+
+  // The plain solver answers the same query with a total model.
+  ASSERT_EQ(s.solve(assume), Solver::Result::Sat);
+  EXPECT_TRUE(s.model_total());
+}
+
+TEST(Justification, DecidesOnlyFreeVariables) {
+  // y = OR(g, h), g = AND(a, b), h = AND(c, d). Assuming y leaves g and h
+  // unassigned, and the decision set holds only the gates, which a plain
+  // search would branch on. Justification still decides inputs only: a and
+  // b (g's two fanins), after which nothing on h's side is assigned.
+  Solver s;
+  s.ensure_vars(7);
+  const Var y = 0, g = 1, h = 2, a = 3, b = 4, c = 5, d = 6;
+  add_gate(s, g, GateKind::And, {a, b});
+  add_gate(s, h, GateKind::And, {c, d});
+  add_gate(s, y, GateKind::Or, {g, h});
+  s.set_decision_vars({true, true, true, false, false, false, false});
+
+  const Lit assume[] = {mk_lit(y)};
+  ASSERT_EQ(s.solve_justified(assume), Solver::Result::Sat);
+  EXPECT_EQ(s.last_solve_stats().decisions, 2u);
+  EXPECT_EQ(s.model_lbool(a), LBool::True);
+  EXPECT_EQ(s.model_lbool(b), LBool::True);
+  EXPECT_EQ(s.model_lbool(g), LBool::True);
+  // Deciding g = 1 would have cost one decision and implied a and b.
+  for (const Var v : {h, c, d}) EXPECT_EQ(s.model_lbool(v), LBool::Undef) << v;
+}
+
+TEST(Justification, UnsatAndBudgetMatchThePlainSolver) {
+  // y = AND(a, NOT a) can never be 1; a budget of 0 gives up at once.
+  Solver s;
+  s.ensure_vars(3);
+  const Var y = 0, a = 1, na = 2;
+  s.add_clause({mk_lit(na), mk_lit(a)});
+  s.add_clause({mk_lit(na, true), mk_lit(a, true)});
+  s.define_gate(na, GateKind::And, /*inverted=*/true, std::vector<Var>{a});
+  add_gate(s, y, GateKind::And, {a, na});
+  const Lit one[] = {mk_lit(y)};
+  EXPECT_EQ(s.solve_justified(one), Solver::Result::Unsat);
+  const Lit zero[] = {mk_lit(y, true)};
+  EXPECT_EQ(s.solve_justified(zero, /*conflict_budget=*/0), Solver::Result::Unknown);
+  ASSERT_EQ(s.solve_justified(zero), Solver::Result::Sat);
+  // The Unsat answer learnt y = 0 as a root-level unit, which every input
+  // pattern meets: nothing needs deciding.
+  EXPECT_EQ(s.last_solve_stats().decisions, 0u);
+}
+
+TEST(Justification, DefineGateRejectsUnknownVariables) {
+  Solver s;
+  s.ensure_vars(2);
+  EXPECT_THROW(s.define_gate(2, GateKind::And, false, std::vector<Var>{0}), Error);
+  EXPECT_THROW(s.define_gate(0, GateKind::And, false, std::vector<Var>{1, 2}), Error);
+}
+
 // --------------------------------------------------------------- fuzz ------
 
 /// Differential fuzzing against brute force on random 3-SAT near the phase
