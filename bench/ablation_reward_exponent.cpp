@@ -39,10 +39,12 @@ int main() {
     cfg.env.reward_mode = core::RewardMode::EndOfEpisode;
     cfg.env.reward_exponent = p;
     cfg.seed = 77;
-    core::Deterrent det(comb, cfg);
-    det.prepare();
-    det.train();
-    const auto patterns = det.extract_patterns();
+    core::Pipeline det(comb, cfg);
+    det.run_rare_nets();
+    det.run_compatibility();
+    det.run_train();
+    det.run_extract();
+    const sim::PatternSet& patterns = det.patterns();
     const double cov =
         trojan::evaluate_coverage(comb, trojans, patterns).coverage_percent();
     table.add_row({fmt(p, 1), std::to_string(det.pool().max_set_size()),

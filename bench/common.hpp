@@ -21,7 +21,7 @@
 #include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
 #include "bench_gen/library.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "sat/oracle.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
@@ -91,7 +91,7 @@ inline void print_header(const char* exhibit, const Scale& scale) {
 /// matrix, and a SAT-validated Trojan population.
 struct PreparedBenchmark {
   bench_gen::Benchmark bench;
-  std::unique_ptr<core::Deterrent> det;  // holds rare nets + matrix
+  std::unique_ptr<core::Pipeline> pipeline;  // past its compatibility stage
   std::vector<trojan::Trojan> trojans;
 
   const netlist::Netlist& comb() const { return bench.scan.comb; }
@@ -115,15 +115,16 @@ inline PreparedBenchmark prepare_benchmark(const std::string& name, const Scale&
   // Vectorized environments, as the paper does for MIPS (§4.1).
   cfg.ppo.rollout_lanes = 8;
   cfg.seed = seed;
-  prep.det = std::make_unique<core::Deterrent>(prep.bench.scan.comb, cfg);
-  prep.det->prepare();
+  prep.pipeline = std::make_unique<core::Pipeline>(prep.bench.scan.comb, cfg);
+  prep.pipeline->run_rare_nets();
+  prep.pipeline->run_compatibility();
 
   sat::NetlistOracle oracle(prep.bench.scan.comb);
   util::Rng rng(seed ^ 0x7f4a7c15);
   trojan::TrojanSampleConfig tcfg;
   tcfg.width = trigger_width;
   tcfg.count = scale.trojans;
-  prep.trojans = trojan::sample_trojans(prep.bench.scan.comb, prep.det->rare_nets(),
+  prep.trojans = trojan::sample_trojans(prep.bench.scan.comb, prep.pipeline->rare_nets(),
                                         tcfg, oracle, rng);
   return prep;
 }
@@ -138,13 +139,18 @@ inline std::string fmt(double v, int precision = 1) {
   return util::Table::num(v, precision);
 }
 
-/// Opening text for rewriting the JSON object in `path` with a top-level
-/// `"key": {...}` block appended last: the file's other top-level members
-/// followed by a comma, or just "{" when none remain (or there is no file).
-/// A previous `"key"` member is dropped wherever it sits. The caller writes
-/// `\n  "key": {...}\n}\n` after the prefix. Members are found by the
-/// two-space-indented `"key":` lines the bench binaries write.
-inline std::string json_merge_prefix(const std::string& path, const std::string& key) {
+/// The JSON object in `path`, split around its top-level `"key"` member so
+/// that head + `\n  "key": {...}` + tail rewrites the member where it sits
+/// and leaves every other byte as it was. Without that member the new one
+/// goes last: head is the other members followed by a comma (or just "{"
+/// when there are none, or no file), and tail closes the object. Members are
+/// found by the two-space-indented `"key":` lines the bench binaries write.
+struct JsonSplice {
+  std::string head;
+  std::string tail;
+};
+
+inline JsonSplice json_splice(const std::string& path, const std::string& key) {
   std::string content;
   if (std::ifstream in(path); in) {
     std::stringstream ss;
@@ -153,13 +159,13 @@ inline std::string json_merge_prefix(const std::string& path, const std::string&
   }
   const auto root_close = content.rfind('}');
   if (content.find('{') == std::string::npos || root_close == std::string::npos)
-    return "{";
-  content.erase(root_close);
+    return {"{", "\n}\n"};
 
   const std::string marker = "\n  \"" + key + "\":";
   if (const auto pos = content.find(marker); pos != std::string::npos) {
-    // The member's value ends where its brackets balance again, or at the
-    // next comma for a scalar; quoted text is skipped.
+    // The member's value ends where its brackets balance again, or before
+    // the next comma or the object's closing brace for a scalar; quoted
+    // text is skipped.
     std::size_t end = pos + marker.size();
     int depth = 0;
     bool in_string = false;
@@ -173,6 +179,7 @@ inline std::string json_merge_prefix(const std::string& path, const std::string&
       } else if (c == '{' || c == '[') {
         ++depth;
       } else if (c == '}' || c == ']') {
+        if (depth == 0) break;
         if (--depth == 0) {
           ++end;
           break;
@@ -182,14 +189,14 @@ inline std::string json_merge_prefix(const std::string& path, const std::string&
       }
     }
     end = std::min(end, content.size());
-    while (end < content.size() && (content[end] == ' ' || content[end] == '\n')) ++end;
-    if (end < content.size() && content[end] == ',') ++end;
-    content.erase(pos, end - pos);
+    return {content.substr(0, pos), content.substr(end)};
   }
+
+  content.erase(root_close);
   while (!content.empty() && (content.back() == ',' || content.back() == ' ' ||
                               content.back() == '\n' || content.back() == '\t'))
     content.pop_back();
-  return content == "{" ? content : content + ",";
+  return {content == "{" ? content : content + ",", "\n}\n"};
 }
 
 }  // namespace deterrent::bench

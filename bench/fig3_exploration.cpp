@@ -21,9 +21,10 @@ struct LossTrace {
 };
 
 LossTrace run_variant(const netlist::Netlist& comb, const core::DeterrentConfig& cfg) {
-  core::Deterrent det(comb, cfg);
-  det.prepare();
-  det.train();
+  core::Pipeline det(comb, cfg);
+  det.run_rare_nets();
+  det.run_compatibility();
+  det.run_train();
   LossTrace trace;
   for (const auto& snap : det.history()) {
     trace.steps.push_back(snap.cumulative_steps);

@@ -18,14 +18,15 @@ int main() {
   print_header("Figure 5 — trigger width vs coverage (c6288_like)", scale);
 
   PreparedBenchmark prep = prepare_benchmark("c6288_like", scale);
-  auto& det = *prep.det;
+  auto& det = *prep.pipeline;
   const auto& comb = prep.comb();
   std::printf("offline: %zu rare nets\n", det.rare_nets().size());
 
   // One DETERRENT training run, one TGRL-like run; evaluate both against
   // fresh Trojan populations per width.
-  det.train();
-  const auto det_patterns = det.extract_patterns();
+  det.run_train();
+  det.run_extract();
+  const sim::PatternSet& det_patterns = det.patterns();
 
   util::Rng rng(7);
   const auto scoap = analysis::compute_scoap(comb);

@@ -17,11 +17,12 @@ namespace {
 void run_design(const std::string& name, const Scale& scale) {
   std::printf("--- %s ---\n", name.c_str());
   PreparedBenchmark prep = prepare_benchmark(name, scale);
-  auto& det = *prep.det;
+  auto& det = *prep.pipeline;
   const auto& comb = prep.comb();
 
-  det.train();
-  const auto det_patterns = det.extract_patterns();
+  det.run_train();
+  det.run_extract();
+  const sim::PatternSet& det_patterns = det.patterns();
 
   util::Rng rng(13);
   const auto scoap = analysis::compute_scoap(comb);

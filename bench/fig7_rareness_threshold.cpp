@@ -31,10 +31,12 @@ int main() {
     cfg.k_patterns = scale.det_k;
     cfg.ppo.episodes_per_update = scale.det_episodes;
     cfg.seed = 21;
-    core::Deterrent det(comb, cfg);
-    det.prepare();
-    det.train();
-    const auto patterns = det.extract_patterns();
+    core::Pipeline det(comb, cfg);
+    det.run_rare_nets();
+    det.run_compatibility();
+    det.run_train();
+    det.run_extract();
+    const sim::PatternSet& patterns = det.patterns();
 
     // Trojans drawn from this threshold's rare nets.
     sat::NetlistOracle oracle(comb);

@@ -35,7 +35,7 @@
 #include "analysis/compatibility.hpp"
 #include "bench_gen/library.hpp"
 #include "core/compatible_set_env.hpp"
-#include "core/deterrent.hpp"
+#include "core/artifacts.hpp"
 #include "rl/ppo.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -228,13 +228,13 @@ int run_micro_ppo(int argc, char** argv) {
   std::printf("episode checksums lane- and thread-count-invariant: %s\n",
               checksums_identical ? "yes" : "NO — DIFFERENTIAL MISMATCH");
 
-  const std::string prefix = bench::json_merge_prefix(out_path, "ppo");
+  const bench::JsonSplice splice = bench::json_splice(out_path, "ppo");
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_ppo: cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "%s", prefix.c_str());
+  std::fprintf(f, "%s", splice.head.c_str());
   std::fprintf(f, "\n  \"ppo\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
   std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));
@@ -260,7 +260,7 @@ int run_micro_ppo(int argc, char** argv) {
                  i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  }%s", splice.tail.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return checksums_identical ? 0 : 1;

@@ -155,13 +155,13 @@ int run_micro_sat(int argc, char** argv) {
               plain.models.size(), inputs.models.size(), justified.models.size(),
               models_verified ? "yes" : "NO — MODEL MISMATCH");
 
-  const std::string prefix = bench::json_merge_prefix(out_path, "sat");
+  const bench::JsonSplice splice = bench::json_splice(out_path, "sat");
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_sat: cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "%s", prefix.c_str());
+  std::fprintf(f, "%s", splice.head.c_str());
   std::fprintf(f, "\n  \"sat\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
   std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));
@@ -176,7 +176,7 @@ int run_micro_sat(int argc, char** argv) {
   std::fprintf(f, "    \"sat_models\": %zu,\n", plain.models.size());
   std::fprintf(f, "    \"verdicts_match\": %s,\n", verdicts_match ? "true" : "false");
   std::fprintf(f, "    \"models_verified\": %s\n", models_verified ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  }%s", splice.tail.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return verdicts_match && models_verified ? 0 : 1;

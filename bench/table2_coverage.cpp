@@ -53,7 +53,7 @@ int main() {
     util::Stopwatch bench_watch;
     std::printf("--- %s ---\n", name.c_str());
     PreparedBenchmark prep = prepare_benchmark(name, scale);
-    auto& det = *prep.det;
+    auto& det = *prep.pipeline;
     const auto& comb = prep.comb();
 
     Row row;
@@ -102,8 +102,9 @@ int main() {
     row.cov_tgrl = coverage_percent(prep, tgrl.patterns);
 
     // DETERRENT: train, pick k largest distinct sets, one pattern each.
-    det.train();
-    const auto det_patterns = det.extract_patterns();
+    det.run_train();
+    det.run_extract();
+    const sim::PatternSet& det_patterns = det.patterns();
     row.len_det = det_patterns.pattern_count();
     row.cov_det = coverage_percent(prep, det_patterns);
 

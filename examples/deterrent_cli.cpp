@@ -70,7 +70,7 @@
 #include "bench_gen/library.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/campaign.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "core/session.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
@@ -352,14 +352,16 @@ int cmd_analyze(const Args& args) {
 
 int cmd_generate(const Args& args) {
   auto bench = load_target(args.target);
-  core::Deterrent det(bench.scan.comb, pipeline_config(args));
-  det.prepare();
+  core::Pipeline det(bench.scan.comb, pipeline_config(args));
+  det.run_rare_nets();
+  det.run_compatibility();
   std::printf("offline: %zu rare nets, %zu compatible pairs\n",
               det.rare_nets().size(), det.matrix().edge_count());
-  det.train();
+  det.run_train();
   std::printf("training: %zu distinct sets, largest %zu\n", det.pool().size(),
               det.pool().max_set_size());
-  const auto patterns = det.extract_patterns();
+  det.run_extract();
+  const sim::PatternSet& patterns = det.patterns();
   std::printf("extracted %zu patterns\n", patterns.pattern_count());
 
   const std::string out = args.out().empty() ? bench.name + ".patterns" : args.out();

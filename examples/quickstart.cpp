@@ -8,7 +8,7 @@
 #include <string>
 
 #include "bench_gen/library.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "netlist/stats.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
@@ -34,24 +34,26 @@ int main(int argc, char** argv) {
   config.k_patterns = 32;
   config.seed = 42;
 
-  core::Deterrent deterrent(bench.scan.comb, config);
+  core::Pipeline deterrent(bench.scan.comb, config);
 
   // 2. Offline phase: rare nets + pairwise compatibility (Figure 4, left).
   util::Stopwatch watch;
-  deterrent.prepare();
+  deterrent.run_rare_nets();
+  deterrent.run_compatibility();
   std::printf("offline: %zu rare nets, %zu compatible pairs (%.2fs)\n",
               deterrent.rare_nets().size(), deterrent.matrix().edge_count(),
               watch.elapsed_seconds());
 
   // 3. Train the PPO agent on the compatible-set MDP.
   watch.restart();
-  deterrent.train();
+  deterrent.run_train();
   std::printf("training: %zu distinct sets, largest = %zu rare nets (%.2fs)\n",
               deterrent.pool().size(), deterrent.pool().max_set_size(),
               watch.elapsed_seconds());
 
   // 4. Extract test patterns from the k largest compatible sets via SAT.
-  const sim::PatternSet patterns = deterrent.extract_patterns();
+  deterrent.run_extract();
+  const sim::PatternSet& patterns = deterrent.patterns();
   std::printf("extracted %zu test patterns\n\n", patterns.pattern_count());
 
   // 5. Adversary simulation: insert 100 random 4-width Trojans (validated by

@@ -16,7 +16,7 @@
 #include "baselines/atpg_like.hpp"
 #include "baselines/tarmac.hpp"
 #include "bench_gen/library.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "sim/engine.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
@@ -66,8 +66,9 @@ int main(int argc, char** argv) {
   config.updates = 25;
   config.k_patterns = 64;
   config.seed = 11;
-  core::Deterrent deterrent(golden, config);
-  deterrent.prepare();
+  core::Pipeline deterrent(golden, config);
+  deterrent.run_rare_nets();
+  deterrent.run_compatibility();
   std::printf("defender: %zu rare nets below threshold %.2f\n",
               deterrent.rare_nets().size(), config.rare.threshold);
 
@@ -100,8 +101,9 @@ int main(int argc, char** argv) {
               exposing_patterns(golden, infected, random_10k));
 
   // --- defender test generation ---------------------------------------------
-  deterrent.train();
-  const auto det_patterns = deterrent.extract_patterns();
+  deterrent.run_train();
+  deterrent.run_extract();
+  const sim::PatternSet& det_patterns = deterrent.patterns();
 
   util::Rng baseline_rng(2);
   const auto atpg = baselines::run_atpg_like(golden, deterrent.rare_nets(), baseline_rng);

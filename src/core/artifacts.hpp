@@ -107,7 +107,7 @@ struct RareNetArtifact {
   std::vector<analysis::RareNet> rare_nets;
   /// Offline-phase RNG state after rare-net discovery. The compatibility
   /// build continues this exact stream, which is what makes a staged run
-  /// bit-identical to a monolithic prepare().
+  /// bit-identical to an uninterrupted one.
   std::array<std::uint64_t, 4> rng_state_after{};
 
   /// Content hash over the rare-net list. Downstream artifacts embed it so a

@@ -129,8 +129,8 @@ StageStatus Pipeline::run_lint(const StageControl& control) {
 
 StageStatus Pipeline::run_rare_nets(const StageControl& control) {
   if (rare_done_) return StageStatus::Complete;
-  // The lint front door: every fresh run passes through it, so legacy
-  // prepare() flows are covered without calling run_lint explicitly.
+  // The lint front door: every fresh run passes through it, so callers that
+  // start at the rare-net stage are covered without calling run_lint.
   if (lint_rejected_)
     throw PermanentError("Pipeline: design was rejected by lint (" +
                          lint_report_.summary() + ")");

@@ -79,9 +79,9 @@ const char* to_string(StageStatus status);
 
 /// Staged DETERRENT pipeline with serializable artifacts.
 ///
-/// The monolithic core::Deterrent flow, re-cut at its natural joints. Every
-/// stage can be run, exported as a versioned binary artifact, and later
-/// adopted into a fresh Pipeline (same netlist, same config) to resume.
+/// The DETERRENT flow, cut at its natural joints. Every stage can be run,
+/// exported as a versioned binary artifact, and later adopted into a fresh
+/// Pipeline (same netlist, same config) to resume.
 ///
 /// **Versioning.** Every artifact file carries the util::serialize envelope
 /// (magic, ArtifactKind, kArtifactFormatVersion, netlist fingerprint, CRC).
@@ -103,9 +103,8 @@ const char* to_string(StageStatus status);
 /// here; a fingerprint or hash-chain mismatch throws deterrent::Error.
 ///
 /// The netlist must be combinational (full-scan view for sequential designs)
-/// and must outlive the pipeline. core::Deterrent remains as a thin facade
-/// over this class; core::Session adds directory persistence, core::Campaign
-/// multi-circuit fan-out.
+/// and must outlive the pipeline. core::Session adds directory persistence,
+/// core::Campaign multi-circuit fan-out.
 class Pipeline {
  public:
   Pipeline(const netlist::Netlist& netlist, const DeterrentConfig& config);
@@ -123,7 +122,8 @@ class Pipeline {
   Stage next_stage() const;
 
   /// The Train stage's completion target: config.updates, clamped to at
-  /// least 1 (see Deterrent::train for the zero-updates edge).
+  /// least 1, so run_train(0) with config.updates == 0 still trains once
+  /// and a later extraction has a pool to read.
   std::size_t effective_updates() const;
 
   // ---- stage execution ----------------------------------------------------
@@ -135,8 +135,8 @@ class Pipeline {
   /// Returns Rejected when the report trips LintConfig::fail_on — later
   /// stages then refuse to run (PermanentError). A no-op returning Complete
   /// when lint is disabled or already ran clean; re-running a rejected lint
-  /// returns Rejected again. run_rare_nets() invokes this implicitly, so
-  /// legacy prepare() flows get the front door for free.
+  /// returns Rejected again. run_rare_nets() invokes this implicitly, so a
+  /// caller that starts at the rare-net stage gets the front door for free.
   StageStatus run_lint(const StageControl& control = {});
   StageStatus run_rare_nets(const StageControl& control = {});
   StageStatus run_compatibility(const StageControl& control = {});

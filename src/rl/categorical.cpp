@@ -82,14 +82,6 @@ std::uint32_t MaskedCategorical::sample(util::Rng& rng) const {
   return static_cast<std::uint32_t>(last_valid);  // guard against rounding
 }
 
-std::uint32_t MaskedCategorical::argmax() const {
-  std::size_t best = probs_.size();
-  for_each_valid(*mask_, [&](std::size_t i) {
-    if (best == probs_.size() || probs_[i] > probs_[best]) best = i;
-  });
-  return static_cast<std::uint32_t>(best);
-}
-
 void MaskedCategorical::add_grad(std::uint32_t action, float g, float h,
                                  std::span<float> grad) const {
   DETERRENT_ASSERT(grad.size() == probs_.size(), "grad size mismatch");

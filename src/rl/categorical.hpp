@@ -34,9 +34,6 @@ class MaskedCategorical {
   /// Samples an action ~ P.
   std::uint32_t sample(util::Rng& rng) const;
 
-  /// Highest-probability valid action (greedy evaluation).
-  std::uint32_t argmax() const;
-
   /// dL/d logits for a loss of the form  g · log P(a)  plus  h · H:
   /// grad_j = g·(δ_aj − p_j) − h·p_j·(log p_j + H).  The caller accumulates
   /// the result into the policy head's gradient. Masked entries stay 0.

@@ -33,28 +33,6 @@ void PatternSet::push(const Pattern& pattern) {
   }
 }
 
-void PatternSet::append(const PatternSet& other) {
-  DETERRENT_ASSERT(other.input_count_ == input_count_, "PatternSet::append arity mismatch");
-  for (std::size_t p = 0; p < other.pattern_count(); ++p) push(other.pattern(p));
-}
-
-void PatternSet::truncate(std::size_t n) {
-  DETERRENT_ASSERT(n <= pattern_count_, "PatternSet::truncate beyond size");
-  pattern_count_ = n;
-  blocks_.resize((n + 63) / 64);
-}
-
-void PatternSet::set_bit(std::size_t pattern, std::size_t input, bool value) {
-  DETERRENT_ASSERT(pattern < pattern_count_ && input < input_count_,
-                   "PatternSet::set_bit out of range");
-  auto& word = blocks_[pattern >> 6][input];
-  const std::uint64_t bit = 1ULL << (pattern & 63);
-  if (value)
-    word |= bit;
-  else
-    word &= ~bit;
-}
-
 Pattern PatternSet::pattern(std::size_t index) const {
   DETERRENT_ASSERT(index < pattern_count_, "PatternSet::pattern out of range");
   Pattern p(input_count_);

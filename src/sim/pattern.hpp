@@ -36,17 +36,9 @@ class PatternSet {
   /// Appends a pattern (size must equal input_count()).
   void push(const Pattern& pattern);
 
-  /// Appends all patterns of another set (same input arity).
-  void append(const PatternSet& other);
-
-  /// Truncates to the first n patterns (n <= pattern_count()).
-  void truncate(std::size_t n);
-
   bool bit(std::size_t pattern, std::size_t input) const {
     return (blocks_[pattern >> 6][input] >> (pattern & 63)) & 1ULL;
   }
-
-  void set_bit(std::size_t pattern, std::size_t input, bool value);
 
   Pattern pattern(std::size_t index) const;
 

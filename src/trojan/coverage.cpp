@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sim/engine.hpp"
-#include "util/assert.hpp"
 
 namespace deterrent::trojan {
 
@@ -55,46 +54,6 @@ CoverageResult evaluate_coverage(const netlist::Netlist& golden,
   for (const std::size_t first : result.first_activation)
     if (first != CoverageResult::kNever) ++result.covered;
   return result;
-}
-
-IncrementalTriggerChecker::IncrementalTriggerChecker(const netlist::Netlist& golden,
-                                                     std::span<const Trojan> trojans)
-    : engine_(golden),
-      trojans_(trojans.begin(), trojans.end()),
-      fired_(trojans.size(), false) {}
-
-const std::vector<bool>& IncrementalTriggerChecker::check(const sim::Pattern& pattern) {
-  const auto inputs = engine_.target().inputs();
-  DETERRENT_ASSERT(pattern.size() == inputs.size(),
-                   "IncrementalTriggerChecker::check: pattern arity mismatch");
-  if (!primed_) {
-    // First pattern: full sweep, broadcast across all 64 lanes so lane 0 is
-    // always the checked pattern.
-    dirty_words_.resize(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      dirty_words_[i] = pattern.test(i) ? ~0ULL : 0ULL;
-    engine_.evaluate(buf_, dirty_words_, 1);
-    last_ops_ = engine_.target().gate_count();
-    primed_ = true;
-  } else {
-    dirty_inputs_.clear();
-    dirty_words_.clear();
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      if (pattern.test(i) != last_.test(i)) {
-        dirty_inputs_.push_back(static_cast<std::uint32_t>(i));
-        dirty_words_.push_back(pattern.test(i) ? ~0ULL : 0ULL);
-      }
-    last_ops_ = engine_.resimulate(buf_, dirty_inputs_, dirty_words_);
-  }
-  last_ = pattern;
-
-  for (std::size_t t = 0; t < trojans_.size(); ++t) {
-    bool fired = true;
-    for (const auto& rn : trojans_[t].trigger)
-      fired = fired && ((buf_.word(rn.net, 0) & 1ULL) != 0) == rn.rare_value;
-    fired_[t] = fired;
-  }
-  return fired_;
 }
 
 }  // namespace deterrent::trojan

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/pattern.hpp"
 #include "trojan/trojan.hpp"
 
@@ -41,42 +40,5 @@ struct CoverageResult {
 CoverageResult evaluate_coverage(const netlist::Netlist& golden,
                                  std::span<const Trojan> trojans,
                                  const sim::PatternSet& patterns);
-
-/// Trigger checks for pattern-mutation loops: caches the golden netlist's
-/// value buffer for the last checked pattern and, on each check(), re-
-/// simulates only the fanout cone of the input bits that changed since the
-/// previous call (sim::Engine::resimulate). Results are bit-identical to
-/// evaluate_coverage on a one-pattern set, at a fraction of the work when
-/// consecutive patterns differ in a few bits.
-///
-/// Not thread-safe: the checker owns one cached buffer; use one instance per
-/// thread (they may not share state anyway, since the cache is the previous
-/// pattern). Deterministic: check() depends only on the pattern passed in.
-class IncrementalTriggerChecker {
- public:
-  /// Compiles `golden` (must be combinational) and copies the trigger list.
-  IncrementalTriggerChecker(const netlist::Netlist& golden,
-                            std::span<const Trojan> trojans);
-
-  /// Simulates `pattern` — incrementally against the previously checked
-  /// pattern — and reports, per trojan, whether its trigger fires. The
-  /// returned reference stays valid until the next check().
-  const std::vector<bool>& check(const sim::Pattern& pattern);
-
-  /// Gate evaluations the last check() performed (full program size for the
-  /// first call or a dense fallback) — the activity statistic benchmarks use.
-  std::size_t last_ops_evaluated() const { return last_ops_; }
-
- private:
-  sim::Engine engine_;
-  sim::EvalBuffer buf_;
-  std::vector<Trojan> trojans_;
-  sim::Pattern last_;
-  std::vector<bool> fired_;
-  std::vector<std::uint32_t> dirty_inputs_;
-  std::vector<std::uint64_t> dirty_words_;
-  std::size_t last_ops_ = 0;
-  bool primed_ = false;
-};
 
 }  // namespace deterrent::trojan

@@ -22,13 +22,4 @@ const char* to_string(BenchMode mode) {
   return "?";
 }
 
-long env_long(const char* name, long fallback) {
-  const char* env = std::getenv(name);
-  if (!env || !*env) return fallback;
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  return value;
-}
-
 }  // namespace deterrent::util

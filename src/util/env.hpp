@@ -18,7 +18,4 @@ BenchMode bench_mode_from_env();
 
 const char* to_string(BenchMode mode);
 
-/// Reads an integer environment variable, returning fallback when unset/invalid.
-long env_long(const char* name, long fallback);
-
 }  // namespace deterrent::util

@@ -45,16 +45,6 @@ void BinaryWriter::bitvec(const BitVec& bv) {
   for (std::size_t w = 0; w < bv.word_count(); ++w) u64(bv.word(w));
 }
 
-void BinaryWriter::u32_vec(std::span<const std::uint32_t> v) {
-  u64(v.size());
-  for (const auto x : v) u32(x);
-}
-
-void BinaryWriter::u64_vec(std::span<const std::uint64_t> v) {
-  u64(v.size());
-  for (const auto x : v) u64(x);
-}
-
 void BinaryWriter::f32_vec(std::span<const float> v) {
   u64(v.size());
   for (const auto x : v) f32(x);
@@ -141,26 +131,6 @@ BitVec BinaryReader::bitvec() {
 // The count guards below use division so oversized length prefixes can
 // neither overflow the byte-count multiplication nor trigger a huge
 // allocation — they throw Error like every other corruption.
-
-std::vector<std::uint32_t> BinaryReader::u32_vec() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 4)
-    throw CorruptArtifactError("artifact vector claims " + std::to_string(n) + " u32 elements but only " +
-                std::to_string(remaining()) + " bytes remain");
-  std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = u32();
-  return v;
-}
-
-std::vector<std::uint64_t> BinaryReader::u64_vec() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 8)
-    throw CorruptArtifactError("artifact vector claims " + std::to_string(n) + " u64 elements but only " +
-                std::to_string(remaining()) + " bytes remain");
-  std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = u64();
-  return v;
-}
 
 std::vector<float> BinaryReader::f32_vec() {
   const std::uint64_t n = u64();

@@ -31,8 +31,6 @@ class BinaryWriter {
   /// Length-prefixed bit count + words.
   void bitvec(const BitVec& bv);
 
-  void u32_vec(std::span<const std::uint32_t> v);
-  void u64_vec(std::span<const std::uint64_t> v);
   void f32_vec(std::span<const float> v);
   void bitvec_vec(std::span<const BitVec> v);
 
@@ -59,8 +57,6 @@ class BinaryReader {
   std::string str();
   BitVec bitvec();
 
-  std::vector<std::uint32_t> u32_vec();
-  std::vector<std::uint64_t> u64_vec();
   std::vector<float> f32_vec();
   std::vector<BitVec> bitvec_vec();
 

@@ -30,9 +30,9 @@ inline void cpu_relax() {
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) n_threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i)
-    workers_.emplace_back([this, i, n_threads] { worker_loop(i, i + 1 < n_threads); });
+  workers_.reserve(n_threads - 1);
+  for (std::size_t i = 0; i + 1 < n_threads; ++i)
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -40,50 +40,14 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_task_.notify_all();
-  cv_spare_.notify_all();
+  cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  // Carry the submitter's watchdog deadline into the worker, so a stage
-  // timeout keeps ticking on every thread doing that stage's work.
-  auto deadline = WatchdogScope::current();
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push([task = std::move(task), deadline] {
-      WatchdogScope::Adopt adopt(deadline);
-      DETERRENT_FAULT_POINT("threadpool.task");
-      task();
-    });
-  }
-  cv_task_.notify_one();
-  cv_spare_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-    error = std::exchange(first_error_, nullptr);
-  }
-  // Rethrow on the submitting thread once the batch has fully drained — the
-  // pool stays consistent and reusable, and the failure surfaces where the
-  // retry/quarantine layers can see it instead of std::terminate-ing a
-  // worker.
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::worker_loop(std::size_t index, bool joins_regions) {
+void ThreadPool::worker_loop(std::size_t index) {
   // A region of n chunks has the caller plus n - 1 workers, so worker
   // `index` joins only regions of more than index + 1 chunks: the busy
-  // threads never outnumber thread_count(), and the last worker
-  // (joins_regions false) serves submit() alone. It waits on its own
-  // condition variable: a region's wake-up never reaches it, so a fork
-  // never waits for it to be scheduled (glibc's broadcast waits for the
-  // waiters it woke before).
-  std::condition_variable& cv = joins_regions ? cv_task_ : cv_spare_;
+  // threads never outnumber thread_count().
   std::uint64_t seen = 0;
   const auto joins = [&](std::uint64_t word) {
     return word != seen && index + 1 < (word & kChunkMask);
@@ -95,36 +59,14 @@ void ThreadPool::worker_loop(std::size_t index, bool joins_regions) {
       cpu_relax();
       word = epoch_.load(std::memory_order_acquire);
     }
-    std::function<void()> task;
     if (!joins(word)) {
       std::unique_lock lock(mutex_);
-      cv.wait(lock, [&] {
+      cv_.wait(lock, [&] {
         word = epoch_.load(std::memory_order_acquire);
-        return joins(word) || !queue_.empty() || stop_;
+        return joins(word) || stop_;
       });
-      if (!joins(word)) {
-        if (queue_.empty()) return;  // stop_
-        task = std::move(queue_.front());
-        queue_.pop();
-        ++active_;
-      }
+      if (!joins(word)) return;  // stop_
     }
-
-    if (task) {
-      std::exception_ptr error;
-      try {
-        task();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-      spin_until = std::chrono::steady_clock::time_point::min();
-      continue;
-    }
-
     seen = word;
     claim_chunks(word >> 32, word & kChunkMask);
     spin_until = std::chrono::steady_clock::now() + kSpin;
@@ -182,7 +124,7 @@ void ThreadPool::parallel_chunks(std::size_t n, const ChunkFn& fn) {
       std::lock_guard lock(mutex_);
       epoch_.store((seq << 32) | n_chunks, std::memory_order_release);
     }
-    cv_task_.notify_all();  // no system call while every joiner spins
+    cv_.notify_all();  // no system call while every joiner spins
     run_chunk(0);
     // Chunks no worker has started yet run here, so a descheduled worker
     // delays nobody.

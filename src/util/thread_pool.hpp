@@ -7,7 +7,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -15,38 +14,33 @@
 
 namespace deterrent::util {
 
-/// Fixed-size worker pool. The paper parallelizes the offline pairwise
+/// Fixed-size fork-join pool. The paper parallelizes the offline pairwise
 /// compatibility computation across 64 processes (§3.3) and trains on
-/// parallel environments (§4.1); this pool backs both.
+/// parallel environments (§4.1); this pool backs both. The calling thread is
+/// one of the pool's threads: a pool of n threads starts n - 1 workers.
 ///
-/// **Failure containment.** A task that throws (a real I/O error, an
-/// injected fault, a watchdog timeout) does not take the worker thread down:
-/// the first in-flight exception is captured and rethrown from the next
-/// wait_idle() — i.e. on the thread that submitted the work — after every
-/// other task has drained, so the pool is always reusable afterwards and a
-/// faulting batch can never deadlock or std::terminate the process. Each
-/// task also runs under the submitting thread's util::WatchdogScope deadline
-/// (captured at submit time), keeping stage watchdogs in force across the
-/// fan-out. The `threadpool.task` fault site fires before every task.
+/// **Failure containment.** A chunk that throws (a real I/O error, an
+/// injected fault, a watchdog timeout) does not take its thread down: the
+/// first exception is captured and rethrown on the calling thread once every
+/// chunk of the region has finished, so the pool is always reusable
+/// afterwards and a faulting region can never deadlock or std::terminate the
+/// process. Each chunk runs under the caller's util::WatchdogScope deadline,
+/// keeping stage watchdogs in force across the fan-out. The
+/// `threadpool.task` fault site fires before every chunk.
 class ThreadPool {
  public:
   using ChunkFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
-  /// n_threads == 0 selects hardware_concurrency (at least 1).
+  /// n_threads == 0 selects hardware_concurrency (at least 1). The caller
+  /// counts as one thread, so n_threads - 1 workers start.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Enqueues a task; wait_idle() blocks until all enqueued tasks ran.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle, then rethrows
-  /// the first exception any task raised since the previous wait_idle().
-  void wait_idle();
+  /// The workers plus the calling thread.
+  std::size_t thread_count() const { return workers_.size() + 1; }
 
   /// Runs fn(i) for i in [0, n) across the pool, blocking until done.
   /// fn must be safe to invoke concurrently for distinct i. Work is handed
@@ -59,32 +53,27 @@ class ThreadPool {
   /// depends only on (n, thread_count()), never on which thread runs a chunk.
   ///
   /// The caller runs chunk 0, then any chunk no worker has claimed, and
-  /// waits for the rest, spinning briefly before it blocks. At most
-  /// thread_count() - 1 workers join a region, so it keeps at most
-  /// thread_count() threads busy; idle workers spin briefly on an atomic
-  /// epoch before they block, so a fork costs about a microsecond. The
-  /// `threadpool.task` fault site fires once per chunk, every chunk runs
-  /// under the caller's watchdog deadline, and the first exception is
-  /// rethrown once every chunk has finished. Concurrent callers take turns;
-  /// a chunk must not call back into the same pool.
+  /// waits for the rest, spinning briefly before it blocks. Only the workers
+  /// a region needs join it, so it keeps at most thread_count() threads
+  /// busy; idle workers spin briefly on an atomic epoch before they block,
+  /// so a fork costs about a microsecond. The `threadpool.task` fault site
+  /// fires once per chunk, every chunk runs under the caller's watchdog
+  /// deadline, and the first exception is rethrown once every chunk has
+  /// finished. Concurrent callers take turns; a chunk must not call back
+  /// into the same pool.
   void parallel_chunks(std::size_t n, const ChunkFn& fn);
 
  private:
-  void worker_loop(std::size_t index, bool joins_regions);
+  void worker_loop(std::size_t index);
   /// Claims and runs chunks of region `seq` until none is left.
   void claim_chunks(std::uint64_t seq, std::uint64_t n_chunks);
   /// Runs chunk c of the posted region, recording its failure.
   void run_chunk(std::size_t c);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
-  std::condition_variable cv_task_;   ///< workers that join regions wait here
-  std::condition_variable cv_spare_;  ///< the last worker waits here
-  std::condition_variable cv_idle_;
-  std::size_t active_ = 0;
+  std::condition_variable cv_;  ///< idle workers wait here for a region or stop_
   bool stop_ = false;
-  std::exception_ptr first_error_;  ///< first task failure, rethrown by wait_idle
 
   // The posted fork-join region. The epoch and claim words pack a region
   // sequence number (high half) with the region's chunk count and its next

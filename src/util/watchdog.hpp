@@ -19,7 +19,7 @@ namespace deterrent::util {
 /// thread forever.
 ///
 /// The deadline is *cooperative*: nothing preempts a loop that never polls.
-/// util::ThreadPool propagates the submitting thread's deadline into its
+/// util::ThreadPool propagates the forking thread's deadline into its
 /// workers, so a stage that fans work out across the pool keeps its deadline
 /// on every thread that executes for it. Scopes nest; an inner scope may only
 /// tighten (never extend) the surrounding deadline.
@@ -45,7 +45,7 @@ class WatchdogScope {
   static void poll(const char* where);
 
   /// RAII adoption of another thread's deadline — how util::ThreadPool hands
-  /// the submitter's deadline to the worker executing its task.
+  /// the forking thread's deadline to the worker running one of its chunks.
   class Adopt {
    public:
     explicit Adopt(std::optional<Deadline> deadline);

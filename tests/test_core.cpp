@@ -2,7 +2,7 @@
 
 #include "bench_gen/random_circuit.hpp"
 #include "core/compatible_set_env.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "core/set_pool.hpp"
 #include "util/thread_pool.hpp"
 
@@ -405,22 +405,15 @@ TEST(Env, MaskingTheorem) {
 
 // ------------------------------------------------------- pipeline ----------
 
-TEST(Deterrent, RejectsSequentialNetlist) {
+TEST(Pipeline, RejectsSequentialNetlist) {
   netlist::NetlistBuilder b;
   const auto a = b.add_input();
   b.mark_output(b.add_dff(a));
   const Netlist nl = b.build();
-  EXPECT_THROW(Deterrent(nl, {}), Error);
+  EXPECT_THROW(Pipeline(nl, {}), Error);
 }
 
-TEST(Deterrent, TrainBeforePrepareThrows) {
-  const Fixture f = make_fixture(40);
-  Deterrent det(f.netlist, {});
-  EXPECT_THROW(det.train(), Error);
-  EXPECT_THROW(det.extract_patterns(), Error);
-}
-
-TEST(Deterrent, ExtractedPatternsRealizeTheirSets) {
+TEST(Pipeline, ExtractedPatternsRealizeTheirSets) {
   const Fixture f = make_fixture(41, 260);
   if (f.rare.size() < 6) GTEST_SKIP();
   DeterrentConfig cfg;
@@ -429,36 +422,37 @@ TEST(Deterrent, ExtractedPatternsRealizeTheirSets) {
   cfg.ppo.episodes_per_update = 6;
   cfg.rare.sim_patterns = 1 << 13;
   cfg.seed = 5;
-  Deterrent det(f.netlist, cfg);
-  det.prepare();
-  det.train();
-  const auto patterns = det.extract_patterns();
+  Pipeline pipeline(f.netlist, cfg);
+  ASSERT_EQ(pipeline.run_remaining(), StageStatus::Complete);
+  const sim::PatternSet& patterns = pipeline.patterns();
   ASSERT_GT(patterns.pattern_count(), 0u);
-  ASSERT_EQ(patterns.pattern_count(), det.extracted_sets().size());
+  EXPECT_LE(patterns.pattern_count(), cfg.k_patterns);
+  ASSERT_EQ(patterns.pattern_count(), pipeline.extracted_sets().size());
 
   // Each pattern must drive every net of its set to the rare value.
   sim::Simulator sim(f.netlist);
   for (std::size_t k = 0; k < patterns.pattern_count(); ++k) {
     const auto values = sim.simulate_pattern(patterns.pattern(k));
-    for (const auto idx : det.extracted_sets()[k].to_indices()) {
-      const auto& rn = det.rare_nets()[idx];
+    for (const auto idx : pipeline.extracted_sets()[k].to_indices()) {
+      const auto& rn = pipeline.rare_nets()[idx];
       EXPECT_EQ(values[rn.net], rn.rare_value)
           << "pattern " << k << " fails its own set";
     }
   }
 }
 
-TEST(Deterrent, TrainingGrowsCompatibleSets) {
+TEST(Pipeline, TrainingGrowsCompatibleSets) {
   const Fixture f = make_fixture(42, 300);
   if (f.rare.size() < 10) GTEST_SKIP();
   DeterrentConfig cfg;
   cfg.updates = 8;
   cfg.ppo.episodes_per_update = 8;
   cfg.seed = 3;
-  Deterrent det(f.netlist, cfg);
-  det.prepare();
-  det.train();
-  const auto& history = det.history();
+  Pipeline pipeline(f.netlist, cfg);
+  ASSERT_EQ(pipeline.run_rare_nets(), StageStatus::Complete);
+  ASSERT_EQ(pipeline.run_compatibility(), StageStatus::Complete);
+  ASSERT_EQ(pipeline.run_train(), StageStatus::Complete);
+  const auto& history = pipeline.history();
   ASSERT_EQ(history.size(), 8u);
   EXPECT_GT(history.back().max_set_size, 1u);
   EXPECT_GT(history.back().cumulative_steps, history.front().cumulative_steps);
@@ -468,33 +462,27 @@ TEST(Deterrent, TrainingGrowsCompatibleSets) {
   EXPECT_GE(history.back().max_set_size, history.front().max_set_size);
 }
 
-TEST(Deterrent, RunConvenienceProducesPatterns) {
-  const Fixture f = make_fixture(43, 200);
-  if (f.rare.size() < 6) GTEST_SKIP();
-  DeterrentConfig cfg;
-  cfg.updates = 3;
-  cfg.k_patterns = 6;
-  cfg.ppo.episodes_per_update = 4;
-  Deterrent det(f.netlist, cfg);
-  const auto patterns = det.run();
-  EXPECT_GT(patterns.pattern_count(), 0u);
-  EXPECT_LE(patterns.pattern_count(), 6u);
-  EXPECT_TRUE(det.prepared());
-}
-
-TEST(Deterrent, PrepareWithExternalRareNets) {
+TEST(Pipeline, AdoptedRareNetsFeedTheLaterStages) {
   // The Figure 7 cross-threshold mechanism: analysis driven by a caller-
-  // supplied rare-net list.
+  // supplied rare-net list instead of the rare-net stage.
   const Fixture f = make_fixture(44, 220, 0.2);
   if (f.rare.size() < 6) GTEST_SKIP();
   DeterrentConfig cfg;
   cfg.updates = 2;
   cfg.ppo.episodes_per_update = 4;
-  Deterrent det(f.netlist, cfg);
-  det.prepare_with(f.rare);
-  EXPECT_EQ(det.rare_nets().size(), f.rare.size());
-  det.train();
-  EXPECT_GT(det.pool().size(), 0u);
+  Pipeline pipeline(f.netlist, cfg);
+  RareNetArtifact artifact;
+  artifact.netlist_fingerprint = pipeline.netlist_fingerprint();
+  artifact.threshold = cfg.rare.threshold;
+  artifact.seed = cfg.seed;
+  artifact.rare_nets = f.rare;
+  artifact.rng_state_after = util::Rng(cfg.seed).state();
+  pipeline.adopt(std::move(artifact));
+  EXPECT_EQ(pipeline.next_stage(), Stage::Compatibility);
+  ASSERT_EQ(pipeline.run_compatibility(), StageStatus::Complete);
+  EXPECT_EQ(pipeline.rare_nets().size(), f.rare.size());
+  ASSERT_EQ(pipeline.run_train(), StageStatus::Complete);
+  EXPECT_GT(pipeline.pool().size(), 0u);
 }
 
 }  // namespace

@@ -485,39 +485,6 @@ TEST(EngineDeath, ResimulateRequiresOneWordBuffer) {
   EXPECT_DEATH(engine.resimulate(wide, {&bit, 1}, {&word, 1}), "one word");
 }
 
-TEST(Engine, IncrementalTriggerCheckerMatchesEvaluateCoverage) {
-  const Netlist nl = random_circuit(31, 200, 10);
-  util::Rng stats_rng(3);
-  const auto stats = estimate_signal_stats(nl, 4096, stats_rng);
-  analysis::RareNetConfig rcfg;
-  rcfg.threshold = 0.4;
-  const auto rare = analysis::find_rare_nets(nl, stats, rcfg);
-  ASSERT_GE(rare.size(), 4u);
-  std::vector<trojan::Trojan> trojans;
-  for (std::size_t i = 0; i + 1 < rare.size() && trojans.size() < 12; i += 2)
-    trojans.push_back({{rare[i], rare[i + 1]}, 0});
-
-  trojan::IncrementalTriggerChecker checker(nl, trojans);
-  util::Rng rng(321);
-  Pattern pattern(nl.inputs().size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) pattern.set(i, rng.bernoulli(0.5));
-  for (int step = 0; step < 60; ++step) {
-    const auto& fired = checker.check(pattern);
-    PatternSet single(nl.inputs().size());
-    single.push(pattern);
-    const auto reference = trojan::evaluate_coverage(nl, trojans, single);
-    for (std::size_t t = 0; t < trojans.size(); ++t)
-      ASSERT_EQ(fired[t], reference.first_activation[t] == 0)
-          << "trojan " << t << " step " << step;
-    // Mutate 1–3 bits for the next round, as a search loop would.
-    const std::size_t flips = 1 + rng.below(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t bit = rng.below(pattern.size());
-      pattern.set(bit, !pattern.test(bit));
-    }
-  }
-}
-
 // --------------------------------------------------- SIMD kernel backends ---
 
 std::vector<std::uint64_t> to_words(std::span<const std::uint64_t> s) {

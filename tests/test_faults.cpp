@@ -182,18 +182,6 @@ TEST(Watchdog, HangFaultConvertsToTimeout) {
 
 // ---------------------------------------------------------- thread pool ----
 
-TEST(ThreadPool, TaskExceptionRethrownAtWaitIdleAndPoolSurvives) {
-  ThreadPool pool(2);
-  pool.submit([] { throw TransientError("boom"); });
-  EXPECT_THROW(pool.wait_idle(), TransientError);
-
-  // The pool is reusable after a failed batch, and the error does not stick.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(ran.load(), 8);
-}
-
 TEST(ThreadPool, ParallelForPropagatesFirstError) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(64,
@@ -201,33 +189,6 @@ TEST(ThreadPool, ParallelForPropagatesFirstError) {
                                    if (i == 13) throw PermanentError("unlucky");
                                  }),
                PermanentError);
-}
-
-TEST(ThreadPool, WorkersAdoptSubmitterWatchdogDeadline) {
-  ThreadPool pool(2);
-  WatchdogScope scope(0.05);
-  pool.submit([] {
-    for (int i = 0; i < 1000; ++i) {
-      WatchdogScope::poll("worker");
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  EXPECT_THROW(pool.wait_idle(), TimeoutError);
-}
-
-TEST(ThreadPool, InjectedTaskFaultSurfacesOnSubmitter) {
-  DisarmGuard guard;
-  faults::FaultSpec spec;
-  spec.action = faults::Action::Throw;
-  spec.nth = 2;
-  faults::arm("threadpool.task", spec);
-
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) pool.submit([&ran] { ++ran; });
-  EXPECT_THROW(pool.wait_idle(), FaultInjectedError);
-  EXPECT_EQ(faults::fired_count("threadpool.task"), 1u);
-  EXPECT_EQ(ran.load(), 3);  // the faulted task never ran its body
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "baselines/atpg_like.hpp"
 #include "baselines/tarmac.hpp"
 #include "bench_gen/library.hpp"
-#include "core/deterrent.hpp"
+#include "core/pipeline.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
 
@@ -16,13 +16,14 @@ namespace {
 
 struct Campaign {
   bench_gen::Benchmark bench;
-  core::Deterrent det;
+  core::Pipeline det;
   std::vector<trojan::Trojan> trojans;
 
   Campaign(const std::string& name, const core::DeterrentConfig& cfg, unsigned width,
            std::size_t n_trojans)
       : bench(bench_gen::load_benchmark(name)), det(bench.scan.comb, cfg) {
-    det.prepare();
+    det.run_rare_nets();
+    det.run_compatibility();
     sat::NetlistOracle oracle(bench.scan.comb);
     util::Rng rng(0xacceded);
     trojan::TrojanSampleConfig tcfg;
@@ -49,8 +50,9 @@ core::DeterrentConfig quick_config() {
 TEST(Integration, DeterrentBeatsRandomWithFarFewerPatterns) {
   Campaign campaign("c2670_like", quick_config(), 4, 60);
   ASSERT_GE(campaign.trojans.size(), 40u);
-  campaign.det.train();
-  const auto patterns = campaign.det.extract_patterns();
+  campaign.det.run_train();
+  campaign.det.run_extract();
+  const sim::PatternSet& patterns = campaign.det.patterns();
   ASSERT_GT(patterns.pattern_count(), 0u);
 
   util::Rng rng(5);
@@ -67,8 +69,9 @@ TEST(Integration, DeterrentBeatsRandomWithFarFewerPatterns) {
 
 TEST(Integration, DeterrentBeatsAtpgLike) {
   Campaign campaign("c2670_like", quick_config(), 4, 60);
-  campaign.det.train();
-  const auto det_patterns = campaign.det.extract_patterns();
+  campaign.det.run_train();
+  campaign.det.run_extract();
+  const sim::PatternSet& det_patterns = campaign.det.patterns();
   util::Rng rng(6);
   const auto atpg =
       baselines::run_atpg_like(campaign.bench.scan.comb, campaign.det.rare_nets(), rng);
@@ -84,8 +87,9 @@ TEST(Integration, DeterrentBeatsTarmacAtEqualPatternBudget) {
   cfg.ppo.episodes_per_update = 16;
   cfg.k_patterns = 48;
   Campaign campaign("c6288_like", cfg, 4, 60);
-  campaign.det.train();
-  const auto det_patterns = campaign.det.extract_patterns();
+  campaign.det.run_train();
+  campaign.det.run_extract();
+  const sim::PatternSet& det_patterns = campaign.det.patterns();
   ASSERT_GT(det_patterns.pattern_count(), 0u);
 
   baselines::TarmacConfig tcfg;
@@ -106,10 +110,12 @@ TEST(Integration, CrossThresholdGeneralization) {
   auto bench = bench_gen::load_benchmark("c6288_like");
   core::DeterrentConfig cfg = quick_config();
   cfg.rare.threshold = 0.14;
-  core::Deterrent det(bench.scan.comb, cfg);
-  det.prepare();
-  det.train();
-  const auto patterns = det.extract_patterns();
+  core::Pipeline det(bench.scan.comb, cfg);
+  det.run_rare_nets();
+  det.run_compatibility();
+  det.run_train();
+  det.run_extract();
+  const sim::PatternSet& patterns = det.patterns();
 
   // Triggers from the tighter θ=0.10 rare-net set.
   util::Rng rng(9);
@@ -140,8 +146,9 @@ TEST(Integration, SequentialBenchmarkEndToEnd) {
   cfg.updates = 6;
   Campaign campaign("s13207_like", cfg, 4, 40);
   ASSERT_GE(campaign.trojans.size(), 20u);
-  campaign.det.train();
-  const auto patterns = campaign.det.extract_patterns();
+  campaign.det.run_train();
+  campaign.det.run_extract();
+  const sim::PatternSet& patterns = campaign.det.patterns();
   ASSERT_GT(patterns.pattern_count(), 0u);
   EXPECT_GE(campaign.coverage(patterns), 0.0);  // runs clean end to end
   // Pattern arity covers PIs + scanned state.

@@ -17,7 +17,6 @@
 #include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "core/campaign.hpp"
-#include "core/deterrent.hpp"
 #include "core/session.hpp"
 #include "netlist/stats.hpp"
 #include "sim/pattern_io.hpp"
@@ -239,9 +238,10 @@ TEST(Pipeline, StagedRunMatchesMonolithicRun) {
   const Netlist nl = make_circuit(40);
   const DeterrentConfig cfg = quick_config(5);
 
-  // Uninterrupted facade run.
-  Deterrent straight(nl, cfg);
-  const auto straight_patterns = straight.run();
+  // Uninterrupted run.
+  Pipeline straight(nl, cfg);
+  ASSERT_EQ(straight.run_remaining(), StageStatus::Complete);
+  const sim::PatternSet& straight_patterns = straight.patterns();
 
   // Staged run: a fresh Pipeline per stage, round-tripping every artifact
   // through disk — the strongest simulation of kill + new-process resume.
@@ -284,8 +284,9 @@ TEST(Pipeline, MidTrainingCheckpointResumesBitIdentically) {
   DeterrentConfig cfg = quick_config(6);
   cfg.updates = 5;
 
-  Deterrent straight(nl, cfg);
-  const auto straight_patterns = straight.run();
+  Pipeline straight(nl, cfg);
+  ASSERT_EQ(straight.run_remaining(), StageStatus::Complete);
+  const sim::PatternSet& straight_patterns = straight.patterns();
 
   TempDir dir("midtrain");
   {
@@ -327,10 +328,12 @@ TEST(Pipeline, MidTrainingCheckpointWithRolloutLanesResumesBitIdentically) {
   DeterrentConfig single_cfg = lanes_cfg;
   single_cfg.ppo.rollout_lanes = 1;
 
-  Deterrent straight_lanes(nl, lanes_cfg);
-  const auto lanes_patterns = straight_lanes.run();
-  Deterrent straight_single(nl, single_cfg);
-  const auto single_patterns = straight_single.run();
+  Pipeline straight_lanes(nl, lanes_cfg);
+  ASSERT_EQ(straight_lanes.run_remaining(), StageStatus::Complete);
+  const sim::PatternSet& lanes_patterns = straight_lanes.patterns();
+  Pipeline straight_single(nl, single_cfg);
+  ASSERT_EQ(straight_single.run_remaining(), StageStatus::Complete);
+  const sim::PatternSet& single_patterns = straight_single.patterns();
   EXPECT_EQ(patterns_text(lanes_patterns), patterns_text(single_patterns))
       << "4 rollout lanes and 1 lane diverged end to end";
 
@@ -370,11 +373,13 @@ TEST(Pipeline, LegacyWorkerCountTrainsAsRolloutLanes) {
   legacy_cfg.ppo.n_workers = 4;
   legacy_cfg.ppo.rollout_lanes = 1;
 
-  Deterrent lanes(nl, lanes_cfg);
-  Deterrent legacy(nl, legacy_cfg);
-  const std::string lanes_text = patterns_text(lanes.run());
+  Pipeline lanes(nl, lanes_cfg);
+  Pipeline legacy(nl, legacy_cfg);
+  ASSERT_EQ(lanes.run_remaining(), StageStatus::Complete);
+  ASSERT_EQ(legacy.run_remaining(), StageStatus::Complete);
+  const std::string lanes_text = patterns_text(lanes.patterns());
   EXPECT_FALSE(lanes_text.empty());
-  EXPECT_EQ(patterns_text(legacy.run()), lanes_text);
+  EXPECT_EQ(patterns_text(legacy.patterns()), lanes_text);
 }
 
 TEST(Pipeline, WorkerCountDoesNotChangeTraining) {
@@ -421,11 +426,12 @@ TEST(Pipeline, TrainZeroUpdatesEdgeRunsOneUpdate) {
   const Netlist nl = make_circuit(42);
   DeterrentConfig cfg = quick_config(7);
   cfg.updates = 0;
-  Deterrent det(nl, cfg);
-  det.prepare();
-  det.train(0);
-  EXPECT_EQ(det.history().size(), 1u);
-  EXPECT_EQ(det.pipeline().effective_updates(), 1u);
+  Pipeline pipeline(nl, cfg);
+  ASSERT_EQ(pipeline.run_rare_nets(), StageStatus::Complete);
+  ASSERT_EQ(pipeline.run_compatibility(), StageStatus::Complete);
+  ASSERT_EQ(pipeline.run_train(0), StageStatus::Complete);
+  EXPECT_EQ(pipeline.history().size(), 1u);
+  EXPECT_EQ(pipeline.effective_updates(), 1u);
 }
 
 TEST(Pipeline, CancellationStopsAtUpdateBoundary) {
@@ -591,8 +597,9 @@ TEST(Session, TrainingPastAnExtractionDropsTheStalePatternArtifact) {
   ASSERT_EQ(p->run_remaining(), StageStatus::Complete);
 
   // And the final result still matches an uninterrupted run.
-  Deterrent straight(nl, cfg);
-  EXPECT_EQ(patterns_text(p->patterns()), patterns_text(straight.run()));
+  Pipeline straight(nl, cfg);
+  ASSERT_EQ(straight.run_remaining(), StageStatus::Complete);
+  EXPECT_EQ(patterns_text(p->patterns()), patterns_text(straight.patterns()));
 }
 
 TEST(Serialize, ForgedLengthPrefixesThrowInsteadOfAllocating) {

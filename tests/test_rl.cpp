@@ -200,15 +200,6 @@ TEST(Categorical, LogProbConsistent) {
     EXPECT_NEAR(std::exp(dist.log_prob(a)), dist.probs()[a], 1e-6);
 }
 
-TEST(Categorical, ArgmaxRespectsMask) {
-  util::BitVec mask(3);
-  mask.set(0);
-  mask.set(2);
-  const std::vector<float> logits{0.0f, 10.0f, 1.0f};
-  const MaskedCategorical dist(logits, mask);
-  EXPECT_EQ(dist.argmax(), 2u);  // action 1 is masked despite max logit
-}
-
 TEST(Categorical, EntropyZeroForSingleAction) {
   util::BitVec mask(5);
   mask.set(3);

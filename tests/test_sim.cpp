@@ -83,27 +83,6 @@ TEST(PatternSet, RandomBitsBalanced) {
   }
 }
 
-TEST(PatternSet, AppendAndTruncate) {
-  util::Rng rng(7);
-  auto a = PatternSet::random(6, 70, rng);
-  const auto b = PatternSet::random(6, 10, rng);
-  a.append(b);
-  EXPECT_EQ(a.pattern_count(), 80u);
-  EXPECT_EQ(a.pattern(75), b.pattern(5));
-  a.truncate(3);
-  EXPECT_EQ(a.pattern_count(), 3u);
-  EXPECT_EQ(a.block_count(), 1u);
-}
-
-TEST(PatternSet, SetBit) {
-  PatternSet set(3);
-  set.push(Pattern(3));
-  set.set_bit(0, 1, true);
-  EXPECT_TRUE(set.bit(0, 1));
-  set.set_bit(0, 1, false);
-  EXPECT_FALSE(set.bit(0, 1));
-}
-
 // ---------------------------------------------------------- Simulator ------
 
 TEST(Simulator, RejectsSequential) {

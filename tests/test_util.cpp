@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -18,6 +22,8 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/watchdog.hpp"
+
+#include "../bench/common.hpp"
 
 namespace deterrent::util {
 namespace {
@@ -258,14 +264,6 @@ TEST(BitVec, ToString) {
 
 // --------------------------------------------------------- ThreadPool ------
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
@@ -287,14 +285,32 @@ TEST(ThreadPool, ParallelChunksPartition) {
   EXPECT_EQ(total.load(), 997u);
 }
 
-TEST(ThreadPool, WaitIdleAllowsReuse) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.submit([&counter] { ++counter; });
-    pool.wait_idle();
+TEST(ThreadPool, CallerIsOneOfTheThreads) {
+  // n threads are the caller plus n - 1 workers, so a one-thread pool starts
+  // no thread and runs every region on the caller.
+  const auto process_threads = [] {
+    const std::filesystem::path tasks = "/proc/self/task";
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const bool can_count = std::filesystem::exists("/proc/self/task");
+  const auto before = can_count ? process_threads() : 0;
+  {
+    ThreadPool single(1);
+    EXPECT_EQ(single.thread_count(), 1u);
+    if (can_count) EXPECT_EQ(process_threads(), before);
+    std::vector<std::thread::id> ids;
+    single.parallel_chunks(5, [&](std::size_t c, std::size_t b, std::size_t e) {
+      EXPECT_EQ(c, 0u);
+      EXPECT_EQ(b, 0u);
+      EXPECT_EQ(e, 5u);
+      ids.push_back(std::this_thread::get_id());
+    });
+    EXPECT_EQ(ids, std::vector<std::thread::id>{std::this_thread::get_id()});
   }
-  EXPECT_EQ(counter.load(), 100);
+  ThreadPool three(3);
+  EXPECT_EQ(three.thread_count(), 3u);
+  if (can_count) EXPECT_EQ(process_threads(), before + 2);
 }
 
 // ------------------------------------------------ ThreadPool fork-join ----
@@ -334,27 +350,6 @@ TEST(ThreadPoolForkJoin, CallerRunsChunkZeroAndWorkersTheRest) {
     single = std::this_thread::get_id();
   });
   EXPECT_EQ(single, std::this_thread::get_id());
-}
-
-TEST(ThreadPoolForkJoin, CallerRunsChunksNoWorkerStarted) {
-  // Every worker is held by a queued task, so the caller must run the whole
-  // region itself instead of waiting for them.
-  ThreadPool pool(3);
-  std::atomic<bool> release{false};
-  std::atomic<int> held{0};
-  for (int i = 0; i < 3; ++i)
-    pool.submit([&] {
-      ++held;
-      while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-  while (held < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  std::vector<std::thread::id> threads(3);
-  pool.parallel_chunks(3, [&](std::size_t c, std::size_t, std::size_t) {
-    threads[c] = std::this_thread::get_id();
-  });
-  for (const auto& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
-  release = true;
-  pool.wait_idle();
 }
 
 TEST(ThreadPoolForkJoin, RegionsKeepAtMostThreadCountThreadsBusy) {
@@ -414,15 +409,11 @@ TEST(ThreadPoolForkJoin, ExceptionSurfacesOnlyAfterEveryChunkFinished) {
       if (c != thrower) EXPECT_TRUE(finished[c].load()) << "chunk " << c;
   }
 
-  // Reusable afterwards, for both fork-join and queued work, and the error
-  // does not stick.
+  // Reusable afterwards, and the error does not stick.
   std::atomic<std::size_t> total{0};
-  pool.parallel_chunks(100, [&](std::size_t, std::size_t b, std::size_t e) { total += e - b; });
+  EXPECT_NO_THROW(pool.parallel_chunks(
+      100, [&](std::size_t, std::size_t b, std::size_t e) { total += e - b; }));
   EXPECT_EQ(total.load(), 100u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolForkJoin, FaultSiteFiresOncePerChunk) {
@@ -528,13 +519,39 @@ TEST(EnvConfig, BenchModeDefault) {
   unsetenv("DETERRENT_BENCH_MODE");
 }
 
-TEST(EnvConfig, EnvLongParsesAndFallsBack) {
-  setenv("DETERRENT_TEST_LONG", "42", 1);
-  EXPECT_EQ(env_long("DETERRENT_TEST_LONG", 7), 42);
-  setenv("DETERRENT_TEST_LONG", "not_a_number", 1);
-  EXPECT_EQ(env_long("DETERRENT_TEST_LONG", 7), 7);
-  unsetenv("DETERRENT_TEST_LONG");
-  EXPECT_EQ(env_long("DETERRENT_TEST_LONG", 9), 9);
+// ------------------------------------------------------ bench JSON -------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(BenchJson, RewritingAMiddleBlockKeepsTheOthersInPlace) {
+  // The layout the bench binaries write into BENCH_sim.json: one block per
+  // binary, each at two-space indentation.
+  const std::string first = "{\n  \"bench\": \"micro_sim\",\n  \"results\": [\n    1\n  ],";
+  const std::string middle = "\n  \"sat\": {\n    \"queries\": [1, 2],\n    \"note\": \"a},b\"\n  }";
+  const std::string last = ",\n  \"ppo\": {\n    \"lanes\": 8\n  }\n}\n";
+  const std::string path = testing::TempDir() + "bench_json_splice.json";
+  std::ofstream(path) << first << middle << last;
+
+  const bench::JsonSplice splice = bench::json_splice(path, "sat");
+  EXPECT_EQ(splice.head, first);
+  EXPECT_EQ(splice.tail, last);
+  std::ofstream(path) << splice.head << "\n  \"sat\": {\n    \"queries\": 3\n  }"
+                      << splice.tail;
+  EXPECT_EQ(read_file(path), first + "\n  \"sat\": {\n    \"queries\": 3\n  }" + last);
+
+  // A block the file does not hold yet goes last.
+  const std::string rewritten = read_file(path);
+  const bench::JsonSplice added = bench::json_splice(path, "new");
+  EXPECT_EQ(added.head, rewritten.substr(0, rewritten.size() - 3) + ",");
+  EXPECT_EQ(added.tail, "\n}\n");
+
+  std::remove(path.c_str());
+  const bench::JsonSplice fresh = bench::json_splice(path, "sat");
+  EXPECT_EQ(fresh.head, "{");
+  EXPECT_EQ(fresh.tail, "\n}\n");
 }
 
 }  // namespace
