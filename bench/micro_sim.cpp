@@ -221,7 +221,7 @@ int run_micro_sim(int argc, char** argv) {
   // the speedup reference. Checksums must equal the seed simulator's — the
   // backends are required to be bit-identical, not just fast.
   struct IsaResult {
-    sim::kernels::Isa isa;
+    util::Isa isa;
     double gate_evals_per_sec = 0.0;
     double speedup_vs_scalar = 0.0;
     std::uint64_t checksum = 0;
@@ -232,7 +232,7 @@ int run_micro_sim(int argc, char** argv) {
     // Measure the scalar baseline explicitly first (it is always supported)
     // instead of relying on supported_isas() listing Scalar before the wide
     // backends — the speedup denominator must never be an uninitialized 0.
-    const sim::Engine scalar_engine(w.netlist, sim::kernels::Isa::Scalar);
+    const sim::Engine scalar_engine(w.netlist, util::Isa::Scalar);
     const auto sm = measure_engine_sweep(w, min_seconds, scalar_engine,
                                          sim::Engine::kDefaultWords);
     const double scalar_rate = sm.gate_evals_per_sec;
@@ -240,10 +240,10 @@ int run_micro_sim(int argc, char** argv) {
       std::fprintf(stderr, "micro_sim: scalar baseline rate is not positive\n");
       return 1;
     }
-    isa_results.push_back({sim::kernels::Isa::Scalar, sm.gate_evals_per_sec, 1.0,
+    isa_results.push_back({util::Isa::Scalar, sm.gate_evals_per_sec, 1.0,
                            sm.checksum, sm.checksum == seed_checksum});
-    for (const sim::kernels::Isa isa : sim::kernels::supported_isas()) {
-      if (isa == sim::kernels::Isa::Scalar) continue;
+    for (const util::Isa isa : util::supported_isas(sim::kernels::table_or_null)) {
+      if (isa == util::Isa::Scalar) continue;
       const sim::Engine isa_engine(w.netlist, isa);
       const auto m = measure_engine_sweep(w, min_seconds, isa_engine,
                                           sim::Engine::kDefaultWords);
@@ -380,11 +380,11 @@ int run_micro_sim(int argc, char** argv) {
   }
 
   std::printf("\nSIMD kernel backends (W = %zu; engine rows above used: %s):\n",
-              sim::Engine::kDefaultWords, sim::kernels::to_string(engine.isa()));
+              sim::Engine::kDefaultWords, util::to_string(engine.isa()));
   std::printf("%-10s %16s %18s %10s\n", "isa", "gate_evals/s", "speedup_vs_scalar",
               "checksums");
   for (const auto& r : isa_results) {
-    std::printf("%-10s %16.3e %17.2fx %10s\n", sim::kernels::to_string(r.isa),
+    std::printf("%-10s %16.3e %17.2fx %10s\n", util::to_string(r.isa),
                 r.gate_evals_per_sec, r.speedup_vs_scalar,
                 r.checksums_ok ? "ok" : "MISMATCH");
     checksums_ok = checksums_ok && r.checksums_ok;
@@ -417,14 +417,14 @@ int run_micro_sim(int argc, char** argv) {
   // The backend the engine_w* rows above actually ran on (honors a forced
   // DETERRENT_FORCE_ISA); the per-ISA rows below are self-labeled.
   std::fprintf(f, "  \"engine_isa\": \"%s\",\n",
-               sim::kernels::to_string(engine.isa()));
+               util::to_string(engine.isa()));
   std::fprintf(f, "  \"simd\": [\n");
   for (std::size_t i = 0; i < isa_results.size(); ++i) {
     const auto& r = isa_results[i];
     std::fprintf(f,
                  "    {\"isa\": \"%s\", \"words\": %zu, \"gate_evals_per_sec\": "
                  "%.6e, \"speedup_vs_scalar\": %.4f, \"checksums_ok\": %s}%s\n",
-                 sim::kernels::to_string(r.isa), sim::Engine::kDefaultWords,
+                 util::to_string(r.isa), sim::Engine::kDefaultWords,
                  r.gate_evals_per_sec, r.speedup_vs_scalar,
                  r.checksums_ok ? "true" : "false",
                  i + 1 == isa_results.size() ? "" : ",");

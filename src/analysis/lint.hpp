@@ -104,7 +104,7 @@ struct LintRule {
 };
 
 /// The full rule catalog, registry order (parse tier first). Parse-tier rules
-/// fire from netlist::read_bench_checked diagnostics, not from Linter::lint.
+/// fire from netlist::read_bench_*_checked diagnostics, not from Linter::lint.
 std::span<const LintRule> lint_rules();
 
 /// Looks a rule up by id; nullptr when unknown.
@@ -132,7 +132,7 @@ class Linter {
   LintConfig config_;
 };
 
-/// Merges parse-tier diagnostics (from netlist::read_bench_checked) into
+/// Merges parse-tier diagnostics (from netlist::read_bench_*_checked) into
 /// `report`, mapping each netlist::ParseDiagnostic code onto the registered
 /// parse/drc rule of the same id (unknown codes fall back to parse.syntax).
 /// Respects config.disabled; parse-tier findings are never truncated.

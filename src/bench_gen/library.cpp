@@ -115,7 +115,11 @@ Benchmark load_benchmark(const std::string& name) {
 Benchmark load_benchmark_file(const std::string& path) {
   Benchmark bench;
   bench.name = path;
-  bench.original = netlist::read_bench_file(path);
+  auto parsed = netlist::read_bench_file_checked(path);
+  if (!parsed.ok())
+    throw Error(path + ": line " + std::to_string(parsed.diagnostics[0].line) + ": " +
+                parsed.diagnostics[0].message);
+  bench.original = std::move(*parsed.netlist);
   bench.scan = netlist::make_full_scan(bench.original);
   return bench;
 }

@@ -28,7 +28,8 @@ Benchmark load_benchmark(const std::string& name);
 
 /// Loads a user-provided ISCAS `.bench` netlist (e.g. a real c2670) and wraps
 /// it in the same interface, so genuine benchmarks drop in without code
-/// changes.
+/// changes. Throws deterrent::Error when the file is unreadable or the
+/// checked parse reports a diagnostic (the first one is named).
 Benchmark load_benchmark_file(const std::string& path);
 
 /// All built-in profile names, Table 2 order.

@@ -27,8 +27,7 @@ std::string upper(std::string s) {
 }
 
 /// Internal unwind token for one malformed line: carries the structured
-/// diagnostic so the strict front end can throw it as deterrent::Error and
-/// the checked front end can record it and keep parsing.
+/// diagnostic so the parser can record it and keep parsing.
 struct LineFail {
   ParseDiagnostic diagnostic;
 };
@@ -57,26 +56,10 @@ std::optional<GateType> cell_from_name(const std::string& word) {
 
 class Parser {
  public:
-  /// Strict mode: throws deterrent::Error with a line number on the first
-  /// problem (the historical API contract).
-  Netlist parse(std::istream& in) {
-    std::string line;
-    std::size_t line_no = 0;
-    while (next_line(in, line, line_no)) {
-      try {
-        parse_line(line, line_no);
-      } catch (const LineFail& fail) {
-        throw Error(strict_message(fail.diagnostic));
-      }
-    }
-    for (NetId out : pending_outputs_) builder_.mark_output(out);
-    return builder_.build();
-  }
-
-  /// Checked mode: never throws on malformed content; every problem in the
-  /// file becomes a diagnostic (a bad line is skipped, parsing continues) and
-  /// the netlist is built only when the source is fully clean.
-  BenchParseResult parse_checked(std::istream& in) {
+  /// Never throws on malformed content: every problem in the file becomes a
+  /// diagnostic (a bad line is skipped, parsing continues) and the netlist is
+  /// built only when the source is fully clean.
+  BenchParseResult parse(std::istream& in) {
     BenchParseResult result;
     std::string line;
     std::size_t line_no = 0;
@@ -111,11 +94,6 @@ class Parser {
       if (!line.empty()) return true;
     }
     return false;
-  }
-
-  static std::string strict_message(const ParseDiagnostic& diagnostic) {
-    return "bench parse error at line " + std::to_string(diagnostic.line) + ": " +
-           diagnostic.message;
   }
 
   ParseDiagnostic from_issue(const BuildIssue& issue) const {
@@ -276,32 +254,15 @@ std::string_view bench_cell_name(GateType type) {
 
 }  // namespace
 
-Netlist read_bench(std::istream& in) { return Parser{}.parse(in); }
-
-Netlist read_bench_string(const std::string& text) {
-  std::istringstream iss(text);
-  return read_bench(iss);
-}
-
-Netlist read_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open bench file: " + path);
-  return read_bench(in);
-}
-
-BenchParseResult read_bench_checked(std::istream& in) {
-  return Parser{}.parse_checked(in);
-}
-
 BenchParseResult read_bench_string_checked(const std::string& text) {
   std::istringstream iss(text);
-  return read_bench_checked(iss);
+  return Parser{}.parse(iss);
 }
 
 BenchParseResult read_bench_file_checked(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open bench file: " + path);
-  return read_bench_checked(in);
+  return Parser{}.parse(in);
 }
 
 void write_bench(const Netlist& netlist, std::ostream& out) {

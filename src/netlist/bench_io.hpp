@@ -9,25 +9,21 @@
 
 namespace deterrent::netlist {
 
-/// Reader/writer for the ISCAS `.bench` netlist format, e.g.:
-///
-///   # c17
-///   INPUT(G1)
-///   OUTPUT(G22)
-///   G10 = NAND(G1, G3)
-///   G22 = DFF(G10)
-///
-/// Definitions may appear in any order (uses before definitions are legal).
-/// Recognized cells: BUF/BUFF, NOT/INV, AND, NAND, OR, NOR, XOR, XNOR, DFF,
-/// CONST0/GND, CONST1/VDD. Parsing problems throw deterrent::Error with a
-/// line number.
-Netlist read_bench(std::istream& in);
-Netlist read_bench_string(const std::string& text);
-Netlist read_bench_file(const std::string& path);
+// Reader/writer for the ISCAS `.bench` netlist format, e.g.:
+//
+//   # c17
+//   INPUT(G1)
+//   OUTPUT(G22)
+//   G10 = NAND(G1, G3)
+//   G22 = DFF(G10)
+//
+// Definitions may appear in any order (uses before definitions are legal).
+// Recognized cells: BUF/BUFF, NOT/INV, AND, NAND, OR, NOR, XOR, XNOR, DFF,
+// CONST0/GND, CONST1/VDD.
 
 /// Serializes to `.bench`. Unnamed nets get synthetic `n<ID>` names.
-/// `read_bench_string(write_bench_string(nl))` reproduces `nl` up to net
-/// ordering (tested as a round-trip property).
+/// `read_bench_string_checked(write_bench_string(nl))` reproduces `nl` up to
+/// net ordering (tested as a round-trip property).
 void write_bench(const Netlist& netlist, std::ostream& out);
 std::string write_bench_string(const Netlist& netlist);
 void write_bench_file(const Netlist& netlist, const std::string& path);
@@ -61,7 +57,6 @@ struct BenchParseResult {
 /// diagnostics instead of first-error exceptions. This is the lint front
 /// door for files a public scan service cannot assume well-formed; I/O
 /// failures (unreadable file) still throw deterrent::Error.
-BenchParseResult read_bench_checked(std::istream& in);
 BenchParseResult read_bench_string_checked(const std::string& text);
 BenchParseResult read_bench_file_checked(const std::string& path);
 

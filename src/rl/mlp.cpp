@@ -144,10 +144,9 @@ void Mlp::backward(std::span<const float> input, const Workspace& ws,
   }
 }
 
-template <typename RowPtrFn>
-std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                               BatchWorkspace& ws,
-                                               util::ThreadPool* pool) const {
+std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
+                                          std::size_t rows, BatchWorkspace& ws,
+                                          util::ThreadPool* pool) const {
   DETERRENT_ASSERT(rows > 0, "Mlp::forward_batch needs at least one row");
   ws.rows = rows;
   ws.post.resize(layers_.size());
@@ -171,7 +170,7 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
         std::copy(layer.b.begin(), layer.b.end(), out + n * layer.out);
       if (l == 0) {
         for (std::size_t n = n0; n < n1; ++n) {
-          const float* x = row_ptr(n);
+          const float* x = row_ptrs[n];
           const std::size_t count = kernels_->nonzero_indices(x, layer.in, s.idx.data());
           for (std::size_t j = 0; j < count; ++j) s.coef[j] = x[s.idx[j]];
           kernels_->axpy_indexed(s.coef.data(), s.idx.data(), count, layer.wt.data(),
@@ -192,28 +191,9 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   return ws.post.back();
 }
 
-std::span<const float> Mlp::forward_batch(std::span<const float> input,
-                                          std::size_t rows, BatchWorkspace& ws,
-                                          util::ThreadPool* pool) const {
-  DETERRENT_ASSERT(input.size() == rows * input_size(),
-                   "Mlp::forward_batch input size mismatch");
-  const std::size_t in = input_size();
-  const float* base = input.data();
-  return forward_batch_impl([base, in](std::size_t n) { return base + n * in; },
-                            rows, ws, pool);
-}
-
-std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
-                                          std::size_t rows, BatchWorkspace& ws,
-                                          util::ThreadPool* pool) const {
-  return forward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; },
-                            rows, ws, pool);
-}
-
-template <typename RowPtrFn>
-void Mlp::backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
-                              std::span<const float> output_grads,
-                              util::ThreadPool* pool) {
+void Mlp::backward_batch(const float* const* row_ptrs, BatchWorkspace& ws,
+                         std::span<const float> output_grads,
+                         util::ThreadPool* pool) {
   const std::size_t rows = ws.rows;
   DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size(),
                    "Mlp::backward_batch workspace/layer mismatch");
@@ -240,7 +220,7 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
       for_parts(pool, [&](std::size_t part, std::size_t parts) {
         bias_grads(slice(layer.out, part, parts));
         const auto [i0, i1] = slice(layer.in, part, parts);
-        layer0_weight_grads(row_ptr, rows, grad, i0, i1, ws.parts[part]);
+        layer0_weight_grads(row_ptrs, rows, grad, i0, i1, ws.parts[part]);
       });
       break;  // no upstream layer to feed
     }
@@ -288,9 +268,8 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
   }
 }
 
-template <typename RowPtrFn>
-void Mlp::layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* grad,
-                              std::size_t i0, std::size_t i1,
+void Mlp::layer0_weight_grads(const float* const* row_ptrs, std::size_t rows,
+                              const float* grad, std::size_t i0, std::size_t i1,
                               BatchWorkspace::Part& s) {
   // gw[o][i] += g[n][o]·x[n][i] for the part's inputs i, rows ascending:
   // one register-held sum per weight-gradient column over the rows where
@@ -305,7 +284,7 @@ void Mlp::layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* g
   s.coef.resize(rows);
   for (std::size_t n = 0; n < rows; ++n) {
     const std::size_t count =
-        kernels_->nonzero_indices(row_ptr(n) + i0, width, s.idx.data());
+        kernels_->nonzero_indices(row_ptrs[n] + i0, width, s.idx.data());
     for (std::size_t j = 0; j < count; ++j)
       s.rows_of[s.idx[j] * words + n / 64] |= std::uint64_t{1} << (n % 64);
   }
@@ -324,7 +303,7 @@ void Mlp::layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* g
         for (std::uint64_t b = bits[i * words + w]; b != 0; b &= b - 1) {
           const std::size_t n = w * 64 + static_cast<std::size_t>(std::countr_zero(b));
           s.idx[count] = static_cast<std::uint32_t>(n);
-          s.coef[count++] = row_ptr(n)[i0 + i];
+          s.coef[count++] = row_ptrs[n][i0 + i];
         }
       kernels_->axpy_indexed(s.coef.data(), s.idx.data(), count, grad, layer.out,
                              s.tile.data() + (i - t0) * layer.out, layer.out);
@@ -333,23 +312,7 @@ void Mlp::layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* g
   }
 }
 
-void Mlp::backward_batch(std::span<const float> input, BatchWorkspace& ws,
-                         std::span<const float> output_grads,
-                         util::ThreadPool* pool) {
-  DETERRENT_ASSERT(input.size() == ws.rows * input_size(),
-                   "Mlp::backward_batch input size mismatch");
-  const std::size_t in = input_size();
-  const float* base = input.data();
-  backward_batch_impl([base, in](std::size_t n) { return base + n * in; }, ws,
-                      output_grads, pool);
-}
-
-void Mlp::backward_batch(const float* const* row_ptrs, BatchWorkspace& ws,
-                         std::span<const float> output_grads,
-                         util::ThreadPool* pool) {
-  backward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; }, ws,
-                      output_grads, pool);
-}
+util::Isa Mlp::isa() const { return kernels_->isa; }
 
 void Mlp::zero_grad() {
   for (auto& layer : layers_) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace deterrent::util {
@@ -69,32 +70,25 @@ class Mlp {
     std::vector<Part> parts;
   };
 
-  /// Computes outputs for `rows` stacked observations (row-major, rows ×
-  /// input_size). Row r of the result is bit-identical to forward() on that
-  /// row: each output is the same ascending-index chain, accumulated per row
-  /// from a transposed weight copy on the widest kernel backend the host
-  /// supports (all bit-identical). The first layer adds only each row's
-  /// nonzero inputs; a skipped term is a signed zero, which cannot change an
-  /// accumulator that never holds −0 (docs/training.md). Thread-safe.
+  /// Computes outputs (row-major, rows × output_size()) for `rows`
+  /// observations, row r's at row_ptrs[r]: the trainer passes shuffled
+  /// minibatch rows and per-lane observations in place. Row r of the result
+  /// is bit-identical to forward() on that row: each output is the same
+  /// ascending-index chain, accumulated per row from a transposed weight copy
+  /// on the host's widest kernel backend (all bit-identical). The first layer
+  /// adds only each row's nonzero inputs; a skipped term is a signed zero,
+  /// which cannot change an accumulator that never holds −0 (docs/training.md).
+  /// Thread-safe.
   /// With a pool the rows are split across its threads; every batched pass
   /// splits only along axes no sum runs over, so it is bit-identical.
-  std::span<const float> forward_batch(std::span<const float> input,
-                                       std::size_t rows, BatchWorkspace& ws,
-                                       util::ThreadPool* pool = nullptr) const;
-
-  /// Row-pointer variant: row r's observation lives at row_ptrs[r] (each
-  /// input_size() floats). Bit-identical to gathering the rows into one
-  /// contiguous buffer and calling the span overload — the batched trainer
-  /// feeds shuffled minibatch rows and per-lane observations directly,
-  /// skipping that gather copy. Thread-safe.
   std::span<const float> forward_batch(const float* const* row_ptrs,
                                        std::size_t rows, BatchWorkspace& ws,
                                        util::ThreadPool* pool = nullptr) const;
 
   /// Batch counterpart of backward(): accumulates parameter gradients for the
-  /// row-major rows × output_grads given the workspace and input of the
-  /// matching forward_batch(). Each gradient element gets backward()'s terms
-  /// in backward()'s order (weights and biases: rows ascending; inputs:
+  /// row-major rows × output_grads given the workspace and row pointers of
+  /// the matching forward_batch(). Each gradient element gets backward()'s
+  /// terms in backward()'s order (weights and biases: rows ascending; inputs:
   /// outputs ascending), with the zero terms either side skips being signed
   /// zeros that cannot change an accumulator (docs/training.md). The output
   /// layer's input gradient sums only each row's nonzero output gradients
@@ -103,12 +97,6 @@ class Mlp {
   /// computes no input gradient. With a pool, weight and bias gradients are
   /// split by output (layer 0's weight gradient by input) and input
   /// gradients by row.
-  void backward_batch(std::span<const float> input, BatchWorkspace& ws,
-                      std::span<const float> output_grads,
-                      util::ThreadPool* pool = nullptr);
-
-  /// Row-pointer variant of backward_batch(); pass the same row pointers as
-  /// the matching forward_batch() call.
   void backward_batch(const float* const* row_ptrs, BatchWorkspace& ws,
                       std::span<const float> output_grads,
                       util::ThreadPool* pool = nullptr);
@@ -130,6 +118,9 @@ class Mlp {
 
   const std::vector<std::size_t>& layer_sizes() const { return layer_sizes_; }
 
+  /// The kernel backend of the batched passes (fixed at construction).
+  util::Isa isa() const;
+
   /// All parameters as one flat vector, in params() order (per layer:
   /// weights then biases) — the serialization image of the network.
   std::vector<float> flat_params() const;
@@ -139,21 +130,10 @@ class Mlp {
   void set_flat_params(std::span<const float> flat);
 
  private:
-  /// Shared implementations of the batched passes over a row accessor
-  /// (contiguous span or scattered row pointers); instantiated in mlp.cpp.
-  template <typename RowPtrFn>
-  std::span<const float> forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                            BatchWorkspace& ws,
-                                            util::ThreadPool* pool) const;
-  template <typename RowPtrFn>
-  void backward_batch_impl(RowPtrFn row_ptr, BatchWorkspace& ws,
-                           std::span<const float> output_grads,
-                           util::ThreadPool* pool);
-
   /// Layer 0's weight gradient for inputs [i0, i1), on one part's scratch.
-  template <typename RowPtrFn>
-  void layer0_weight_grads(RowPtrFn row_ptr, std::size_t rows, const float* grad,
-                           std::size_t i0, std::size_t i1, BatchWorkspace::Part& s);
+  void layer0_weight_grads(const float* const* row_ptrs, std::size_t rows,
+                           const float* grad, std::size_t i0, std::size_t i1,
+                           BatchWorkspace::Part& s);
 
   struct Layer {
     std::size_t in = 0;

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/isa.hpp"
+
 // Kernel-table core shared by rl::Mlp's batched passes and the per-ISA
 // backend TUs (mlp_kernels_scalar section of mlp_kernels.cpp,
 // mlp_kernels_avx2.cpp, mlp_kernels_avx512.cpp). Deliberately minimal for the
@@ -23,15 +25,8 @@
 
 namespace deterrent::rl::kernels {
 
-/// Backends for the MLP batch kernels. Mirrors sim::kernels::Isa but kept
-/// separate: the RL kernels are float math with their own exactness contract
-/// (no FMA), and not every sim backend needs an RL counterpart — hosts
-/// without a wide backend (including aarch64) run the scalar table, which
-/// the compiler's base flags already auto-vectorize element-wise.
-enum class MlpIsa : std::uint8_t { Scalar, Avx2, Avx512 };
-
 struct MlpKernelTable {
-  MlpIsa isa;
+  util::Isa isa;
   const char* name;
 
   /// For k ascending in [0, terms): acc[j] += coef[k*stride] * m[k*ld + j]

@@ -1,16 +1,12 @@
-// Scalar MLP batch kernels + backend dispatch. The wide backends live in
-// their own ISA-flagged TUs (mlp_kernels_avx2.cpp, mlp_kernels_avx512.cpp);
-// this TU is compiled with base flags and -ffp-contract=off, so the scalar
-// loops here round exactly like rl::Mlp's per-sample loops on every host.
+// Scalar MLP batch kernels and the MLP family's backend switch. The wide
+// backends live in their own ISA-flagged TUs (mlp_kernels_avx2.cpp,
+// mlp_kernels_avx512.cpp); this TU is compiled with base flags and
+// -ffp-contract=off, so the scalar loops here round exactly like rl::Mlp's
+// per-sample loops on every host.
 #include "rl/mlp_kernels.hpp"
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <string>
-#include <string_view>
-
-#include "util/assert.hpp"
 
 namespace deterrent::rl::kernels {
 
@@ -163,89 +159,25 @@ void adam_step_scalar(float* values, float* m, float* v, const float* grads,
 }
 
 constinit const MlpKernelTable kScalarTable{
-    MlpIsa::Scalar,          "scalar",     &axpy_rows_scalar, &axpy_indexed_scalar,
+    util::Isa::Scalar,       "scalar",     &axpy_rows_scalar, &axpy_indexed_scalar,
     &nonzero_indices_scalar, &tanh_scalar, &adam_step_scalar};
-
-const MlpKernelTable* table_or_null(MlpIsa isa) {
-  switch (isa) {
-    case MlpIsa::Scalar: return mlp_scalar_table();
-    case MlpIsa::Avx2: return mlp_avx2_table();
-    case MlpIsa::Avx512: return mlp_avx512_table();
-  }
-  return nullptr;
-}
-
-bool cpu_supports(MlpIsa isa) {
-  switch (isa) {
-    case MlpIsa::Scalar:
-      return true;
-    case MlpIsa::Avx2:
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case MlpIsa::Avx512:
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
 
 }  // namespace
 
 const MlpKernelTable* mlp_scalar_table() { return &kScalarTable; }
 
-const char* to_string(MlpIsa isa) {
+const MlpKernelTable* table_or_null(util::Isa isa) {
   switch (isa) {
-    case MlpIsa::Scalar: return "scalar";
-    case MlpIsa::Avx2: return "avx2";
-    case MlpIsa::Avx512: return "avx512";
+    case util::Isa::Scalar:
+    case util::Isa::Neon: return mlp_scalar_table();
+    case util::Isa::Avx2: return mlp_avx2_table();
+    case util::Isa::Avx512: return mlp_avx512_table();
   }
-  return "?";
+  return nullptr;
 }
 
-bool mlp_isa_supported(MlpIsa isa) {
-  return table_or_null(isa) != nullptr && cpu_supports(isa);
-}
-
-std::vector<MlpIsa> supported_mlp_isas() {
-  std::vector<MlpIsa> out;
-  for (const MlpIsa isa : {MlpIsa::Scalar, MlpIsa::Avx2, MlpIsa::Avx512})
-    if (mlp_isa_supported(isa)) out.push_back(isa);
-  return out;
-}
-
-const MlpKernelTable& mlp_kernel_table(MlpIsa isa) {
-  const MlpKernelTable* table = table_or_null(isa);
-  if (table == nullptr)
-    throw Error(std::string("MLP kernel backend '") + to_string(isa) +
-                "' is not compiled into this binary");
-  if (!cpu_supports(isa))
-    throw Error(std::string("MLP kernel backend '") + to_string(isa) +
-                "' is not supported by this CPU");
-  return *table;
-}
-
-const MlpKernelTable& select_mlp_kernels() {
-  const char* env = std::getenv("DETERRENT_FORCE_ISA");
-  if (env != nullptr && *env != '\0') {
-    const std::string_view name(env);
-    // "neon" pins the sim engine's NEON backend; the RL side has no NEON TU,
-    // so it means "base flags" here — i.e. the scalar table.
-    if (name == "scalar" || name == "neon") return *mlp_scalar_table();
-    if (name == "avx2") return mlp_kernel_table(MlpIsa::Avx2);
-    if (name == "avx512") return mlp_kernel_table(MlpIsa::Avx512);
-    throw Error(std::string("DETERRENT_FORCE_ISA: unknown ISA '") + env +
-                "' (expected scalar|avx2|avx512|neon)");
-  }
-  MlpIsa best = MlpIsa::Scalar;
-  for (const MlpIsa isa : {MlpIsa::Avx2, MlpIsa::Avx512})
-    if (mlp_isa_supported(isa)) best = isa;
-  return *table_or_null(best);
+const MlpKernelTable& select_mlp_kernels(std::optional<util::Isa> forced) {
+  return util::select_table("MLP kernel", table_or_null, forced);
 }
 
 }  // namespace deterrent::rl::kernels

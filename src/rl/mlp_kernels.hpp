@@ -1,30 +1,23 @@
 #pragma once
 
-#include <vector>
+#include <optional>
 
 #include "rl/mlp_kernel_table.hpp"
+#include "util/kernel_policy.hpp"
 
 namespace deterrent::rl::kernels {
 
-const char* to_string(MlpIsa isa);
+/// The MLP family's backend switch (util::TableLookup): the table compiled
+/// for `isa`, or nullptr. Neon maps to the scalar table: there is no NEON
+/// MLP TU, and on aarch64 the compiler's base flags already vectorize the
+/// scalar loops element-wise. util::supported_isas(table_or_null) lists the
+/// backends this process can run.
+const MlpKernelTable* table_or_null(util::Isa isa);
 
-/// True when the backend is compiled in AND the running CPU can execute it.
-bool mlp_isa_supported(MlpIsa isa);
-
-/// Every backend this process can run, narrowest first (always starts with
-/// Scalar) — what the cross-backend differential test sweeps.
-std::vector<MlpIsa> supported_mlp_isas();
-
-/// The table for one backend; throws deterrent::Error when it is not
-/// compiled in or the CPU lacks the feature.
-const MlpKernelTable& mlp_kernel_table(MlpIsa isa);
-
-/// Selection used by Mlp's constructor: honors DETERRENT_FORCE_ISA (the same
-/// variable the simulation engine uses, so one CI leg pins every backend at
-/// once), else picks the widest supported backend. "neon" maps to Scalar —
-/// there is no NEON RL backend; on aarch64 the scalar table's base flags
-/// already vectorize it. All backends are bit-identical (see
-/// mlp_kernel_table.hpp), so this is purely a speed knob.
-const MlpKernelTable& select_mlp_kernels();
+/// Selection used by Mlp and Adam (util::select_table): `forced` when set,
+/// else DETERRENT_FORCE_ISA, else the widest supported backend. All
+/// backends are bit-identical (see mlp_kernel_table.hpp), so this is purely
+/// a speed knob.
+const MlpKernelTable& select_mlp_kernels(std::optional<util::Isa> forced = std::nullopt);
 
 }  // namespace deterrent::rl::kernels

@@ -170,7 +170,7 @@ void adam_step_avx2(float* values, float* m, float* v, const float* grads,
 // The scan reuses the scalar (base-flag) function: a movemask bit loop
 // measured slower than its branchless compaction.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx2,            "avx2",     &axpy_rows_avx2, &axpy_indexed_avx2,
+    util::Isa::Avx2,         "avx2",     &axpy_rows_avx2, &axpy_indexed_avx2,
     &nonzero_indices_scalar, &tanh_avx2, &adam_step_avx2};
 
 }  // namespace

@@ -185,7 +185,7 @@ void adam_step_avx512(float* values, float* m, float* v, const float* grads,
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx512f TU must emit no initialization code.
 constinit const MlpKernelTable kTable{
-    MlpIsa::Avx512,          "avx512",     &axpy_rows_avx512, &axpy_indexed_avx512,
+    util::Isa::Avx512,       "avx512",     &axpy_rows_avx512, &axpy_indexed_avx512,
     &nonzero_indices_avx512, &tanh_avx512, &adam_step_avx512};
 
 }  // namespace

@@ -1,11 +1,19 @@
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "netlist/netlist.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "sat/types.hpp"
 
 namespace deterrent::sat {
+
+/// A CNF formula in memory: variable count plus clause list.
+struct Cnf {
+  std::size_t var_count = 0;
+  std::vector<Clause> clauses;
+};
 
 /// Tseitin-encodes a combinational netlist into a solver.
 ///
@@ -24,8 +32,8 @@ void encode_netlist(const netlist::Netlist& netlist, Solver& solver);
 /// `solver` must hold exactly encode_netlist(netlist, ·)'s variables.
 void define_gates(const netlist::Netlist& netlist, Solver& solver);
 
-/// Same encoding, but into a standalone CNF container (for DIMACS export and
-/// for differential testing of the encoder against logic simulation).
+/// Same encoding, but into a standalone CNF container (for differential
+/// testing of the encoder against logic simulation).
 Cnf encode_netlist_cnf(const netlist::Netlist& netlist);
 
 }  // namespace deterrent::sat

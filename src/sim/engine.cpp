@@ -4,6 +4,7 @@
 #include <bit>
 #include <type_traits>
 
+#include "sim/kernels/dispatch.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::sim {
@@ -14,7 +15,7 @@ using netlist::NetId;
 static_assert(std::is_same_v<netlist::NetId, std::uint32_t>,
               "kernels::ProgramView borrows the NetId arrays as raw uint32");
 
-Engine::Engine(const netlist::Netlist& netlist, std::optional<kernels::Isa> forced_isa)
+Engine::Engine(const netlist::Netlist& netlist, std::optional<util::Isa> forced_isa)
     : netlist_(&netlist), kernels_(&kernels::select_kernel_table(forced_isa)) {
   if (netlist.is_sequential())
     throw Error(

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/kernels/dispatch.hpp"
+#include "sim/kernels/kernel_table.hpp"
 #include "sim/pattern.hpp"
 #include "util/aligned.hpp"
 
@@ -107,11 +107,11 @@ class EvalBuffer {
 ///
 /// SIMD backends: the W-word inner loops are provided by an ISA-tagged
 /// kernel table (scalar / NEON / AVX2 / AVX-512, see sim/kernels/). The
-/// table is selected once at construction — auto-detected via runtime CPUID
-/// by default, pinnable with the DETERRENT_FORCE_ISA environment variable or
-/// the explicit constructor argument — and both full sweeps and the
-/// incremental resimulate walk call through it, so every backend produces
-/// bit-identical value buffers.
+/// table is selected once at construction (util/kernel_policy.hpp) — the
+/// widest the CPU runs by default, pinnable with DETERRENT_FORCE_ISA or the
+/// explicit constructor argument — and both full sweeps and the incremental
+/// resimulate walk call through it, so every backend produces bit-identical
+/// value buffers.
 ///
 /// Thread safety: every method is const and touches only the caller's
 /// EvalBuffer (including resimulate's worklist scratch), so one compiled
@@ -127,17 +127,16 @@ class Engine {
   /// AVX-512 register per net on hosts with that backend.
   static constexpr std::size_t kDefaultWords = 8;
 
-  /// Compiles `netlist` and binds a kernel backend. `forced_isa` pins the
-  /// backend (throws deterrent::Error when this host cannot run it); by
-  /// default the DETERRENT_FORCE_ISA environment variable is honored, then
-  /// the widest CPU-supported backend is auto-detected.
+  /// Compiles `netlist` and binds the kernel backend
+  /// kernels::select_kernel_table(forced_isa) picks; throws deterrent::Error
+  /// when this host cannot run a forced backend.
   explicit Engine(const netlist::Netlist& netlist,
-                  std::optional<kernels::Isa> forced_isa = std::nullopt);
+                  std::optional<util::Isa> forced_isa = std::nullopt);
 
   const netlist::Netlist& target() const { return *netlist_; }
 
   /// The kernel backend this engine dispatches to (fixed at construction).
-  kernels::Isa isa() const { return kernels_->isa; }
+  util::Isa isa() const { return kernels_->isa; }
 
   /// Evaluates n_words blocks at once. `input_words` is input-major: word w
   /// of primary input i at [i * n_words + w]. Results land in `buf`, which

@@ -1,115 +1,19 @@
 #include "sim/kernels/dispatch.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "util/assert.hpp"
-
 namespace deterrent::sim::kernels {
 
-namespace {
-
-const KernelTable* table_or_null(Isa isa) {
+const KernelTable* table_or_null(util::Isa isa) {
   switch (isa) {
-    case Isa::Scalar: return scalar_table();
-    case Isa::Neon: return neon_table();
-    case Isa::Avx2: return avx2_table();
-    case Isa::Avx512: return avx512_table();
+    case util::Isa::Scalar: return scalar_table();
+    case util::Isa::Neon: return neon_table();
+    case util::Isa::Avx2: return avx2_table();
+    case util::Isa::Avx512: return avx512_table();
   }
   return nullptr;
 }
 
-/// Can the running CPU execute this backend's instructions? Separate from
-/// isa_compiled: a binary built with all x86 backends still must not hand
-/// out the AVX-512 table on an AVX2-only host. __builtin_cpu_supports (GCC /
-/// Clang) includes the OS XSAVE state check, so "supported" really means
-/// "executable right now".
-bool cpu_supports(Isa isa) {
-  switch (isa) {
-    case Isa::Scalar:
-      return true;
-    case Isa::Avx2:
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case Isa::Avx512:
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-    case Isa::Neon:
-#if defined(__aarch64__)
-      return true;  // NEON is architecturally mandatory on aarch64
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* to_string(Isa isa) {
-  switch (isa) {
-    case Isa::Scalar: return "scalar";
-    case Isa::Neon: return "neon";
-    case Isa::Avx2: return "avx2";
-    case Isa::Avx512: return "avx512";
-  }
-  return "?";
-}
-
-std::optional<Isa> parse_isa(std::string_view name) {
-  if (name == "scalar") return Isa::Scalar;
-  if (name == "neon") return Isa::Neon;
-  if (name == "avx2") return Isa::Avx2;
-  if (name == "avx512") return Isa::Avx512;
-  return std::nullopt;
-}
-
-bool isa_compiled(Isa isa) { return table_or_null(isa) != nullptr; }
-
-bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_supports(isa); }
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> out;
-  for (const Isa isa : {Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512})
-    if (isa_supported(isa)) out.push_back(isa);
-  return out;
-}
-
-Isa best_isa() {
-  Isa best = Isa::Scalar;
-  for (const Isa isa : {Isa::Neon, Isa::Avx2, Isa::Avx512})
-    if (isa_supported(isa)) best = isa;
-  return best;
-}
-
-const KernelTable& kernel_table(Isa isa) {
-  const KernelTable* table = table_or_null(isa);
-  if (table == nullptr)
-    throw Error(std::string("simulation backend '") + to_string(isa) +
-                "' is not compiled into this binary");
-  if (!cpu_supports(isa))
-    throw Error(std::string("simulation backend '") + to_string(isa) +
-                "' is not supported by this CPU");
-  return *table;
-}
-
-const KernelTable& select_kernel_table(std::optional<Isa> forced) {
-  if (forced.has_value()) return kernel_table(*forced);
-  const char* env = std::getenv(kForceIsaEnv);
-  if (env != nullptr && *env != '\0') {
-    const auto parsed = parse_isa(env);
-    if (!parsed.has_value())
-      throw Error(std::string(kForceIsaEnv) + ": unknown ISA '" + env +
-                  "' (expected scalar|avx2|avx512|neon)");
-    return kernel_table(*parsed);
-  }
-  return kernel_table(best_isa());
+const KernelTable& select_kernel_table(std::optional<util::Isa> forced) {
+  return util::select_table("simulation", table_or_null, forced);
 }
 
 }  // namespace deterrent::sim::kernels

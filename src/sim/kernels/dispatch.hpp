@@ -1,56 +1,20 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
-#include <vector>
 
 #include "sim/kernels/kernel_table.hpp"
+#include "util/kernel_policy.hpp"
 
 namespace deterrent::sim::kernels {
 
-/// Environment variable honored by select_kernel_table() (and therefore by
-/// every Engine constructed without an explicit ISA): "scalar", "avx2",
-/// "avx512", or "neon". Unset/empty means auto-detect; an unknown value or a
-/// backend this host cannot run throws deterrent::Error. Intended for A/B
-/// benchmarking and for CI legs that pin the backend.
-inline constexpr const char* kForceIsaEnv = "DETERRENT_FORCE_ISA";
+/// The simulation family's backend switch (util::TableLookup): the table
+/// compiled for `isa`, or nullptr. util::supported_isas(table_or_null) lists
+/// the backends this process can run.
+const KernelTable* table_or_null(util::Isa isa);
 
-const char* to_string(Isa isa);
-
-/// Parses "scalar" / "avx2" / "avx512" / "neon"; nullopt on anything else.
-std::optional<Isa> parse_isa(std::string_view name);
-
-/// True when the backend was compiled into this binary (its TU had the
-/// required compiler flags / target architecture).
-bool isa_compiled(Isa isa);
-
-/// True when the backend is compiled in AND the running CPU can execute it
-/// (CPUID feature check on x86; architectural guarantee on aarch64).
-bool isa_supported(Isa isa);
-
-/// Every backend this process can actually run, narrowest first (always
-/// starts with Scalar). This is what differential tests and the per-ISA
-/// bench sweep iterate over.
-std::vector<Isa> supported_isas();
-
-/// The widest supported backend — what auto-detection picks. "Best" is a
-/// register-width preference, not a measurement: on hosts where 512-bit ops
-/// downclock or are double-pumped, avx2 can out-run avx512 by a few percent
-/// (the per-ISA rows of BENCH_sim.json show the actual ranking for a host).
-/// Width is still the default because it is deterministic and free at
-/// engine construction; pin DETERRENT_FORCE_ISA (or pass an explicit Isa)
-/// when a measured campaign says otherwise.
-Isa best_isa();
-
-/// The kernel table for one backend; throws deterrent::Error when the
-/// backend is not compiled in or the CPU lacks the feature.
-const KernelTable& kernel_table(Isa isa);
-
-/// Selection used by Engine's constructor: `forced` wins when set, else the
-/// DETERRENT_FORCE_ISA environment variable, else best_isa(). Throws
-/// deterrent::Error for unknown names and unsupported backends — a forced
-/// ISA silently falling back to scalar would invalidate every benchmark
-/// comparison made with it.
-const KernelTable& select_kernel_table(std::optional<Isa> forced = std::nullopt);
+/// Engine's selection (util::select_table): `forced` when set, else
+/// DETERRENT_FORCE_ISA, else the widest supported backend. Throws
+/// deterrent::Error for unknown names and backends this host cannot run.
+const KernelTable& select_kernel_table(std::optional<util::Isa> forced = std::nullopt);
 
 }  // namespace deterrent::sim::kernels

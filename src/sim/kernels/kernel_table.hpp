@@ -3,14 +3,16 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/isa.hpp"
+
 // Kernel-table core shared by sim::Engine and the per-ISA backend TUs
 // (kernels_scalar/avx2/avx512/neon.cpp). This header is deliberately minimal
 // — no standard-library containers, no netlist headers — because the backend
 // TUs are compiled with ISA-specific flags and must not instantiate any code
 // that could be comdat-folded with copies from normally-compiled TUs (a wide
 // vector instruction leaking into shared code would SIGILL on older hosts).
-// The full selection API (detection, forcing, string conversion) lives in
-// dispatch.hpp, which only normally-compiled TUs include.
+// The selection policy (detection, forcing, string conversion) lives in
+// util/kernel_policy.hpp, which only normally-compiled TUs include.
 
 namespace deterrent::sim::kernels {
 
@@ -35,15 +37,6 @@ enum class Op : std::uint8_t {
   NorN,
   XorN,
   XnorN,
-};
-
-/// Instruction-set flavors a kernel table can be built for. The numeric
-/// order is the preference order of best_isa(): wider is better.
-enum class Isa : std::uint8_t {
-  Scalar = 0,  ///< plain std::uint64_t loops (always available)
-  Neon = 1,    ///< 128-bit NEON (aarch64)
-  Avx2 = 2,    ///< 256-bit AVX2 (x86-64)
-  Avx512 = 3,  ///< 512-bit AVX-512F (x86-64)
 };
 
 /// Borrowed, read-only view of an Engine's compiled program, in the layout
@@ -77,7 +70,7 @@ using EvalOpFn = void (*)(const ProgramView& program, std::size_t k,
 /// same word-level boolean algebra, so evaluate/resimulate results never
 /// depend on which ISA executed them (the differential suite enforces this).
 struct KernelTable {
-  Isa isa = Isa::Scalar;
+  util::Isa isa = util::Isa::Scalar;
   const char* name = "scalar";
   void (*run_program)(const ProgramView& program, std::uint64_t* values,
                       std::size_t n_words) = nullptr;
@@ -87,13 +80,13 @@ struct KernelTable {
 // Backend factories, one per TU. Each returns its table, or nullptr when the
 // backend was not compiled in (missing compiler flag or wrong architecture).
 // Whether the *CPU* can run a compiled-in backend is a separate, runtime
-// question answered by dispatch.hpp — which means these factories are called
-// on hosts that CANNOT run the backend. They must therefore be safe on any
-// CPU of the target architecture: each table is constinit (initialized at
-// compile time, no startup code in the ISA-flagged TU), and the factory body
-// is a bare address return. scripts/check_isa_isolation.sh checks the built
-// objects for regressions (static initializers, vector instructions in the
-// factory).
+// question answered by util/kernel_policy.hpp — which means these factories
+// are called on hosts that CANNOT run the backend. They must therefore be
+// safe on any CPU of the target architecture: each table is constinit
+// (initialized at compile time, no startup code in the ISA-flagged TU), and
+// the factory body is a bare address return. scripts/check_isa_isolation.sh
+// checks the built objects for regressions (static initializers, vector
+// instructions in the factory).
 const KernelTable* scalar_table();
 const KernelTable* avx2_table();
 const KernelTable* avx512_table();

@@ -32,7 +32,7 @@ struct Avx2Vec {
 
 // constinit: the factory runs on every host during ISA detection, so this
 // -mavx2 TU must emit no initialization code — see kernels_avx512.cpp.
-constinit const KernelTable kTable{Isa::Avx2, "avx2",
+constinit const KernelTable kTable{util::Isa::Avx2, "avx2",
                                    &run_program_entry<Avx2Vec>,
                                    &eval_op_entry<Avx2Vec>};
 

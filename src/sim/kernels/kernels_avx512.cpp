@@ -46,13 +46,13 @@ struct Avx512Vec {
 };
 
 // constinit: the factory below runs on EVERY host during ISA detection
-// (isa_compiled is checked before cpu_supports), and this TU is compiled
+// (table_or_null is asked before cpu_supports), and this TU is compiled
 // with -mavx512f — a dynamic initializer or lazy static-init path emitted
 // here could itself contain AVX instructions and SIGILL a pre-AVX host. With
 // compile-time initialization the only AVX-512 code in the object sits
 // behind the two table function pointers, which dispatch hands out only to
 // capable CPUs. scripts/check_isa_isolation.sh verifies this shape in CI.
-constinit const KernelTable kTable{Isa::Avx512, "avx512",
+constinit const KernelTable kTable{util::Isa::Avx512, "avx512",
                                    &run_program_entry<Avx512Vec>,
                                    &eval_op_entry<Avx512Vec>};
 

@@ -32,7 +32,7 @@ struct NeonVec {
 // constinit for uniformity with the x86 backends (NEON is architecturally
 // mandatory on aarch64, so there is no SIGILL hazard here — see
 // kernels_avx512.cpp for why the x86 TUs require it).
-constinit const KernelTable kTable{Isa::Neon, "neon",
+constinit const KernelTable kTable{util::Isa::Neon, "neon",
                                    &run_program_entry<NeonVec>,
                                    &eval_op_entry<NeonVec>};
 

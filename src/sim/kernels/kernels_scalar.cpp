@@ -7,7 +7,7 @@
 namespace deterrent::sim::kernels {
 namespace {
 
-constinit const KernelTable kTable{Isa::Scalar, "scalar",
+constinit const KernelTable kTable{util::Isa::Scalar, "scalar",
                                    &run_program_entry<ScalarVec>,
                                    &eval_op_entry<ScalarVec>};
 

@@ -1,14 +1,22 @@
-#include "sat/dimacs.hpp"
+// DIMACS CNF reader and writer for the SAT tests: the fuzz corpus under
+// tests/corpus/sat/ is stored in it, and failing random formulas are dumped
+// in it for replay with an external solver.
+#pragma once
 
+#include <cstdlib>
+#include <istream>
 #include <sstream>
+#include <string>
 
+#include "sat/encoder.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::sat {
 
-Cnf read_dimacs(std::istream& in) {
+/// Parses DIMACS CNF ("p cnf <vars> <clauses>" + terminated clause lines).
+/// Comment lines (c ...) are skipped; malformed input throws deterrent::Error.
+inline Cnf read_dimacs(std::istream& in) {
   Cnf cnf;
-  std::string token;
   bool header_seen = false;
   Clause current;
   std::size_t declared_clauses = 0;
@@ -42,12 +50,13 @@ Cnf read_dimacs(std::istream& in) {
   return cnf;
 }
 
-Cnf read_dimacs_string(const std::string& text) {
+inline Cnf read_dimacs_string(const std::string& text) {
   std::istringstream iss(text);
   return read_dimacs(iss);
 }
 
-void write_dimacs(const Cnf& cnf, std::ostream& out) {
+inline std::string write_dimacs_string(const Cnf& cnf) {
+  std::ostringstream out;
   out << "p cnf " << cnf.var_count << ' ' << cnf.clauses.size() << '\n';
   for (const auto& clause : cnf.clauses) {
     for (const Lit l : clause)
@@ -56,12 +65,7 @@ void write_dimacs(const Cnf& cnf, std::ostream& out) {
           << ' ';
     out << "0\n";
   }
-}
-
-std::string write_dimacs_string(const Cnf& cnf) {
-  std::ostringstream oss;
-  write_dimacs(cnf, oss);
-  return oss.str();
+  return out.str();
 }
 
 }  // namespace deterrent::sat

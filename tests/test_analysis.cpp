@@ -15,6 +15,8 @@
 #include "util/faults.hpp"
 #include "util/thread_pool.hpp"
 
+#include "helpers.hpp"
+
 namespace deterrent::analysis {
 namespace {
 
@@ -142,7 +144,7 @@ TEST(RareNets, EstimatedMatchesExactClassification) {
 // -------------------------------------------------------------- SCOAP ------
 
 TEST(Scoap, InputsAreUnity) {
-  const Netlist nl = netlist::read_bench_string("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n");
   const auto v = compute_scoap(nl);
   const NetId a = *nl.find("a");
   EXPECT_EQ(v.cc0[a], 1u);
@@ -150,8 +152,7 @@ TEST(Scoap, InputsAreUnity) {
 }
 
 TEST(Scoap, AndGateTextbookValues) {
-  const Netlist nl = netlist::read_bench_string(
-      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
   const auto v = compute_scoap(nl);
   const NetId y = *nl.find("y");
   EXPECT_EQ(v.cc1[y], 3u);  // CC1(a)+CC1(b)+1
@@ -162,7 +163,7 @@ TEST(Scoap, AndGateTextbookValues) {
 
 TEST(Scoap, NotGateSwapsControllability) {
   const Netlist nl =
-      netlist::read_bench_string("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
+      parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
   const auto v = compute_scoap(nl);
   const NetId y = *nl.find("y");
   EXPECT_EQ(v.cc0[y], 2u);
@@ -216,8 +217,7 @@ TEST(Scoap, UnobservableNetStaysInfinite) {
 }
 
 TEST(Scoap, XorObservabilityUsesCheapestSide) {
-  const Netlist nl = netlist::read_bench_string(
-      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n");
   const auto v = compute_scoap(nl);
   // CO(a) = CO(y) + min(CC0(b), CC1(b)) + 1 = 0 + 1 + 1.
   EXPECT_EQ(v.co[*nl.find("a")], 2u);
@@ -265,7 +265,7 @@ TEST(Compatibility, EdgeCountCacheInvalidatesOnSet) {
 TEST(Compatibility, SignaturesMarkRareActivations) {
   // y1 = AND(a,b) rare at 1; y2 = NOR(a,b) rare at... p=1/4 each (not below
   // 0.1, but signatures don't care about thresholds).
-  const Netlist nl = netlist::read_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y1)\nOUTPUT(y2)\ny1 = AND(a, b)\ny2 = NOR(a, b)\n");
   std::vector<RareNet> rare{{*nl.find("y1"), true, 0.25}, {*nl.find("y2"), true, 0.25}};
   util::Rng rng(3);
@@ -281,7 +281,7 @@ TEST(Compatibility, SignaturesMarkRareActivations) {
 
 TEST(Compatibility, ExclusiveRareValuesIncompatible) {
   // y1 = AND(a,b) @1 and y2 = NOR(a,b) @1 are mutually exclusive.
-  const Netlist nl = netlist::read_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y1)\nOUTPUT(y2)\ny1 = AND(a, b)\ny2 = NOR(a, b)\n");
   std::vector<RareNet> rare{{*nl.find("y1"), true, 0.25}, {*nl.find("y2"), true, 0.25}};
   util::Rng rng(5);

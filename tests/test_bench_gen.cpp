@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <string>
 
 #include "bench_gen/library.hpp"
 #include "bench_gen/mips16.hpp"
@@ -400,6 +402,17 @@ TEST(Library, FileLoadRoundTrip) {
   const Benchmark loaded = load_benchmark_file(path);
   EXPECT_EQ(loaded.original.gate_count(), mult.original.gate_count());
   EXPECT_EQ(loaded.original.inputs().size(), mult.original.inputs().size());
+}
+
+TEST(Library, FileLoadRejectsMalformedBench) {
+  const std::string path = ::testing::TempDir() + "/malformed.bench";
+  std::ofstream(path) << "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n";
+  try {
+    load_benchmark_file(path);
+    FAIL() << "expected a parse error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+  }
 }
 
 // ------------------------------------------------ sequential stepping -------

@@ -6,20 +6,22 @@
 // on both full evaluation and incremental re-simulation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "sim/engine.hpp"
+#include "rl/adam.hpp"
+#include "rl/mlp.hpp"
 #include "sim/kernels/dispatch.hpp"
 #include "sim/probability.hpp"
 #include "trojan/coverage.hpp"
 #include "util/thread_pool.hpp"
 
+#include "helpers.hpp"
 #include "reference_sim.hpp"
 
 namespace deterrent::sim {
@@ -29,6 +31,7 @@ using netlist::GateType;
 using netlist::Netlist;
 using netlist::NetlistBuilder;
 using netlist::NetId;
+using util::Isa;
 
 Netlist random_circuit(std::uint64_t seed, std::size_t gates = 150,
                        std::size_t inputs = 10) {
@@ -491,48 +494,30 @@ std::vector<std::uint64_t> to_words(std::span<const std::uint64_t> s) {
   return {s.begin(), s.end()};
 }
 
-/// Scoped environment-variable override that restores the prior value (or
-/// absence) on destruction, so ISA-forcing tests cannot leak state into the
-/// rest of the suite.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value())
-      ::setenv(name_, saved_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+/// The simulation family's runnable backends, narrowest first.
+std::vector<Isa> sim_isas() { return util::supported_isas(kernels::table_or_null); }
 
 TEST(EngineSimd, DetectionIsSaneAndStable) {
-  const auto isas = kernels::supported_isas();
+  const auto isas = sim_isas();
   ASSERT_FALSE(isas.empty());
-  EXPECT_EQ(isas.front(), kernels::Isa::Scalar);  // scalar is always runnable
+  EXPECT_EQ(isas.front(), Isa::Scalar);  // scalar is always runnable
   for (const auto isa : isas) {
-    EXPECT_TRUE(kernels::isa_supported(isa));
-    EXPECT_TRUE(kernels::isa_compiled(isa));
+    EXPECT_TRUE(util::cpu_supports(isa));
+    EXPECT_NE(kernels::table_or_null(isa), nullptr);
   }
-  // best_isa must itself be supported and at least as wide as anything else.
-  const auto best = kernels::best_isa();
-  EXPECT_TRUE(kernels::isa_supported(best));
-  for (const auto isa : isas) EXPECT_GE(static_cast<int>(best), static_cast<int>(isa));
+  EXPECT_EQ(sim_isas(), isas);
+  // The widest pick must itself be supported and at least as wide as
+  // anything else.
+  const auto widest = util::widest_supported_isa(kernels::table_or_null);
+  EXPECT_EQ(widest, isas.back());
+  for (const auto isa : isas) EXPECT_GE(static_cast<int>(widest), static_cast<int>(isa));
 }
 
 TEST(EngineSimd, IsaNamesRoundTrip) {
-  for (const auto isa : {kernels::Isa::Scalar, kernels::Isa::Neon, kernels::Isa::Avx2,
-                         kernels::Isa::Avx512})
-    EXPECT_EQ(kernels::parse_isa(kernels::to_string(isa)), isa);
-  EXPECT_FALSE(kernels::parse_isa("sse9").has_value());
-  EXPECT_FALSE(kernels::parse_isa("").has_value());
+  for (const auto isa : util::kAllIsas)
+    EXPECT_EQ(util::parse_isa(util::to_string(isa)), isa);
+  EXPECT_FALSE(util::parse_isa("sse9").has_value());
+  EXPECT_FALSE(util::parse_isa("").has_value());
 }
 
 /// Full evaluate: every supported backend must produce a value buffer
@@ -543,9 +528,9 @@ TEST(EngineSimd, IsaNamesRoundTrip) {
 TEST(EngineSimd, BackendsBitIdenticalOnEvaluate) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Netlist nl = random_circuit(seed, 300, 14);
-    const Engine scalar_engine(nl, kernels::Isa::Scalar);
-    ASSERT_EQ(scalar_engine.isa(), kernels::Isa::Scalar);
-    for (const auto isa : kernels::supported_isas()) {
+    const Engine scalar_engine(nl, Isa::Scalar);
+    ASSERT_EQ(scalar_engine.isa(), Isa::Scalar);
+    for (const auto isa : sim_isas()) {
       const Engine backend(nl, isa);
       EXPECT_EQ(backend.isa(), isa);
       for (const std::size_t words :
@@ -558,7 +543,7 @@ TEST(EngineSimd, BackendsBitIdenticalOnEvaluate) {
         scalar_engine.evaluate(ref, inputs, words);
         backend.evaluate(got, inputs, words);
         ASSERT_EQ(to_words(got.flat()), to_words(ref.flat()))
-            << kernels::to_string(isa) << " seed " << seed << " W " << words;
+            << util::to_string(isa) << " seed " << seed << " W " << words;
       }
     }
   }
@@ -570,8 +555,8 @@ TEST(EngineSimd, BackendsBitIdenticalOnEvaluate) {
 TEST(EngineSimd, BackendsBitIdenticalOnResimulate) {
   const Netlist nl = random_circuit(17, 300, 16);
   const std::size_t n_inputs = nl.inputs().size();
-  const Engine scalar_engine(nl, kernels::Isa::Scalar);
-  for (const auto isa : kernels::supported_isas()) {
+  const Engine scalar_engine(nl, Isa::Scalar);
+  for (const auto isa : sim_isas()) {
     const Engine backend(nl, isa);
     util::Rng rng(138);
     auto inputs = random_input_words(n_inputs, 1, rng);
@@ -594,30 +579,30 @@ TEST(EngineSimd, BackendsBitIdenticalOnResimulate) {
       scalar_engine.resimulate(ref, dirty, dirty_words);
       backend.resimulate(got, dirty, dirty_words);
       ASSERT_EQ(to_words(got.flat()), to_words(ref.flat()))
-          << kernels::to_string(isa) << " step " << step;
+          << util::to_string(isa) << " step " << step;
     }
   }
 }
 
 TEST(EngineSimd, ForcedIsaConstructorArgument) {
   const Netlist nl = random_circuit(6);
-  for (const auto isa : kernels::supported_isas())
+  for (const auto isa : sim_isas())
     EXPECT_EQ(Engine(nl, isa).isa(), isa);
 }
 
 TEST(EngineSimd, ForcedIsaEnvOverride) {
   const Netlist nl = random_circuit(6);
   {
-    ScopedEnv env(kernels::kForceIsaEnv, "scalar");
-    EXPECT_EQ(Engine(nl).isa(), kernels::Isa::Scalar);
+    ScopedEnv env(util::kForceIsaEnv, "scalar");
+    EXPECT_EQ(Engine(nl).isa(), Isa::Scalar);
   }
   {
     // Empty means unset: auto-detect, never an error.
-    ScopedEnv env(kernels::kForceIsaEnv, "");
-    EXPECT_EQ(Engine(nl).isa(), kernels::best_isa());
+    ScopedEnv env(util::kForceIsaEnv, "");
+    EXPECT_EQ(Engine(nl).isa(), util::widest_supported_isa(kernels::table_or_null));
   }
   {
-    ScopedEnv env(kernels::kForceIsaEnv, "sse9");
+    ScopedEnv env(util::kForceIsaEnv, "sse9");
     EXPECT_THROW(Engine{nl}, Error);
   }
 }
@@ -625,9 +610,10 @@ TEST(EngineSimd, ForcedIsaEnvOverride) {
 TEST(EngineSimd, ForcingUnsupportedIsaThrows) {
   // Find a backend this host cannot run. x86 hosts can never run NEON and
   // aarch64 hosts can never run AVX2, so at least one always exists.
-  std::optional<kernels::Isa> unsupported;
-  for (const auto isa : {kernels::Isa::Neon, kernels::Isa::Avx2, kernels::Isa::Avx512})
-    if (!kernels::isa_supported(isa)) {
+  const auto isas = sim_isas();
+  std::optional<Isa> unsupported;
+  for (const auto isa : {Isa::Neon, Isa::Avx2, Isa::Avx512})
+    if (std::ranges::find(isas, isa) == isas.end()) {
       unsupported = isa;
       break;
     }
@@ -635,10 +621,38 @@ TEST(EngineSimd, ForcingUnsupportedIsaThrows) {
 
   const Netlist nl = random_circuit(6);
   EXPECT_THROW(Engine(nl, *unsupported), Error);
-  EXPECT_THROW(kernels::kernel_table(*unsupported), Error);
+  EXPECT_THROW(kernels::select_kernel_table(*unsupported), Error);
   {
-    ScopedEnv env(kernels::kForceIsaEnv, kernels::to_string(*unsupported));
+    ScopedEnv env(util::kForceIsaEnv, util::to_string(*unsupported));
     EXPECT_THROW(Engine{nl}, Error);
+  }
+}
+
+// Both kernel families read DETERRENT_FORCE_ISA through the one policy, so a
+// name either pins the engine and the network to the same backend or is
+// rejected by both. The MLP family has no NEON tables: its Neon is its scalar
+// table, which an x86 host must still refuse to "run".
+TEST(KernelPolicy, ForcedIsaAgreesAcrossFamilies) {
+  const Netlist nl = random_circuit(6);
+  for (const char* name : {"scalar", "neon", "avx2", "avx512", "sse9", ""}) {
+    SCOPED_TRACE(testing::Message() << util::kForceIsaEnv << "='" << name << "'");
+    const ScopedEnv env(util::kForceIsaEnv, name);
+    std::optional<Isa> engine_isa;
+    std::optional<Isa> mlp_isa;
+    try {
+      engine_isa = Engine(nl).isa();
+    } catch (const Error&) {
+    }
+    try {
+      util::Rng init(1);
+      rl::Mlp net({4, 8, 2}, init);
+      const rl::Adam opt(net.params());
+      mlp_isa = net.isa();
+    } catch (const Error&) {
+    }
+    ASSERT_EQ(engine_isa.has_value(), mlp_isa.has_value());
+    if (engine_isa.has_value())
+      EXPECT_EQ(*mlp_isa, *engine_isa == Isa::Neon ? Isa::Scalar : *engine_isa);
   }
 }
 

@@ -510,16 +510,6 @@ TEST(Corpus, CheckedParserMatchesExpectations) {
   }
 }
 
-TEST(Corpus, StrictParserThrowsOnEveryMalformedCase) {
-  for (const auto& tc : load_corpus()) {
-    if (tc.expected.empty()) {
-      EXPECT_NO_THROW(netlist::read_bench_file(tc.file)) << tc.file;
-    } else {
-      EXPECT_THROW(netlist::read_bench_file(tc.file), Error) << tc.file;
-    }
-  }
-}
-
 // ----------------------------------------------------- differential --------
 
 TEST(LintDifferential, EveryGeneratorLintsFreeOfErrors) {

@@ -11,6 +11,8 @@
 #include "netlist/stats.hpp"
 #include "util/rng.hpp"
 
+#include "helpers.hpp"
+
 namespace deterrent::netlist {
 namespace {
 
@@ -321,7 +323,7 @@ G23 = NAND(G16, G19)
 )";
 
 TEST(BenchIO, ParsesC17) {
-  const Netlist nl = read_bench_string(kC17);
+  const Netlist nl = parse_bench(kC17);
   EXPECT_EQ(nl.inputs().size(), 5u);
   EXPECT_EQ(nl.outputs().size(), 2u);
   EXPECT_EQ(nl.gate_count(), 6u);
@@ -331,14 +333,13 @@ TEST(BenchIO, ParsesC17) {
 }
 
 TEST(BenchIO, UsesBeforeDefinitions) {
-  const Netlist nl = read_bench_string(
-      "OUTPUT(y)\ny = AND(a, b)\nINPUT(a)\nINPUT(b)\n");
+  const Netlist nl = parse_bench("OUTPUT(y)\ny = AND(a, b)\nINPUT(a)\nINPUT(b)\n");
   EXPECT_EQ(nl.inputs().size(), 2u);
   EXPECT_EQ(nl.gate_count(), 1u);
 }
 
 TEST(BenchIO, ParsesDffAndConstants) {
-  const Netlist nl = read_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(q)\nq = DFF(n1)\nn1 = XOR(a, q)\nz = CONST0()\n"
       "o = VDD()\n");
   EXPECT_TRUE(nl.is_sequential());
@@ -348,33 +349,41 @@ TEST(BenchIO, ParsesDffAndConstants) {
 }
 
 TEST(BenchIO, AcceptsAliases) {
-  const Netlist nl = read_bench_string(
-      "INPUT(a)\nOUTPUT(y)\nn = INV(a)\ny = BUFF(n)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nOUTPUT(y)\nn = INV(a)\ny = BUFF(n)\n");
   EXPECT_EQ(nl.type(*nl.find("n")), GateType::Not);
   EXPECT_EQ(nl.type(*nl.find("y")), GateType::Buf);
 }
 
-TEST(BenchIO, MalformedLineThrowsWithLineNumber) {
-  try {
-    read_bench_string("INPUT(a)\ny = FROB(a)\n");
-    FAIL() << "expected parse error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
+/// The diagnostic codes of a checked parse, in report order.
+std::vector<std::string> diagnostic_codes(const std::string& text) {
+  std::vector<std::string> codes;
+  for (const auto& d : read_bench_string_checked(text).diagnostics)
+    codes.push_back(d.code);
+  return codes;
 }
 
-TEST(BenchIO, UnbalancedParenThrows) {
-  EXPECT_THROW(read_bench_string("INPUT(a\n"), Error);
-  EXPECT_THROW(read_bench_string("INPUT(a)\ny = AND a, a)\n"), Error);
+TEST(BenchIO, UnknownCellIsReportedWithLineNumber) {
+  const auto result = read_bench_string_checked("INPUT(a)\ny = FROB(a)\n");
+  EXPECT_FALSE(result.ok());
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].code, "parse.cell");
+  EXPECT_EQ(result.diagnostics[0].line, 2u);
 }
 
-TEST(BenchIO, UndefinedNetThrows) {
-  EXPECT_THROW(read_bench_string("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n"), Error);
+TEST(BenchIO, UnbalancedParenIsSyntaxError) {
+  EXPECT_EQ(diagnostic_codes("INPUT(a\n"), std::vector<std::string>{"parse.syntax"});
+  EXPECT_EQ(diagnostic_codes("INPUT(a)\ny = AND a, a)\n"),
+            std::vector<std::string>{"parse.syntax"});
+}
+
+TEST(BenchIO, UndefinedNetIsUndriven) {
+  EXPECT_EQ(diagnostic_codes("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n"),
+            std::vector<std::string>{"drc.undriven"});
 }
 
 TEST(BenchIO, RoundTripPreservesStructure) {
-  const Netlist original = read_bench_string(kC17);
-  const Netlist reparsed = read_bench_string(write_bench_string(original));
+  const Netlist original = parse_bench(kC17);
+  const Netlist reparsed = parse_bench(write_bench_string(original));
   EXPECT_EQ(reparsed.net_count(), original.net_count());
   EXPECT_EQ(reparsed.gate_count(), original.gate_count());
   EXPECT_EQ(reparsed.inputs().size(), original.inputs().size());
@@ -391,8 +400,8 @@ TEST(BenchIO, RoundTripPreservesStructure) {
 TEST(BenchIO, RoundTripSequential) {
   const char* src =
       "INPUT(a)\nOUTPUT(x)\nq = DFF(x)\nx = XOR(a, q)\n";
-  const Netlist original = read_bench_string(src);
-  const Netlist reparsed = read_bench_string(write_bench_string(original));
+  const Netlist original = parse_bench(src);
+  const Netlist reparsed = parse_bench(write_bench_string(original));
   EXPECT_TRUE(reparsed.is_sequential());
   EXPECT_EQ(reparsed.dffs().size(), 1u);
 }
@@ -400,7 +409,7 @@ TEST(BenchIO, RoundTripSequential) {
 // ----------------------------------------------------------- stats ---------
 
 TEST(Stats, CountsByType) {
-  const Netlist nl = read_bench_string(kC17);
+  const Netlist nl = parse_bench(kC17);
   const NetlistStats stats = compute_stats(nl);
   EXPECT_EQ(stats.gate_count, 6u);
   EXPECT_EQ(stats.input_count, 5u);

@@ -14,6 +14,8 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "helpers.hpp"
+
 namespace deterrent::rl {
 namespace {
 
@@ -543,11 +545,12 @@ TEST(PooledTraining, MlpBatchPassesMatchSerialBitwise) {
       util::Rng init(5);
       Mlp net(shape, init);
       Mlp::BatchWorkspace ws;
-      outputs.push_back(bits_of(net.forward_batch(input, rows, ws, pool)));
+      const auto input_rows = row_pointers(input, shape.front());
+      outputs.push_back(bits_of(net.forward_batch(input_rows.data(), rows, ws, pool)));
       // Twice without zero_grad: the second pass accumulates onto nonzero
       // gradients.
-      net.backward_batch(input, ws, out_grads, pool);
-      net.backward_batch(input, ws, out_grads, pool);
+      net.backward_batch(input_rows.data(), ws, out_grads, pool);
+      net.backward_batch(input_rows.data(), ws, out_grads, pool);
       grads.push_back(grad_bits(net));
     }
     for (std::size_t k = 1; k < outputs.size(); ++k) {
@@ -600,8 +603,10 @@ TEST(PooledTraining, MaskedPolicyHeadMatchesPerSampleBitwise) {
         util::Rng same_init(3);
         Mlp net(shape, same_init);
         Mlp::BatchWorkspace bws;
-        EXPECT_EQ(bits_of(net.forward_batch(input, rows, bws, pool)), want_out);
-        net.backward_batch(input, bws, out_grads, pool);
+        const auto input_rows = row_pointers(input, width);
+        EXPECT_EQ(bits_of(net.forward_batch(input_rows.data(), rows, bws, pool)),
+                  want_out);
+        net.backward_batch(input_rows.data(), bws, out_grads, pool);
         EXPECT_EQ(grad_bits(net), want_grads);
       }
     }

@@ -9,11 +9,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -32,6 +30,7 @@
 #include "rl/vector_env.hpp"
 #include "util/thread_pool.hpp"
 
+#include "helpers.hpp"
 #include "reference_env.hpp"
 
 namespace deterrent {
@@ -71,7 +70,8 @@ TEST(MlpBatch, ForwardBatchMatchesPerRowBitIdentically) {
       util::Rng data(rows * 977 + 5);
       const std::vector<float> input = random_input(rows * shape.front(), data);
       Mlp::BatchWorkspace bws;
-      const auto batch_out = net.forward_batch(input, rows, bws);
+      const auto input_rows = row_pointers(input, shape.front());
+      const auto batch_out = net.forward_batch(input_rows.data(), rows, bws);
       ASSERT_EQ(batch_out.size(), rows * shape.back());
 
       Mlp::Workspace ws;
@@ -103,8 +103,9 @@ TEST(MlpBatch, BackwardBatchMatchesPerRowAccumulationBitIdentically) {
 
     batch_net.zero_grad();
     Mlp::BatchWorkspace bws;
-    batch_net.forward_batch(input, rows, bws);
-    batch_net.backward_batch(input, bws, grads);
+    const auto input_rows = row_pointers(input, shape.front());
+    batch_net.forward_batch(input_rows.data(), rows, bws);
+    batch_net.backward_batch(input_rows.data(), bws, grads);
 
     row_net.zero_grad();
     Mlp::Workspace ws;
@@ -126,15 +127,16 @@ TEST(MlpBatch, BackwardBatchMatchesPerRowAccumulationBitIdentically) {
   }
 }
 
-// The row-pointer overloads feed scattered rows (the trainer passes shuffled
-// minibatch rows and per-lane observations in place); they must match the
-// contiguous-span overloads bit for bit.
+// The trainer passes shuffled minibatch rows and per-lane observations in
+// place: the row pointers, not the storage layout, define the rows. Scattered
+// rows in reversed storage order must match the same rows stored
+// contiguously, bit for bit.
 TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
   const std::vector<std::size_t> shape{11, 16, 4};
   util::Rng init(9);
-  Mlp span_net(shape, init);
-  Mlp ptr_net(shape, init);
-  ptr_net.copy_params_from(span_net);
+  Mlp contiguous_net(shape, init);
+  Mlp scattered_net(shape, init);
+  scattered_net.copy_params_from(contiguous_net);
 
   for (const std::size_t rows : {1u, 16u, 21u}) {
     util::Rng data(rows * 53 + 1);
@@ -142,31 +144,32 @@ TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
     for (std::size_t i = 0; i < input.size(); ++i)
       if (data.below(10) < 6) input[i] = 0.0f;  // sparse layer-0 path
     const std::vector<float> grads = random_input(rows * shape.back(), data);
-    // Reversed storage order: the pointers, not the layout, define the rows.
-    std::vector<std::vector<float>> scattered(rows);
-    std::vector<const float*> row_ptrs(rows);
+    const std::vector<const float*> contiguous = row_pointers(input, shape.front());
+    std::vector<std::vector<float>> storage(rows);
+    std::vector<const float*> scattered(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-      const auto* base = input.data() + r * shape.front();
-      scattered[rows - 1 - r].assign(base, base + shape.front());
-      row_ptrs[r] = scattered[rows - 1 - r].data();
+      storage[rows - 1 - r].assign(contiguous[r], contiguous[r] + shape.front());
+      scattered[r] = storage[rows - 1 - r].data();
     }
 
-    Mlp::BatchWorkspace span_ws, ptr_ws;
-    const auto span_out = span_net.forward_batch(input, rows, span_ws);
-    const auto ptr_out = ptr_net.forward_batch(row_ptrs.data(), rows, ptr_ws);
-    ASSERT_EQ(span_out.size(), ptr_out.size());
-    for (std::size_t i = 0; i < span_out.size(); ++i)
-      ASSERT_EQ(span_out[i], ptr_out[i]) << "rows=" << rows << " elem=" << i;
+    Mlp::BatchWorkspace contiguous_ws, scattered_ws;
+    const auto contiguous_out =
+        contiguous_net.forward_batch(contiguous.data(), rows, contiguous_ws);
+    const auto scattered_out =
+        scattered_net.forward_batch(scattered.data(), rows, scattered_ws);
+    ASSERT_EQ(contiguous_out.size(), scattered_out.size());
+    for (std::size_t i = 0; i < contiguous_out.size(); ++i)
+      ASSERT_EQ(contiguous_out[i], scattered_out[i]) << "rows=" << rows << " elem=" << i;
 
-    span_net.zero_grad();
-    ptr_net.zero_grad();
-    span_net.backward_batch(input, span_ws, grads);
-    ptr_net.backward_batch(row_ptrs.data(), ptr_ws, grads);
-    auto span_params = span_net.params();
-    auto ptr_params = ptr_net.params();
-    for (std::size_t p = 0; p < span_params.size(); ++p)
-      for (std::size_t i = 0; i < span_params[p].size; ++i)
-        ASSERT_EQ(span_params[p].grads[i], ptr_params[p].grads[i])
+    contiguous_net.zero_grad();
+    scattered_net.zero_grad();
+    contiguous_net.backward_batch(contiguous.data(), contiguous_ws, grads);
+    scattered_net.backward_batch(scattered.data(), scattered_ws, grads);
+    auto contiguous_params = contiguous_net.params();
+    auto scattered_params = scattered_net.params();
+    for (std::size_t p = 0; p < contiguous_params.size(); ++p)
+      for (std::size_t i = 0; i < contiguous_params[p].size; ++i)
+        ASSERT_EQ(contiguous_params[p].grads[i], scattered_params[p].grads[i])
             << "rows=" << rows << " tensor=" << p << " elem=" << i;
   }
 }
@@ -226,7 +229,8 @@ std::vector<float> grads_with_signed_zeros(std::size_t n, util::Rng& rng) {
   const std::size_t in = net.input_size();
   const std::size_t out = net.output_size();
   Mlp::BatchWorkspace bws;
-  const auto batch_out = net.forward_batch(input, rows, bws);
+  const auto input_rows = row_pointers(input, in);
+  const auto batch_out = net.forward_batch(input_rows.data(), rows, bws);
   Mlp::Workspace ws;
   for (std::size_t r = 0; r < rows; ++r) {
     const auto row_out = net.forward(input.subspan(r * in, in), ws);
@@ -236,26 +240,10 @@ std::vector<float> grads_with_signed_zeros(std::size_t n, util::Rng& rng) {
   return ::testing::AssertionSuccess();
 }
 
-/// Pins DETERRENT_FORCE_ISA for one scope; Mlp picks its kernel backend at
-/// construction.
-class ScopedForceIsa {
- public:
-  explicit ScopedForceIsa(const char* isa) {
-    if (const char* saved = std::getenv("DETERRENT_FORCE_ISA")) saved_ = saved;
-    ::setenv("DETERRENT_FORCE_ISA", isa, 1);
-  }
-  ~ScopedForceIsa() {
-    if (saved_)
-      ::setenv("DETERRENT_FORCE_ISA", saved_->c_str(), 1);
-    else
-      ::unsetenv("DETERRENT_FORCE_ISA");
-  }
-  ScopedForceIsa(const ScopedForceIsa&) = delete;
-  ScopedForceIsa& operator=(const ScopedForceIsa&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
+/// The MLP family's runnable backends, narrowest first.
+std::vector<util::Isa> mlp_isas() {
+  return util::supported_isas(rl::kernels::table_or_null);
+}
 
 // Every compiled-in SIMD backend the host can run must produce bitwise the
 // same batch results as the Scalar table — the contract that lets a
@@ -264,9 +252,9 @@ class ScopedForceIsa {
 // sweep builds one network per backend from the same init stream. Inputs are
 // ~70% exact zeros to exercise the sparse layer-0 path.
 TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
-  const auto isas = rl::kernels::supported_mlp_isas();
+  const auto isas = mlp_isas();
   ASSERT_FALSE(isas.empty());
-  ASSERT_EQ(isas.front(), rl::kernels::MlpIsa::Scalar);
+  ASSERT_EQ(isas.front(), util::Isa::Scalar);
 
   const std::vector<std::size_t> shape{19, 32, 32, 6};
   const std::size_t rows = 33;
@@ -279,14 +267,15 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
 
   std::vector<float> ref_out, ref_grads, ref_params;
   for (const auto isa : isas) {
-    const ScopedForceIsa force(rl::kernels::to_string(isa));
+    const ScopedEnv force(util::kForceIsaEnv, util::to_string(isa));
     util::Rng init(7);
     Mlp net(shape, init);
 
     Mlp::BatchWorkspace bws;
-    const auto out = net.forward_batch(input, rows, bws);
+    const auto input_rows = row_pointers(input, shape.front());
+    const auto out = net.forward_batch(input_rows.data(), rows, bws);
     net.zero_grad();
-    net.backward_batch(input, bws, grads);
+    net.backward_batch(input_rows.data(), bws, grads);
     std::vector<float> flat_grads;
     for (const auto& p : net.params())
       flat_grads.insert(flat_grads.end(), p.grads, p.grads + p.size);
@@ -298,7 +287,7 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
     opt.step(0.5f);
     const std::vector<float> stepped = net.flat_params();
 
-    if (isa == rl::kernels::MlpIsa::Scalar) {
+    if (isa == util::Isa::Scalar) {
       ref_out.assign(out.begin(), out.end());
       ref_grads = std::move(flat_grads);
       ref_params = stepped;
@@ -307,15 +296,15 @@ TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
     ASSERT_EQ(out.size(), ref_out.size());
     for (std::size_t i = 0; i < out.size(); ++i)
       ASSERT_EQ(out[i], ref_out[i])
-          << rl::kernels::to_string(isa) << " forward elem " << i;
+          << util::to_string(isa) << " forward elem " << i;
     ASSERT_EQ(flat_grads.size(), ref_grads.size());
     for (std::size_t i = 0; i < flat_grads.size(); ++i)
       ASSERT_EQ(flat_grads[i], ref_grads[i])
-          << rl::kernels::to_string(isa) << " grad elem " << i;
+          << util::to_string(isa) << " grad elem " << i;
     ASSERT_EQ(stepped.size(), ref_params.size());
     for (std::size_t i = 0; i < stepped.size(); ++i)
       ASSERT_EQ(stepped[i], ref_params[i])
-          << rl::kernels::to_string(isa) << " adam-stepped param " << i;
+          << util::to_string(isa) << " adam-stepped param " << i;
   }
 }
 
@@ -341,12 +330,12 @@ TEST(MlpKernels, AxpyIndexedMatchesSequentialSumsOnEveryBackend) {
   lens.push_back(64);
   lens.push_back(70);
 
-  const auto& scalar = rl::kernels::mlp_kernel_table(rl::kernels::MlpIsa::Scalar);
-  for (const auto isa : rl::kernels::supported_mlp_isas()) {
-    const auto& table = rl::kernels::mlp_kernel_table(isa);
+  const auto& scalar = rl::kernels::select_mlp_kernels(util::Isa::Scalar);
+  for (const auto isa : mlp_isas()) {
+    const auto& table = rl::kernels::select_mlp_kernels(isa);
     for (const auto& idx : lists) {
       for (const std::size_t len : lens) {
-        SCOPED_TRACE(testing::Message() << rl::kernels::to_string(isa)
+        SCOPED_TRACE(testing::Message() << util::to_string(isa)
                                         << " terms=" << idx.size() << " len=" << len);
         const std::vector<float> start = random_input(len + 8, rng);
         std::vector<float> sequential = start;
@@ -376,15 +365,15 @@ TEST(MlpKernels, AxpyIndexedMatchesSequentialSumsOnEveryBackend) {
 TEST(MlpBatch, PpoShapedBatchesMatchPerSampleBitwiseOnEveryBackend) {
   const std::vector<std::vector<std::size_t>> shapes = {{355, 64, 64, 355},
                                                         {37, 24, 24, 19}};
-  for (const auto isa : rl::kernels::supported_mlp_isas()) {
-    const ScopedForceIsa force(rl::kernels::to_string(isa));
+  for (const auto isa : mlp_isas()) {
+    const ScopedEnv force(util::kForceIsaEnv, util::to_string(isa));
     for (const auto& shape : shapes) {
       util::Rng init(shape.front());
       Mlp batch_net(shape, init);
       Mlp row_net(shape, init);
       row_net.copy_params_from(batch_net);
       for (const std::size_t rows : {1u, 8u, 255u, 256u, 257u}) {
-        const std::string label = std::string(rl::kernels::to_string(isa)) +
+        const std::string label = std::string(util::to_string(isa)) +
                                   " in=" + std::to_string(shape.front()) +
                                   " rows=" + std::to_string(rows);
         util::Rng data(rows * 7919 + shape.back());
@@ -395,8 +384,9 @@ TEST(MlpBatch, PpoShapedBatchesMatchPerSampleBitwiseOnEveryBackend) {
 
         batch_net.zero_grad();
         Mlp::BatchWorkspace bws;
-        batch_net.forward_batch(input, rows, bws);
-        batch_net.backward_batch(input, bws, grads);
+        const auto input_rows = row_pointers(input, shape.front());
+        batch_net.forward_batch(input_rows.data(), rows, bws);
+        batch_net.backward_batch(input_rows.data(), bws, grads);
         row_net.zero_grad();
         Mlp::Workspace ws;
         for (std::size_t r = 0; r < rows; ++r) {
@@ -432,9 +422,10 @@ TEST(MlpBatch, BatchForwardFollowsEveryWeightUpdate) {
   ASSERT_TRUE(batch_matches_per_sample(net, input, rows)) << "fresh";
 
   Mlp::BatchWorkspace bws;
-  net.forward_batch(input, rows, bws);
+  const auto input_rows = row_pointers(input, shape.front());
+  net.forward_batch(input_rows.data(), rows, bws);
   net.zero_grad();
-  net.backward_batch(input, bws, grads);
+  net.backward_batch(input_rows.data(), bws, grads);
   rl::Adam opt(net.params(), {1e-2f});
   opt.step();
   net.refresh_transpose();
@@ -481,13 +472,13 @@ TanhMismatches backends_vs_port(const std::vector<float>& xs) {
   std::vector<float> want(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) want[i] = tanhf_fdlibm(xs[i]);
   std::vector<float> got;
-  for (const auto isa : rl::kernels::supported_mlp_isas()) {
-    if (isa == rl::kernels::MlpIsa::Scalar) continue;  // its entry is the port
+  for (const auto isa : mlp_isas()) {
+    if (isa == util::Isa::Scalar) continue;  // its entry is the port
     got = xs;
-    rl::kernels::mlp_kernel_table(isa).tanh(got.data(), got.size());
+    rl::kernels::select_mlp_kernels(isa).tanh(got.data(), got.size());
     for (std::size_t i = 0; i < xs.size(); ++i)
       if (std::bit_cast<std::uint32_t>(got[i]) != std::bit_cast<std::uint32_t>(want[i]))
-        bad.add(rl::kernels::to_string(isa), xs[i], got[i], want[i]);
+        bad.add(util::to_string(isa), xs[i], got[i], want[i]);
   }
   return bad;
 }
@@ -561,15 +552,15 @@ TEST(MlpTanh, EdgeInputsAndEveryTailLength) {
   for (std::size_t n = 1; n <= 17; ++n) {
     std::vector<float> xs(n);
     for (auto& x : xs) x = static_cast<float>(data.normal() * 3.0);
-    for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    for (const auto isa : mlp_isas()) {
       std::vector<float> buf = xs;
       buf.push_back(12345.0f);
-      rl::kernels::mlp_kernel_table(isa).tanh(buf.data(), n);
+      rl::kernels::select_mlp_kernels(isa).tanh(buf.data(), n);
       for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(std::bit_cast<std::uint32_t>(buf[i]),
                   std::bit_cast<std::uint32_t>(tanhf_fdlibm(xs[i])))
-            << rl::kernels::to_string(isa) << " n=" << n << " i=" << i;
-      ASSERT_EQ(buf[n], 12345.0f) << rl::kernels::to_string(isa) << " n=" << n;
+            << util::to_string(isa) << " n=" << n << " i=" << i;
+      ASSERT_EQ(buf[n], 12345.0f) << util::to_string(isa) << " n=" << n;
     }
   }
 }
@@ -609,11 +600,11 @@ TEST(MlpTanh, PortOutputsArePinnedOnEveryExpm1Branch) {
     const float want = std::bit_cast<float>(pin.tanh);
     EXPECT_EQ(std::bit_cast<std::uint32_t>(tanhf_fdlibm(x)), pin.tanh)
         << describe_tanh("port", x, tanhf_fdlibm(x), want);
-    for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    for (const auto isa : mlp_isas()) {
       float v = x;
-      rl::kernels::mlp_kernel_table(isa).tanh(&v, 1);
+      rl::kernels::select_mlp_kernels(isa).tanh(&v, 1);
       EXPECT_EQ(std::bit_cast<std::uint32_t>(v), pin.tanh)
-          << describe_tanh(rl::kernels::to_string(isa), x, v, want);
+          << describe_tanh(util::to_string(isa), x, v, want);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "sat/oracle.hpp"
 #include "util/rng.hpp"
 
+#include "helpers.hpp"
 #include "reference_sim.hpp"
 
 namespace deterrent::sat {
@@ -143,7 +144,7 @@ TEST(Encoder, WideXnorCorrect) {
 // ------------------------------------------------------------- oracle ------
 
 TEST(Oracle, FindsPatternForInternalTarget) {
-  const Netlist nl = netlist::read_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n"
       "n1 = AND(a, b)\ny = AND(n1, c)\n");
   NetlistOracle oracle(nl);

@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "bench_gen/random_circuit.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/encoder.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
 
+#include "dimacs.hpp"
 #include "reference_sim.hpp"
 
 namespace deterrent {

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+
+#include "dimacs.hpp"
 
 namespace deterrent::sat {
 namespace {

@@ -7,6 +7,7 @@
 #include "sim/probability.hpp"
 #include "util/thread_pool.hpp"
 
+#include "helpers.hpp"
 #include "reference_sim.hpp"
 
 namespace deterrent::sim {
@@ -96,7 +97,7 @@ TEST(Simulator, RejectsSequential) {
 }
 
 TEST(Simulator, SinglePatternMatchesTruth) {
-  const Netlist nl = netlist::read_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = AND(a, b)\ny = NOT(n)\n");
   Simulator sim(nl);
   const NetId y = *nl.find("y");
@@ -204,8 +205,7 @@ TEST(Probability, ThreadedEstimateIsDeterministic) {
 }
 
 TEST(Probability, StatsForGivenPatterns) {
-  const Netlist nl = netlist::read_bench_string(
-      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
   PatternSet set(2);
   for (int a = 0; a <= 1; ++a)
     for (int bb = 0; bb <= 1; ++bb) {

@@ -12,6 +12,7 @@
 #include "sat/oracle.hpp"
 #include "util/rng.hpp"
 
+#include "helpers.hpp"
 #include "reference_sim.hpp"
 
 namespace deterrent {
@@ -261,30 +262,29 @@ TEST(EnvStress, RewardExponentsProduceMonotoneRewards) {
 // ------------------------------------------------------ parser hardening ---
 
 TEST(ParserHardening, EmptyInput) {
-  const Netlist nl = netlist::read_bench_string("");
+  const Netlist nl = parse_bench("");
   EXPECT_EQ(nl.net_count(), 0u);
 }
 
 TEST(ParserHardening, CommentsAndBlankLinesOnly) {
-  const Netlist nl = netlist::read_bench_string("# nothing\n\n   \n# more\n");
+  const Netlist nl = parse_bench("# nothing\n\n   \n# more\n");
   EXPECT_EQ(nl.net_count(), 0u);
 }
 
 TEST(ParserHardening, WhitespaceTolerance) {
-  const Netlist nl = netlist::read_bench_string(
+  const Netlist nl = parse_bench(
       "  INPUT( a )  \n\tOUTPUT( y )\n y =  NAND( a ,a  ) # trailing\n");
   EXPECT_EQ(nl.inputs().size(), 1u);
   EXPECT_EQ(nl.type(*nl.find("y")), GateType::Nand);
 }
 
 TEST(ParserHardening, CaseInsensitiveCells) {
-  const Netlist nl = netlist::read_bench_string(
-      "input(a)\noutput(y)\ny = nand(a, a)\n");
+  const Netlist nl = parse_bench("input(a)\noutput(y)\ny = nand(a, a)\n");
   EXPECT_EQ(nl.type(*nl.find("y")), GateType::Nand);
 }
 
 TEST(ParserHardening, MissingFileThrows) {
-  EXPECT_THROW(netlist::read_bench_file("/nonexistent/path/x.bench"), Error);
+  EXPECT_THROW(netlist::read_bench_file_checked("/nonexistent/path/x.bench"), Error);
 }
 
 // ----------------------------------------------- compatibility edge cases --
