@@ -1,7 +1,6 @@
 #include "analysis/compatibility.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <span>
 #include <string>
@@ -31,53 +30,18 @@ CompatibilityMatrix CompatibilityMatrix::from_rows(std::vector<util::BitVec> row
   return m;
 }
 
-CompatibilityMatrix::CompatibilityMatrix(const CompatibilityMatrix& other)
-    : rows_(other.rows_),
-      cached_edge_count_(other.cached_edge_count_.load(std::memory_order_relaxed)),
-      edge_count_valid_(other.edge_count_valid_.load(std::memory_order_relaxed)) {}
-
-CompatibilityMatrix::CompatibilityMatrix(CompatibilityMatrix&& other) noexcept
-    : rows_(std::move(other.rows_)),
-      cached_edge_count_(other.cached_edge_count_.load(std::memory_order_relaxed)),
-      edge_count_valid_(other.edge_count_valid_.load(std::memory_order_relaxed)) {}
-
-CompatibilityMatrix& CompatibilityMatrix::operator=(const CompatibilityMatrix& other) {
-  rows_ = other.rows_;
-  cached_edge_count_.store(other.cached_edge_count_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-  edge_count_valid_.store(other.edge_count_valid_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  return *this;
-}
-
-CompatibilityMatrix& CompatibilityMatrix::operator=(CompatibilityMatrix&& other) noexcept {
-  rows_ = std::move(other.rows_);
-  cached_edge_count_.store(other.cached_edge_count_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-  edge_count_valid_.store(other.edge_count_valid_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  return *this;
-}
-
 void CompatibilityMatrix::set(std::uint32_t i, std::uint32_t j, bool value) {
   rows_[i].set(j, value);
   rows_[j].set(i, value);
-  edge_count_valid_.store(false, std::memory_order_release);
 }
 
 std::size_t CompatibilityMatrix::edge_count() const {
-  if (!edge_count_valid_.load(std::memory_order_acquire)) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      total += rows_[i].count();
-      if (rows_[i].test(i)) --total;  // don't count the diagonal
-    }
-    // Racing first readers store the same value, so relaxed + release is
-    // enough for later acquire loads to see a published count.
-    cached_edge_count_.store(total / 2, std::memory_order_relaxed);
-    edge_count_valid_.store(true, std::memory_order_release);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    total += rows_[i].count();
+    if (rows_[i].test(i)) --total;  // don't count the diagonal
   }
-  return cached_edge_count_.load(std::memory_order_relaxed);
+  return total / 2;
 }
 
 double CompatibilityMatrix::average_degree() const {

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/rare_nets.hpp"
@@ -31,13 +31,6 @@ class CompatibilityMatrix {
   /// deterrent::Error, since they indicate a corrupt or hand-edited artifact.
   static CompatibilityMatrix from_rows(std::vector<util::BitVec> rows);
 
-  // Copy/move are explicit because the edge-count cache is atomic (atomics
-  // are neither copyable nor movable).
-  CompatibilityMatrix(const CompatibilityMatrix& other);
-  CompatibilityMatrix(CompatibilityMatrix&& other) noexcept;
-  CompatibilityMatrix& operator=(const CompatibilityMatrix& other);
-  CompatibilityMatrix& operator=(CompatibilityMatrix&& other) noexcept;
-
   std::size_t size() const { return rows_.size(); }
 
   bool compatible(std::uint32_t i, std::uint32_t j) const {
@@ -47,13 +40,12 @@ class CompatibilityMatrix {
 
   /// Row i as a bitset over rare-net indices (includes the diagonal bit).
   const util::BitVec& row(std::uint32_t i) const { return rows_[i]; }
+  std::span<const util::BitVec> rows() const { return rows_; }
 
   void set(std::uint32_t i, std::uint32_t j, bool value = true);
 
-  /// Number of compatible unordered pairs (i < j). The O(n²/64) popcount is
-  /// computed once and cached. Concurrent const reads are safe (racing
-  /// first callers recompute the same value into an atomic); set()
-  /// invalidates and, like all writes, must not race with readers.
+  /// Number of compatible unordered pairs (i < j): an O(n²/64) popcount on
+  /// every call, for reports.
   std::size_t edge_count() const;
 
   /// Mean degree (compatible partners per rare net), excluding the diagonal.
@@ -61,8 +53,6 @@ class CompatibilityMatrix {
 
  private:
   std::vector<util::BitVec> rows_;
-  mutable std::atomic<std::size_t> cached_edge_count_{0};
-  mutable std::atomic<bool> edge_count_valid_{false};
 };
 
 struct CompatibilityBuildConfig {

@@ -344,7 +344,10 @@ void rule_duplicate_gate(const Netlist& nl, Collector& out) {
     std::vector<NetId> key_fanins(nl.fanins(id).begin(), nl.fanins(id).end());
     std::sort(key_fanins.begin(), key_fanins.end());
     std::string key = std::to_string(static_cast<int>(type));
-    for (NetId f : key_fanins) key += "," + std::to_string(f);
+    for (NetId f : key_fanins) {
+      key += ',';
+      key += std::to_string(f);
+    }
     auto [it, inserted] = seen.emplace(std::move(key), id);
     if (!inserted) {
       out.add(nl, "drc.duplicate-gate", id,

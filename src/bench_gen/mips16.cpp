@@ -101,8 +101,10 @@ netlist::Netlist generate_mips16(const Mips16Config& config) {
   std::array<Word, kRegs> regs;
   for (unsigned r = 1; r < kRegs; ++r)
     for (unsigned i = 0; i < kWord; ++i)
-      regs[r][i] = b.add_dff(netlist::kNoNet,
-                             "r" + std::to_string(r) + "_" + std::to_string(i));
+      regs[r][i] = b.add_dff(netlist::kNoNet, std::string("r")
+                                                  .append(std::to_string(r))
+                                                  .append("_")
+                                                  .append(std::to_string(i)));
   for (unsigned i = 0; i < kWord; ++i) regs[0][i] = kit.const0;  // R0 == 0
 
   Word hi;

@@ -38,8 +38,8 @@ netlist::Netlist generate_array_multiplier(unsigned width) {
 
   std::vector<NetId> a(width);
   std::vector<NetId> x(width);
-  for (unsigned i = 0; i < width; ++i) a[i] = b.add_input("a" + std::to_string(i));
-  for (unsigned i = 0; i < width; ++i) x[i] = b.add_input("b" + std::to_string(i));
+  for (unsigned i = 0; i < width; ++i) a[i] = b.add_input(std::string("a").append(std::to_string(i)));
+  for (unsigned i = 0; i < width; ++i) x[i] = b.add_input(std::string("b").append(std::to_string(i)));
 
   // Accumulator over product bit positions; kNoNet represents a constant 0
   // that has not materialized as a gate yet.

@@ -78,7 +78,8 @@ netlist::Netlist generate_random_circuit(const RandomCircuitProfile& profile) {
       if (std::find(fanins.begin(), fanins.end(), f) == fanins.end())
         fanins.push_back(f);
     }
-    const NetId net = builder.add_gate(type, std::move(fanins), "g" + std::to_string(g));
+    const NetId net =
+        builder.add_gate(type, std::move(fanins), std::string("g").append(std::to_string(g)));
     gate_nets.push_back(net);
     sources.push_back(net);
   }

@@ -1,120 +1,246 @@
 #include "core/artifacts.hpp"
 
+#include <type_traits>
+
 namespace deterrent::core {
 
 namespace {
 
-util::ArtifactHeader header_for(ArtifactKind kind, std::uint64_t fingerprint) {
-  return {static_cast<std::uint32_t>(kind), kArtifactFormatVersion, fingerprint};
+// Each payload layout is stated once, as a field list over `io`: a
+// util::BinaryWriter with a const value saves it, a util::BinaryReader with a
+// fresh value loads it (the two share their method names). The reader bounds
+// every sequence count; checks only a load needs sit behind kLoads<IO>. The
+// second argument of `seq` is the fewest bytes one element can take.
+
+template <class IO>
+constexpr bool kLoads = std::is_same_v<IO, util::BinaryReader>;
+
+/// `T` as a field list sees it: const when saving, writable when loading.
+template <class IO, class T>
+using Fields = std::conditional_t<kLoads<IO>, T, const T>;
+
+template <class IO>
+void fields(IO& io, Fields<IO, std::array<std::uint64_t, 4>>& rng_state) {
+  for (auto& word : rng_state) io.u64(word);
 }
 
-void write_rng_state(util::BinaryWriter& w, const std::array<std::uint64_t, 4>& state) {
-  for (const auto word : state) w.u64(word);
+template <class IO>
+void fields(IO& io, Fields<IO, rl::PpoUpdateStats>& s) {
+  io.f64(s.mean_episode_reward);
+  io.f64(s.mean_episode_length);
+  io.f64(s.mean_entropy);
+  io.f64(s.policy_loss);
+  io.f64(s.value_loss);
+  io.f64(s.entropy_loss);
+  io.f64(s.total_loss);
+  io.u64(s.steps);
+  io.u64(s.episodes);
 }
 
-std::array<std::uint64_t, 4> read_rng_state(util::BinaryReader& r) {
-  std::array<std::uint64_t, 4> state;
-  for (auto& word : state) word = r.u64();
-  return state;
+template <class IO>
+void fields(IO& io, Fields<IO, TrainingSnapshot>& s) {
+  fields(io, s.ppo);
+  io.u64(s.pool_size);
+  io.u64(s.max_set_size);
+  io.u64(s.cumulative_steps);
+  io.u64(s.cumulative_episodes);
+  io.u64(s.sat_queries);
+  io.f64(s.elapsed_seconds);
 }
 
-void write_ppo_stats(util::BinaryWriter& w, const rl::PpoUpdateStats& s) {
-  w.f64(s.mean_episode_reward);
-  w.f64(s.mean_episode_length);
-  w.f64(s.mean_entropy);
-  w.f64(s.policy_loss);
-  w.f64(s.value_loss);
-  w.f64(s.entropy_loss);
-  w.f64(s.total_loss);
-  w.u64(s.steps);
-  w.u64(s.episodes);
+template <class IO>
+void fields(IO& io, Fields<IO, LintArtifact>& a) {
+  io.enum8(a.fail_on, analysis::LintSeverity::Error);
+  io.boolean(a.rejected);
+  io.u64(a.report.suppressed);
+  io.seq(a.report.diagnostics, 37, [&](auto& d) {
+    io.str(d.rule);
+    io.enum8(d.severity, analysis::LintSeverity::Error);
+    io.u32(d.net);
+    io.str(d.net_name);
+    io.u64(d.line);
+    io.str(d.message);
+  });
 }
 
-rl::PpoUpdateStats read_ppo_stats(util::BinaryReader& r) {
-  rl::PpoUpdateStats s;
-  s.mean_episode_reward = r.f64();
-  s.mean_episode_length = r.f64();
-  s.mean_entropy = r.f64();
-  s.policy_loss = r.f64();
-  s.value_loss = r.f64();
-  s.entropy_loss = r.f64();
-  s.total_loss = r.f64();
-  s.steps = r.u64();
-  s.episodes = r.u64();
-  return s;
+template <class IO>
+void fields(IO& io, Fields<IO, RareNetArtifact>& a) {
+  io.f64(a.threshold);
+  io.u64(a.seed);
+  fields(io, a.rng_state_after);
+  io.seq(a.rare_nets, 13, [&](auto& rn) {
+    io.u32(rn.net);
+    io.boolean(rn.rare_value);
+    io.f64(rn.probability);
+  });
 }
 
-void write_snapshot(util::BinaryWriter& w, const TrainingSnapshot& s) {
-  write_ppo_stats(w, s.ppo);
-  w.u64(s.pool_size);
-  w.u64(s.max_set_size);
-  w.u64(s.cumulative_steps);
-  w.u64(s.cumulative_episodes);
-  w.u64(s.sat_queries);
-  w.f64(s.elapsed_seconds);
+template <class IO>
+void fields(IO& io, Fields<IO, CompatibilityArtifact>& a) {
+  io.u64(a.rare_hash);
+  if constexpr (kLoads<IO>) {
+    std::vector<util::BitVec> rows;
+    io.bitvec_vec(rows);
+    a.matrix = analysis::CompatibilityMatrix::from_rows(std::move(rows));
+  } else {
+    io.bitvec_vec(a.matrix.rows());
+  }
+  io.bitvec_vec(a.witness_signatures);
+  if (kLoads<IO> && !a.witness_signatures.empty() &&
+      a.witness_signatures.size() != a.matrix.size())
+    throw CorruptArtifactError("witness signature count " +
+                               std::to_string(a.witness_signatures.size()) +
+                               " does not match matrix size " +
+                               std::to_string(a.matrix.size()));
+  io.u64(a.stats.pair_count);
+  io.u64(a.stats.sim_resolved);
+  io.u64(a.stats.sat_sat);
+  io.u64(a.stats.sat_unsat);
+  io.u64(a.stats.timeout_pairs);
+  io.u64(a.stats.unsat_singletons);
+  io.f64(a.stats.build_seconds);
 }
 
-TrainingSnapshot read_snapshot(util::BinaryReader& r) {
-  TrainingSnapshot s;
-  s.ppo = read_ppo_stats(r);
-  s.pool_size = r.u64();
-  s.max_set_size = r.u64();
-  s.cumulative_steps = r.u64();
-  s.cumulative_episodes = r.u64();
-  s.sat_queries = r.u64();
-  s.elapsed_seconds = r.f64();
-  return s;
+template <class IO>
+void fields(IO& io, Fields<IO, PolicyArtifact>& a) {
+  auto& t = a.trainer;
+  io.u64(a.rare_hash);
+  io.f32_vec(t.policy_params);
+  io.f32_vec(t.value_params);
+  io.f32_vec(t.policy_opt.m);
+  io.f32_vec(t.policy_opt.v);
+  io.u64(t.policy_opt.t);
+  io.f32_vec(t.value_opt.m);
+  io.f32_vec(t.value_opt.v);
+  io.u64(t.value_opt.t);
+  io.seq(t.rng_states, 32, [&](auto& state) { fields(io, state); });
+  io.u64(t.seed);
+  io.u64(t.total_steps);
+  io.u64(t.total_episodes);
+  io.bitvec_vec(a.pool_sets);
+  io.seq(a.history, 120, [&](auto& snapshot) { fields(io, snapshot); });
+  io.f64(a.train_seconds);
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, PatternArtifact>& a) {
+  io.u64(a.rare_hash);
+  // The set is stored input-major; on disk it is its input count and one
+  // bitvec per pattern.
+  std::uint64_t input_count = a.patterns.input_count();
+  std::vector<util::BitVec> rows;
+  if constexpr (!kLoads<IO>)
+    for (std::size_t p = 0; p < a.patterns.pattern_count(); ++p)
+      rows.push_back(a.patterns.pattern(p));
+  io.u64(input_count);
+  io.bitvec_vec(rows);
+  if constexpr (kLoads<IO>) {
+    a.patterns = sim::PatternSet(input_count);
+    for (const auto& row : rows) {
+      if (row.size() != input_count)
+        throw CorruptArtifactError("pattern width " + std::to_string(row.size()) +
+                                   " does not match input count " +
+                                   std::to_string(input_count));
+      a.patterns.push(row);
+    }
+  }
+  io.bitvec_vec(a.extracted_sets);
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, DeterrentConfig>& c) {
+  io.boolean(c.lint.enabled);
+  io.enum8(c.lint.fail_on, analysis::LintSeverity::Error);
+  io.seq(c.lint.disabled, 8, [&](auto& rule) { io.str(rule); });
+  io.f64(c.lint.unexcitable_prob);
+  io.u32(c.lint.shadow_co);
+  io.u32(c.lint.trigger_width);
+  io.f64(c.lint.trigger_prob);
+  io.u64(c.lint.trigger_max_fanout);
+  io.u64(c.lint.max_per_rule);
+  io.f64(c.rare.threshold);
+  io.u64(c.rare.sim_patterns);
+  io.boolean(c.rare.exclude_untoggled);
+  io.boolean(c.rare.exclude_inputs);
+  io.u64(c.compat.sim_patterns);
+  io.i64(c.compat.sat_conflict_budget);
+  // Legacy slots of the removed SAT inprocessing and portfolio knobs
+  // (inprocess, portfolio_threads, share_lbd_cap): saved at their old
+  // defaults so the v5 layout, config_hash and cached artifacts stay
+  // unchanged, and ignored on load so sessions saved with other values load.
+  bool inprocess = true;
+  std::uint64_t portfolio_threads = 0;
+  std::uint32_t share_lbd_cap = 6;
+  io.boolean(inprocess);
+  io.u64(portfolio_threads);
+  io.u32(share_lbd_cap);
+  io.u64(c.compat.shard_count);
+  io.enum8(c.env.reward_mode, RewardMode::EndOfEpisode);
+  io.enum8(c.env.mask_mode, MaskMode::None);
+  io.u64(c.env.max_steps);
+  io.i64(c.env.sat_conflict_budget);
+  io.f64(c.env.reward_exponent);
+  io.u64(c.env.eoe_repair_budget);
+  io.u64(c.env.sat_dispatch_threads);
+  io.f32(c.ppo.gamma);
+  io.f32(c.ppo.gae_lambda);
+  io.f32(c.ppo.clip_ratio);
+  io.f32(c.ppo.learning_rate);
+  io.f32(c.ppo.entropy_coef);
+  io.f32(c.ppo.value_coef);
+  io.f32(c.ppo.max_grad_norm);
+  io.i32(c.ppo.epochs);
+  io.u64(c.ppo.minibatch_size);
+  io.u64(c.ppo.episodes_per_update);
+  io.u64(c.ppo.hidden_size);
+  io.u64(c.ppo.hidden_layers);
+  io.u64(c.ppo.n_workers);
+  io.u64(c.ppo.rollout_lanes);
+  io.boolean(c.ppo.normalize_advantages);
+  io.u64(c.updates);
+  io.u64(c.k_patterns);
+  io.u64(c.seed);
+  io.u64(c.offline_threads);
+}
+
+template <class T>
+void save_payload(const std::string& path, ArtifactKind kind, std::uint64_t fingerprint,
+                  const T& value) {
+  util::BinaryWriter w;
+  fields(w, value);
+  util::write_artifact_file(
+      path, {static_cast<std::uint32_t>(kind), kArtifactFormatVersion, fingerprint},
+      w.bytes());
+}
+
+template <class T>
+void load_payload(const std::string& path, ArtifactKind kind,
+                  std::uint64_t expected_fingerprint, T& value,
+                  std::uint64_t* fingerprint_out = nullptr) {
+  const auto payload = util::read_artifact_file(
+      path, {static_cast<std::uint32_t>(kind), kArtifactFormatVersion, expected_fingerprint},
+      fingerprint_out);
+  util::BinaryReader r(payload);
+  try {
+    fields(r, value);
+    r.expect_end();
+  } catch (const Error& e) {
+    throw CorruptArtifactError("artifact " + path + ": " + e.what());
+  }
 }
 
 }  // namespace
 
-// ------------------------------------------------------------- lint --------
-
 void LintArtifact::save(const std::string& path) const {
-  util::BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(fail_on));
-  w.boolean(rejected);
-  w.u64(report.suppressed);
-  w.u64(report.diagnostics.size());
-  for (const auto& d : report.diagnostics) {
-    w.str(d.rule);
-    w.u8(static_cast<std::uint8_t>(d.severity));
-    w.u32(d.net);
-    w.str(d.net_name);
-    w.u64(d.line);
-    w.str(d.message);
-  }
-  util::write_artifact_file(path, header_for(ArtifactKind::Lint, netlist_fingerprint),
-                            w.bytes());
+  save_payload(path, ArtifactKind::Lint, netlist_fingerprint, *this);
 }
 
 LintArtifact LintArtifact::load(const std::string& path,
                                 std::uint64_t expected_fingerprint) {
   LintArtifact a;
-  const auto payload = util::read_artifact_file(
-      path, header_for(ArtifactKind::Lint, expected_fingerprint),
-      &a.netlist_fingerprint);
-  util::BinaryReader r(payload);
-  a.fail_on = static_cast<analysis::LintSeverity>(r.u8());
-  a.rejected = r.boolean();
-  a.report.suppressed = r.u64();
-  const std::uint64_t n = r.u64();
-  a.report.diagnostics.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    analysis::LintDiagnostic d;
-    d.rule = r.str();
-    d.severity = static_cast<analysis::LintSeverity>(r.u8());
-    d.net = r.u32();
-    d.net_name = r.str();
-    d.line = r.u64();
-    d.message = r.str();
-    a.report.diagnostics.push_back(std::move(d));
-  }
-  r.expect_end();
+  load_payload(path, ArtifactKind::Lint, expected_fingerprint, a, &a.netlist_fingerprint);
   return a;
 }
-
-// ------------------------------------------------------- rare nets ---------
 
 std::uint64_t rare_content_hash(std::uint64_t netlist_fingerprint,
                                 std::span<const analysis::RareNet> rare_nets) {
@@ -133,292 +259,66 @@ std::uint64_t RareNetArtifact::rare_hash() const {
 }
 
 void RareNetArtifact::save(const std::string& path) const {
-  util::BinaryWriter w;
-  w.f64(threshold);
-  w.u64(seed);
-  write_rng_state(w, rng_state_after);
-  w.u64(rare_nets.size());
-  for (const auto& rn : rare_nets) {
-    w.u32(rn.net);
-    w.boolean(rn.rare_value);
-    w.f64(rn.probability);
-  }
-  util::write_artifact_file(path, header_for(ArtifactKind::RareNets, netlist_fingerprint),
-                            w.bytes());
+  save_payload(path, ArtifactKind::RareNets, netlist_fingerprint, *this);
 }
 
 RareNetArtifact RareNetArtifact::load(const std::string& path,
                                       std::uint64_t expected_fingerprint) {
   RareNetArtifact a;
-  const auto payload = util::read_artifact_file(
-      path, header_for(ArtifactKind::RareNets, expected_fingerprint),
-      &a.netlist_fingerprint);
-  util::BinaryReader r(payload);
-  a.threshold = r.f64();
-  a.seed = r.u64();
-  a.rng_state_after = read_rng_state(r);
-  const std::uint64_t n = r.u64();
-  a.rare_nets.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    analysis::RareNet rn;
-    rn.net = r.u32();
-    rn.rare_value = r.boolean();
-    rn.probability = r.f64();
-    a.rare_nets.push_back(rn);
-  }
-  r.expect_end();
+  load_payload(path, ArtifactKind::RareNets, expected_fingerprint, a, &a.netlist_fingerprint);
   return a;
 }
 
-// --------------------------------------------------- compatibility ---------
-
 void CompatibilityArtifact::save(const std::string& path) const {
-  util::BinaryWriter w;
-  w.u64(rare_hash);
-  w.u64(matrix.size());
-  for (std::uint32_t i = 0; i < matrix.size(); ++i) w.bitvec(matrix.row(i));
-  w.bitvec_vec(witness_signatures);
-  w.u64(stats.pair_count);
-  w.u64(stats.sim_resolved);
-  w.u64(stats.sat_sat);
-  w.u64(stats.sat_unsat);
-  w.u64(stats.timeout_pairs);
-  w.u64(stats.unsat_singletons);
-  w.f64(stats.build_seconds);
-  util::write_artifact_file(
-      path, header_for(ArtifactKind::Compatibility, netlist_fingerprint), w.bytes());
+  save_payload(path, ArtifactKind::Compatibility, netlist_fingerprint, *this);
 }
 
 CompatibilityArtifact CompatibilityArtifact::load(const std::string& path,
                                                   std::uint64_t expected_fingerprint) {
   CompatibilityArtifact a;
-  const auto payload = util::read_artifact_file(
-      path, header_for(ArtifactKind::Compatibility, expected_fingerprint),
-      &a.netlist_fingerprint);
-  util::BinaryReader r(payload);
-  a.rare_hash = r.u64();
-  const std::uint64_t n = r.u64();
-  std::vector<util::BitVec> rows;
-  rows.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) rows.push_back(r.bitvec());
-  a.matrix = analysis::CompatibilityMatrix::from_rows(std::move(rows));
-  a.witness_signatures = r.bitvec_vec();
-  if (!a.witness_signatures.empty() && a.witness_signatures.size() != n)
-    throw Error("artifact " + path + ": witness signature count " +
-                std::to_string(a.witness_signatures.size()) +
-                " does not match matrix size " + std::to_string(n));
-  a.stats.pair_count = r.u64();
-  a.stats.sim_resolved = r.u64();
-  a.stats.sat_sat = r.u64();
-  a.stats.sat_unsat = r.u64();
-  a.stats.timeout_pairs = r.u64();
-  a.stats.unsat_singletons = r.u64();
-  a.stats.build_seconds = r.f64();
-  r.expect_end();
+  load_payload(path, ArtifactKind::Compatibility, expected_fingerprint, a,
+               &a.netlist_fingerprint);
   return a;
 }
 
-// ----------------------------------------------------------- policy --------
-
 void PolicyArtifact::save(const std::string& path) const {
-  util::BinaryWriter w;
-  w.u64(rare_hash);
-  w.f32_vec(trainer.policy_params);
-  w.f32_vec(trainer.value_params);
-  w.f32_vec(trainer.policy_opt.m);
-  w.f32_vec(trainer.policy_opt.v);
-  w.u64(trainer.policy_opt.t);
-  w.f32_vec(trainer.value_opt.m);
-  w.f32_vec(trainer.value_opt.v);
-  w.u64(trainer.value_opt.t);
-  w.u64(trainer.rng_states.size());
-  for (const auto& state : trainer.rng_states) write_rng_state(w, state);
-  w.u64(trainer.seed);
-  w.u64(trainer.total_steps);
-  w.u64(trainer.total_episodes);
-  w.bitvec_vec(pool_sets);
-  w.u64(history.size());
-  for (const auto& snap : history) write_snapshot(w, snap);
-  w.f64(train_seconds);
-  util::write_artifact_file(path, header_for(ArtifactKind::Policy, netlist_fingerprint),
-                            w.bytes());
+  save_payload(path, ArtifactKind::Policy, netlist_fingerprint, *this);
 }
 
 PolicyArtifact PolicyArtifact::load(const std::string& path,
                                     std::uint64_t expected_fingerprint) {
   PolicyArtifact a;
-  const auto payload = util::read_artifact_file(
-      path, header_for(ArtifactKind::Policy, expected_fingerprint),
-      &a.netlist_fingerprint);
-  util::BinaryReader r(payload);
-  a.rare_hash = r.u64();
-  a.trainer.policy_params = r.f32_vec();
-  a.trainer.value_params = r.f32_vec();
-  a.trainer.policy_opt.m = r.f32_vec();
-  a.trainer.policy_opt.v = r.f32_vec();
-  a.trainer.policy_opt.t = r.u64();
-  a.trainer.value_opt.m = r.f32_vec();
-  a.trainer.value_opt.v = r.f32_vec();
-  a.trainer.value_opt.t = r.u64();
-  const std::uint64_t n_rngs = r.u64();
-  a.trainer.rng_states.reserve(n_rngs);
-  for (std::uint64_t i = 0; i < n_rngs; ++i)
-    a.trainer.rng_states.push_back(read_rng_state(r));
-  a.trainer.seed = r.u64();
-  a.trainer.total_steps = r.u64();
-  a.trainer.total_episodes = r.u64();
-  a.pool_sets = r.bitvec_vec();
-  const std::uint64_t n_snaps = r.u64();
-  a.history.reserve(n_snaps);
-  for (std::uint64_t i = 0; i < n_snaps; ++i) a.history.push_back(read_snapshot(r));
-  a.train_seconds = r.f64();
-  r.expect_end();
+  load_payload(path, ArtifactKind::Policy, expected_fingerprint, a, &a.netlist_fingerprint);
   return a;
 }
 
-// ---------------------------------------------------------- patterns -------
-
 void PatternArtifact::save(const std::string& path) const {
-  util::BinaryWriter w;
-  w.u64(rare_hash);
-  w.u64(patterns.input_count());
-  w.u64(patterns.pattern_count());
-  for (std::size_t p = 0; p < patterns.pattern_count(); ++p) w.bitvec(patterns.pattern(p));
-  w.bitvec_vec(extracted_sets);
-  util::write_artifact_file(path, header_for(ArtifactKind::Patterns, netlist_fingerprint),
-                            w.bytes());
+  save_payload(path, ArtifactKind::Patterns, netlist_fingerprint, *this);
 }
 
 PatternArtifact PatternArtifact::load(const std::string& path,
                                       std::uint64_t expected_fingerprint) {
   PatternArtifact a;
-  const auto payload = util::read_artifact_file(
-      path, header_for(ArtifactKind::Patterns, expected_fingerprint),
-      &a.netlist_fingerprint);
-  util::BinaryReader r(payload);
-  a.rare_hash = r.u64();
-  const std::uint64_t input_count = r.u64();
-  const std::uint64_t n_patterns = r.u64();
-  a.patterns = sim::PatternSet(input_count);
-  for (std::uint64_t p = 0; p < n_patterns; ++p) {
-    const util::BitVec pattern = r.bitvec();
-    if (pattern.size() != input_count)
-      throw Error("artifact " + path + ": pattern width " +
-                  std::to_string(pattern.size()) + " does not match input count " +
-                  std::to_string(input_count));
-    a.patterns.push(pattern);
-  }
-  a.extracted_sets = r.bitvec_vec();
-  r.expect_end();
+  load_payload(path, ArtifactKind::Patterns, expected_fingerprint, a, &a.netlist_fingerprint);
   return a;
 }
 
-// ------------------------------------------------------------ config -------
-
-void write_config(util::BinaryWriter& w, const DeterrentConfig& config) {
-  w.boolean(config.lint.enabled);
-  w.u8(static_cast<std::uint8_t>(config.lint.fail_on));
-  w.u64(config.lint.disabled.size());
-  for (const auto& rule : config.lint.disabled) w.str(rule);
-  w.f64(config.lint.unexcitable_prob);
-  w.u32(config.lint.shadow_co);
-  w.u32(config.lint.trigger_width);
-  w.f64(config.lint.trigger_prob);
-  w.u64(config.lint.trigger_max_fanout);
-  w.u64(config.lint.max_per_rule);
-  w.f64(config.rare.threshold);
-  w.u64(config.rare.sim_patterns);
-  w.boolean(config.rare.exclude_untoggled);
-  w.boolean(config.rare.exclude_inputs);
-  w.u64(config.compat.sim_patterns);
-  w.i64(config.compat.sat_conflict_budget);
-  // Legacy slots of the removed SAT inprocessing and portfolio knobs, kept
-  // at their old defaults (inprocess, portfolio_threads, share_lbd_cap) so
-  // the v5 layout, config_hash and cached artifacts stay unchanged.
-  w.boolean(true);
-  w.u64(0);
-  w.u32(6);
-  w.u64(config.compat.shard_count);
-  w.u8(static_cast<std::uint8_t>(config.env.reward_mode));
-  w.u8(static_cast<std::uint8_t>(config.env.mask_mode));
-  w.u64(config.env.max_steps);
-  w.i64(config.env.sat_conflict_budget);
-  w.f64(config.env.reward_exponent);
-  w.u64(config.env.eoe_repair_budget);
-  w.u64(config.env.sat_dispatch_threads);
-  w.f32(config.ppo.gamma);
-  w.f32(config.ppo.gae_lambda);
-  w.f32(config.ppo.clip_ratio);
-  w.f32(config.ppo.learning_rate);
-  w.f32(config.ppo.entropy_coef);
-  w.f32(config.ppo.value_coef);
-  w.f32(config.ppo.max_grad_norm);
-  w.u32(static_cast<std::uint32_t>(config.ppo.epochs));
-  w.u64(config.ppo.minibatch_size);
-  w.u64(config.ppo.episodes_per_update);
-  w.u64(config.ppo.hidden_size);
-  w.u64(config.ppo.hidden_layers);
-  w.u64(config.ppo.n_workers);
-  w.u64(config.ppo.rollout_lanes);
-  w.boolean(config.ppo.normalize_advantages);
-  w.u64(config.updates);
-  w.u64(config.k_patterns);
-  w.u64(config.seed);
-  w.u64(config.offline_threads);
-}
+void write_config(util::BinaryWriter& w, const DeterrentConfig& config) { fields(w, config); }
 
 DeterrentConfig read_config(util::BinaryReader& r) {
   DeterrentConfig config;
-  config.lint.enabled = r.boolean();
-  config.lint.fail_on = static_cast<analysis::LintSeverity>(r.u8());
-  const std::uint64_t n_disabled = r.u64();
-  config.lint.disabled.clear();
-  config.lint.disabled.reserve(n_disabled);
-  for (std::uint64_t i = 0; i < n_disabled; ++i) config.lint.disabled.push_back(r.str());
-  config.lint.unexcitable_prob = r.f64();
-  config.lint.shadow_co = r.u32();
-  config.lint.trigger_width = r.u32();
-  config.lint.trigger_prob = r.f64();
-  config.lint.trigger_max_fanout = r.u64();
-  config.lint.max_per_rule = r.u64();
-  config.rare.threshold = r.f64();
-  config.rare.sim_patterns = r.u64();
-  config.rare.exclude_untoggled = r.boolean();
-  config.rare.exclude_inputs = r.boolean();
-  config.compat.sim_patterns = r.u64();
-  config.compat.sat_conflict_budget = r.i64();
-  // The three legacy SAT-knob slots (see write_config) are read and ignored,
-  // so sessions written with non-default values still load.
-  (void)r.boolean();
-  (void)r.u64();
-  (void)r.u32();
-  config.compat.shard_count = r.u64();
-  config.env.reward_mode = static_cast<RewardMode>(r.u8());
-  config.env.mask_mode = static_cast<MaskMode>(r.u8());
-  config.env.max_steps = r.u64();
-  config.env.sat_conflict_budget = r.i64();
-  config.env.reward_exponent = r.f64();
-  config.env.eoe_repair_budget = r.u64();
-  config.env.sat_dispatch_threads = r.u64();
-  config.ppo.gamma = r.f32();
-  config.ppo.gae_lambda = r.f32();
-  config.ppo.clip_ratio = r.f32();
-  config.ppo.learning_rate = r.f32();
-  config.ppo.entropy_coef = r.f32();
-  config.ppo.value_coef = r.f32();
-  config.ppo.max_grad_norm = r.f32();
-  config.ppo.epochs = static_cast<int>(r.u32());
-  config.ppo.minibatch_size = r.u64();
-  config.ppo.episodes_per_update = r.u64();
-  config.ppo.hidden_size = r.u64();
-  config.ppo.hidden_layers = r.u64();
-  config.ppo.n_workers = r.u64();
-  config.ppo.rollout_lanes = r.u64();
-  config.ppo.normalize_advantages = r.boolean();
-  config.updates = r.u64();
-  config.k_patterns = r.u64();
-  config.seed = r.u64();
-  config.offline_threads = r.u64();
+  fields(r, config);
+  return config;
+}
+
+void save_session_meta(const std::string& path, std::uint64_t fingerprint,
+                       const DeterrentConfig& config) {
+  save_payload(path, ArtifactKind::SessionMeta, fingerprint, config);
+}
+
+DeterrentConfig load_session_meta(const std::string& path, std::uint64_t expected_fingerprint) {
+  DeterrentConfig config;
+  load_payload(path, ArtifactKind::SessionMeta, expected_fingerprint, config);
   return config;
 }
 

@@ -60,7 +60,8 @@ struct TrainingSnapshot {
 // own. Artifacts are versioned binary files (util::write_artifact_file
 // envelope: magic, kind, version, netlist fingerprint, CRC) so a run can be
 // checkpointed after any stage and resumed — in another process, on another
-// machine — with bit-identical results.
+// machine — with bit-identical results. Each payload layout is one field list
+// in artifacts.cpp that both save and load run.
 // ---------------------------------------------------------------------------
 
 /// Discriminator stored in the artifact file header.
@@ -176,5 +177,11 @@ std::uint64_t rare_content_hash(std::uint64_t netlist_fingerprint,
 /// not depend on the caller re-supplying identical flags.
 void write_config(util::BinaryWriter& w, const DeterrentConfig& config);
 DeterrentConfig read_config(util::BinaryReader& r);
+
+/// The session meta artifact (`session.meta`): the config in the artifact
+/// envelope, bound to one netlist fingerprint.
+void save_session_meta(const std::string& path, std::uint64_t fingerprint,
+                       const DeterrentConfig& config);
+DeterrentConfig load_session_meta(const std::string& path, std::uint64_t expected_fingerprint);
 
 }  // namespace deterrent::core

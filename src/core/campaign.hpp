@@ -130,7 +130,6 @@ class Campaign {
   explicit Campaign(CampaignConfig config);
 
   void add(std::string name, const netlist::Netlist& netlist);
-  std::size_t circuit_count() const { return circuits_.size(); }
 
   void set_evaluator(Evaluator evaluator) { evaluator_ = std::move(evaluator); }
 

@@ -42,23 +42,11 @@ Stage Session::next_stage() const {
 }
 
 void Session::save_config(const DeterrentConfig& config) const {
-  util::BinaryWriter w;
-  write_config(w, config);
-  util::write_artifact_file(
-      path(kMetaFile),
-      {static_cast<std::uint32_t>(ArtifactKind::SessionMeta), kArtifactFormatVersion,
-       fingerprint_},
-      w.bytes());
+  save_session_meta(path(kMetaFile), fingerprint_, config);
 }
 
 DeterrentConfig Session::load_config() const {
-  const auto payload = util::read_artifact_file(
-      path(kMetaFile), {static_cast<std::uint32_t>(ArtifactKind::SessionMeta),
-                        kArtifactFormatVersion, fingerprint_});
-  util::BinaryReader r(payload);
-  DeterrentConfig config = read_config(r);
-  r.expect_end();
-  return config;
+  return load_session_meta(path(kMetaFile), fingerprint_);
 }
 
 void Session::save(const Pipeline& pipeline) const {

@@ -231,7 +231,9 @@ class Parser {
 std::string printable_name(const Netlist& netlist, NetId net) {
   const std::string& given = netlist.name(net);
   if (!given.empty()) return given;
-  return "n" + std::to_string(net);
+  std::string name = "n";
+  name += std::to_string(net);
+  return name;
 }
 
 std::string_view bench_cell_name(GateType type) {

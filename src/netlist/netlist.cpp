@@ -95,7 +95,9 @@ namespace {
 
 std::string issue_name(const std::vector<std::string>& names, NetId id) {
   if (!names[id].empty()) return "'" + names[id] + "'";
-  return "#" + std::to_string(id);
+  std::string name = "#";
+  name += std::to_string(id);
+  return name;
 }
 
 }  // namespace

@@ -107,7 +107,6 @@ class NetlistOracle {
   void randomize_completion(util::Rng& rng) { solver_.randomize_phases(rng); }
 
   std::uint64_t query_count() const { return solver_.stats().solves; }
-  const Solver::Stats& solver_stats() const { return solver_.stats(); }
 
  private:
   std::vector<Lit> to_assumptions(std::span<const Constraint> constraints) const;

@@ -46,13 +46,11 @@ void BinaryWriter::bitvec(const BitVec& bv) {
 }
 
 void BinaryWriter::f32_vec(std::span<const float> v) {
-  u64(v.size());
-  for (const auto x : v) f32(x);
+  seq(v, 4, [this](float x) { f32(x); });
 }
 
 void BinaryWriter::bitvec_vec(std::span<const BitVec> v) {
-  u64(v.size());
-  for (const auto& bv : v) bitvec(bv);
+  seq(v, 8, [this](const BitVec& bv) { bitvec(bv); });
 }
 
 // ------------------------------------------------------------- reader -----
@@ -65,49 +63,64 @@ void BinaryReader::need(std::size_t n) const {
                 std::to_string(bytes_.size() - pos_));
 }
 
-std::uint8_t BinaryReader::u8() {
+void BinaryReader::u8(std::uint8_t& v) {
   need(1);
-  return bytes_[pos_++];
+  v = bytes_[pos_++];
 }
 
-std::uint32_t BinaryReader::u32() {
+void BinaryReader::u32(std::uint32_t& v) {
   need(4);
-  std::uint32_t v = 0;
+  v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-  return v;
 }
 
-std::uint64_t BinaryReader::u64() {
+void BinaryReader::u64(std::uint64_t& v) {
   need(8);
-  std::uint64_t v = 0;
+  v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-  return v;
 }
 
-float BinaryReader::f32() {
-  const std::uint32_t bits = u32();
-  float v;
+void BinaryReader::i32(std::int32_t& v) {
+  std::uint32_t bits = 0;
+  u32(bits);
+  v = static_cast<std::int32_t>(bits);
+}
+
+void BinaryReader::i64(std::int64_t& v) {
+  std::uint64_t bits = 0;
+  u64(bits);
+  v = static_cast<std::int64_t>(bits);
+}
+
+void BinaryReader::f32(float& v) {
+  std::uint32_t bits = 0;
+  u32(bits);
   std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
-double BinaryReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
+void BinaryReader::f64(double& v) {
+  std::uint64_t bits = 0;
+  u64(bits);
   std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
-std::string BinaryReader::str() {
-  const std::uint64_t n = u64();
+void BinaryReader::boolean(bool& v) {
+  std::uint8_t b = 0;
+  u8(b);
+  v = b != 0;
+}
+
+void BinaryReader::str(std::string& s) {
+  std::uint64_t n = 0;
+  u64(n);
   need(n);
-  std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
+  s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
   pos_ += n;
-  return s;
 }
 
-BitVec BinaryReader::bitvec() {
-  const std::uint64_t n_bits = u64();
+void BinaryReader::bitvec(BitVec& bv) {
+  std::uint64_t n_bits = 0;
+  u64(n_bits);
   // Bound the length prefix by the bytes actually present BEFORE allocating:
   // a corrupt/forged count must throw Error, not bad_alloc (and the
   // division-form comparison cannot overflow).
@@ -115,9 +128,10 @@ BitVec BinaryReader::bitvec() {
   if (n_words > remaining() / 8)
     throw CorruptArtifactError("artifact bitvec claims " + std::to_string(n_bits) +
                 " bits but only " + std::to_string(remaining()) + " bytes remain");
-  BitVec bv(n_bits);
+  bv = BitVec(n_bits);
   for (std::size_t w = 0; w < bv.word_count(); ++w) {
-    const std::uint64_t word = u64();
+    std::uint64_t word = 0;
+    u64(word);
     // Reject set bits beyond size(): the writer always trims, so spurious
     // tail bits mean corruption that CRC happened to miss or a forged file.
     if (w + 1 == bv.word_count() && n_bits % 64 != 0 &&
@@ -125,33 +139,28 @@ BitVec BinaryReader::bitvec() {
       throw CorruptArtifactError("artifact bitvec has bits set beyond its length");
     bv.set_word(w, word);
   }
-  return bv;
 }
 
-// The count guards below use division so oversized length prefixes can
-// neither overflow the byte-count multiplication nor trigger a huge
-// allocation — they throw Error like every other corruption.
-
-std::vector<float> BinaryReader::f32_vec() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 4)
-    throw CorruptArtifactError("artifact vector claims " + std::to_string(n) + " f32 elements but only " +
-                std::to_string(remaining()) + " bytes remain");
-  std::vector<float> v(n);
-  for (auto& x : v) x = f32();
-  return v;
+std::size_t BinaryReader::count(std::size_t min_element_bytes) {
+  DETERRENT_ASSERT(min_element_bytes > 0, "BinaryReader::seq: elements take bytes");
+  std::uint64_t n = 0;
+  u64(n);
+  // Division form: an oversized count can neither overflow the byte total
+  // nor reach an allocation.
+  if (n > remaining() / min_element_bytes)
+    throw CorruptArtifactError("artifact sequence claims " + std::to_string(n) +
+                               " elements of at least " + std::to_string(min_element_bytes) +
+                               " bytes but only " + std::to_string(remaining()) +
+                               " bytes remain");
+  return n;
 }
 
-std::vector<BitVec> BinaryReader::bitvec_vec() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 8)  // at least the length word of each element
-    throw CorruptArtifactError("artifact vector claims " + std::to_string(n) +
-                " bitvec elements but only " + std::to_string(remaining()) +
-                " bytes remain");
-  std::vector<BitVec> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(bitvec());
-  return v;
+void BinaryReader::f32_vec(std::vector<float>& v) {
+  seq(v, 4, [this](float& x) { f32(x); });
+}
+
+void BinaryReader::bitvec_vec(std::vector<BitVec>& v) {
+  seq(v, 8, [this](BitVec& bv) { bitvec(bv); });
 }
 
 void BinaryReader::expect_end() const {
@@ -308,35 +317,33 @@ void write_artifact_file(const std::string& path, const ArtifactHeader& header,
 std::vector<std::uint8_t> read_artifact_file(const std::string& path,
                                              const ArtifactHeader& expected,
                                              std::uint64_t* fingerprint_out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw TransientError("cannot open artifact file " + path);
-  std::vector<std::uint8_t> raw;
-  std::uint8_t chunk[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) raw.insert(raw.end(), chunk, chunk + n);
-  std::fclose(f);
-
+  const std::vector<std::uint8_t> raw = read_file_bytes(path);
   BinaryReader r(raw);
   try {
-    for (const char m : kMagic)
-      if (r.u8() != static_cast<std::uint8_t>(m))
+    for (const char m : kMagic) {
+      std::uint8_t b = 0;
+      r.u8(b);
+      if (b != static_cast<std::uint8_t>(m))
         throw CorruptArtifactError("bad magic (not a DETERRENT artifact)");
-    const std::uint32_t kind = r.u32();
+    }
+    std::uint32_t kind = 0, version = 0;
+    std::uint64_t fingerprint = 0, payload_size = 0;
+    r.u32(kind);
+    r.u32(version);
+    r.u64(fingerprint);
+    r.u64(payload_size);
     if (kind != expected.kind)
       throw CorruptArtifactError("artifact kind mismatch: file has " + std::to_string(kind) +
                   ", expected " + std::to_string(expected.kind));
-    const std::uint32_t version = r.u32();
     if (version != expected.version)
       throw CorruptArtifactError("artifact version mismatch: file has v" + std::to_string(version) +
                   ", this build reads v" + std::to_string(expected.version));
-    const std::uint64_t fingerprint = r.u64();
     if (expected.fingerprint != 0 && fingerprint != expected.fingerprint)
       throw CorruptArtifactError("netlist fingerprint mismatch: artifact was built for a different "
                   "circuit (file " +
                   std::to_string(fingerprint) + ", netlist " +
                   std::to_string(expected.fingerprint) + ")");
     if (fingerprint_out != nullptr) *fingerprint_out = fingerprint;
-    const std::uint64_t payload_size = r.u64();
     const std::size_t header_size = raw.size() - r.remaining();
     // Guard the raw size first — `payload_size + 4` could wrap for a forged
     // size field, and every failure here must be Error, not UB/length_error.
@@ -350,9 +357,9 @@ std::vector<std::uint8_t> read_artifact_file(const std::string& path,
     std::vector<std::uint8_t> payload(
         raw.begin() + static_cast<std::ptrdiff_t>(header_size),
         raw.begin() + static_cast<std::ptrdiff_t>(header_size + payload_size));
-    BinaryReader crc_reader(
-        std::span<const std::uint8_t>(raw.data() + header_size + payload_size, 4));
-    const std::uint32_t stored_crc = crc_reader.u32();
+    std::uint32_t stored_crc = 0;
+    BinaryReader(std::span<const std::uint8_t>(raw.data() + header_size + payload_size, 4))
+        .u32(stored_crc);
     if (stored_crc != crc32(payload))
       throw CorruptArtifactError("CRC mismatch (artifact corrupt)");
     return payload;

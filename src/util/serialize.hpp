@@ -10,18 +10,32 @@
 
 namespace deterrent::util {
 
-/// Little-endian binary encoder for the pipeline's serializable artifacts.
-/// Appends into an in-memory byte buffer; the buffer is framed and written
-/// to disk by write_artifact_file(), which adds the header + CRC envelope.
+/// Little-endian binary codec for the pipeline's serializable artifacts.
+///
+/// BinaryWriter and BinaryReader share their method names: the writer takes
+/// each field by value, the reader loads into it by reference. So one generic
+/// field list, `template <class IO> void fields(IO& io, T& value)`, states a
+/// payload layout once and serves both directions (core/artifacts.cpp holds
+/// every artifact's list). A sequence is a u64 count followed by its
+/// elements; BinaryReader::seq bounds every count before it allocates.
+///
+/// The writer appends into an in-memory byte buffer; write_artifact_file()
+/// frames it with the header + CRC envelope and writes it to disk.
 class BinaryWriter {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f32(float v);
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// An enum in one byte; `last` (its largest enumerator) bounds the load.
+  template <class E>
+  void enum8(E e, E /*last*/) {
+    u8(static_cast<std::uint8_t>(e));
+  }
   /// Length-prefixed UTF-8 bytes.
   void str(const std::string& s);
   /// Raw bytes, verbatim, no length prefix (envelope assembly).
@@ -31,6 +45,13 @@ class BinaryWriter {
   /// Length-prefixed bit count + words.
   void bitvec(const BitVec& bv);
 
+  /// u64 count, then `each(element)` per element. `min_element_bytes` is the
+  /// reader's bound (see BinaryReader::seq); the writer ignores it.
+  template <class Range, class Each>
+  void seq(const Range& v, std::size_t /*min_element_bytes*/, Each each) {
+    u64(v.size());
+    for (const auto& x : v) each(x);
+  }
   void f32_vec(std::span<const float> v);
   void bitvec_vec(std::span<const BitVec> v);
 
@@ -40,25 +61,49 @@ class BinaryWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
-/// Bounds-checked decoder over a byte buffer. Every overrun throws
-/// deterrent::Error — a truncated or corrupt artifact must fail loudly, never
-/// yield garbage state.
+/// Bounds-checked decoder over a byte buffer. Every overrun, oversized count
+/// or out-of-range enum throws CorruptArtifactError: a truncated or forged
+/// artifact must fail loudly, never yield garbage state or a failed huge
+/// allocation.
 class BinaryReader {
  public:
   explicit BinaryReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  float f32();
-  double f64();
-  bool boolean() { return u8() != 0; }
-  std::string str();
-  BitVec bitvec();
+  void u8(std::uint8_t& v);
+  void u32(std::uint32_t& v);
+  void u64(std::uint64_t& v);
+  void i32(std::int32_t& v);
+  void i64(std::int64_t& v);
+  void f32(float& v);
+  void f64(double& v);
+  void boolean(bool& v);
+  /// Enums are stored as 0..last; any other byte is corruption.
+  template <class E>
+  void enum8(E& e, E last) {
+    std::uint8_t b = 0;
+    u8(b);
+    if (b > static_cast<std::uint8_t>(last))
+      throw CorruptArtifactError("artifact enum byte " + std::to_string(b) +
+                                 " is out of range 0.." +
+                                 std::to_string(static_cast<std::uint8_t>(last)));
+    e = static_cast<E>(b);
+  }
+  void str(std::string& s);
+  void bitvec(BitVec& bv);
 
-  std::vector<float> f32_vec();
-  std::vector<BitVec> bitvec_vec();
+  /// Replaces `v` with a u64 count of elements, each loaded by `each`. The
+  /// one place a count is bounded: every element takes at least
+  /// `min_element_bytes` (> 0), so a count the remaining bytes cannot hold
+  /// throws before anything is allocated.
+  template <class T, class Each>
+  void seq(std::vector<T>& v, std::size_t min_element_bytes, Each each) {
+    const std::size_t n = count(min_element_bytes);
+    v.clear();
+    v.resize(n);
+    for (auto& x : v) each(x);
+  }
+  void f32_vec(std::vector<float>& v);
+  void bitvec_vec(std::vector<BitVec>& v);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   /// Throws unless the whole buffer was consumed (trailing bytes mean the
@@ -67,6 +112,8 @@ class BinaryReader {
 
  private:
   void need(std::size_t n) const;
+  /// Reads a sequence count and checks it against the remaining bytes.
+  std::size_t count(std::size_t min_element_bytes);
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;

@@ -246,16 +246,16 @@ TEST(Compatibility, MatrixBasics) {
   EXPECT_DOUBLE_EQ(m.average_degree(), 2.0 * 1.0 / 4.0);
 }
 
-TEST(Compatibility, EdgeCountCacheInvalidatesOnSet) {
+TEST(Compatibility, EdgeCountFollowsEverySet) {
   CompatibilityMatrix m(6);
   EXPECT_EQ(m.edge_count(), 0u);
   m.set(0, 1);
   m.set(2, 3);
   EXPECT_EQ(m.edge_count(), 2u);
-  EXPECT_EQ(m.edge_count(), 2u);  // cached path must agree
+  EXPECT_EQ(m.edge_count(), 2u);  // a repeated call agrees
   m.set(0, 1, false);
   EXPECT_EQ(m.edge_count(), 1u);
-  m.set(4, 4);  // diagonal writes invalidate but never add an edge
+  m.set(4, 4);  // a diagonal write never adds an edge
   EXPECT_EQ(m.edge_count(), 1u);
   m.set(4, 5);
   EXPECT_EQ(m.edge_count(), 2u);

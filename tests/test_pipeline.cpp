@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "bench_gen/library.hpp"
@@ -609,19 +610,22 @@ TEST(Serialize, ForgedLengthPrefixesThrowInsteadOfAllocating) {
     util::BinaryWriter w;
     w.u64(std::uint64_t{1} << 40);  // bitvec claiming 2^40 bits, no words
     util::BinaryReader r(w.bytes());
-    EXPECT_THROW(r.bitvec(), Error);
+    util::BitVec bv;
+    EXPECT_THROW(r.bitvec(bv), Error);
   }
   {
     util::BinaryWriter w;
     w.u64(std::uint64_t{1} << 62);  // f32 count whose byte size wraps 2^64
     util::BinaryReader r(w.bytes());
-    EXPECT_THROW(r.f32_vec(), Error);
+    std::vector<float> v;
+    EXPECT_THROW(r.f32_vec(v), Error);
   }
   {
     util::BinaryWriter w;
     w.u64(~std::uint64_t{0});  // string length near 2^64: pos + n overflows
     util::BinaryReader r(w.bytes());
-    EXPECT_THROW(r.str(), Error);
+    std::string s;
+    EXPECT_THROW(r.str(s), Error);
   }
   {
     // A bare envelope whose payload_size field is forged to ~2^64 so that
@@ -640,6 +644,271 @@ TEST(Serialize, ForgedLengthPrefixesThrowInsteadOfAllocating) {
     out.close();
     EXPECT_THROW(RareNetArtifact::load(dir.str("forged.art")), Error);
   }
+}
+
+// ----------------------------------------------------- payload layouts -----
+
+util::ArtifactHeader header_of(ArtifactKind kind, std::uint64_t fingerprint = 0) {
+  return {static_cast<std::uint32_t>(kind), kArtifactFormatVersion, fingerprint};
+}
+
+/// Offset of the first byte at which two payloads differ.
+std::size_t first_difference(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  return static_cast<std::size_t>(std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+                                  a.begin());
+}
+
+/// Overwrites the little-endian u64 at `at`.
+void put_u64(std::vector<std::uint8_t>& payload, std::size_t at, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) payload[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/// Offset of the first byte where the configs' payloads differ.
+std::size_t config_difference(const DeterrentConfig& x, const DeterrentConfig& y) {
+  util::BinaryWriter a, b;
+  write_config(a, x);
+  write_config(b, y);
+  return first_difference(a.bytes(), b.bytes());
+}
+
+/// FNV-1a over every byte of a file.
+std::uint64_t file_digest(const std::string& path) {
+  util::Fnv1a hash;
+  for (const std::uint8_t b : util::read_file_bytes(path)) hash.mix(b);
+  return hash.value_nonzero();
+}
+
+TEST(PayloadLayout, SavedBytesMatchPinnedDigests) {
+  // Pins the bytes of every artifact kind and of session.meta. A round trip
+  // cannot see a layout change (save and load move together); these digests
+  // can. Wall times are zeroed first: they differ from run to run. A layout
+  // change must bump kArtifactFormatVersion and repin the digests.
+  const Netlist nl = make_circuit(42);
+  DeterrentConfig cfg = quick_config(9);
+  cfg.lint.disabled = {"trojan.shadow-cone", "drc.floating-output"};
+  cfg.offline_threads = 1;
+  Pipeline pipeline(nl, cfg);
+  ASSERT_EQ(pipeline.run_remaining(), StageStatus::Complete);
+
+  TempDir dir("golden");
+  Session session(dir.str(), nl);
+  session.save_config(cfg);
+  const LintArtifact lint = pipeline.export_lint();
+  lint.save(dir.str(Session::kLintFile));
+  pipeline.export_rare_nets().save(dir.str(Session::kRareFile));
+  CompatibilityArtifact compat = pipeline.export_compatibility();
+  compat.stats.build_seconds = 0.0;
+  compat.save(dir.str(Session::kCompatFile));
+  PolicyArtifact policy = pipeline.export_policy();
+  policy.train_seconds = 0.0;
+  for (auto& snapshot : policy.history) snapshot.elapsed_seconds = 0.0;
+  policy.save(dir.str(Session::kPolicyFile));
+  pipeline.export_patterns().save(dir.str(Session::kPatternFile));
+
+  // Every sequence of every kind is non-empty here.
+  EXPECT_FALSE(lint.report.diagnostics.empty());
+  EXPECT_FALSE(compat.witness_signatures.empty());
+  EXPECT_FALSE(policy.trainer.rng_states.empty());
+  EXPECT_FALSE(policy.pool_sets.empty());
+
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {Session::kMetaFile, 0x281db64ff1d6ebecULL},
+      {Session::kLintFile, 0x6e0812f1c404d852ULL},
+      {Session::kRareFile, 0xd95cfee7bd143d59ULL},
+      {Session::kCompatFile, 0x0117152215d3267bULL},
+      {Session::kPolicyFile, 0x608bdc91c09d15d0ULL},
+      {Session::kPatternFile, 0xacda000bf437ec58ULL},
+  };
+  for (const auto& [file, digest] : pinned) {
+    const std::uint64_t got = file_digest(dir.str(file));
+    EXPECT_EQ(got, digest) << file << " now hashes to 0x" << std::hex << got;
+  }
+}
+
+/// Saves `base` and a copy that `grow` lengthens by one element in one
+/// sequence. The payloads first differ at that sequence's count (its low
+/// byte), so the count can be forged without restating the layout here.
+template <class A, class Grow>
+void expect_forged_count_rejected(A base, ArtifactKind kind, const char* what, Grow grow) {
+  TempDir dir("forged_count");
+  A grown = base;
+  grow(grown);
+  base.save(dir.str("base.art"));
+  grown.save(dir.str("grown.art"));
+  std::uint64_t fingerprint = 0;
+  const auto payload = util::read_artifact_file(dir.str("base.art"), header_of(kind), &fingerprint);
+  const auto longer = util::read_artifact_file(dir.str("grown.art"), header_of(kind));
+  const std::size_t at = first_difference(payload, longer);
+  ASSERT_LE(at + 8, payload.size()) << what;
+  for (const std::uint64_t count : {std::uint64_t{1} << 61, std::uint64_t{1} << 40}) {
+    auto forged = payload;
+    put_u64(forged, at, count);
+    // write_artifact_file recomputes the CRC, so only the count is wrong.
+    util::write_artifact_file(dir.str("forged.art"), header_of(kind, fingerprint), forged);
+    EXPECT_THROW(A::load(dir.str("forged.art")), CorruptArtifactError)
+        << what << " count " << count;
+  }
+}
+
+TEST(PayloadLayout, ForgedSequenceCountsThrowCorrupt) {
+  // A CRC-valid payload whose count claims more elements than bytes remain
+  // must throw CorruptArtifactError (which Session quarantines), never
+  // std::length_error or std::bad_alloc.
+  const Netlist nl = make_circuit(43);
+  Pipeline pipeline(nl, quick_config(4));
+  ASSERT_EQ(pipeline.run_remaining(), StageStatus::Complete);
+
+  LintArtifact lint = pipeline.export_lint();
+  lint.report.diagnostics.clear();
+  expect_forged_count_rejected(lint, ArtifactKind::Lint, "lint diagnostics",
+                               [](LintArtifact& a) { a.report.diagnostics.emplace_back(); });
+  expect_forged_count_rejected(pipeline.export_rare_nets(), ArtifactKind::RareNets,
+                               "rare nets",
+                               [](RareNetArtifact& a) { a.rare_nets.emplace_back(); });
+
+  CompatibilityArtifact compat;
+  compat.matrix = analysis::CompatibilityMatrix(2);
+  expect_forged_count_rejected(compat, ArtifactKind::Compatibility, "matrix rows",
+                               [](CompatibilityArtifact& a) {
+                                 a.matrix = analysis::CompatibilityMatrix(3);
+                               });
+  expect_forged_count_rejected(compat, ArtifactKind::Compatibility, "witness signatures",
+                               [](CompatibilityArtifact& a) {
+                                 a.witness_signatures.assign(2, util::BitVec(5));
+                               });
+
+  const PolicyArtifact policy = pipeline.export_policy();
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "policy params",
+                               [](PolicyArtifact& a) { a.trainer.policy_params.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "value params",
+                               [](PolicyArtifact& a) { a.trainer.value_params.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "policy Adam m",
+                               [](PolicyArtifact& a) { a.trainer.policy_opt.m.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "policy Adam v",
+                               [](PolicyArtifact& a) { a.trainer.policy_opt.v.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "value Adam m",
+                               [](PolicyArtifact& a) { a.trainer.value_opt.m.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "value Adam v",
+                               [](PolicyArtifact& a) { a.trainer.value_opt.v.push_back(0); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "RNG streams",
+                               [](PolicyArtifact& a) { a.trainer.rng_states.emplace_back(); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "pool sets",
+                               [](PolicyArtifact& a) { a.pool_sets.emplace_back(4); });
+  expect_forged_count_rejected(policy, ArtifactKind::Policy, "history",
+                               [](PolicyArtifact& a) { a.history.emplace_back(); });
+
+  const PatternArtifact patterns = pipeline.export_patterns();
+  expect_forged_count_rejected(patterns, ArtifactKind::Patterns, "patterns",
+                               [&](PatternArtifact& a) {
+                                 a.patterns.push(util::BitVec(nl.inputs().size()));
+                               });
+  expect_forged_count_rejected(patterns, ArtifactKind::Patterns, "extracted sets",
+                               [](PatternArtifact& a) { a.extracted_sets.emplace_back(3); });
+
+  // session.meta: the config's lint.disabled list.
+  TempDir dir("forged_meta");
+  const DeterrentConfig cfg = quick_config(4);
+  DeterrentConfig grown = cfg;
+  grown.lint.disabled.push_back("drc.cycle");
+  util::BinaryWriter w;
+  write_config(w, cfg);
+  std::vector<std::uint8_t> payload(w.bytes().begin(), w.bytes().end());
+  put_u64(payload, config_difference(cfg, grown), std::uint64_t{1} << 61);
+  Session session(dir.str(), nl);
+  util::write_artifact_file(dir.str(Session::kMetaFile),
+                            header_of(ArtifactKind::SessionMeta, pipeline.netlist_fingerprint()),
+                            payload);
+  EXPECT_THROW(session.load_config(), CorruptArtifactError);
+}
+
+TEST(PayloadLayout, OutOfRangeEnumBytesThrowCorrupt) {
+  const Netlist nl = make_circuit(44);
+  TempDir dir("forged_enum");
+  const std::uint64_t fingerprint = netlist::structural_fingerprint(nl);
+
+  // LintSeverity: the verdict's fail_on echo and a diagnostic's severity.
+  LintArtifact lint;
+  lint.report.diagnostics.emplace_back();
+  LintArtifact other = lint;
+  other.fail_on = analysis::LintSeverity::Info;
+  other.report.diagnostics[0].severity = analysis::LintSeverity::Error;
+  lint.save(dir.str("a.art"));
+  other.save(dir.str("b.art"));
+  const auto payload = util::read_artifact_file(dir.str("a.art"), header_of(ArtifactKind::Lint));
+  const auto changed = util::read_artifact_file(dir.str("b.art"), header_of(ArtifactKind::Lint));
+  std::vector<std::size_t> lint_offsets;
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    if (payload[i] != changed[i]) lint_offsets.push_back(i);
+  ASSERT_EQ(lint_offsets.size(), 2u);
+  for (const std::size_t at : lint_offsets)
+    for (const std::uint8_t bad : {std::uint8_t{3}, std::uint8_t{0xff}}) {
+      auto forged = payload;
+      forged[at] = bad;
+      util::write_artifact_file(dir.str("forged.art"), header_of(ArtifactKind::Lint), forged);
+      EXPECT_THROW(LintArtifact::load(dir.str("forged.art")), CorruptArtifactError)
+          << "offset " << at << " byte " << int{bad};
+    }
+
+  // RewardMode, MaskMode and the lint fail_on byte of session.meta.
+  const DeterrentConfig cfg = quick_config(4);
+  DeterrentConfig reward = cfg, mask = cfg, fail_on = cfg;
+  reward.env.reward_mode = RewardMode::AllSteps;
+  mask.env.mask_mode = MaskMode::None;
+  fail_on.lint.fail_on = analysis::LintSeverity::Info;
+  util::BinaryWriter w;
+  write_config(w, cfg);
+  Session session(dir.str(), nl);
+  for (const auto& [what, at] : {std::pair{"reward_mode", config_difference(cfg, reward)},
+                                 std::pair{"mask_mode", config_difference(cfg, mask)},
+                                 std::pair{"lint.fail_on", config_difference(cfg, fail_on)}}) {
+    std::vector<std::uint8_t> forged(w.bytes().begin(), w.bytes().end());
+    forged[at] = 0xff;
+    util::BinaryReader r(forged);
+    EXPECT_THROW(read_config(r), CorruptArtifactError) << what;
+    util::write_artifact_file(dir.str(Session::kMetaFile),
+                              header_of(ArtifactKind::SessionMeta, fingerprint), forged);
+    EXPECT_THROW(session.load_config(), CorruptArtifactError) << what;
+  }
+}
+
+TEST(PayloadLayout, ResumeQuarantinesForgedCountAndRegenerates) {
+  const Netlist nl = make_circuit(45);
+  const DeterrentConfig cfg = quick_config(8);
+  TempDir base("forged_resume_base");
+  std::string baseline;
+  {
+    Session session(base.str(), nl);
+    auto pipeline = session.resume_or_init(cfg);
+    ASSERT_EQ(pipeline->run_remaining(), StageStatus::Complete);
+    baseline = patterns_text(pipeline->patterns());
+  }
+
+  TempDir dir("forged_resume");
+  Session session(dir.str(), nl);
+  {
+    auto pipeline = session.resume_or_init(cfg);
+    ASSERT_EQ(pipeline->run_rare_nets(), StageStatus::Complete);
+    session.save(*pipeline);
+  }
+  // Forge the rare-net count of the saved file (offset found as above).
+  const std::string victim = dir.str(Session::kRareFile);
+  RareNetArtifact grown = RareNetArtifact::load(victim);
+  grown.rare_nets.emplace_back();
+  grown.save(dir.str("grown.art"));
+  std::uint64_t fingerprint = 0;
+  auto payload = util::read_artifact_file(victim, header_of(ArtifactKind::RareNets), &fingerprint);
+  const auto longer =
+      util::read_artifact_file(dir.str("grown.art"), header_of(ArtifactKind::RareNets));
+  put_u64(payload, first_difference(payload, longer), std::uint64_t{1} << 61);
+  util::write_artifact_file(victim, header_of(ArtifactKind::RareNets, fingerprint), payload);
+
+  auto pipeline = session.resume();
+  ASSERT_EQ(session.quarantined().size(), 1u);
+  EXPECT_EQ(session.quarantined()[0], Session::kRareFile);
+  EXPECT_TRUE(fs::exists(victim + ".corrupt"));
+  EXPECT_EQ(pipeline->next_stage(), Stage::RareNets);
+  ASSERT_EQ(pipeline->run_remaining(), StageStatus::Complete);
+  EXPECT_EQ(patterns_text(pipeline->patterns()), baseline);
 }
 
 // ------------------------------------------------------------ campaign -----
