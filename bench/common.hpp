@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,14 +27,44 @@
 #include "sat/oracle.hpp"
 #include "trojan/coverage.hpp"
 #include "trojan/trojan.hpp"
-#include "util/env.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace deterrent::bench {
 
+/// Benchmark effort scaling shared by every harness in bench/. All harnesses
+/// preserve the paper's qualitative shape in every mode; higher modes tighten
+/// the quantitative match at the cost of runtime.
+enum class BenchMode {
+  Quick,    ///< seconds per bench — smoke-level training budgets
+  Default,  ///< minutes per bench — the shape-faithful default
+  Full,     ///< tens of minutes — closest quantitative reproduction
+};
+
+inline const char* to_string(BenchMode mode) {
+  switch (mode) {
+    case BenchMode::Quick: return "quick";
+    case BenchMode::Default: return "default";
+    case BenchMode::Full: return "full";
+  }
+  return "?";
+}
+
+/// Reads DETERRENT_BENCH_MODE (quick|default|full); unset or empty means
+/// Default. Any other value throws deterrent::Error: a misspelt quick would
+/// otherwise run the minutes-long Default.
+inline BenchMode bench_mode_from_env() {
+  const char* env = std::getenv("DETERRENT_BENCH_MODE");
+  if (env == nullptr || *env == '\0') return BenchMode::Default;
+  for (const BenchMode mode : {BenchMode::Quick, BenchMode::Default, BenchMode::Full})
+    if (std::strcmp(env, to_string(mode)) == 0) return mode;
+  throw Error(std::string("DETERRENT_BENCH_MODE: unknown mode '") + env +
+              "' (expected quick|default|full)");
+}
+
 struct Scale {
-  util::BenchMode mode;
+  BenchMode mode;
   std::size_t det_updates;        ///< PPO updates for DETERRENT training
   std::size_t det_episodes;      ///< episodes per update
   std::size_t det_k;             ///< default k when no per-design ratio applies
@@ -43,14 +75,14 @@ struct Scale {
 };
 
 inline Scale scale_from_env() {
-  switch (util::bench_mode_from_env()) {
-    case util::BenchMode::Quick:
-      return {util::BenchMode::Quick, 12, 16, 32, 200, 60, 20, 3};
-    case util::BenchMode::Full:
-      return {util::BenchMode::Full, 150, 32, 128, 4000, 100, 150, 3};
-    case util::BenchMode::Default:
+  switch (bench_mode_from_env()) {
+    case BenchMode::Quick:
+      return {BenchMode::Quick, 12, 16, 32, 200, 60, 20, 3};
+    case BenchMode::Full:
+      return {BenchMode::Full, 150, 32, 128, 4000, 100, 150, 3};
+    case BenchMode::Default:
     default:
-      return {util::BenchMode::Default, 45, 24, 64, 1200, 100, 60, 3};
+      return {BenchMode::Default, 45, 24, 64, 1200, 100, 60, 3};
   }
 }
 
@@ -83,7 +115,7 @@ inline void print_header(const char* exhibit, const Scale& scale) {
   std::printf("==================================================================\n");
   std::printf("%s\n", exhibit);
   std::printf("mode=%s (set DETERRENT_BENCH_MODE=quick|default|full to rescale)\n",
-              util::to_string(scale.mode));
+              to_string(scale.mode));
   std::printf("==================================================================\n\n");
 }
 

@@ -52,9 +52,9 @@ int main() {
   print_header("Figure 2 — reward x masking combinations (mips16_like)", scale);
 
   const double budget_seconds =
-      scale.mode == util::BenchMode::Quick ? 8.0
-      : scale.mode == util::BenchMode::Full ? 90.0
-                                            : 30.0;
+      scale.mode == bench::BenchMode::Quick ? 8.0
+      : scale.mode == bench::BenchMode::Full ? 90.0
+                                             : 30.0;
 
   auto bench = bench_gen::load_benchmark("mips16_like");
   const auto& comb = bench.scan.comb;

@@ -37,7 +37,6 @@
 #include "core/compatible_set_env.hpp"
 #include "core/artifacts.hpp"
 #include "rl/ppo.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -172,10 +171,10 @@ std::vector<std::size_t> parse_lanes(const std::string& csv) {
 
 int run_micro_ppo(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
-  const util::BenchMode mode = util::bench_mode_from_env();
+  const bench::BenchMode mode = bench::bench_mode_from_env();
   const std::string bench_name =
-      mode == util::BenchMode::Quick ? "c2670_like" : "mips16_like";
-  const std::size_t updates = mode == util::BenchMode::Quick ? 2 : 5;
+      mode == bench::BenchMode::Quick ? "c2670_like" : "mips16_like";
+  const std::size_t updates = mode == bench::BenchMode::Quick ? 2 : 5;
 
   std::vector<std::size_t> lanes =
       argc > 2 ? parse_lanes(argv[2])
@@ -195,14 +194,14 @@ int run_micro_ppo(int argc, char** argv) {
 
   rl::PpoConfig ppo = core::DeterrentConfig::boosted_ppo_defaults();
   ppo.episodes_per_update =
-      std::max<std::size_t>(mode == util::BenchMode::Quick ? 32 : 64,
+      std::max<std::size_t>(mode == bench::BenchMode::Quick ? 32 : 64,
                             *std::max_element(lanes.begin(), lanes.end()));
 
   std::printf(
       "micro_ppo: %s, %zu gates, %zu rare nets, %zu episodes/update, "
       "%zu timed updates (%s mode)\n",
       bench_name.c_str(), fx.bench.scan.comb.gate_count(), fx.rare.size(),
-      ppo.episodes_per_update, updates, util::to_string(mode));
+      ppo.episodes_per_update, updates, bench::to_string(mode));
 
   std::vector<LaneResult> results;
   util::ThreadPool two(2);
@@ -237,7 +236,7 @@ int run_micro_ppo(int argc, char** argv) {
   std::fprintf(f, "%s", splice.head.c_str());
   std::fprintf(f, "\n  \"ppo\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
-  std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));
+  std::fprintf(f, "    \"mode\": \"%s\",\n", bench::to_string(mode));
   std::fprintf(f, "    \"gates\": %zu,\n", fx.bench.scan.comb.gate_count());
   std::fprintf(f, "    \"rare_nets\": %zu,\n", fx.rare.size());
   std::fprintf(f, "    \"episodes_per_update\": %zu,\n", ppo.episodes_per_update);

@@ -34,7 +34,6 @@
 #include "bench_gen/library.hpp"
 #include "sat/oracle.hpp"
 #include "sim/engine.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -109,11 +108,11 @@ bool verify_models(const netlist::Netlist& nl, const QueryStream& stream,
 
 int run_micro_sat(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
-  const util::BenchMode mode = util::bench_mode_from_env();
+  const bench::BenchMode mode = bench::bench_mode_from_env();
 
   const std::string bench_name =
-      mode == util::BenchMode::Quick ? "s13207_like" : "mips16_like";
-  const std::size_t n_queries = mode == util::BenchMode::Quick ? 300 : 1500;
+      mode == bench::BenchMode::Quick ? "s13207_like" : "mips16_like";
+  const std::size_t n_queries = mode == bench::BenchMode::Quick ? 300 : 1500;
 
   const bench_gen::Benchmark bench = bench_gen::load_benchmark(bench_name);
   const netlist::Netlist& nl = bench.scan.comb;
@@ -131,7 +130,7 @@ int run_micro_sat(int argc, char** argv) {
 
   std::printf("micro_sat: %s, %zu gates, %zu rare nets, %zu pair queries (%s mode)\n",
               bench_name.c_str(), nl.gate_count(), rare.size(), stream.size(),
-              util::to_string(mode));
+              bench::to_string(mode));
 
   const StreamResult plain = run_stream(nl, stream, Leg::Plain);
   const StreamResult inputs = run_stream(nl, stream, Leg::InputBranching);
@@ -164,7 +163,7 @@ int run_micro_sat(int argc, char** argv) {
   std::fprintf(f, "%s", splice.head.c_str());
   std::fprintf(f, "\n  \"sat\": {\n");
   std::fprintf(f, "    \"benchmark\": \"%s\",\n", bench_name.c_str());
-  std::fprintf(f, "    \"mode\": \"%s\",\n", util::to_string(mode));
+  std::fprintf(f, "    \"mode\": \"%s\",\n", bench::to_string(mode));
   std::fprintf(f, "    \"gates\": %zu,\n", nl.gate_count());
   std::fprintf(f, "    \"rare_nets\": %zu,\n", rare.size());
   std::fprintf(f, "    \"queries\": %zu,\n", stream.size());

@@ -20,12 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
+
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/gate.hpp"
 #include "sim/engine.hpp"
 #include "sim/kernels/dispatch.hpp"
 #include "sim/pattern.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -157,7 +158,7 @@ namespace {
 
 int run_micro_sim(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
-  const util::BenchMode mode = util::bench_mode_from_env();
+  const bench::BenchMode mode = bench::bench_mode_from_env();
 
   Workload w;
   bench_gen::RandomCircuitProfile profile;
@@ -165,7 +166,7 @@ int run_micro_sim(int argc, char** argv) {
   profile.seed = 7;
   profile.wide_gate_fraction = 0.15;
   std::size_t n_patterns;
-  if (mode == util::BenchMode::Quick) {
+  if (mode == bench::BenchMode::Quick) {
     profile.n_inputs = 96;
     profile.n_outputs = 48;
     profile.n_gates = 6000;
@@ -181,11 +182,11 @@ int run_micro_sim(int argc, char** argv) {
   w.patterns = sim::PatternSet::random(w.netlist.inputs().size(), n_patterns, rng);
   w.gate_evals_per_sweep = static_cast<double>(w.netlist.gate_count()) *
                            static_cast<double>(n_patterns);
-  const double min_seconds = mode == util::BenchMode::Quick ? 0.1 : 0.3;
+  const double min_seconds = mode == bench::BenchMode::Quick ? 0.1 : 0.3;
 
   std::printf("micro_sim: %zu gates, %zu nets, %zu inputs, %zu patterns (%s mode)\n",
               w.netlist.gate_count(), w.netlist.net_count(), w.netlist.inputs().size(),
-              n_patterns, util::to_string(mode));
+              n_patterns, bench::to_string(mode));
 
   std::vector<Result> results;
 
@@ -289,9 +290,9 @@ int run_micro_sim(int argc, char** argv) {
   // pseudo-PIs (scanned flip-flops) with shallow individual cones — so this
   // workload keeps the gate count but uses a scan-profile input count
   // instead of the dense 128-input mesh above.
-  std::size_t n_mutations = mode == util::BenchMode::Quick ? 2000 : 10000;
+  std::size_t n_mutations = mode == bench::BenchMode::Quick ? 2000 : 10000;
   std::size_t mut_inputs, mut_gates;
-  if (mode == util::BenchMode::Quick) {
+  if (mode == bench::BenchMode::Quick) {
     mut_inputs = 512;
     mut_gates = 6000;
   } else {
@@ -398,7 +399,7 @@ int run_micro_sim(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_sim\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", util::to_string(mode));
+  std::fprintf(f, "  \"mode\": \"%s\",\n", bench::to_string(mode));
   std::fprintf(f, "  \"gates\": %zu,\n", w.netlist.gate_count());
   std::fprintf(f, "  \"nets\": %zu,\n", w.netlist.net_count());
   std::fprintf(f, "  \"inputs\": %zu,\n", w.netlist.inputs().size());

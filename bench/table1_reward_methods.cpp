@@ -61,9 +61,9 @@ int main() {
       "Table 1 — reward at all steps vs end-of-episode (mips16_like)", scale);
 
   const double budget_seconds =
-      scale.mode == util::BenchMode::Quick ? 10.0
-      : scale.mode == util::BenchMode::Full ? 120.0
-                                            : 40.0;
+      scale.mode == bench::BenchMode::Quick ? 10.0
+      : scale.mode == bench::BenchMode::Full ? 120.0
+                                             : 40.0;
 
   auto bench = bench_gen::load_benchmark("mips16_like");
   const auto& comb = bench.scan.comb;

@@ -267,7 +267,8 @@ BenchParseResult read_bench_file_checked(const std::string& path) {
   return Parser{}.parse(in);
 }
 
-void write_bench(const Netlist& netlist, std::ostream& out) {
+std::string write_bench_string(const Netlist& netlist) {
+  std::ostringstream out;
   out << "# written by deterrent\n";
   for (NetId in_net : netlist.inputs())
     out << "INPUT(" << printable_name(netlist, in_net) << ")\n";
@@ -285,18 +286,13 @@ void write_bench(const Netlist& netlist, std::ostream& out) {
     }
     out << ")\n";
   }
-}
-
-std::string write_bench_string(const Netlist& netlist) {
-  std::ostringstream oss;
-  write_bench(netlist, oss);
-  return oss.str();
+  return out.str();
 }
 
 void write_bench_file(const Netlist& netlist, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw Error("cannot open file for writing: " + path);
-  write_bench(netlist, out);
+  out << write_bench_string(netlist);
 }
 
 }  // namespace deterrent::netlist

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@ namespace deterrent::netlist {
 /// Serializes to `.bench`. Unnamed nets get synthetic `n<ID>` names.
 /// `read_bench_string_checked(write_bench_string(nl))` reproduces `nl` up to
 /// net ordering (tested as a round-trip property).
-void write_bench(const Netlist& netlist, std::ostream& out);
 std::string write_bench_string(const Netlist& netlist);
 void write_bench_file(const Netlist& netlist, const std::string& path);
 

@@ -16,10 +16,9 @@ struct StepResult {
   bool done = false;
 };
 
-/// Episodic environment with a discrete, maskable action space — the
-/// interface rl::EnvVector batches into lanes for the PPO trainer.
-/// Implementations must be independent per instance: EnvVector creates one
-/// per rollout lane (vectorized environments, §4.1).
+/// Episodic environment with a discrete, maskable action space: one lane of
+/// the MDP. The PPO trainer collects on a VectorEnv (below), never on an Env;
+/// core::CompatibleSetEnv adapts one CompatibleSetVectorEnv lane to it.
 class Env {
  public:
   virtual ~Env() = default;

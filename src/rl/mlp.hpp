@@ -116,8 +116,6 @@ class Mlp {
 
   std::size_t param_count() const;
 
-  const std::vector<std::size_t>& layer_sizes() const { return layer_sizes_; }
-
   /// The kernel backend of the batched passes (fixed at construction).
   util::Isa isa() const;
 

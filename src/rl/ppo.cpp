@@ -5,7 +5,6 @@
 
 #include "rl/categorical.hpp"
 #include "rl/gae.hpp"
-#include "rl/vector_env.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,26 +39,24 @@ const PpoConfig& checked(const PpoConfig& config) {
 }
 
 std::unique_ptr<VectorEnv> make_rollout_env(
-    const PpoTrainer::EnvFactory& factory, const PpoConfig& config,
-    const PpoTrainer::VectorEnvFactory& vector_factory) {
+    const PpoConfig& config, const PpoTrainer::VectorEnvFactory& vector_factory) {
+  if (!vector_factory) throw Error("PpoTrainer: no vector env factory");
   // n_workers is the legacy spelling of the lane count (see PpoConfig).
   const std::size_t lanes = std::max(config.rollout_lanes, config.n_workers);
-  DETERRENT_ASSERT(factory || vector_factory, "PpoTrainer needs an env factory");
-  auto env = vector_factory ? vector_factory(lanes)
-                            : std::make_unique<EnvVector>(lanes, factory);
+  auto env = vector_factory(lanes);
   DETERRENT_ASSERT(env->lanes() == lanes, "PpoTrainer: vector env lane mismatch");
   return env;
 }
 
 }  // namespace
 
-PpoTrainer::PpoTrainer(const EnvFactory& factory, const PpoConfig& config,
+PpoTrainer::PpoTrainer(const EnvFactory& /*factory*/, const PpoConfig& config,
                        std::uint64_t seed, const VectorEnvFactory& vector_factory,
                        util::ThreadPool* pool)
     : config_(checked(config)),
       seed_(seed),
       pool_(pool),
-      vector_env_(make_rollout_env(factory, config, vector_factory)),
+      vector_env_(make_rollout_env(config, vector_factory)),
       policy_([&] {
         auto rng = seeded_rng(seed, 0);
         return Mlp(mlp_shape(vector_env_->observation_size(), config.hidden_size,

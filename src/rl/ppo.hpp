@@ -86,19 +86,20 @@ class PpoTrainer {
   using VectorEnvFactory =
       std::function<std::unique_ptr<VectorEnv>(std::size_t lanes)>;
 
-  /// Builds the one rollout env with max(rollout_lanes, n_workers) lanes:
-  /// `vector_factory(lanes)` when provided (then `factory` is never called
-  /// and may be null), else a generic EnvVector over `factory`-built lanes.
-  /// The networks take their shapes from that env. Throws deterrent::Error
-  /// when config.minibatch_size or max(rollout_lanes, n_workers) is 0.
+  /// Builds the one rollout env, `vector_factory(lanes)` with
+  /// lanes = max(rollout_lanes, n_workers); the networks take their shapes
+  /// from it. `factory` is never called and may be null: it stays in the
+  /// signature only for callers that still pass one. Throws deterrent::Error
+  /// when `vector_factory` is null, or config.minibatch_size or the lane
+  /// count is 0.
   ///
   /// `pool` (optional, must outlive the trainer) runs the optimization
-  /// phase's network passes and per-row loss loop across its threads. Each splits only along axes no sum runs over, so parameters,
-  /// optimizer state and statistics are bit-identical with and without it
+  /// phase's network passes and per-row loss loop across its threads. Each
+  /// splits only along axes no sum runs over, so parameters, optimizer state
+  /// and statistics are bit-identical with and without it
   /// (docs/training.md). Collection passes stay serial.
   PpoTrainer(const EnvFactory& factory, const PpoConfig& config, std::uint64_t seed,
-             const VectorEnvFactory& vector_factory = nullptr,
-             util::ThreadPool* pool = nullptr);
+             const VectorEnvFactory& vector_factory, util::ThreadPool* pool = nullptr);
   ~PpoTrainer();
 
   TrainerState state() const;

@@ -202,12 +202,6 @@ class Engine {
   /// per pattern.
   std::vector<bool> evaluate_pattern(EvalBuffer& buf, const Pattern& pattern) const;
 
-  /// As above with a throwaway buffer (one-off calls only).
-  std::vector<bool> evaluate_pattern(const Pattern& pattern) const {
-    EvalBuffer buf;
-    return evaluate_pattern(buf, pattern);
-  }
-
  private:
   /// Compiled opcodes — see kernels::Op (hoisted into sim/kernels/ so the
   /// per-ISA backend TUs can consume the program without netlist headers).

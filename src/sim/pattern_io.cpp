@@ -7,7 +7,8 @@
 
 namespace deterrent::sim {
 
-void write_patterns(const PatternSet& patterns, std::ostream& out) {
+std::string write_patterns_string(const PatternSet& patterns) {
+  std::ostringstream out;
   out << "# deterrent patterns inputs=" << patterns.input_count()
       << " count=" << patterns.pattern_count() << "\n";
   for (std::size_t p = 0; p < patterns.pattern_count(); ++p) {
@@ -15,21 +16,18 @@ void write_patterns(const PatternSet& patterns, std::ostream& out) {
       out << (patterns.bit(p, i) ? '1' : '0');
     out << '\n';
   }
-}
-
-std::string write_patterns_string(const PatternSet& patterns) {
-  std::ostringstream oss;
-  write_patterns(patterns, oss);
-  return oss.str();
+  return out.str();
 }
 
 void write_patterns_file(const PatternSet& patterns, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw Error("cannot open file for writing: " + path);
-  write_patterns(patterns, out);
+  out << write_patterns_string(patterns);
 }
 
-PatternSet read_patterns(std::istream& in) {
+namespace {
+
+PatternSet parse_patterns(std::istream& in) {
   PatternSet set;
   std::string line;
   std::size_t line_no = 0;
@@ -59,15 +57,17 @@ PatternSet read_patterns(std::istream& in) {
   return set;
 }
 
+}  // namespace
+
 PatternSet read_patterns_string(const std::string& text) {
   std::istringstream iss(text);
-  return read_patterns(iss);
+  return parse_patterns(iss);
 }
 
 PatternSet read_patterns_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open pattern file: " + path);
-  return read_patterns(in);
+  return parse_patterns(in);
 }
 
 }  // namespace deterrent::sim

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "sim/pattern.hpp"
@@ -15,13 +14,11 @@ namespace deterrent::sim {
 ///   # deterrent patterns inputs=5
 ///   01101
 ///   11000
-void write_patterns(const PatternSet& patterns, std::ostream& out);
 std::string write_patterns_string(const PatternSet& patterns);
 void write_patterns_file(const PatternSet& patterns, const std::string& path);
 
 /// Parses the format above. All rows must have equal width; malformed input
 /// throws deterrent::Error with a line number.
-PatternSet read_patterns(std::istream& in);
 PatternSet read_patterns_string(const std::string& text);
 PatternSet read_patterns_file(const std::string& path);
 

@@ -88,59 +88,4 @@ SignalStats estimate_signal_stats(const netlist::Netlist& netlist,
   return stats;
 }
 
-SignalStats signal_stats_for_patterns(const netlist::Netlist& netlist,
-                                      const PatternSet& patterns) {
-  SignalStats stats;
-  stats.pattern_count = patterns.pattern_count();
-  stats.ones.assign(netlist.net_count(), 0);
-  const Engine engine(netlist);
-  std::vector<std::uint64_t> masks;
-  engine.sweep(patterns, [&](std::size_t first_block, std::size_t n_words,
-                             const EvalBuffer& buf) {
-    masks.resize(n_words);
-    for (std::size_t w = 0; w < n_words; ++w)
-      masks[w] = patterns.valid_mask(first_block + w);
-    accumulate_batch(buf, masks, stats.ones);
-  });
-  return stats;
-}
-
-SignalStats exact_signal_stats(const netlist::Netlist& netlist) {
-  const std::size_t n_inputs = netlist.inputs().size();
-  DETERRENT_ASSERT(n_inputs <= 24, "exact_signal_stats: too many inputs to enumerate");
-  const std::size_t total = std::size_t{1} << n_inputs;
-
-  SignalStats stats;
-  stats.pattern_count = total;
-  stats.ones.assign(netlist.net_count(), 0);
-
-  // Enumerate W = kDefaultWords blocks (W*64 assignments) per engine pass so
-  // the inner loops amortize over full sweeps like every other batch caller,
-  // instead of the old one-word-per-evaluate drip.
-  const Engine engine(netlist);
-  EvalBuffer buf;
-  const std::size_t n_blocks = (total + 63) / 64;
-  std::vector<std::uint64_t> input_words;
-  std::vector<std::uint64_t> masks;
-  for (std::size_t first = 0; first < n_blocks; first += Engine::kDefaultWords) {
-    const std::size_t n_words = std::min(Engine::kDefaultWords, n_blocks - first);
-    input_words.assign(n_inputs * n_words, 0);
-    masks.assign(n_words, 0);
-    for (std::size_t w = 0; w < n_words; ++w) {
-      const std::size_t base = (first + w) * 64;
-      const std::size_t lanes = std::min<std::size_t>(64, total - base);
-      for (std::size_t i = 0; i < n_inputs; ++i) {
-        std::uint64_t word = 0;
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-          if (((base + lane) >> i) & 1ULL) word |= (1ULL << lane);
-        input_words[i * n_words + w] = word;
-      }
-      masks[w] = lanes == 64 ? ~0ULL : ((1ULL << lanes) - 1);
-    }
-    engine.evaluate(buf, input_words, n_words);
-    accumulate_batch(buf, masks, stats.ones);
-  }
-  return stats;
-}
-
 }  // namespace deterrent::sim

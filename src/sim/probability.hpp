@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/pattern.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,15 +28,5 @@ struct SignalStats {
 SignalStats estimate_signal_stats(const netlist::Netlist& netlist,
                                   std::size_t pattern_count, util::Rng& rng,
                                   util::ThreadPool* pool = nullptr);
-
-/// Signal statistics under a *given* pattern set (used by MERO-style counting
-/// and by tests).
-SignalStats signal_stats_for_patterns(const netlist::Netlist& netlist,
-                                      const PatternSet& patterns);
-
-/// Exact probabilities by exhaustive input enumeration. Only feasible for
-/// small circuits (input_count <= 24); the test suite uses it as ground truth
-/// for the estimator.
-SignalStats exact_signal_stats(const netlist::Netlist& netlist);
 
 }  // namespace deterrent::sim

@@ -1,10 +1,11 @@
 // Reference simulation for the tests: the single-word sim::Simulator facade
-// over sim::Engine and evaluate_naive, the scalar oracle the test suites
-// check the bit-parallel engine against. Production code drives sim::Engine
-// directly.
+// over sim::Engine, evaluate_naive (the scalar oracle the test suites check
+// the bit-parallel engine against), and exact signal statistics built on it.
+// Production code drives sim::Engine directly.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "netlist/netlist.hpp"
 #include "sim/engine.hpp"
 #include "sim/pattern.hpp"
+#include "sim/probability.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::sim {
@@ -84,6 +86,43 @@ inline std::vector<bool> evaluate_naive(const netlist::Netlist& netlist,
         netlist::eval_bool(type, std::span<const bool>(fanin_vals.get(), fanins.size()));
   }
   return values;
+}
+
+/// Signal statistics under a given pattern set, from one Engine sweep.
+inline SignalStats signal_stats_for_patterns(const netlist::Netlist& netlist,
+                                             const PatternSet& patterns) {
+  SignalStats stats;
+  stats.pattern_count = patterns.pattern_count();
+  stats.ones.assign(netlist.net_count(), 0);
+  const Engine engine(netlist);
+  engine.sweep(patterns, [&](std::size_t first_block, std::size_t n_words,
+                             const EvalBuffer& buf) {
+    for (std::size_t net = 0; net < buf.net_count(); ++net) {
+      const auto values = buf.net(static_cast<netlist::NetId>(net));
+      for (std::size_t w = 0; w < n_words; ++w)
+        stats.ones[net] += static_cast<std::size_t>(
+            std::popcount(values[w] & patterns.valid_mask(first_block + w)));
+    }
+  });
+  return stats;
+}
+
+/// Exact probabilities by evaluating every input assignment with
+/// evaluate_naive: the ground truth for the estimator, independent of the
+/// Engine it checks. Assignment a sets input i to bit i of a.
+inline SignalStats exact_signal_stats(const netlist::Netlist& netlist) {
+  const std::size_t n_inputs = netlist.inputs().size();
+  DETERRENT_ASSERT(n_inputs <= 16, "exact_signal_stats: too many inputs to enumerate");
+  SignalStats stats;
+  stats.pattern_count = std::size_t{1} << n_inputs;
+  stats.ones.assign(netlist.net_count(), 0);
+  std::vector<bool> inputs(n_inputs);
+  for (std::size_t a = 0; a < stats.pattern_count; ++a) {
+    for (std::size_t i = 0; i < n_inputs; ++i) inputs[i] = (a >> i) & 1;
+    const std::vector<bool> values = evaluate_naive(netlist, inputs);
+    for (std::size_t net = 0; net < values.size(); ++net) stats.ones[net] += values[net];
+  }
+  return stats;
 }
 
 }  // namespace deterrent::sim

@@ -16,6 +16,7 @@
 #include "util/thread_pool.hpp"
 
 #include "helpers.hpp"
+#include "reference_sim.hpp"
 
 namespace deterrent::analysis {
 namespace {

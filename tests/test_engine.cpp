@@ -97,10 +97,11 @@ TEST(Engine, ConstantsMatchNaive) {
   b.mark_output(y);
   const Netlist nl = b.build();
   const Engine engine(nl);
+  EvalBuffer buf;
   for (const bool av : {false, true}) {
     Pattern p(1);
     p.set(0, av);
-    const auto got = engine.evaluate_pattern(p);
+    const auto got = engine.evaluate_pattern(buf, p);
     const auto want = evaluate_naive(nl, {av});
     for (NetId id = 0; id < nl.net_count(); ++id) EXPECT_EQ(got[id], want[id]);
   }
@@ -199,6 +200,7 @@ TEST(Engine, SweepWidthInvariant) {
 TEST(Engine, EvaluatePatternMatchesNaive) {
   const Netlist nl = random_circuit(4);
   const Engine engine(nl);
+  EvalBuffer buf;
   util::Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     Pattern p(nl.inputs().size());
@@ -207,7 +209,7 @@ TEST(Engine, EvaluatePatternMatchesNaive) {
       inputs[i] = rng.bernoulli(0.5);
       p.set(i, inputs[i]);
     }
-    EXPECT_EQ(engine.evaluate_pattern(p), evaluate_naive(nl, inputs));
+    EXPECT_EQ(engine.evaluate_pattern(buf, p), evaluate_naive(nl, inputs));
   }
 }
 

@@ -14,6 +14,7 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "env_vector.hpp"
 #include "helpers.hpp"
 
 namespace deterrent::rl {
@@ -333,8 +334,8 @@ class BanditEnv final : public Env {
 TEST(Ppo, ZeroMinibatchSizeThrows) {
   PpoConfig cfg;
   cfg.minibatch_size = 0;  // e.g. from a library caller or a session config
-  EXPECT_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
-                          cfg, 1),
+  EXPECT_THROW(scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                              cfg, 1),
                Error);
 }
 
@@ -342,12 +343,12 @@ TEST(Ppo, ZeroLaneCountThrows) {
   PpoConfig cfg;
   cfg.rollout_lanes = 0;
   cfg.n_workers = 0;
-  EXPECT_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
-                          cfg, 1),
+  EXPECT_THROW(scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                              cfg, 1),
                Error);
   cfg.n_workers = 1;  // the legacy spelling alone is enough
-  EXPECT_NO_THROW(PpoTrainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
-                             cfg, 1));
+  EXPECT_NO_THROW(scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); },
+                                 cfg, 1));
 }
 
 TEST(Ppo, LearnsBandit) {
@@ -356,7 +357,7 @@ TEST(Ppo, LearnsBandit) {
   cfg.hidden_size = 16;
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 1e-2f;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 3);
+  auto trainer = scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 3);
   double reward = 0.0;
   for (int u = 0; u < 40; ++u) reward = trainer.update().mean_episode_reward;
   EXPECT_GT(reward, 0.85) << "policy failed to find the paying arm";
@@ -408,8 +409,8 @@ TEST(Ppo, LearnsCorridor) {
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 5e-3f;
   cfg.gamma = 0.95f;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<CorridorEnv>(5); }, cfg,
-                     11);
+  auto trainer =
+      scalar_trainer([](std::size_t) { return std::make_unique<CorridorEnv>(5); }, cfg, 11);
   double reward = 0.0;
   for (int u = 0; u < 60; ++u) reward = trainer.update().mean_episode_reward;
   EXPECT_GT(reward, 0.9) << "policy failed to walk the corridor";
@@ -444,8 +445,8 @@ TEST(Ppo, MaskedActionsNeverTakenAndBestAllowedFound) {
   cfg.hidden_size = 16;
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 1e-2f;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<MaskedBanditEnv>(); },
-                     cfg, 5);
+  auto trainer =
+      scalar_trainer([](std::size_t) { return std::make_unique<MaskedBanditEnv>(); }, cfg, 5);
   double reward = 0.0;
   for (int u = 0; u < 40; ++u) reward = trainer.update().mean_episode_reward;
   EXPECT_GT(reward, 0.5) << "policy failed to find best allowed arm";
@@ -459,7 +460,7 @@ TEST(Ppo, VectorizedWorkersMatchProgress) {
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 1e-2f;
   cfg.rollout_lanes = 4;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 7);
+  auto trainer = scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 7);
   double reward = 0.0;
   for (int u = 0; u < 40; ++u) reward = trainer.update().mean_episode_reward;
   EXPECT_GT(reward, 0.85);
@@ -477,8 +478,8 @@ TEST(Ppo, EntropyBonusSlowsCollapse) {
   PpoConfig high = low;
   high.entropy_coef = 1.0f;
 
-  PpoTrainer t_low([](std::size_t) { return std::make_unique<BanditEnv>(); }, low, 9);
-  PpoTrainer t_high([](std::size_t) { return std::make_unique<BanditEnv>(); }, high, 9);
+  auto t_low = scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, low, 9);
+  auto t_high = scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, high, 9);
   double ent_low = 0;
   double ent_high = 0;
   for (int u = 0; u < 30; ++u) {
@@ -493,7 +494,7 @@ TEST(Ppo, UpdateStatsConsistent) {
   PpoConfig cfg;
   cfg.episodes_per_update = 8;
   cfg.hidden_size = 8;
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 1);
+  auto trainer = scalar_trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 1);
   const auto stats = trainer.update();
   EXPECT_EQ(stats.episodes, 8u);
   EXPECT_EQ(stats.steps, 8u);  // bandit episodes are single-step
@@ -680,8 +681,8 @@ TEST(PooledTraining, TrainerMatchesSerialBitwise) {
     std::vector<std::vector<std::uint64_t>> stats;
     std::vector<TrainerState> states;
     for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &two, &three}) {
-      PpoTrainer trainer([](std::size_t) { return std::make_unique<MaskedChainEnv>(); },
-                         cfg, 21, nullptr, pool);
+      auto trainer = scalar_trainer(
+          [](std::size_t) { return std::make_unique<MaskedChainEnv>(); }, cfg, 21, pool);
       std::vector<std::uint64_t> leg;
       for (int u = 0; u < 4; ++u) {
         const auto b = stats_bits(trainer.update());

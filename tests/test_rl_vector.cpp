@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/compatibility.hpp"
@@ -27,9 +28,9 @@
 #include "rl/mlp.hpp"
 #include "rl/mlp_kernels.hpp"
 #include "rl/ppo.hpp"
-#include "rl/vector_env.hpp"
 #include "util/thread_pool.hpp"
 
+#include "env_vector.hpp"
 #include "helpers.hpp"
 #include "reference_env.hpp"
 
@@ -50,6 +51,7 @@ using rl::Mlp;
 using rl::PpoConfig;
 using rl::PpoTrainer;
 using rl::StepResult;
+using rl::scalar_trainer;
 
 // ------------------------------------------------------ Mlp batch passes ---
 
@@ -708,12 +710,12 @@ void expect_stats_equal(const rl::PpoUpdateStats& a, const rl::PpoUpdateStats& b
 TEST(PpoVector, TrainingIsInvariantAcrossLaneAndWorkerCounts) {
   const auto factory = [](std::size_t) { return std::make_unique<WalkEnv>(); };
 
-  PpoTrainer baseline(factory, toy_config(), 17);  // default: one lane
+  auto baseline = scalar_trainer(factory, toy_config(), 17);  // default: one lane
   std::vector<rl::PpoUpdateStats> baseline_stats;
   for (int u = 0; u < 3; ++u) baseline_stats.push_back(baseline.update());
 
   auto check = [&](const PpoConfig& cfg, std::size_t lanes, const std::string& label) {
-    PpoTrainer trainer(factory, cfg, 17);
+    auto trainer = scalar_trainer(factory, cfg, 17);
     EXPECT_EQ(trainer.vector_env().lanes(), lanes) << label;
     for (int u = 0; u < 3; ++u)
       expect_stats_equal(baseline_stats[static_cast<std::size_t>(u)],
@@ -751,8 +753,8 @@ std::uint64_t param_digest(const std::vector<float>& params) {
 /// three updates of toy_config(). The batched trainer must reproduce them bit
 /// for bit; the MlpBatch tests above pin the same equivalence per layer.
 TEST(PpoVector, MatchesPinnedScalarTrainerDigests) {
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<WalkEnv>(); },
-                     toy_config(), 17);
+  auto trainer =
+      scalar_trainer([](std::size_t) { return std::make_unique<WalkEnv>(); }, toy_config(), 17);
   for (int u = 0; u < 3; ++u) trainer.update();
   EXPECT_EQ(param_digest(trainer.policy().flat_params()), 0x04a8b2e8ef6e7855ULL);
   EXPECT_EQ(param_digest(trainer.value().flat_params()), 0x0f4e25eaf613d16dULL);
@@ -804,12 +806,12 @@ TEST(PpoVector, CollectedEpisodesAndRewardsIdenticalToScalarRollouts) {
   std::vector<float> single_log;
   std::vector<std::vector<float>> lane_logs(kLanes);
 
-  PpoTrainer single(
+  auto single = scalar_trainer(
       [&](std::size_t) { return std::make_unique<RecordingWalkEnv>(&single_log); },
       toy_config(), 23);
   PpoConfig lanes_cfg = toy_config();
   lanes_cfg.rollout_lanes = kLanes;
-  PpoTrainer vectorized(
+  auto vectorized = scalar_trainer(
       [&](std::size_t l) { return std::make_unique<RecordingWalkEnv>(&lane_logs[l]); },
       lanes_cfg, 23);
 
@@ -841,13 +843,13 @@ TEST(PpoVector, StateRestoreResumesBatchedTrainingBitIdentically) {
   PpoConfig cfg = toy_config();
   cfg.rollout_lanes = 4;
 
-  PpoTrainer reference(factory, cfg, 29);
+  auto reference = scalar_trainer(factory, cfg, 29);
   reference.update();
   const rl::TrainerState snapshot = reference.state();
   const auto r2 = reference.update();
   const auto r3 = reference.update();
 
-  PpoTrainer resumed(factory, cfg, 999);  // different seed: state must win
+  auto resumed = scalar_trainer(factory, cfg, 999);  // different seed: state must win
   resumed.restore(snapshot);
   const auto s2 = resumed.update();
   const auto s3 = resumed.update();
@@ -864,8 +866,8 @@ TEST(PpoVector, StateRestoreResumesBatchedTrainingBitIdentically) {
 // and through restore(); the batched forward of the networks it exposes must
 // follow both, or rollouts and minibatches would run on stale weights.
 TEST(PpoVector, BatchedForwardFollowsOptimizerStepsAndRestore) {
-  PpoTrainer trainer([](std::size_t) { return std::make_unique<WalkEnv>(); },
-                     toy_config(), 37);
+  auto trainer =
+      scalar_trainer([](std::size_t) { return std::make_unique<WalkEnv>(); }, toy_config(), 37);
   const rl::TrainerState initial = trainer.state();
   util::Rng data(38);
   const std::size_t rows = 11;
@@ -893,12 +895,12 @@ TEST(PpoVector, CheckpointsArePortableAcrossLaneCounts) {
   PpoConfig two = toy_config();
   two.rollout_lanes = 2;
 
-  PpoTrainer a(factory, four, 31);
+  auto a = scalar_trainer(factory, four, 31);
   a.update();
   const rl::TrainerState snapshot = a.state();
   const auto a2 = a.update();
 
-  PpoTrainer b(factory, two, 555);
+  auto b = scalar_trainer(factory, two, 555);
   b.restore(snapshot);
   const auto b2 = b.update();
 
@@ -1316,7 +1318,7 @@ TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
         cfg.rollout_lanes = lanes;
 
         DistinctSetPool ref_pool;
-        PpoTrainer generic(
+        auto generic = scalar_trainer(
             [&](std::size_t) {
               return std::make_unique<ReferenceEnv>(f.netlist, f.rare, f.matrix, env_cfg,
                                                     &ref_pool);
@@ -1352,6 +1354,41 @@ TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
       }
     }
   }
+}
+
+/// The frozen benchmark's call shape passes an EnvFactory next to the vector
+/// factory. The trainer must never call it, and must train exactly as when
+/// the EnvFactory is null.
+TEST(PpoVector, EnvFactoryBesideVectorFactoryIsNeverCalled) {
+  const Fixture f = make_fixture(55);
+  if (f.rare.size() < 6) GTEST_SKIP();
+  EnvConfig env_cfg;
+  env_cfg.witness_signatures = &f.signatures;
+  PpoConfig cfg = toy_config();
+  cfg.episodes_per_update = 8;
+  cfg.rollout_lanes = 3;
+  auto train = [&](const PpoTrainer::EnvFactory& factory) {
+    DistinctSetPool pool;
+    PpoTrainer trainer(factory, cfg, 61, [&](std::size_t n) {
+      return std::make_unique<CompatibleSetVectorEnv>(f.netlist, f.rare, f.matrix, env_cfg,
+                                                      &pool, n);
+    });
+    for (int u = 0; u < 2; ++u) trainer.update();
+    return std::pair{trainer.policy().flat_params(), trainer.value().flat_params()};
+  };
+  const auto with_factory = train([](std::size_t) -> std::unique_ptr<Env> {
+    ADD_FAILURE() << "PpoTrainer called its EnvFactory";
+    return nullptr;
+  });
+  const auto without_factory = train(nullptr);
+  EXPECT_EQ(with_factory.first, without_factory.first);
+  EXPECT_EQ(with_factory.second, without_factory.second);
+}
+
+TEST(PpoVector, NullVectorFactoryThrows) {
+  EXPECT_THROW(PpoTrainer([](std::size_t) { return std::make_unique<WalkEnv>(); },
+                          toy_config(), 1, nullptr),
+               Error);
 }
 
 }  // namespace

@@ -236,9 +236,9 @@ TEST(Probability, NonMultipleOf64PatternCount) {
 }
 
 TEST(Probability, ExactMatchesExplicitEnumerationAcrossBatches) {
-  // 12 inputs = 4096 assignments = 64 blocks: exercises multiple full W-word
-  // engine passes of the batched enumerator. The explicitly constructed
-  // exhaustive pattern set is the ground truth.
+  // 12 inputs = 4096 assignments = 64 blocks: the Engine sweep over the
+  // explicitly constructed exhaustive pattern set runs several full W-word
+  // passes, and must count what the naive enumerator counts.
   const Netlist nl = small_random(46, 180, 12);
   const std::size_t n_inputs = nl.inputs().size();
   PatternSet all(n_inputs);
@@ -255,8 +255,8 @@ TEST(Probability, ExactMatchesExplicitEnumerationAcrossBatches) {
 }
 
 TEST(Probability, ExactHandlesPartialFinalBlock) {
-  // 5 inputs = 32 assignments — less than one 64-lane block; the lane mask
-  // must exclude the unused upper lanes.
+  // 5 inputs = 32 assignments — less than one 64-lane block: exactly those
+  // are counted, and each input is 1 in half of them.
   const Netlist nl = small_random(47, 60, 5);
   const auto exact = exact_signal_stats(nl);
   EXPECT_EQ(exact.pattern_count, 32u);

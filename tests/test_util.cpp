@@ -16,7 +16,6 @@
 
 #include "util/assert.hpp"
 #include "util/bitvec.hpp"
-#include "util/env.hpp"
 #include "util/faults.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -24,6 +23,7 @@
 #include "util/watchdog.hpp"
 
 #include "../bench/common.hpp"
+#include "helpers.hpp"
 
 namespace deterrent::util {
 namespace {
@@ -506,17 +506,27 @@ TEST(Table, RowCount) {
 
 // ---------------------------------------------------------------- env ------
 
-TEST(EnvConfig, BenchModeDefault) {
-  // Without the env var set, mode falls back to Default.
+TEST(BenchMode, ParsesNamesAndRejectsUnknown) {
+  ScopedEnv mode("DETERRENT_BENCH_MODE", "");
   unsetenv("DETERRENT_BENCH_MODE");
-  EXPECT_EQ(bench_mode_from_env(), BenchMode::Default);
-  setenv("DETERRENT_BENCH_MODE", "quick", 1);
-  EXPECT_EQ(bench_mode_from_env(), BenchMode::Quick);
-  setenv("DETERRENT_BENCH_MODE", "full", 1);
-  EXPECT_EQ(bench_mode_from_env(), BenchMode::Full);
-  setenv("DETERRENT_BENCH_MODE", "garbage", 1);
-  EXPECT_EQ(bench_mode_from_env(), BenchMode::Default);
-  unsetenv("DETERRENT_BENCH_MODE");
+  EXPECT_EQ(bench::bench_mode_from_env(), bench::BenchMode::Default);
+  for (const bench::BenchMode m :
+       {bench::BenchMode::Quick, bench::BenchMode::Default, bench::BenchMode::Full}) {
+    setenv("DETERRENT_BENCH_MODE", bench::to_string(m), 1);
+    EXPECT_EQ(bench::bench_mode_from_env(), m);
+  }
+  setenv("DETERRENT_BENCH_MODE", "", 1);  // empty means unset
+  EXPECT_EQ(bench::bench_mode_from_env(), bench::BenchMode::Default);
+  for (const char* bad : {"garbage", "qiuck", "Quick"}) {
+    setenv("DETERRENT_BENCH_MODE", bad, 1);
+    try {
+      (void)bench::bench_mode_from_env();
+      ADD_FAILURE() << bad << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("quick|default|full"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------ bench JSON -------
